@@ -18,6 +18,7 @@ from .liealg import (
     SubalgebraEmbedding,
     block_torus,
     build_algebra,
+    reductive_split,
     so_block_embedding,
     u_block_embedding,
 )
@@ -27,6 +28,7 @@ from .rootdata import (
     build_root_system,
     detect_subsystem,
     find_fat_shift,
+    root_eval,
     root_system_for,
     subsystem_from_members,
     verify_shift,
@@ -127,7 +129,6 @@ def make_pair(g_family: str, g_params: tuple, h_type: str, h_params: tuple
         emb = u_block_embedding(g, h_params[0])
     elif h_type == "torus":
         rows = block_torus(g, h_params[0])
-        from .liealg import reductive_split
         emb = reductive_split(g, rows, torus_basis=rows,
                               name=f"t{h_params[0]}<{g.name}")
     else:
@@ -269,7 +270,7 @@ def _run_pinch(spec, payload) -> bool:
                              tol=spec.tol)
     berger = cv.berger_check(tensor, eps)
     payload["pinch"] = {
-        "tensor": {"n": n, "epsilon": eps, "sign": 1 if sign == "+" else -1,
+        "tensor": {"n": n, "epsilon": eps, "sign": tensor.sign,
                    "seed": spec.seed,
                    "achieved_epsilon": tensor.achieved_epsilon,
                    "berger_max": tensor.berger_max},
@@ -295,7 +296,6 @@ def _run_shift(spec, payload) -> bool:
         info["shift"] = None
         info["verified"] = False
     else:
-        from .rootdata import root_eval
         info["shift"] = sz.vec_to_json(shift)
         info["verified"] = verify_shift(vertices, sub, shift)
         info["evaluations"] = {

@@ -14,10 +14,19 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
-from .catalog import InstanceSpec, builtin_catalog, builtin_names, run_instance
+from .catalog import (
+    InstanceSpec,
+    builtin_catalog,
+    builtin_names,
+    resolve,
+    run_instance,
+)
 from .errors import FatBundleError
-from .serialize import dumps_canonical
+from .fatness import isotropy_algebra
+from .rootdata import root_eval
+from .serialize import dumps_canonical, parse_vec
 
 
 def _load_catalog(source: str) -> list[InstanceSpec]:
@@ -73,7 +82,6 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if overrides:
-        from dataclasses import replace
         specs = [replace(s, **overrides) for s in specs]
     os.makedirs(args.out, exist_ok=True)
     jobs = args.jobs or os.cpu_count() or 1
@@ -105,7 +113,6 @@ def cmd_run(args) -> int:
 
 
 def _print_certification(payload: dict) -> None:
-    from .catalog import resolve
     spec = InstanceSpec.from_json(payload["spec"])
     inst = resolve(spec)
     cert = payload.get("certificate")
@@ -119,8 +126,6 @@ def _print_certification(payload: dict) -> None:
         print(f"  subalgebra roots: {list(sub.member_roots)}")
         print(f"  forbidden walls:  {list(sub.forbidden)}")
         if cert and "Xu_torus" in cert:
-            from .rootdata import root_eval
-            from .serialize import parse_vec
             tau = parse_vec(cert["Xu_torus"])
             print(f"  Xu in torus coordinates: {cert['Xu_torus']}")
             for root in sub.forbidden:
@@ -137,7 +142,6 @@ def _print_certification(payload: dict) -> None:
             if key in cert:
                 print(f"  {key}: {cert[key]}")
         if inst.x_u is not None:
-            from .fatness import isotropy_algebra
             iso = isotropy_algebra(inst.g, inst.x_u)
             print(f"  centralizer dimension of Xu: {len(iso)}")
     if "batch" in payload:

@@ -24,11 +24,14 @@ from .exact import (
     Vec,
     det,
     frac,
+    identity,
     mat,
     mat_vec,
     nullspace,
-    rank_exact,
+    rank,
+    unit_vec,
     vec,
+    vec_mat,
 )
 from .fatness import fatness_gram, isotropy_algebra
 from .liealg import LieAlgebra, SubalgebraEmbedding
@@ -81,12 +84,10 @@ class HomogeneousBundleInstance:
 
 
 def _span_equal(a_rows, b_rows) -> bool:
-    ra = rank_exact(a_rows) if a_rows else 0
-    rb = rank_exact(b_rows) if b_rows else 0
-    if ra != rb:
+    ra = rank(a_rows)
+    if ra != rank(b_rows):
         return False
-    stacked = list(a_rows) + list(b_rows)
-    return (rank_exact(stacked) if stacked else 0) == ra
+    return rank(list(a_rows) + list(b_rows)) == ra
 
 
 def _orbit_gram(g: LieAlgebra, x_u: Vec, rows: Mat) -> Mat:
@@ -116,7 +117,7 @@ def _orbit_gram(g: LieAlgebra, x_u: Vec, rows: Mat) -> Mat:
 
 def _orthocomplement(g: LieAlgebra, rows: Mat) -> Mat:
     if not rows:
-        return mat([tuple(r) for r in np.eye(g.dim, dtype=int).tolist()])
+        return identity(g.dim)
     bk = [mat_vec(g.killing, r) for r in rows]
     return mat(nullspace(bk))
 
@@ -145,16 +146,7 @@ def fiber_isotropy(g: LieAlgebra, emb: SubalgebraEmbedding, x_u) -> Mat:
     x_u = g.check_vector(x_u)
     cols = [g.bracket(x_u, hj) for hj in emb.h_basis]
     rows = [[cols[j][i] for j in range(len(cols))] for i in range(g.dim)]
-    coeffs = nullspace(rows)
-    v_rows = []
-    for c in coeffs:
-        w = [ZERO] * g.dim
-        for ci, hrow in zip(c, emb.h_basis):
-            if ci:
-                for k, val in enumerate(hrow):
-                    w[k] += ci * val
-        v_rows.append(tuple(w))
-    return mat(v_rows)
+    return tuple(vec_mat(c, emb.h_basis) for c in nullspace(rows))
 
 
 def bundle_instance(g: LieAlgebra, emb: SubalgebraEmbedding, x_u) -> HomogeneousBundleInstance:
@@ -171,24 +163,17 @@ def bundle_instance(g: LieAlgebra, emb: SubalgebraEmbedding, x_u) -> Homogeneous
         kv = [mat_vec(g.killing, r) for r in v_rows]
         gram_v = [[sum((a * b for a, b in zip(r2, kvi)), ZERO) for kvi in kv]
                   for r2 in v_rows]
-        if rank_exact(gram_v) != len(v_rows):
+        if rank(gram_v) != len(v_rows):
             raise DegenerateRestriction("Killing form singular on v")
         # h cap n: elements of h Killing-orthogonal to v.
         a_rows = [[sum((x * y for x, y in zip(kvi, hrow)), ZERO)
                    for hrow in emb.h_basis] for kvi in kv]
         fiber_coeffs = nullspace(a_rows)
     else:
-        fiber_coeffs = [tuple(r) for r in np.eye(emb.dim_h, dtype=int).tolist()]
-    fiber_rows = []
-    for c in fiber_coeffs:
-        w = [ZERO] * g.dim
-        for ci, hrow in zip(c, emb.h_basis):
-            if ci:
-                for k, val in enumerate(hrow):
-                    w[k] += ci * val
-        fiber_rows.append(tuple(w))
+        fiber_coeffs = identity(emb.dim_h)
+    fiber_rows = tuple(vec_mat(c, emb.h_basis) for c in fiber_coeffs)
     return HomogeneousBundleInstance(
-        g=g, emb=emb, x_u=x_u, v_basis=v_rows, fiber_basis=mat(fiber_rows),
+        g=g, emb=emb, x_u=x_u, v_basis=v_rows, fiber_basis=fiber_rows,
         m_basis=emb.m_basis, isotropy_in_h=in_h)
 
 
@@ -288,7 +273,7 @@ def ce_closedness(g: LieAlgebra, form: InvariantTwoForm) -> Fraction:
     coords = []
     d = g.dim
     for a in range(d):
-        c = solver.coords(tuple(Fraction(int(i == a)) for i in range(d)))
+        c = solver.coords(unit_vec(d, a))
         if c is None:
             raise ValueError("v + n does not span g")
         coords.append(c[nv:])
@@ -309,7 +294,6 @@ def ce_closedness(g: LieAlgebra, form: InvariantTwoForm) -> Fraction:
         return sum((xa * sig[a][b] for a, xa in enumerate(x) if xa), ZERO)
 
     worst = ZERO
-    from .exact import unit_vec
     units = [unit_vec(d, a) for a in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
@@ -340,30 +324,3 @@ def nondegenerate_and_top_power(form: InvariantTwoForm,
     pf_abs = sqrt(float(d))
     return min_sv, pf_abs
 
-
-def coupling_nondegenerate_float(g: LieAlgebra, emb: SubalgebraEmbedding,
-                                 x_u, tol: float = 1e-9) -> tuple[bool, float]:
-    """Fast numeric nondegeneracy verdict of the coupling form at X_u
-    (float pipeline end to end, for batch sweeps)."""
-    x = np.array([float(frac(t)) for t in x_u])
-    c = g.structure_array()
-    kf = g.killing_array()
-    h_arr = np.array([[float(v) for v in r] for r in emb.h_basis])
-    ad = np.einsum("ijk,i->kj", c, x)
-    from scipy.linalg import null_space
-    a_h = ad @ h_arr.T
-    ns = null_space(a_h, rcond=1e-9) if h_arr.size else np.zeros((0, 0))
-    v_rows = (h_arr.T @ ns).T if ns.size else np.zeros((0, g.dim))
-    if v_rows.size:
-        n_rows = null_space(v_rows @ kf, rcond=1e-9).T
-    else:
-        n_rows = np.eye(g.dim)
-    s = np.einsum("ijk,k->ij", c, kf @ x)
-    gram = n_rows @ s @ n_rows.T
-    if gram.size == 0:
-        return True, float("inf")
-    sv = np.linalg.svd(gram, compute_uv=False)
-    min_sv = float(sv[-1])
-    if gram.shape[0] % 2 == 1:
-        return False, min_sv
-    return bool(sv[0] > 0 and min_sv > tol * sv[0]), min_sv

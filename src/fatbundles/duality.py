@@ -20,7 +20,8 @@ from .exact import (
     inertia,
     mat,
     mat_mul,
-    vec,
+    unit_vec,
+    vec_mat,
 )
 from .fatness import certify, sample_rational_vectors
 from .liealg import LieAlgebra, SubalgebraEmbedding, reductive_split
@@ -60,8 +61,6 @@ def dualize(g: LieAlgebra, involution) -> DualPair:
     k is compact; the dual flips the sign of the [p, p] constants and is
     verified exactly, so dualizing twice restores the original algebra.
     """
-    if not g.exact:
-        raise InvolutionInvalid("dualization needs an exact algebra")
     t_mat = mat(involution)
     n = g.n
     if len(t_mat) != n or any(len(r) != n for r in t_mat):
@@ -74,26 +73,15 @@ def dualize(g: LieAlgebra, involution) -> DualPair:
     d = g.dim
     # theta must be involutive and an automorphism on coordinates.
     theta_rows = mat(theta)
-    for i in range(d):
-        img = [ZERO] * d
-        for c, row in zip(theta_rows[i], theta_rows):
-            if c:
-                for k, v in enumerate(row):
-                    img[k] += c * v
-        if tuple(img) != tuple(1 if k == i else ZERO for k in range(d)):
-            raise InvolutionInvalid("theta^2 != identity on coordinates")
-    from .exact import unit_vec
     units = [unit_vec(d, i) for i in range(d)]
+    for i in range(d):
+        if vec_mat(theta_rows[i], theta_rows) != units[i]:
+            raise InvolutionInvalid("theta^2 != identity on coordinates")
     for i in range(d):
         for j in range(i + 1, d):
             lhs = g.bracket(theta_rows[i], theta_rows[j])
-            rhs_coords = g.bracket(units[i], units[j])
-            rhs = [ZERO] * d
-            for c, row in zip(rhs_coords, theta_rows):
-                if c:
-                    for k, v in enumerate(row):
-                        rhs[k] += c * v
-            if tuple(lhs) != tuple(rhs):
+            rhs = vec_mat(g.bracket(units[i], units[j]), theta_rows)
+            if lhs != rhs:
                 raise InvolutionInvalid("theta is not an automorphism")
     # Eigenspaces: for the built-in adapted bases theta is diagonal +-1.
     diag = all(theta_rows[i][j] == 0 for i in range(d) for j in range(d) if i != j)
@@ -115,7 +103,7 @@ def dualize(g: LieAlgebra, involution) -> DualPair:
         return DualPair(g, g, d, t_mat)
     dual_basis = [g.basis[i] for i in k_idx]
     dual_basis += [mat_mul(g.basis[i], t_mat) for i in p_idx]
-    dual = LieAlgebra(f"dual({g.name})", dual_basis, exact=True,
+    dual = LieAlgebra(f"dual({g.name})", dual_basis,
                       family=g.family, params=g.params)
     _verify_flip(g, dual, len(k_idx))
     _, neg_in, _ = inertia(g.killing)

@@ -137,39 +137,40 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     return m, pivots
 
 
-def rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
-
-
-def clear_denominators(rows) -> list[list[int]]:
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
     """Scale each row by the lcm of its denominators (preserves rank and
-    kernel)."""
+    kernel); also returns the product of the scale factors."""
     out = []
+    scale = 1
     for row in rows:
         row = [frac(x) for x in row]
         denom = 1
         for a in row:
             denom = denom * a.denominator // gcd(denom, a.denominator)
         out.append([int(a * denom) for a in row])
-    return out
+        scale *= denom
+    return out, scale
 
 
-def rank_int(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
+def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix.
+
+    Returns (rank, last pivot signed by the parity of the row swaps); for a
+    square matrix of full rank that signed pivot is the determinant.
+    """
     m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    nr, nc = len(m), len(m[0])
+    nr = len(m)
+    nc = len(m[0]) if m else 0
     r = 0
     prev = 1
+    sign = 1
     for c in range(nc):
         piv = next((i for i in range(r, nr) if m[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
+            sign = -sign
         p = m[r][c]
         row_r = m[r]
         for i in range(r + 1, nr):
@@ -182,14 +183,12 @@ def rank_int(rows: list[list[int]]) -> int:
         r += 1
         if r == nr:
             break
-    return r
+    return r, sign * prev
 
 
-def rank_exact(rows) -> int:
+def rank(rows) -> int:
     """Rank of a rational matrix (denominators cleared, then Bareiss)."""
-    if not rows:
-        return 0
-    return rank_int(clear_denominators(rows))
+    return _bareiss(_integer_rows(rows)[0])[0]
 
 
 def nullspace(rows) -> list[Vec]:
@@ -233,24 +232,12 @@ def inverse(a) -> Mat:
 
 
 def det(a) -> Fraction:
-    m = [[frac(x) for x in row] for row in a]
-    n = len(m)
-    sign = 1
-    result = ONE
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return ZERO
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        p = m[c][c]
-        result *= p
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / p
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result * sign
+    """Determinant of a square rational matrix by the Bareiss kernel."""
+    rows, scale = _integer_rows(a)
+    r, pivot = _bareiss(rows)
+    if r < len(rows):
+        return ZERO
+    return Fraction(pivot, scale)
 
 
 def inertia(a) -> tuple[int, int, int]:

@@ -23,12 +23,12 @@ from .exact import (
     ZERO,
     Mat,
     Vec,
-    clear_denominators,
     mat,
     mat_vec,
     nullspace,
-    rank_int,
+    rank,
     vec,
+    vec_mat,
 )
 from .liealg import LieAlgebra, SubalgebraEmbedding
 from .rootdata import SubSystem, fat_by_roots
@@ -86,17 +86,6 @@ def fatness_gram(emb: SubalgebraEmbedding, x_u) -> Mat:
     return mat(rows)
 
 
-def fatness_gram_float(emb: SubalgebraEmbedding, x_float: np.ndarray) -> np.ndarray:
-    """Float Gram for numeric sweeps (equivariance checks, batch runs)."""
-    g = emb.ambient
-    c = g.structure_array()
-    kf = g.killing_array()
-    m_arr = np.array([[float(v) for v in row] for row in emb.m_basis])
-    kx = kf @ np.asarray(x_float, dtype=float)
-    s = np.einsum("ijk,k->ij", c, kx)
-    return m_arr @ s @ m_arr.T
-
-
 def _gram_svd(gram_float: np.ndarray) -> tuple[float, float, np.ndarray]:
     if gram_float.size == 0:
         return float("inf"), float("inf"), np.zeros(0)
@@ -132,13 +121,7 @@ def fat_by_oracle(emb: SubalgebraEmbedding, x_u, tol: float = 1e-9) -> Verdict:
 
 def isotropy_algebra(g: LieAlgebra, x_u) -> tuple[Vec, ...]:
     """Basis of ker(ad_{X_u}) = {X : [X, X_u] = 0} in g-coordinates."""
-    x_u = g.check_vector(x_u)
-    ad_rows = g.ad_matrix(x_u)
-    if g.exact:
-        return tuple(nullspace(ad_rows))
-    arr = np.array([[float(x) for x in row] for row in ad_rows])
-    from scipy.linalg import null_space
-    return mat(null_space(arr, rcond=1e-9).T)
+    return tuple(nullspace(g.ad_matrix(x_u)))
 
 
 def fat_by_centralizer(emb: SubalgebraEmbedding, x_u) -> Verdict:
@@ -150,24 +133,10 @@ def fat_by_centralizer(emb: SubalgebraEmbedding, x_u) -> Verdict:
     if not cols:
         return Verdict(FAT, note="trivial horizontal space")
     rows = [[cols[j][i] for j in range(len(cols))] for i in range(g.dim)]
-    if g.exact:
-        deficient = rank_int(clear_denominators(rows)) < emb.dim_m
-    else:
-        arr = np.array([[float(x) for x in row] for row in rows])
-        sv = np.linalg.svd(arr, compute_uv=False)
-        deficient = sv[emb.dim_m - 1] <= 1e-9 * max(sv[0], 1.0)
-    if not deficient:
+    if rank(rows) == emb.dim_m:
         return Verdict(FAT)
-    if g.exact:
-        kern = nullspace(rows)
-        coeffs = kern[0]
-        witness = [ZERO] * g.dim
-        for c, row in zip(coeffs, emb.m_basis):
-            if c:
-                for k, v in enumerate(row):
-                    witness[k] += c * v
-        return Verdict(NOT_FAT, witness_vector=tuple(witness))
-    return Verdict(NOT_FAT, note="numeric rank deficiency")
+    coeffs = nullspace(rows)[0]
+    return Verdict(NOT_FAT, witness_vector=vec_mat(coeffs, emb.m_basis))
 
 
 @dataclass(frozen=True)

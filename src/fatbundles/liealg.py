@@ -2,18 +2,16 @@
 
 Brackets and the Killing form are always evaluated through structure
 constants; constructing an algebra from a matrix basis computes those
-constants once, exactly for integer/rational bases and by least squares
-(with explicit tolerances) for float bases.  The classical families
-so(n), so(p,q), su(n) and u(n) inside so(2n) are built with unnormalized
-integer bases so that downstream wall tests stay exact.
+constants once and exactly: float entries are read as their exact binary
+rationals, and a basis that does not close exactly is rejected.  The
+classical families so(n), so(p,q), su(n) and u(n) inside so(2n) are built
+with unnormalized integer bases so that downstream wall tests stay exact.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import (
     DegenerateRestriction,
@@ -26,15 +24,19 @@ from .exact import (
     Mat,
     Vec,
     frac,
+    identity,
     inertia,
     mat,
     mat_vec,
     nullspace,
     primitive,
-    rank_exact,
+    rank,
     solve,
+    sub_vec,
     unit_vec,
     vec,
+    vec_mat,
+    zero_vec,
 )
 
 # Sparse n x n matrix: {(row, col): value}.
@@ -92,30 +94,23 @@ class LieAlgebra:
     stored basis throughout.
     """
 
-    def __init__(self, name: str, basis, *, exact: bool = True,
-                 family: str | None = None, params: tuple | None = None,
-                 tol: float = 1e-9):
+    def __init__(self, name: str, basis, *,
+                 family: str | None = None, params: tuple | None = None):
         self.name = name
         self.basis: tuple[Mat, ...] = tuple(mat(b) for b in basis)
         if not self.basis:
             raise ValueError("empty basis")
         self.n = len(self.basis[0])
         self.dim = len(self.basis)
-        self.exact = exact
         self.family = family
         self.params = params
-        self.tol = tol
         self._sparse_basis = [_sparse(b) for b in self.basis]
-        if exact:
-            flat_rows = [
-                [b[r][c] for r in range(self.n) for c in range(self.n)]
-                for b in self.basis
-            ]
-            self._flat_solver = CoordinateSolver(flat_rows)
-            self._structure = self._structure_exact()
-        else:
-            self._flat_solver = None
-            self._structure = self._structure_float()
+        flat_rows = [
+            [b[r][c] for r in range(self.n) for c in range(self.n)]
+            for b in self.basis
+        ]
+        self._flat_solver = CoordinateSolver(flat_rows)
+        self._structure = self._structure_exact()
         # c^k_{aj} indexed as _ad_of[a][j] = {k: value}, both argument orders.
         ad_of: list[dict[int, dict[int, Fraction]]] = [dict() for _ in range(self.dim)]
         for (i, j), ck in self._structure.items():
@@ -123,14 +118,7 @@ class LieAlgebra:
             ad_of[j][i] = {k: -v for k, v in ck.items()}
         self._ad_of = ad_of
         self.killing: Mat = self._killing_gram()
-        if exact:
-            self.semisimple = rank_exact(self.killing) == self.dim
-        else:
-            kf = np.array([[float(x) for x in row] for row in self.killing])
-            self.semisimple = np.linalg.matrix_rank(kf, tol=1e-9) == self.dim
-        self._basis_array = None
-        self._structure_array = None
-        self._killing_inv = None
+        self.semisimple = rank(self.killing) == self.dim
 
     # -- construction helpers -------------------------------------------
 
@@ -145,29 +133,6 @@ class LieAlgebra:
                         f"{self.name}: basis does not close under the "
                         f"commutator (elements {i}, {j})")
                 ck = {k: x for k, x in enumerate(coords) if x}
-                if ck:
-                    structure[(i, j)] = ck
-        return structure
-
-    def _structure_float(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        flat = np.array([
-            [float(b[r][c]) for r in range(self.n) for c in range(self.n)]
-            for b in self.basis
-        ])
-        scale = np.abs(flat).max()
-        structure = {}
-        mats = [np.array([[float(x) for x in row] for row in b]) for b in self.basis]
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-                c, res, _, _ = np.linalg.lstsq(flat.T, comm.ravel(), rcond=None)
-                recon = flat.T @ c
-                if np.abs(recon - comm.ravel()).max() > self.tol * max(scale, 1.0):
-                    raise ValueError(
-                        f"{self.name}: basis does not close under the "
-                        f"commutator within tolerance (elements {i}, {j})")
-                ck = {k: Fraction(float(x)) for k, x in enumerate(c)
-                      if abs(x) > self.tol}
                 if ck:
                     structure[(i, j)] = ck
         return structure
@@ -246,43 +211,7 @@ class LieAlgebra:
 
     def coords_of_matrix(self, m) -> Vec | None:
         """Coordinates of an n x n matrix in the basis, or None."""
-        if self._flat_solver is None:
-            flat = np.array([
-                [float(b[r][c]) for r in range(self.n) for c in range(self.n)]
-                for b in self.basis
-            ])
-            target = np.array([float(frac(x)) for row in m for x in row])
-            c, _, _, _ = np.linalg.lstsq(flat.T, target, rcond=None)
-            if np.abs(flat.T @ c - target).max() > self.tol:
-                return None
-            return vec(Fraction(float(x)) for x in c)
         return self._flat_solver.coords(_flatten(_sparse(m), self.n))
-
-    # -- float views (cached) ---------------------------------------------
-
-    def basis_array(self) -> np.ndarray:
-        if self._basis_array is None:
-            arr = np.array([[[float(x) for x in row] for row in b]
-                            for b in self.basis])
-            arr.setflags(write=False)
-            self._basis_array = arr
-        return self._basis_array
-
-    def structure_array(self) -> np.ndarray:
-        """Dense c[i, j, k] as float64, for the numeric oracles."""
-        if self._structure_array is None:
-            d = self.dim
-            c = np.zeros((d, d, d))
-            for (i, j), ck in self._structure.items():
-                for k, v in ck.items():
-                    c[i, j, k] = float(v)
-                    c[j, i, k] = -float(v)
-            c.setflags(write=False)
-            self._structure_array = c
-        return self._structure_array
-
-    def killing_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.killing])
 
     def __repr__(self):
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
@@ -304,14 +233,14 @@ def killing_signature(g: LieAlgebra) -> tuple[int, int, int]:
     return neg, pos, zero
 
 
-def matrix_algebra(name: str, basis, *, exact: bool = True,
-                   tol: float = 1e-9) -> LieAlgebra:
+def matrix_algebra(name: str, basis) -> LieAlgebra:
     """Build an algebra from a user-supplied matrix basis.
 
-    With ``exact=False`` the structure constants are fitted by least squares
-    and closure/Jacobi are only required up to ``tol``.
+    Entries may be ints, fractions, "p/q" strings or floats; a float is
+    taken as its exact binary rational.  Raises ValueError when the basis
+    does not close exactly under the commutator.
     """
-    return LieAlgebra(name, basis, exact=exact, tol=tol)
+    return LieAlgebra(name, basis)
 
 
 def _E(n: int, r: int, c: int) -> list[list[int]]:
@@ -494,60 +423,32 @@ class SubalgebraEmbedding:
         self.name = name or f"h<{ambient.name}"
         self.dim_h = len(h_basis)
         self.dim_m = len(m_basis)
-        if ambient.exact:
-            self._full_solver = CoordinateSolver(list(h_basis) + list(m_basis))
-            self._h_solver = CoordinateSolver(h_basis) if h_basis else None
-        else:
-            self._full_solver = None
-            self._h_solver = None
+        self._full_solver = CoordinateSolver(list(h_basis) + list(m_basis))
+        self._h_solver = CoordinateSolver(h_basis)
         self._torus_solver = None
         self._cache: dict = {}
 
     def split_coords(self, x) -> tuple[Vec, Vec]:
         """Coefficients of x in the h-basis and the m-basis."""
-        x = self.ambient.check_vector(x)
-        if self._full_solver is not None:
-            c = self._full_solver.coords(x)
-            if c is None:
-                raise DimensionMismatch("vector is not in h + m")
-            return c[:self.dim_h], c[self.dim_h:]
-        rows = np.array([[float(v) for v in row]
-                         for row in list(self.h_basis) + list(self.m_basis)])
-        c, _, _, _ = np.linalg.lstsq(rows.T, np.array([float(v) for v in x]),
-                                     rcond=None)
-        c = vec(Fraction(float(t)) for t in c)
+        c = self._full_solver.coords(self.ambient.check_vector(x))
+        if c is None:
+            raise DimensionMismatch("vector is not in h + m")
         return c[:self.dim_h], c[self.dim_h:]
 
     def project(self, x) -> tuple[Vec, Vec]:
         """g-coordinate components (x_h, x_m) of the reductive splitting."""
-        ch, cm = self.split_coords(x)
-        d = self.ambient.dim
-        xh = [ZERO] * d
-        for ci, row in zip(ch, self.h_basis):
-            if ci:
-                for k, v in enumerate(row):
-                    xh[k] += ci * v
-        xm = [ZERO] * d
-        for ci, row in zip(cm, self.m_basis):
-            if ci:
-                for k, v in enumerate(row):
-                    xm[k] += ci * v
-        return tuple(xh), tuple(xm)
+        x = self.ambient.check_vector(x)
+        ch, _ = self.split_coords(x)
+        xh = vec_mat(ch, self.h_basis) if ch else zero_vec(self.ambient.dim)
+        return xh, sub_vec(x, xh)
 
     def h_coords(self, x) -> Vec | None:
         """Coefficients of x in the h-basis when x lies in h, else None."""
-        if self._h_solver is not None:
-            return self._h_solver.coords(self.ambient.check_vector(x))
-        ch, cm = self.split_coords(x)
-        if max((abs(float(t)) for t in cm), default=0.0) > self.ambient.tol:
-            return None
-        return ch
+        return self._h_solver.coords(self.ambient.check_vector(x))
 
     def in_m(self, x) -> bool:
         ch, _ = self.split_coords(x)
-        if self.ambient.exact:
-            return all(c == 0 for c in ch)
-        return max((abs(float(c)) for c in ch), default=0.0) <= self.ambient.tol
+        return all(c == 0 for c in ch)
 
     def torus_coords(self, x) -> Vec | None:
         """Coordinates of x in the torus basis, or None if x is not in t."""
@@ -564,26 +465,7 @@ class SubalgebraEmbedding:
         tau = vec(tau)
         if len(tau) != len(self.torus_basis):
             raise DimensionMismatch("torus coordinate length mismatch")
-        d = self.ambient.dim
-        out = [ZERO] * d
-        for ti, row in zip(tau, self.torus_basis):
-            if ti:
-                for k, v in enumerate(row):
-                    out[k] += ti * v
-        return tuple(out)
-
-    def killing_h(self) -> Mat:
-        """Gram matrix of the Killing form restricted to h."""
-        key = "killing_h"
-        if key not in self._cache:
-            g = self.ambient
-            rows = []
-            for hi in self.h_basis:
-                khi = mat_vec(g.killing, hi)
-                rows.append(tuple(sum((a * b for a, b in zip(hj, khi)), ZERO)
-                                  for hj in self.h_basis))
-            self._cache[key] = tuple(rows)
-        return self._cache[key]
+        return vec_mat(tau, self.torus_basis)
 
     def __repr__(self):
         return (f"SubalgebraEmbedding({self.name!r}, dim_h={self.dim_h}, "
@@ -600,29 +482,15 @@ def reductive_split(g: LieAlgebra, h_basis, *, torus_basis=None,
     h_rows = mat(h_basis)
     for row in h_rows:
         g.check_vector(row)
-    if g.exact:
-        bh_rows = [mat_vec(g.killing, hi) for hi in h_rows]
-        gram_h = tuple(tuple(sum((a * b for a, b in zip(hj, bhi)), ZERO)
-                             for bhi in bh_rows) for hj in h_rows)
-        if rank_exact(gram_h) != len(h_rows):
-            raise DegenerateRestriction(
-                f"Killing form of {g.name} is singular on the subalgebra")
-        m_rows = tuple(nullspace(bh_rows)) if h_rows else mat(
-            [unit_vec(g.dim, i) for i in range(g.dim)])
-        pos, neg, zero = inertia(gram_h)
-        compact = neg == len(h_rows) and pos == 0 and zero == 0
-    else:
-        kf = g.killing_array()
-        h_arr = np.array([[float(x) for x in r] for r in h_rows])
-        gram_h = h_arr @ kf @ h_arr.T
-        sv = np.linalg.svd(gram_h, compute_uv=False) if len(h_rows) else np.array([])
-        if len(h_rows) and sv.min() <= 1e-9 * max(sv.max(), 1.0):
-            raise DegenerateRestriction(
-                f"Killing form of {g.name} is numerically singular on h")
-        from scipy.linalg import null_space
-        ns = null_space(h_arr @ kf) if len(h_rows) else np.eye(g.dim)
-        m_rows = mat(ns.T)
-        compact = bool(len(h_rows)) and bool(np.all(np.linalg.eigvalsh(gram_h) < 0))
+    bh_rows = [mat_vec(g.killing, hi) for hi in h_rows]
+    gram_h = tuple(tuple(sum((a * b for a, b in zip(hj, bhi)), ZERO)
+                         for bhi in bh_rows) for hj in h_rows)
+    if rank(gram_h) != len(h_rows):
+        raise DegenerateRestriction(
+            f"Killing form of {g.name} is singular on the subalgebra")
+    m_rows = tuple(nullspace(bh_rows)) if h_rows else identity(g.dim)
+    pos, neg, zero = inertia(gram_h)
+    compact = neg == len(h_rows) and pos == 0 and zero == 0
     emb = SubalgebraEmbedding(g, h_rows, m_rows, mat(torus_basis) if torus_basis else None,
                               compact, name=name)
     if check:
@@ -632,18 +500,11 @@ def reductive_split(g: LieAlgebra, h_basis, *, torus_basis=None,
 
 def _check_embedding(emb: SubalgebraEmbedding) -> None:
     g = emb.ambient
-    tol = g.tol
     # Closure [h, h] in h and ad-invariance [h, m] in m.
     for i, hi in enumerate(emb.h_basis):
         for hj in emb.h_basis[i + 1:]:
-            br = g.bracket(hi, hj)
-            if g.exact:
-                if emb.h_coords(br) is None:
-                    raise ValueError(f"{emb.name}: h is not closed under brackets")
-            else:
-                _, cm = emb.split_coords(br)
-                if max((abs(float(c)) for c in cm), default=0.0) > tol:
-                    raise ValueError(f"{emb.name}: h is not closed under brackets")
+            if emb.h_coords(g.bracket(hi, hj)) is None:
+                raise ValueError(f"{emb.name}: h is not closed under brackets")
         for mj in emb.m_basis:
             br = g.bracket(hi, mj)
             if not emb.in_m(br):
@@ -652,12 +513,8 @@ def _check_embedding(emb: SubalgebraEmbedding) -> None:
     for hi in emb.h_basis:
         khi = mat_vec(g.killing, hi)
         for mj in emb.m_basis:
-            v = sum((a * b for a, b in zip(mj, khi)), ZERO)
-            if g.exact:
-                if v != 0:
-                    raise ValueError(f"{emb.name}: B(h, m) != 0")
-            elif abs(float(v)) > tol:
-                raise ValueError(f"{emb.name}: B(h, m) not zero within tolerance")
+            if sum((a * b for a, b in zip(mj, khi)), ZERO) != 0:
+                raise ValueError(f"{emb.name}: B(h, m) != 0")
     # Torus, when provided: abelian and inside h.
     if emb.torus_basis is not None:
         for ti in emb.torus_basis:
@@ -665,11 +522,7 @@ def _check_embedding(emb: SubalgebraEmbedding) -> None:
                 raise ValueError(f"{emb.name}: torus is not contained in h")
         for i, ti in enumerate(emb.torus_basis):
             for tj in emb.torus_basis[i + 1:]:
-                br = g.bracket(ti, tj)
-                if g.exact:
-                    if any(br):
-                        raise ValueError(f"{emb.name}: torus is not abelian")
-                elif max(abs(float(c)) for c in br) > tol:
+                if any(g.bracket(ti, tj)):
                     raise ValueError(f"{emb.name}: torus is not abelian")
 
 
@@ -685,27 +538,14 @@ def maximal_torus(emb: SubalgebraEmbedding) -> Mat:
     if not emb.compact:
         raise NotCompact(f"{emb.name}: Killing form not negative definite on h")
     g = emb.ambient
-    if not g.exact:
-        raise NotImplementedError("generic torus search needs an exact algebra")
     d = g.dim
     for base in (1, 2, 3, 5, 7, 11, 13):
         coeffs = [Fraction(base ** i % 1009) for i in range(emb.dim_h)]
-        xi = [ZERO] * d
-        for c, row in zip(coeffs, emb.h_basis):
-            for k, v in enumerate(row):
-                xi[k] += c * v
+        xi = vec_mat(coeffs, emb.h_basis)
         # Kernel of ad_xi restricted to h, inside h-coordinates.
         cols = [g.bracket(xi, hj) for hj in emb.h_basis]
         rows = [[cols[j][k] for j in range(emb.dim_h)] for k in range(d)]
-        kern = nullspace(rows)
-        t_rows = []
-        for kv in kern:
-            t = [ZERO] * d
-            for c, row in zip(kv, emb.h_basis):
-                if c:
-                    for k, v in enumerate(row):
-                        t[k] += c * v
-            t_rows.append(primitive(t))
+        t_rows = [primitive(vec_mat(kv, emb.h_basis)) for kv in nullspace(rows)]
         abelian = all(
             not any(g.bracket(t_rows[i], t_rows[j]))
             for i in range(len(t_rows)) for j in range(i + 1, len(t_rows)))
@@ -715,13 +555,6 @@ def maximal_torus(emb: SubalgebraEmbedding) -> Mat:
 
 
 # -- block embeddings for the classical catalog -----------------------------
-
-def _pair_index(n: int, i: int, j: int) -> int:
-    """Index of the (i, j), i < j, antisymmetric generator of so(n)."""
-    if not 0 <= i < j < n:
-        raise ValueError("need 0 <= i < j < n")
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
-
 
 def block_torus(g: LieAlgebra, r: int) -> Mat:
     """Coordinates of the block torus T_i spanned by 2x2 rotation blocks
@@ -768,9 +601,9 @@ def u_block_embedding(g: LieAlgebra, n: int, *, name: str = "") -> SubalgebraEmb
                            name=name or f"u({n})<{g.name}")
 
 
-def jacobi_residual(g: LieAlgebra) -> Fraction | float:
+def jacobi_residual(g: LieAlgebra) -> Fraction:
     """Max residual of the Jacobi identity over all basis triples (exact
-    zero for exact algebras)."""
+    zero for every algebra that closes)."""
     worst: Fraction = ZERO
     d = g.dim
     ad_of = g._ad_of
@@ -798,4 +631,4 @@ def jacobi_residual(g: LieAlgebra) -> Fraction | float:
                 m = max((abs(t) for t in total.values()), default=ZERO)
                 if m > worst:
                     worst = m
-    return worst if g.exact else float(worst)
+    return worst

@@ -19,10 +19,9 @@ from .exact import (
     ONE,
     ZERO,
     Vec,
-    clear_denominators,
     frac,
     mat,
-    rank_int,
+    rank,
     solve,
     vec,
 )
@@ -213,7 +212,7 @@ def detect_subsystem(g: LieAlgebra, emb: SubalgebraEmbedding,
         val = root_eval(rep, lam)
         shifted = [[m_sq[i][j] + (val * val if i == j else ZERO)
                     for j in range(k)] for i in range(k)]
-        defect = k - rank_int(clear_denominators(shifted))
+        defect = k - rank(shifted)
         if defect:
             forbidden_pairs.append(rep)
             accounted += defect

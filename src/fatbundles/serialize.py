@@ -62,7 +62,6 @@ def algebra_to_json(g: LieAlgebra) -> dict:
         "family": g.family,
         "params": list(g.params) if g.params else None,
         "dim": g.dim,
-        "exact": g.exact,
         "basis": [mat_to_json(b) for b in g.basis],
     }
     return out

@@ -224,3 +224,21 @@ def test_coupling_payload_is_strict_json(tmp_path):
     assert "Infinity" not in text and "NaN" not in text
     payload = json.loads(text)
     assert payload["coupling"]["blocks"]["fiber_min_sv"] is None
+
+
+def test_pinch_certificate_records_the_sign_of_the_built_tensor(tmp_path):
+    # random_pinched reads "sign": 1 as positive; the certificate must say
+    # so, and agree with the "+" spelling of the same instance.
+    catalog = [{"id": f"pinch_{tag}", "run": ["pinch"], "seed": 1,
+                "pinch": {"n": 2, "epsilon": 0.54, "sign": sign,
+                          "frames": 20}}
+               for tag, sign in (("int", 1), ("plus", "+"), ("minus", "-"))]
+    path = tmp_path / "pinch.json"
+    path.write_text(json.dumps(catalog))
+    out = tmp_path / "certs"
+    run_cli(["run", str(path), "--out", str(out), "--jobs", "1"])
+    tensors = {tag: json.loads((out / f"pinch_{tag}.json").read_text())
+               ["pinch"]["tensor"] for tag in ("int", "plus", "minus")}
+    assert tensors["int"]["sign"] == 1
+    assert tensors["int"] == tensors["plus"]
+    assert tensors["minus"]["sign"] == -1

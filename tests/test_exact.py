@@ -20,7 +20,15 @@ def test_rank_matches_numpy_on_random_integer_matrices():
     for _ in range(25):
         m = rng.integers(-4, 5, size=(5, 7))
         assert ex.rank(m.tolist()) == np.linalg.matrix_rank(m)
-        assert ex.rank_int(m.tolist()) == np.linalg.matrix_rank(m)
+        # Rational rows: scaling rows by nonzero rationals keeps the rank.
+        scaled = [[Q(int(x), i + 2) for x in row] for i, row in enumerate(m)]
+        assert ex.rank(scaled) == np.linalg.matrix_rank(m)
+
+
+def test_rank_of_empty_and_zero_matrices():
+    assert ex.rank([]) == 0
+    assert ex.rank([[0, 0], [0, 0]]) == 0
+    assert ex.rank([[0, 0], [Q(1, 3), 0]]) == 1
 
 
 def test_nullspace_is_exact_kernel():
@@ -48,6 +56,17 @@ def test_det_matches_numpy():
     for _ in range(20):
         m = rng.integers(-5, 6, size=(4, 4))
         assert float(ex.det(m.tolist())) == pytest.approx(np.linalg.det(m))
+
+
+def test_det_row_swaps_rationals_and_singular():
+    # The first pivot needs a row swap, which flips the sign.
+    assert ex.det([[0, 1], [1, 0]]) == -1
+    assert ex.det([[0, 2, 1], [3, 0, 0], [0, 0, 5]]) == -30
+    assert ex.det([[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1, 5)]]) == Q(1, 60)
+    # Singular: dependent rows and a zero row.
+    assert ex.det([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 0
+    assert ex.det([[1, 2], [0, 0]]) == 0
+    assert ex.det([]) == 1
 
 
 def test_inertia_on_known_forms():

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from float_oracles import fatness_gram_float
 from scipy.linalg import expm
 
 from fatbundles import fatness as ft
@@ -228,7 +229,7 @@ def test_ad_equivariance_of_verdicts():
             conj = expm(hm)
             adx = conj @ xm @ np.linalg.inv(conj)
             c, *_ = np.linalg.lstsq(flat.T, adx.ravel(), rcond=None)
-            gram = ft.fatness_gram_float(emb, c)
+            gram = fatness_gram_float(emb, c)
             sv = np.linalg.svd(gram, compute_uv=False)
             verdict_fat = sv[0] > 0 and sv[-1] > 1e-6 * sv[0]
             assert verdict_fat == expect
@@ -244,16 +245,16 @@ def test_sample_rational_vectors_deterministic_and_in_range():
             assert x.denominator in (1, 2, 3)
 
 
-def test_float_mode_oracle_and_centralizer_agree():
-    # Float algebra (irrational scaling of so(3)), h = so(2): the numeric
-    # oracle and the SVD-based centralizer test still reach consensus.
+def test_float_basis_oracle_and_centralizer_agree():
+    # Float basis (irrational scaling of so(3)) read as exact binary
+    # rationals, h = so(2): the criteria reach consensus exactly.
     s = 2.0 ** 0.5
     basis = [
         [[0, 0, 0], [0, 0, -s], [0, s, 0]],
         [[0, 0, s], [0, 0, 0], [-s, 0, 0]],
         [[0, -s, 0], [s, 0, 0], [0, 0, 0]],
     ]
-    g = la.matrix_algebra("so3-scaled", basis, exact=False)
+    g = la.matrix_algebra("so3-scaled", basis)
     emb = la.reductive_split(g, [vec([0, 0, 1])])
     assert emb.dim_m == 2
     fat_cert = ft.certify(g, emb, vec([0, 0, 1]))

@@ -15,7 +15,7 @@ from fatbundles.errors import (
     DimensionMismatch,
     NotCompact,
 )
-from fatbundles.exact import dot, is_zero_vec, mat_vec, rank_exact, unit_vec, vec
+from fatbundles.exact import dot, is_zero_vec, mat_vec, rank, unit_vec, vec
 
 
 def mat_float(m):
@@ -194,7 +194,7 @@ def test_reductive_split_so5_so4():
         m[i][4] = 1
         m[4][i] = -1
         expected.append(g.coords_of_matrix(m))
-    assert rank_exact(list(emb.m_basis) + expected) == 4
+    assert rank(list(emb.m_basis) + expected) == 4
     # Orthogonality and ad-invariance, exactly.
     for hi in emb.h_basis:
         khi = mat_vec(g.killing, hi)
@@ -278,20 +278,55 @@ def test_dimension_mismatch_errors():
         g.killing_form((1, 0, 0, 0), (0, 1, 0))
 
 
-def test_float_mode_algebra():
-    # Scaled so(3) basis with an irrational factor: float fallback.
+def test_float_basis_algebra_is_exact():
+    # Scaled so(3) basis with an irrational factor: each float entry is
+    # read as its exact binary rational, and the basis closes exactly.
     s = 2.0 ** 0.5
     l = [np.array(m, dtype=float) * s for m in (
         [[0, 0, 0], [0, 0, -1], [0, 1, 0]],
         [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
         [[0, -1, 0], [1, 0, 0], [0, 0, 0]])]
-    g = la.matrix_algebra("so3-scaled", [m.tolist() for m in l], exact=False)
-    assert not g.exact
-    assert la.jacobi_residual(g) < 1e-12
+    g = la.matrix_algebra("so3-scaled", [m.tolist() for m in l])
+    assert la.jacobi_residual(g) == 0
     br = g.bracket(unit_vec(3, 0), unit_vec(3, 1))
+    assert br[2] == Q(s)
     assert abs(float(br[2]) - s) < 1e-12
     # Killing scales by s^2.
     assert float(g.killing_form(unit_vec(3, 0), unit_vec(3, 0))) == \
         pytest.approx(-2 * s * s)
     emb = la.reductive_split(g, [unit_vec(3, 2)])
     assert emb.dim_m == 2
+
+
+def test_float_basis_that_does_not_close_exactly_is_rejected():
+    # P so(3) P^-1 with P = 1 + t E_01.  With t = 1/10 the conjugate
+    # closes exactly; computed in floats with t = 0.1 the products are
+    # rounded, the entries read as binary rationals no longer span a
+    # subalgebra, and construction must fail instead of fitting constants.
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
+                for i in range(3)]
+
+    so3 = [[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+           [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+           [[0, -1, 0], [1, 0, 0], [0, 0, 0]]]
+
+    def conjugated(t):
+        p = [[1, t, 0], [0, 1, 0], [0, 0, 1]]
+        p_inv = [[1, -t, 0], [0, 1, 0], [0, 0, 1]]
+        return [mul(mul(p, m), p_inv) for m in so3]
+
+    g = la.matrix_algebra("so3-conj", conjugated(Q(1, 10)))
+    assert la.jacobi_residual(g) == 0
+    with pytest.raises(ValueError, match="does not close"):
+        la.matrix_algebra("so3-conj-float", conjugated(0.1))
+
+
+def test_empty_subalgebra_membership_is_exact():
+    # h = 0: only the zero vector lies in h, however small the others.
+    emb = la.reductive_split(la.so(3), [])
+    assert emb.dim_h == 0 and emb.dim_m == 3
+    assert emb.h_coords((0, 0, 0)) == ()
+    assert emb.h_coords((Q(1, 10**12), 0, 0)) is None
+    xh, xm = emb.project((1, 2, 3))
+    assert xh == (0, 0, 0) and xm == (1, 2, 3)
