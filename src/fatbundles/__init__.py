@@ -42,7 +42,6 @@ from .fatness import (
     FatnessCertificate,
     canonical_curvature,
     certify,
-    certify_torus,
     fat_by_centralizer,
     fat_by_oracle,
     fatness_gram,
@@ -54,10 +53,8 @@ from .liealg import (
     LieAlgebra,
     SubalgebraEmbedding,
     block_torus,
-    bracket,
     build_algebra,
     covector_to_vector,
-    killing_form,
     killing_signature,
     matrix_algebra,
     maximal_torus,

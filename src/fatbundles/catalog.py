@@ -39,6 +39,15 @@ RUN_KINDS = ("roots", "oracle", "centralizer", "coupling", "pinch",
              "dual", "shift")
 
 
+def check_id(iid) -> str:
+    """An instance id names its certificate file, so it must be a plain
+    file name."""
+    if (not isinstance(iid, str) or iid in ("", ".", "..")
+            or any(c in iid for c in "/\\\0")):
+        raise ValueError(f"instance id {iid!r} is not a plain file name")
+    return iid
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """One catalog entry: which bundle, which covector, which checks."""
@@ -79,11 +88,17 @@ class InstanceSpec:
 
     @classmethod
     def from_json(cls, d: dict) -> "InstanceSpec":
+        if not isinstance(d, dict):
+            raise ValueError("instance entry is not an object")
+        for key in ("g", "h", "pinch", "shift", "dual"):
+            if d.get(key) is not None and not isinstance(d[key], dict):
+                raise ValueError(
+                    f"instance {d.get('id')!r}: {key!r} is not an object")
         g = d.get("g") or {}
         h = d.get("h") or {}
         xu = d.get("Xu")
         tol = float(d.get("tol", 1e-9))
-        if tol <= 0:
+        if not tol > 0:
             raise ValueError(f"instance {d.get('id')!r}: tol must be positive")
         run = tuple(d.get("run", ("roots", "oracle", "centralizer")))
         unknown = [r for r in run if r not in RUN_KINDS]
@@ -91,7 +106,7 @@ class InstanceSpec:
             raise ValueError(
                 f"instance {d.get('id')!r}: unknown run kinds {unknown}")
         return cls(
-            id=d["id"],
+            id=check_id(d["id"]),
             g_family=g.get("family"),
             g_params=tuple(g.get("params", ())) if g else None,
             h_type=h.get("type"),
@@ -167,8 +182,8 @@ def resolve(spec: InstanceSpec) -> ResolvedInstance:
 def run_instance(spec: InstanceSpec) -> tuple[bool, dict]:
     """Execute one instance; returns (passed, certificate payload).
 
-    Failures are captured in the payload, never raised, so a batch run
-    can isolate a broken instance.
+    Failures, whatever their exception type, are captured in the payload,
+    never raised, so a batch run can isolate a broken instance.
     """
     payload: dict = {"id": spec.id, "spec": spec.to_json()}
     try:
@@ -192,7 +207,7 @@ def run_instance(spec: InstanceSpec) -> tuple[bool, dict]:
         if exc.certificate is not None:
             payload["certificate"] = sz.certificate_to_json(exc.certificate)
         return False, payload
-    except (FatBundleError, ValueError) as exc:
+    except Exception as exc:
         payload["passed"] = False
         payload["error"] = f"{type(exc).__name__}: {exc}"
         return False, payload

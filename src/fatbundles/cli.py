@@ -20,6 +20,7 @@ from .catalog import (
     InstanceSpec,
     builtin_catalog,
     builtin_names,
+    check_id,
     resolve,
     run_instance,
 )
@@ -61,6 +62,21 @@ class SystemExit2(Exception):
     """Usage or parse error (exit code 2)."""
 
 
+def _cert_path(out: str, iid) -> str:
+    """The certificate file of an instance, always directly inside out."""
+    try:
+        return os.path.join(out, check_id(iid) + ".json")
+    except ValueError as exc:
+        raise SystemExit2(str(exc))
+
+
+def _positive_float(text: str) -> float:
+    x = float(text)
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return x
+
+
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cert-")
@@ -88,8 +104,7 @@ def cmd_run(args) -> int:
 
     def worker(spec: InstanceSpec):
         ok, payload = run_instance(spec)
-        path = os.path.join(args.out, f"{spec.id}.json")
-        _write_atomic(path, dumps_canonical(payload))
+        _write_atomic(_cert_path(args.out, spec.id), dumps_canonical(payload))
         return spec.id, ok, payload
 
     if jobs > 1 and len(specs) > 1:
@@ -197,7 +212,7 @@ def _print_dual(payload: dict) -> None:
 
 
 def cmd_explain(args) -> int:
-    path = os.path.join(args.out, f"{args.id}.json")
+    path = _cert_path(args.out, args.id)
     if not os.path.exists(path):
         raise SystemExit2(f"no certificate for {args.id!r} in {args.out} "
                           f"(run the catalog first)")
@@ -237,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="catalog JSON file or a builtin catalog name")
     p_run.add_argument("--out", default="certs",
                        help="output directory for certificates")
-    p_run.add_argument("--tol", type=float, default=None,
+    p_run.add_argument("--tol", type=_positive_float, default=None,
                        help="override the relative singular value tolerance")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override every instance seed")

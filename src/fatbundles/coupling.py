@@ -24,9 +24,9 @@ from .exact import (
     Vec,
     det,
     frac,
+    gram,
     identity,
     mat,
-    mat_vec,
     nullspace,
     rank,
     unit_vec,
@@ -93,14 +93,14 @@ def _span_equal(a_rows, b_rows) -> bool:
 def _orbit_gram(g: LieAlgebra, x_u: Vec, rows: Mat) -> Mat:
     """Gram of B(x_u, [., .]) over the given rows, via the pairing matrix
     S_ab = B(x_u, [e_a, e_b])."""
-    kx = mat_vec(g.killing, x_u)
+    kx = g.covector(x_u)
     s_sparse: dict[tuple[int, int], Fraction] = {}
     for (a, b), ck in g._structure.items():
         val = sum((v * kx[k] for k, v in ck.items()), ZERO)
         if val:
             s_sparse[(a, b)] = val
     k = len(rows)
-    gram = [[ZERO] * k for _ in range(k)]
+    out = [[ZERO] * k for _ in range(k)]
     for i in range(k):
         ri = rows[i]
         for j in range(i + 1, k):
@@ -110,16 +110,9 @@ def _orbit_gram(g: LieAlgebra, x_u: Vec, rows: Mat) -> Mat:
                 p = ri[a] * rj[b] - ri[b] * rj[a]
                 if p:
                     s += val * p
-            gram[i][j] = s
-            gram[j][i] = -s
-    return mat(gram)
-
-
-def _orthocomplement(g: LieAlgebra, rows: Mat) -> Mat:
-    if not rows:
-        return identity(g.dim)
-    bk = [mat_vec(g.killing, r) for r in rows]
-    return mat(nullspace(bk))
+            out[i][j] = s
+            out[j][i] = -s
+    return mat(out)
 
 
 def coupling_form(g: LieAlgebra, v_basis, x_u, *, n_basis=None) -> InvariantTwoForm:
@@ -135,18 +128,11 @@ def coupling_form(g: LieAlgebra, v_basis, x_u, *, n_basis=None) -> InvariantTwoF
     if not _span_equal(v_rows, kernel):
         raise IsotropyMismatch(
             f"v (dim {len(v_rows)}) is not ker(ad_X) (dim {len(kernel)})")
-    n_rows = mat(n_basis) if n_basis is not None else _orthocomplement(g, v_rows)
+    if n_basis is None:
+        n_basis = g.orthocomplement([g.covector(r) for r in v_rows])
+    n_rows = mat(n_basis)
     return InvariantTwoForm(g, x_u, v_rows, n_rows,
                             _orbit_gram(g, x_u, n_rows))
-
-
-def fiber_isotropy(g: LieAlgebra, emb: SubalgebraEmbedding, x_u) -> Mat:
-    """Basis of ker(ad_{X_u}) intersected with h (the fiber isotropy
-    algebra); equals the full kernel exactly when X_u is fat."""
-    x_u = g.check_vector(x_u)
-    cols = [g.bracket(x_u, hj) for hj in emb.h_basis]
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(g.dim)]
-    return tuple(vec_mat(c, emb.h_basis) for c in nullspace(rows))
 
 
 def bundle_instance(g: LieAlgebra, emb: SubalgebraEmbedding, x_u) -> HomogeneousBundleInstance:
@@ -156,19 +142,17 @@ def bundle_instance(g: LieAlgebra, emb: SubalgebraEmbedding, x_u) -> Homogeneous
     isotropy algebra (no invariant complement).
     """
     x_u = g.check_vector(x_u)
-    v_rows = fiber_isotropy(g, emb, x_u)
+    # The fiber isotropy ker(ad_{X_u}) cap h; it is the whole kernel
+    # exactly when X_u is fat.
+    v_rows = g.centralizer_in(x_u, emb.h_basis)
     kernel = isotropy_algebra(g, x_u)
     in_h = len(kernel) == len(v_rows)
     if v_rows:
-        kv = [mat_vec(g.killing, r) for r in v_rows]
-        gram_v = [[sum((a * b for a, b in zip(r2, kvi)), ZERO) for kvi in kv]
-                  for r2 in v_rows]
-        if rank(gram_v) != len(v_rows):
+        kv = [g.covector(r) for r in v_rows]
+        if rank(gram(v_rows, kv)) != len(v_rows):
             raise DegenerateRestriction("Killing form singular on v")
         # h cap n: elements of h Killing-orthogonal to v.
-        a_rows = [[sum((x * y for x, y in zip(kvi, hrow)), ZERO)
-                   for hrow in emb.h_basis] for kvi in kv]
-        fiber_coeffs = nullspace(a_rows)
+        fiber_coeffs = nullspace(gram(kv, emb.h_basis))
     else:
         fiber_coeffs = identity(emb.dim_h)
     fiber_rows = tuple(vec_mat(c, emb.h_basis) for c in fiber_coeffs)

@@ -49,10 +49,6 @@ class CurvatureTensor:
     def __post_init__(self):
         self.R.setflags(write=False)
 
-    @property
-    def space_dim(self) -> int:
-        return 2 * self.n
-
     def validate(self, tol: float = SYMMETRY_TOL) -> None:
         r = self.R
         residuals = (

@@ -67,26 +67,21 @@ def vec_mat(x, a) -> Vec:
     return tuple(out)
 
 
+def gram(a, b) -> Mat:
+    """Pairwise dot products: entry (i, j) is a[i] . b[j]."""
+    return tuple(tuple(dot(x, y) for y in b) for x in a)
+
+
 def mat_mul(a, b) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    return gram(a, transpose(b))
 
 
 def transpose(a) -> Mat:
     return tuple(zip(*a)) if a else ()
 
 
-def add_vec(x, y) -> Vec:
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def sub_vec(x, y) -> Vec:
     return tuple(a - b for a, b in zip(x, y))
-
-
-def scale_vec(c, x) -> Vec:
-    c = frac(c)
-    return tuple(c * a for a in x)
 
 
 def is_zero_vec(x) -> bool:
@@ -233,6 +228,8 @@ def inverse(a) -> Mat:
 
 def det(a) -> Fraction:
     """Determinant of a square rational matrix by the Bareiss kernel."""
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("det needs a square matrix")
     rows, scale = _integer_rows(a)
     r, pivot = _bareiss(rows)
     if r < len(rows):

@@ -23,8 +23,8 @@ from .exact import (
     ZERO,
     Mat,
     Vec,
+    identity,
     mat,
-    mat_vec,
     nullspace,
     rank,
     vec,
@@ -59,7 +59,7 @@ def _pair_functionals(emb: SubalgebraEmbedding) -> list[list[Vec]]:
         for i in range(k):
             for j in range(i + 1, k):
                 w = g.bracket(emb.m_basis[i], emb.m_basis[j])
-                table[i][j] = mat_vec(g.killing, w)
+                table[i][j] = g.covector(w)
         emb._cache[key] = table
     return emb._cache[key]
 
@@ -121,7 +121,7 @@ def fat_by_oracle(emb: SubalgebraEmbedding, x_u, tol: float = 1e-9) -> Verdict:
 
 def isotropy_algebra(g: LieAlgebra, x_u) -> tuple[Vec, ...]:
     """Basis of ker(ad_{X_u}) = {X : [X, X_u] = 0} in g-coordinates."""
-    return tuple(nullspace(g.ad_matrix(x_u)))
+    return g.centralizer_in(x_u, identity(g.dim))
 
 
 def fat_by_centralizer(emb: SubalgebraEmbedding, x_u) -> Verdict:
@@ -129,10 +129,9 @@ def fat_by_centralizer(emb: SubalgebraEmbedding, x_u) -> Verdict:
     algebra of the covector stays inside h."""
     g = emb.ambient
     x_u = g.check_vector(x_u)
-    cols = [g.bracket(x_u, mj) for mj in emb.m_basis]
-    if not cols:
+    if not emb.m_basis:
         return Verdict(FAT, note="trivial horizontal space")
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(g.dim)]
+    rows = g.ad_on(x_u, emb.m_basis)
     if rank(rows) == emb.dim_m:
         return Verdict(FAT)
     coeffs = nullspace(rows)[0]
@@ -209,14 +208,6 @@ def certify(g: LieAlgebra, emb: SubalgebraEmbedding, x_u, *,
         raise CriteriaDisagree(
             f"{instance or g.name}: criteria disagree on X_u={x_u}", cert)
     return cert
-
-
-def certify_torus(g: LieAlgebra, emb: SubalgebraEmbedding, tau, *,
-                  subsystem: SubSystem | None = None, tol: float = 1e-9,
-                  instance: str = "", seed: int | None = None) -> FatnessCertificate:
-    """certify() for a vector given in torus coordinates."""
-    return certify(g, emb, emb.torus_vector(tau), subsystem=subsystem,
-                   tol=tol, instance=instance, seed=seed)
 
 
 def sample_rational_vectors(rank: int, count: int, seed: int) -> list[Vec]:

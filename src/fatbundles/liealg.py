@@ -23,7 +23,9 @@ from .exact import (
     CoordinateSolver,
     Mat,
     Vec,
+    dot,
     frac,
+    gram,
     identity,
     inertia,
     mat,
@@ -33,7 +35,7 @@ from .exact import (
     rank,
     solve,
     sub_vec,
-    unit_vec,
+    transpose,
     vec,
     vec_mat,
     zero_vec,
@@ -181,16 +183,25 @@ class LieAlgebra:
                         out[k] += f * v
         return tuple(out)
 
-    def ad_matrix(self, x) -> Mat:
-        """Matrix of ad_x acting on coordinates (columns are [x, e_j])."""
-        cols = [self.bracket(x, unit_vec(self.dim, j)) for j in range(self.dim)]
-        return tuple(tuple(col[k] for col in cols) for k in range(self.dim))
+    def ad_on(self, x, rows) -> Mat:
+        """Matrix of ad_x on the span of ``rows``: column j is [x, rows_j]."""
+        return transpose([self.bracket(x, r) for r in rows])
+
+    def centralizer_in(self, x, rows) -> Mat:
+        """Basis of the elements of span(rows) that commute with x."""
+        return tuple(vec_mat(c, rows) for c in nullspace(self.ad_on(x, rows)))
+
+    def covector(self, x) -> Vec:
+        """K x: the coordinates of B(x, .) in the dual basis."""
+        return mat_vec(self.killing, self.check_vector(x))
+
+    def orthocomplement(self, covectors) -> Mat:
+        """Common kernel of the given covectors (all of g when none)."""
+        return tuple(nullspace(covectors)) if covectors else identity(self.dim)
 
     def killing_form(self, x, y) -> Fraction:
         """B(x, y) = Tr(ad_x ad_y), evaluated through the cached Gram."""
-        x = self.check_vector(x)
-        y = self.check_vector(y)
-        return sum((xi * v for xi, v in zip(x, mat_vec(self.killing, y))), ZERO)
+        return dot(self.check_vector(x), self.covector(y))
 
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
         if i == j:
@@ -219,14 +230,6 @@ class LieAlgebra:
 
 # -- module-level operation surface ---------------------------------------
 
-def bracket(g: LieAlgebra, x, y) -> Vec:
-    return g.bracket(x, y)
-
-
-def killing_form(g: LieAlgebra, x, y) -> Fraction:
-    return g.killing_form(x, y)
-
-
 def killing_signature(g: LieAlgebra) -> tuple[int, int, int]:
     """(n_neg, n_pos, n_zero) of the Killing form."""
     pos, neg, zero = inertia(g.killing)
@@ -241,12 +244,6 @@ def matrix_algebra(name: str, basis) -> LieAlgebra:
     does not close exactly under the commutator.
     """
     return LieAlgebra(name, basis)
-
-
-def _E(n: int, r: int, c: int) -> list[list[int]]:
-    m = [[0] * n for _ in range(n)]
-    m[r][c] = 1
-    return m
 
 
 def _antisym(n: int, r: int, c: int) -> list[list[int]]:
@@ -380,17 +377,10 @@ class Covector:
     def __call__(self, y) -> Fraction:
         return self.algebra.killing_form(self.x_u, y)
 
-    def dual_coords(self) -> Vec:
-        return vector_to_covector(self.algebra, self.x_u)
-
-    @classmethod
-    def from_dual_coords(cls, algebra: LieAlgebra, u) -> "Covector":
-        return cls(algebra, covector_to_vector(algebra, u))
-
 
 def vector_to_covector(g: LieAlgebra, x) -> Vec:
     """Coordinates of B(x, .) in the dual basis, i.e. K x."""
-    return mat_vec(g.killing, g.check_vector(x))
+    return g.covector(x)
 
 
 def covector_to_vector(g: LieAlgebra, u) -> Vec:
@@ -482,13 +472,12 @@ def reductive_split(g: LieAlgebra, h_basis, *, torus_basis=None,
     h_rows = mat(h_basis)
     for row in h_rows:
         g.check_vector(row)
-    bh_rows = [mat_vec(g.killing, hi) for hi in h_rows]
-    gram_h = tuple(tuple(sum((a * b for a, b in zip(hj, bhi)), ZERO)
-                         for bhi in bh_rows) for hj in h_rows)
+    bh_rows = [g.covector(hi) for hi in h_rows]
+    gram_h = gram(h_rows, bh_rows)
     if rank(gram_h) != len(h_rows):
         raise DegenerateRestriction(
             f"Killing form of {g.name} is singular on the subalgebra")
-    m_rows = tuple(nullspace(bh_rows)) if h_rows else identity(g.dim)
+    m_rows = g.orthocomplement(bh_rows)
     pos, neg, zero = inertia(gram_h)
     compact = neg == len(h_rows) and pos == 0 and zero == 0
     emb = SubalgebraEmbedding(g, h_rows, m_rows, mat(torus_basis) if torus_basis else None,
@@ -510,11 +499,9 @@ def _check_embedding(emb: SubalgebraEmbedding) -> None:
             if not emb.in_m(br):
                 raise ValueError(f"{emb.name}: [h, m] leaves m")
     # B(h, m) = 0.
-    for hi in emb.h_basis:
-        khi = mat_vec(g.killing, hi)
-        for mj in emb.m_basis:
-            if sum((a * b for a, b in zip(mj, khi)), ZERO) != 0:
-                raise ValueError(f"{emb.name}: B(h, m) != 0")
+    kh = [g.covector(hi) for hi in emb.h_basis]
+    if any(any(row) for row in gram(kh, emb.m_basis)):
+        raise ValueError(f"{emb.name}: B(h, m) != 0")
     # Torus, when provided: abelian and inside h.
     if emb.torus_basis is not None:
         for ti in emb.torus_basis:
@@ -538,14 +525,10 @@ def maximal_torus(emb: SubalgebraEmbedding) -> Mat:
     if not emb.compact:
         raise NotCompact(f"{emb.name}: Killing form not negative definite on h")
     g = emb.ambient
-    d = g.dim
     for base in (1, 2, 3, 5, 7, 11, 13):
         coeffs = [Fraction(base ** i % 1009) for i in range(emb.dim_h)]
         xi = vec_mat(coeffs, emb.h_basis)
-        # Kernel of ad_xi restricted to h, inside h-coordinates.
-        cols = [g.bracket(xi, hj) for hj in emb.h_basis]
-        rows = [[cols[j][k] for j in range(emb.dim_h)] for k in range(d)]
-        t_rows = [primitive(vec_mat(kv, emb.h_basis)) for kv in nullspace(rows)]
+        t_rows = [primitive(t) for t in g.centralizer_in(xi, emb.h_basis)]
         abelian = all(
             not any(g.bracket(t_rows[i], t_rows[j]))
             for i in range(len(t_rows)) for j in range(i + 1, len(t_rows)))

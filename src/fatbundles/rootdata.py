@@ -21,8 +21,10 @@ from .exact import (
     Vec,
     frac,
     mat,
+    mat_mul,
     rank,
     solve,
+    transpose,
     vec,
 )
 from .liealg import LieAlgebra, SubalgebraEmbedding, maximal_torus
@@ -203,9 +205,8 @@ def detect_subsystem(g: LieAlgebra, emb: SubalgebraEmbedding,
         if any(ch):
             raise TorusMismatch("torus action does not preserve m")
         cols.append(cm)
-    m_mat = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-    m_sq = mat([[sum((m_mat[i][l] * m_mat[l][j] for l in range(k)), ZERO)
-                 for j in range(k)] for i in range(k)])
+    m_mat = transpose(cols)
+    m_sq = mat_mul(m_mat, m_mat)
     forbidden_pairs = []
     accounted = 0
     for rep in pairs:

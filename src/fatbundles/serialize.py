@@ -1,9 +1,8 @@
-"""Structured-text (JSON) serialization of algebras, root data,
-certificates and curvature tensors.
+"""JSON encoding of certificate payloads.
 
-Exact values are serialized as integer or "p/q" rational strings so that
-round trips never lose precision; certificate files are emitted in a
-canonical key order so identical runs are byte-identical.
+Exact values are written as integer or "p/q" rational strings, parsed
+back by ``parse_vec``; certificate files are emitted in a canonical key
+order so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -11,16 +10,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-import numpy as np
-
 from .coupling import BlockReport, InvariantTwoForm
-from .curvature import CurvatureTensor, TwistorReport
+from .curvature import TwistorReport
 from .duality import AgreementReport
 from .exact import frac, vec
 from .fatness import FatnessCertificate
-from .liealg import LieAlgebra, SubalgebraEmbedding
-from .rootdata import RootSystem, SubSystem
-from .verdicts import Verdict
 
 
 def json_float(x):
@@ -40,10 +34,6 @@ def frac_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s) -> Fraction:
-    return Fraction(s)
-
-
 def vec_to_json(v) -> list[str]:
     return [frac_str(x) for x in v]
 
@@ -54,65 +44,6 @@ def parse_vec(items):
 
 def mat_to_json(m) -> list[list[str]]:
     return [vec_to_json(row) for row in m]
-
-
-def algebra_to_json(g: LieAlgebra) -> dict:
-    out = {
-        "name": g.name,
-        "family": g.family,
-        "params": list(g.params) if g.params else None,
-        "dim": g.dim,
-        "basis": [mat_to_json(b) for b in g.basis],
-    }
-    return out
-
-
-def embedding_to_json(emb: SubalgebraEmbedding) -> dict:
-    h_indices = _unit_row_indices(emb.h_basis, emb.ambient.dim)
-    out: dict = {"name": emb.name, "dim_h": emb.dim_h, "dim_m": emb.dim_m}
-    if h_indices is not None:
-        out["h_indices"] = h_indices
-    else:
-        out["h_coeffs"] = mat_to_json(emb.h_basis)
-    if emb.torus_basis is not None:
-        out["torus"] = mat_to_json(emb.torus_basis)
-    return out
-
-
-def _unit_row_indices(rows, dim) -> list[int] | None:
-    idx = []
-    for row in rows:
-        support = [(i, x) for i, x in enumerate(row) if x]
-        if len(support) != 1 or support[0][1] != 1:
-            return None
-        idx.append(support[0][0])
-    return idx
-
-
-def rootsystem_to_json(rs: RootSystem) -> dict:
-    return {"type": rs.type_label, "rank": rs.rank,
-            "roots": [list(r) for r in rs.roots]}
-
-
-def subsystem_to_json(sub: SubSystem) -> dict:
-    return {
-        "parent": rootsystem_to_json(sub.parent),
-        "member_roots": [list(r) for r in sub.member_roots],
-        "forbidden": [list(r) for r in sub.forbidden],
-    }
-
-
-def verdict_to_json(v: Verdict) -> dict:
-    out: dict = {"fat": v.status == "fat", "status": v.status}
-    if v.witness_root is not None:
-        out["witness_root"] = list(v.witness_root)
-    if v.null_vector is not None:
-        out["null_vector"] = [float(x) for x in v.null_vector]
-    if v.witness_vector is not None:
-        out["witness_vector"] = vec_to_json(v.witness_vector)
-    if v.note:
-        out["note"] = v.note
-    return out
 
 
 def certificate_to_json(cert: FatnessCertificate) -> dict:
@@ -161,29 +92,6 @@ def block_report_to_json(rep: BlockReport) -> dict:
         "horizontal_equals_fatness_gram": rep.horizontal_equals_fatness_gram,
         "fiber_to_horizontal_norm_ratio": rep.fiber_to_horizontal_norm_ratio,
     }
-
-
-def tensor_to_json(t: CurvatureTensor) -> dict:
-    return {
-        "n": t.n,
-        "R": [float(x) for x in t.R.ravel()],
-        "epsilon": t.epsilon,
-        "sign": t.sign,
-        "seed": t.seed,
-        "achieved_epsilon": t.achieved_epsilon,
-        "berger_max": t.berger_max,
-    }
-
-
-def tensor_from_json(d: dict) -> CurvatureTensor:
-    n = int(d["n"])
-    N = 2 * n
-    r = np.array(d["R"], dtype=float).reshape((N, N, N, N))
-    return CurvatureTensor(
-        n=n, R=r, epsilon=float(d.get("epsilon", 0.0)),
-        sign=int(d.get("sign", 1)), seed=d.get("seed"),
-        achieved_epsilon=d.get("achieved_epsilon"),
-        berger_max=d.get("berger_max"))
 
 
 def twistor_report_to_json(rep: TwistorReport) -> dict:

@@ -26,11 +26,3 @@ class Verdict:
     min_singular_value: float | None = None
     max_singular_value: float | None = None
     note: str = ""
-
-    @property
-    def fat(self) -> bool:
-        return self.status == FAT
-
-    @property
-    def applicable(self) -> bool:
-        return self.status != NOT_APPLICABLE

@@ -4,6 +4,8 @@ import filecmp
 import json
 import os
 
+import pytest
+
 from fatbundles.cli import main
 from fatbundles.catalog import InstanceSpec, builtin_catalog, run_instance
 from fatbundles.serialize import dumps_canonical, parse_vec, vec_to_json
@@ -242,3 +244,75 @@ def test_pinch_certificate_records_the_sign_of_the_built_tensor(tmp_path):
     assert tensors["int"]["sign"] == 1
     assert tensors["int"] == tensors["plus"]
     assert tensors["minus"]["sign"] == -1
+
+
+GOOD = {"id": "good", "g": {"family": "so", "params": [5]},
+        "h": {"type": "so", "params": [4]}, "Xu": ["1", "1"],
+        "run": ["roots", "oracle", "centralizer"], "expect": "fat"}
+
+
+def _write_catalog(tmp_path, entries):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(entries))
+    return str(path)
+
+
+@pytest.mark.parametrize("entry", [
+    1, "so5", [GOOD],
+    *({**GOOD, "id": f"bad_{key}", key: 5}
+      for key in ("g", "h", "pinch", "shift", "dual")),
+])
+def test_non_object_entries_exit_two(tmp_path, capsys, entry):
+    path = _write_catalog(tmp_path, [entry])
+    assert run_cli(["run", path, "--out", str(tmp_path / "c")]) == 2
+    assert "not an object" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("iid", ["../escaped", "a/b", "a\\b", "nul\0",
+                                 "", ".", "..", 7])
+def test_instance_ids_must_be_plain_file_names(tmp_path, capsys, iid):
+    out = tmp_path / "certs" / "inner"
+    path = _write_catalog(tmp_path, [{**GOOD, "id": iid}])
+    assert run_cli(["run", path, "--out", str(out)]) == 2
+    assert "not a plain file name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["catalog.json"]
+
+
+def test_explain_does_not_read_outside_out(tmp_path, capsys):
+    out = tmp_path / "certs"
+    assert run_cli(["run", "paper_examples", "--out", str(out)]) == 0
+    (tmp_path / "outside.json").write_text(
+        (out / "so5_so4_J.json").read_text())
+    capsys.readouterr()
+    assert run_cli(["explain", "../outside", "--out", str(out)]) == 2
+    assert "not a plain file name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad, error", [
+    # A shift instance without vertices: KeyError.
+    ({"id": "bad", "run": ["shift"], "shift": {"type": "B", "rank": 2}},
+     "KeyError: 'vertices'"),
+    # An 82-digit entry overflows the float Pfaffian: OverflowError.
+    ({"id": "bad", "g": {"family": "so", "params": [5]},
+      "h": {"type": "u", "params": [2]}, "Xu": ["1" + "0" * 81, "1"],
+      "run": ["coupling"]}, "OverflowError: "),
+])
+def test_any_instance_exception_gives_fail_certificate(tmp_path, capsys,
+                                                       bad, error):
+    out = tmp_path / "certs"
+    path = _write_catalog(tmp_path, [bad, GOOD])
+    assert run_cli(["run", path, "--out", str(out), "--jobs", "1"]) == 1
+    assert "1/2 instances passed" in capsys.readouterr().out
+    broken = json.loads((out / "bad.json").read_text())
+    assert not broken["passed"] and broken["error"].startswith(error)
+    assert json.loads((out / "good.json").read_text())["passed"]
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_tol_override_must_be_positive(tmp_path, tol):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "paper_examples", "--out", str(tmp_path / "c"),
+                 "--tol", tol])
+    assert exc.value.code == 2
+    assert not (tmp_path / "c").exists()

@@ -69,6 +69,13 @@ def test_det_row_swaps_rationals_and_singular():
     assert ex.det([]) == 1
 
 
+def test_det_rejects_non_square_input():
+    with pytest.raises(ValueError):
+        ex.det([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError):
+        ex.det([[1, 2], [3, 4], [5, 6]])
+
+
 def test_inertia_on_known_forms():
     assert ex.inertia([[2, 0], [0, -3]]) == (1, 1, 0)
     assert ex.inertia([[0, 1], [1, 0]]) == (1, 1, 0)

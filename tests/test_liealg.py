@@ -183,6 +183,24 @@ def test_covector_round_trip():
     assert cov(unit_vec(g.dim, 0)) == g.killing[0][0]
 
 
+def test_ad_kernel_and_killing_pairing_helpers():
+    g = la.so(5)
+    x = unit_vec(g.dim, 0)          # the rotation in the (0, 1) plane
+    rows = [unit_vec(g.dim, j) for j in range(g.dim)]
+    ad = g.ad_on(x, rows)
+    for j, r in enumerate(rows):
+        column = [float(row[j]) for row in ad]
+        assert np.allclose(column, commutator_oracle(g, x, r))
+    # Its centralizer is so(2) + so(3): dimension 1 + 3.
+    cen = g.centralizer_in(x, rows)
+    assert len(cen) == 4 == g.dim - rank(ad)
+    assert all(is_zero_vec(g.bracket(x, c)) for c in cen)
+    comp = g.orthocomplement([g.covector(c) for c in cen])
+    assert len(comp) == g.dim - len(cen)
+    assert all(g.killing_form(a, b) == 0 for a in cen for b in comp)
+    assert g.orthocomplement([]) == tuple(rows)
+
+
 def test_reductive_split_so5_so4():
     g = la.so(5)
     emb = la.so_block_embedding(g, 4)
