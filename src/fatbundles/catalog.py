@@ -11,7 +11,7 @@ from . import curvature as cv
 from . import duality as du
 from . import serialize as sz
 from .errors import CriteriaDisagree, FatBundleError
-from .exact import vec
+from .exact import det, vec
 from .fatness import certify, sample_rational_vectors
 from .liealg import (
     LieAlgebra,
@@ -253,10 +253,9 @@ def _run_coupling(spec, inst, payload) -> bool:
         min_sv, pf = cp.nondegenerate_and_top_power(form, half)
         info["min_sv"] = min_sv
         info["pfaffian_abs"] = pf
-        if spec.expect == "fat":
-            ok = ok and pf > 0
-        elif spec.expect == "not_fat":
-            ok = ok and min_sv <= spec.tol
+        if spec.expect in ("fat", "not_fat"):
+            # Exact: the form is nondegenerate iff its Gram is invertible.
+            ok = ok and (det(form.gram) != 0) == (spec.expect == "fat")
     payload["coupling"] = info
     return ok
 

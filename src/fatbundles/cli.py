@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -99,22 +100,29 @@ def cmd_run(args) -> int:
         overrides["seed"] = args.seed
     if overrides:
         specs = [replace(s, **overrides) for s in specs]
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit2(f"cannot create output directory {args.out}: "
+                          f"{exc.strerror}")
     jobs = args.jobs or os.cpu_count() or 1
 
     def worker(spec: InstanceSpec):
+        start = time.perf_counter()
         ok, payload = run_instance(spec)
         _write_atomic(_cert_path(args.out, spec.id), dumps_canonical(payload))
-        return spec.id, ok, payload
+        return spec.id, ok, payload, time.perf_counter() - start
 
+    run_start = time.perf_counter()
     if jobs > 1 and len(specs) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(worker, specs))
     else:
         results = [worker(s) for s in specs]
+    wall = time.perf_counter() - run_start
 
     width = max((len(r[0]) for r in results), default=2)
-    for iid, ok, payload in results:
+    for iid, ok, payload, _ in results:
         status = "ok  " if ok else "FAIL"
         note = payload.get("error", "")
         verdict = ""
@@ -122,8 +130,13 @@ def cmd_run(args) -> int:
         if cert:
             verdict = cert["verdicts"]["oracle"]
         print(f"{status} {iid:<{width}} {verdict} {note}".rstrip())
-    n_fail = sum(1 for _, ok, _ in results if not ok)
+    n_fail = sum(1 for _, ok, _, _ in results if not ok)
     print(f"{len(results) - n_fail}/{len(results)} instances passed")
+    timing = f"run: {len(results)} instances in {wall:.2f} s"
+    if results:
+        slow_id, _, _, slow_s = max(results, key=lambda r: r[3])
+        timing += f"; slowest {slow_id} ({slow_s:.2f} s)"
+    print(timing, file=sys.stderr)
     return 1 if n_fail else 0
 
 

@@ -96,7 +96,7 @@ def _orbit_gram(g: LieAlgebra, x_u: Vec, rows: Mat) -> Mat:
     kx = g.covector(x_u)
     s_sparse: dict[tuple[int, int], Fraction] = {}
     for (a, b), ck in g._structure.items():
-        val = sum((v * kx[k] for k, v in ck.items()), ZERO)
+        val = sum((v * kx[k] for k, v in ck.items() if kx[k]), ZERO)
         if val:
             s_sparse[(a, b)] = val
     k = len(rows)

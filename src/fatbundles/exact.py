@@ -47,12 +47,8 @@ def identity(n: int) -> Mat:
 
 
 def dot(x, y) -> Fraction:
-    return sum((a * b for a, b in zip(x, y)), ZERO)
-
-
-def mat_vec(a, x) -> Vec:
-    """A @ x with A given by rows."""
-    return tuple(dot(row, x) for row in a)
+    """Sum of x_i * y_i over the terms where both factors are nonzero."""
+    return sum((a * b for a, b in zip(x, y) if a and b), ZERO)
 
 
 def vec_mat(x, a) -> Vec:

@@ -23,6 +23,7 @@ from .exact import (
     ZERO,
     Mat,
     Vec,
+    dot,
     identity,
     mat,
     nullspace,
@@ -80,7 +81,7 @@ def fatness_gram(emb: SubalgebraEmbedding, x_u) -> Mat:
     rows = [[ZERO] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            s = sum((a * b for a, b in zip(x_u, table[i][j]) if a), ZERO)
+            s = dot(x_u, table[i][j])
             rows[i][j] = s
             rows[j][i] = -s
     return mat(rows)

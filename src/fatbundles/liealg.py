@@ -29,7 +29,6 @@ from .exact import (
     identity,
     inertia,
     mat,
-    mat_vec,
     nullspace,
     primitive,
     rank,
@@ -120,6 +119,9 @@ class LieAlgebra:
             ad_of[j][i] = {k: -v for k, v in ck.items()}
         self._ad_of = ad_of
         self.killing: Mat = self._killing_gram()
+        # Nonzero (j, K_ij) entries of each Killing row, for covector().
+        self._killing_rows = [[(j, v) for j, v in enumerate(row) if v]
+                              for row in self.killing]
         self.semisimple = rank(self.killing) == self.dim
 
     # -- construction helpers -------------------------------------------
@@ -193,7 +195,9 @@ class LieAlgebra:
 
     def covector(self, x) -> Vec:
         """K x: the coordinates of B(x, .) in the dual basis."""
-        return mat_vec(self.killing, self.check_vector(x))
+        x = self.check_vector(x)
+        return tuple(sum((v * x[j] for j, v in row if x[j]), ZERO)
+                     for row in self._killing_rows)
 
     def orthocomplement(self, covectors) -> Mat:
         """Common kernel of the given covectors (all of g when none)."""

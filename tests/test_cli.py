@@ -316,3 +316,54 @@ def test_tol_override_must_be_positive(tmp_path, tol):
                  "--tol", tol])
     assert exc.value.code == 2
     assert not (tmp_path / "c").exists()
+
+
+def test_out_naming_a_file_gives_exit_two(tmp_path, capsys):
+    not_a_dir = tmp_path / "README.md"
+    not_a_dir.write_text("a file\n")
+    assert run_cli(["run", "paper_examples", "--out", str(not_a_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert "\n" not in err and "cannot create output directory" in err
+    assert not_a_dir.read_text() == "a file\n"
+
+
+COUPLING_SO5_U2 = {"g": {"family": "so", "params": [5]},
+                   "h": {"type": "u", "params": [2]}, "run": ["coupling"]}
+
+
+@pytest.mark.parametrize("xu, expect, passed", [
+    # Off every wall, so fat: the exact Pfaffian is 3.1e-44, while the
+    # smallest singular value, 6e-12, is below the default tol.
+    (["1/1000000000000", "2/1000000000000"], "not_fat", False),
+    (["1/1000000000000", "2/1000000000000"], "fat", True),
+    # On the wall t_1 + t_2 = 0: the form is degenerate.
+    (["1", "-1"], "not_fat", True),
+    (["1", "-1"], "fat", False),
+])
+def test_coupling_verdict_is_exact(tmp_path, xu, expect, passed):
+    out = tmp_path / "certs"
+    path = _write_catalog(tmp_path, [{**COUPLING_SO5_U2, "id": "c",
+                                      "Xu": xu, "expect": expect}])
+    code = run_cli(["run", path, "--out", str(out), "--jobs", "1"])
+    assert code == (0 if passed else 1)
+    assert json.loads((out / "c.json").read_text())["passed"] is passed
+
+
+def test_run_reports_its_time_on_stderr_only(tmp_path, capsys):
+    assert run_cli(["run", "paper_examples", "--out", str(tmp_path / "c"),
+                    "--jobs", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "ok   so5_so4_J            fat\n"
+        "ok   so41_so4_J           fat\n"
+        "ok   so5_u2_J_coupling    fat\n"
+        "ok   b2_shift_unit_square\n"
+        "ok   pinched_n2\n"
+        "5/5 instances passed\n")
+    ids = [s.id for s in builtin_catalog("paper_examples")]
+    (line,) = captured.err.splitlines()
+    assert line.startswith("run: 5 instances in ")
+    slowest = line.split("; slowest ")[1].split(" (")[0]
+    assert slowest in ids

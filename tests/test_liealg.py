@@ -8,6 +8,8 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatbundles import liealg as la
 from fatbundles.errors import (
@@ -15,7 +17,13 @@ from fatbundles.errors import (
     DimensionMismatch,
     NotCompact,
 )
-from fatbundles.exact import dot, is_zero_vec, mat_vec, rank, unit_vec, vec
+from fatbundles.exact import dot, gram, is_zero_vec, rank, unit_vec, vec
+
+
+def dense_covector(g, x):
+    """Reference K x: every term of every row, zeros included."""
+    return tuple(sum((k * xj for k, xj in zip(row, x)), Q(0))
+                 for row in g.killing)
 
 
 def mat_float(m):
@@ -201,6 +209,50 @@ def test_ad_kernel_and_killing_pairing_helpers():
     assert g.orthocomplement([]) == tuple(rows)
 
 
+# Sparse rational vectors: a few nonzero entries, each p/q * 10^e with
+# |e| up to 40, so that huge and tiny terms meet in one sum.
+NONZERO = st.builds(lambda p, q, e: Q(p, q) * Q(10) ** e,
+                    st.integers(-99, 99).filter(bool), st.integers(1, 99),
+                    st.integers(-40, 40))
+
+
+def sparse_vectors(dim):
+    return st.dictionaries(st.integers(0, dim - 1), NONZERO,
+                           max_size=max(1, dim // 3)).map(
+        lambda d: tuple(d.get(i, Q(0)) for i in range(dim)))
+
+
+# name -> (algebra, number of nonzero off-diagonal Killing entries)
+SPARSE_KERNEL_ALGEBRAS = {
+    "so5": (lambda: la.so(5), 0), "so41": (lambda: la.so_pq(4, 1), 0),
+    "su3": (lambda: la.su(3), 2), "u2": (lambda: la.u_in_so(2), 2)}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_KERNEL_ALGEBRAS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_killing_contraction_matches_dense(name, data):
+    build, off_diagonal = SPARSE_KERNEL_ALGEBRAS[name]
+    g = build()
+    assert off_diagonal == sum(1 for i, row in enumerate(g.killing)
+                               for j, k in enumerate(row) if k and i != j)
+    x = data.draw(sparse_vectors(g.dim))
+    y = data.draw(sparse_vectors(g.dim))
+    assert g.covector(x) == dense_covector(g, x)
+    pairing = sum((a * b for a, b in zip(x, dense_covector(g, y))), Q(0))
+    assert g.killing_form(x, y) == g.killing_form(y, x) == pairing
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(sparse_vectors(6), min_size=1, max_size=4),
+       st.lists(sparse_vectors(6), min_size=1, max_size=4))
+def test_dot_and_gram_match_the_dense_sum(a, b):
+    def dense(x, y):
+        return sum((p * q for p, q in zip(x, y)), Q(0))
+    assert all(dot(x, y) == dense(x, y) for x in a for y in b)
+    assert gram(a, b) == tuple(tuple(dense(x, y) for y in b) for x in a)
+
+
 def test_reductive_split_so5_so4():
     g = la.so(5)
     emb = la.so_block_embedding(g, 4)
@@ -215,7 +267,7 @@ def test_reductive_split_so5_so4():
     assert rank(list(emb.m_basis) + expected) == 4
     # Orthogonality and ad-invariance, exactly.
     for hi in emb.h_basis:
-        khi = mat_vec(g.killing, hi)
+        khi = dense_covector(g, hi)
         for mj in emb.m_basis:
             assert dot(mj, khi) == 0
             assert emb.in_m(g.bracket(hi, mj))
@@ -228,7 +280,7 @@ def test_reductive_split_noncompact_positive_on_m():
     assert emb.dim_m == 4 and emb.compact
     rows = []
     for mi in emb.m_basis:
-        kmi = mat_vec(g.killing, mi)
+        kmi = dense_covector(g, mi)
         rows.append([dot(mj, kmi) for mj in emb.m_basis])
     assert inertia(rows) == (4, 0, 0)
 
