@@ -105,6 +105,14 @@ class InstanceSpec:
         if unknown:
             raise ValueError(
                 f"instance {d.get('id')!r}: unknown run kinds {unknown}")
+        if d.get("expect") not in (None, "fat", "not_fat"):
+            raise ValueError(f"instance {d.get('id')!r}: unknown expect "
+                             f"{d['expect']!r}")
+        for key, n in (("samples", d.get("samples", 0)),
+                       ("dual.samples", (d.get("dual") or {}).get("samples", 0))):
+            if type(n) is not int or n < 0:
+                raise ValueError(f"instance {d.get('id')!r}: {key} must be "
+                                 f"an integer >= 0")
         return cls(
             id=check_id(d["id"]),
             g_family=g.get("family"),
@@ -116,7 +124,7 @@ class InstanceSpec:
             expect=d.get("expect"),
             seed=int(d.get("seed", 0)),
             tol=tol,
-            samples=int(d.get("samples", 0)),
+            samples=d.get("samples", 0),
             pinch=d.get("pinch"),
             shift=d.get("shift"),
             dual=d.get("dual"),

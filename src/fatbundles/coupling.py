@@ -18,18 +18,17 @@ import numpy as np
 
 from .errors import DegenerateRestriction, IsotropyMismatch, OddDimension
 from .exact import (
-    ZERO,
-    CoordinateSolver,
     Mat,
     Vec,
+    congruence,
     det,
     frac,
     gram,
     identity,
+    inverse,
     mat,
     nullspace,
     rank,
-    unit_vec,
     vec,
     vec_mat,
 )
@@ -83,36 +82,10 @@ class HomogeneousBundleInstance:
         return self.fiber_basis + self.m_basis
 
 
-def _span_equal(a_rows, b_rows) -> bool:
-    ra = rank(a_rows)
-    if ra != rank(b_rows):
-        return False
-    return rank(list(a_rows) + list(b_rows)) == ra
-
-
 def _orbit_gram(g: LieAlgebra, x_u: Vec, rows: Mat) -> Mat:
-    """Gram of B(x_u, [., .]) over the given rows, via the pairing matrix
-    S_ab = B(x_u, [e_a, e_b])."""
-    kx = g.covector(x_u)
-    s_sparse: dict[tuple[int, int], Fraction] = {}
-    for (a, b), ck in g._structure.items():
-        val = sum((v * kx[k] for k, v in ck.items() if kx[k]), ZERO)
-        if val:
-            s_sparse[(a, b)] = val
-    k = len(rows)
-    out = [[ZERO] * k for _ in range(k)]
-    for i in range(k):
-        ri = rows[i]
-        for j in range(i + 1, k):
-            rj = rows[j]
-            s = ZERO
-            for (a, b), val in s_sparse.items():
-                p = ri[a] * rj[b] - ri[b] * rj[a]
-                if p:
-                    s += val * p
-            out[i][j] = s
-            out[j][i] = -s
-    return mat(out)
+    """Gram of B(x_u, [., .]) over the given rows: R S R^T with the
+    pairing matrix S_ab = B(x_u, [e_a, e_b])."""
+    return congruence(rows, g.orbit_pairing(x_u))
 
 
 def coupling_form(g: LieAlgebra, v_basis, x_u, *, n_basis=None) -> InvariantTwoForm:
@@ -125,7 +98,8 @@ def coupling_form(g: LieAlgebra, v_basis, x_u, *, n_basis=None) -> InvariantTwoF
     x_u = g.check_vector(x_u)
     v_rows = mat(v_basis)
     kernel = isotropy_algebra(g, x_u)
-    if not _span_equal(v_rows, kernel):
+    rv = rank(v_rows)
+    if rv != len(kernel) or rank(v_rows + kernel) != rv:
         raise IsotropyMismatch(
             f"v (dim {len(v_rows)}) is not ker(ad_X) (dim {len(kernel)})")
     if n_basis is None:
@@ -162,12 +136,9 @@ def bundle_instance(g: LieAlgebra, emb: SubalgebraEmbedding, x_u) -> Homogeneous
 
 
 def instance_form(inst: HomogeneousBundleInstance) -> InvariantTwoForm:
-    """The coupling form over the instance's ordered (fiber, m) basis."""
-    if inst.isotropy_in_h:
-        return coupling_form(inst.g, inst.v_basis, inst.x_u,
-                             n_basis=inst.n_basis)
-    # Degenerate case (X_u not fat): the fiber isotropy is only part of
-    # the kernel and the form picks up a null direction on m.
+    """The coupling form over the instance's ordered (fiber, m) basis.
+    When X_u is not fat, v is only part of ker(ad_{X_u}) and the form
+    picks up a null direction on m."""
     return InvariantTwoForm(inst.g, inst.x_u, inst.v_basis, inst.n_basis,
                             _orbit_gram(inst.g, inst.x_u, inst.n_basis))
 
@@ -223,11 +194,8 @@ def verify_block_structure(inst: HomogeneousBundleInstance,
     horiz_sv = (float(np.linalg.svd(horiz_block, compute_uv=False)[-1])
                 if k > f else float("inf"))
     fat_gram = fatness_gram(inst.emb, inst.x_u)
-    horiz_exact = tuple(tuple(form.gram[i][j] for j in range(f, k))
-                        for i in range(f, k))
-    equals = all(
-        horiz_exact[i][j] == form.scale * fat_gram[i][j]
-        for i in range(k - f) for j in range(k - f))
+    equals = all(form.gram[f + i][f + j] == form.scale * x
+                 for i, row in enumerate(fat_gram) for j, x in enumerate(row))
     fiber_norm = float(np.linalg.norm(fiber_block))
     horiz_norm = float(np.linalg.norm(horiz_block))
     ratio = (fiber_norm / horiz_norm) if horiz_norm else None
@@ -252,43 +220,18 @@ def ce_closedness(g: LieAlgebra, form: InvariantTwoForm) -> Fraction:
     For the orbit form B(X_u, [., .]) this cancels exactly by the Jacobi
     identity; corrupted normalizations show up as a nonzero residual.
     """
-    solver = CoordinateSolver(list(form.v_basis) + list(form.n_basis))
+    try:
+        inv = inverse([*form.v_basis, *form.n_basis])
+    except ValueError:
+        inv = ()
+    if len(inv) != g.dim:
+        raise ValueError("v + n does not span g")
+    # Row a of the inverse holds the (v, n) coordinates of e_a; the form
+    # sees only the n part.
     nv = len(form.v_basis)
-    coords = []
-    d = g.dim
-    for a in range(d):
-        c = solver.coords(unit_vec(d, a))
-        if c is None:
-            raise ValueError("v + n does not span g")
-        coords.append(c[nv:])
-    k = form.dim
-    # sig[a][b] = sigma(e_a, e_b) with the zero extension on v.
-    sig = [[ZERO] * d for _ in range(d)]
-    for a in range(d):
-        ca = coords[a]
-        row = [sum((ca[i] * form.gram[i][j] for i in range(k) if ca[i]), ZERO)
-               for j in range(k)]
-        for b in range(a + 1, d):
-            cb = coords[b]
-            s = sum((row[j] * cb[j] for j in range(k) if cb[j]), ZERO)
-            sig[a][b] = s
-            sig[b][a] = -s
-
-    def sigma_vec(x: Vec, b: int) -> Fraction:
-        return sum((xa * sig[a][b] for a, xa in enumerate(x) if xa), ZERO)
-
-    worst = ZERO
-    units = [unit_vec(d, a) for a in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            bij = g.bracket(units[i], units[j])
-            for kk in range(j + 1, d):
-                r = -sigma_vec(bij, kk)
-                r -= sigma_vec(g.bracket(units[j], units[kk]), i)
-                r -= sigma_vec(g.bracket(units[kk], units[i]), j)
-                if abs(r) > worst:
-                    worst = abs(r)
-    return worst
+    sig = congruence([row[nv:] for row in inv], form.gram)
+    return g.triple_residual(
+        [{b: {0: s} for b, s in enumerate(row) if s} for row in sig])
 
 
 def nondegenerate_and_top_power(form: InvariantTwoForm,

@@ -10,7 +10,7 @@ modules).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -68,6 +68,11 @@ def gram(a, b) -> Mat:
     return tuple(tuple(dot(x, y) for y in b) for x in a)
 
 
+def congruence(rows, m) -> Mat:
+    """rows . m . rows^T: the Gram of the bilinear form m over the rows."""
+    return gram([vec_mat(r, m) for r in rows], rows)
+
+
 def mat_mul(a, b) -> Mat:
     return gram(a, transpose(b))
 
@@ -87,13 +92,8 @@ def is_zero_vec(x) -> bool:
 def primitive(x) -> Vec:
     """Scale a rational vector to coprime integers, first nonzero positive."""
     x = vec(x)
-    denom = 1
-    for a in x:
-        denom = denom * a.denominator // gcd(denom, a.denominator)
-    ints = [int(a * denom) for a in x]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    ints, _ = _clear_denominators(x)
+    g = gcd(*ints)
     if g == 0:
         return x
     lead = next(v for v in ints if v)
@@ -128,19 +128,19 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     return m, pivots
 
 
+def _clear_denominators(row) -> tuple[list[int], int]:
+    """(row * denom as integers, denom) for denom the lcm of the row's
+    denominators."""
+    row = [frac(x) for x in row]
+    denom = lcm(*(a.denominator for a in row))
+    return [a.numerator * (denom // a.denominator) for a in row], denom
+
+
 def _integer_rows(rows) -> tuple[list[list[int]], int]:
     """Scale each row by the lcm of its denominators (preserves rank and
     kernel); also returns the product of the scale factors."""
-    out = []
-    scale = 1
-    for row in rows:
-        row = [frac(x) for x in row]
-        denom = 1
-        for a in row:
-            denom = denom * a.denominator // gcd(denom, a.denominator)
-        out.append([int(a * denom) for a in row])
-        scale *= denom
-    return out, scale
+    cleared = [_clear_denominators(row) for row in rows]
+    return [ints for ints, _ in cleared], prod(d for _, d in cleared)
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
@@ -215,6 +215,8 @@ def solve(a_rows, b) -> Vec | None:
 
 def inverse(a) -> Mat:
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("inverse needs a square matrix")
     aug = [list(row) + list(unit_vec(n, i)) for i, row in enumerate(a)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):

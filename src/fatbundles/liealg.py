@@ -207,6 +207,36 @@ class LieAlgebra:
         """B(x, y) = Tr(ad_x ad_y), evaluated through the cached Gram."""
         return dot(self.check_vector(x), self.covector(y))
 
+    def orbit_pairing(self, x) -> Mat:
+        """S_ab = B(x, [e_a, e_b]): the orbit form of x over the basis."""
+        kx = self.covector(x)
+        return tuple(
+            tuple(sum((v * kx[k] for k, v in row.get(b, {}).items()), ZERO)
+                  for b in range(self.dim))
+            for row in self._ad_of)
+
+    def triple_residual(self, table) -> Fraction:
+        """Max |entry| over basis triples i < j < k of
+        sum_cyc sum_l c^l_ij table[l][k], where table[l] maps k to a sparse
+        {index: value} vector (absent means zero).  The structure constants
+        give the Jacobi residual; table[l][k] = {0: sigma_lk} gives
+        max |d sigma(e_i, e_j, e_k)|."""
+        worst: Fraction = ZERO
+        d = self.dim
+        ad_of = self._ad_of
+        for i in range(d):
+            for j in range(i + 1, d):
+                for k in range(j + 1, d):
+                    total: dict[int, Fraction] = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for l, cl in ad_of[a].get(b, {}).items():
+                            for idx, v in table[l].get(c, {}).items():
+                                total[idx] = total.get(idx, ZERO) + cl * v
+                    m = max(map(abs, total.values()), default=ZERO)
+                    if m > worst:
+                        worst = m
+        return worst
+
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
         if i == j:
             return ZERO
@@ -591,31 +621,4 @@ def u_block_embedding(g: LieAlgebra, n: int, *, name: str = "") -> SubalgebraEmb
 def jacobi_residual(g: LieAlgebra) -> Fraction:
     """Max residual of the Jacobi identity over all basis triples (exact
     zero for every algebra that closes)."""
-    worst: Fraction = ZERO
-    d = g.dim
-    ad_of = g._ad_of
-
-    def double(i: int, j: int, k: int) -> dict[int, Fraction]:
-        # [[e_i, e_j], e_k] through the sparse constants.
-        out: dict[int, Fraction] = {}
-        for m, c in ad_of[i].get(j, {}).items():
-            for l, c2 in ad_of[m].get(k, {}).items():
-                s = out.get(l, ZERO) + c * c2
-                if s:
-                    out[l] = s
-                else:
-                    out.pop(l, None)
-        return out
-
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                total = double(i, j, k)
-                for l, v in double(j, k, i).items():
-                    total[l] = total.get(l, ZERO) + v
-                for l, v in double(k, i, j).items():
-                    total[l] = total.get(l, ZERO) + v
-                m = max((abs(t) for t in total.values()), default=ZERO)
-                if m > worst:
-                    worst = m
-    return worst
+    return g.triple_residual(g._ad_of)

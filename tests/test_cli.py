@@ -269,6 +269,27 @@ def test_non_object_entries_exit_two(tmp_path, capsys, entry):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("field, message", [
+    ({"expect": "fatt"}, "unknown expect 'fatt'"),
+    ({"expect": 1}, "unknown expect 1"),
+    ({"samples": -3}, "samples must be an integer >= 0"),
+    ({"samples": 2.5}, "samples must be an integer >= 0"),
+    ({"samples": "3"}, "samples must be an integer >= 0"),
+    ({"samples": True}, "samples must be an integer >= 0"),
+    ({"run": ["dual"], "dual": {"samples": -1}},
+     "dual.samples must be an integer >= 0"),
+    ({"run": ["dual"], "dual": {"samples": 1.5}},
+     "dual.samples must be an integer >= 0"),
+])
+def test_unknown_expect_and_bad_sample_counts_exit_two(tmp_path, capsys,
+                                                       field, message):
+    path = _write_catalog(tmp_path, [{**GOOD, "id": "typo", "Xu": ["1", "0"],
+                                      **field}])
+    assert run_cli(["run", path, "--out", str(tmp_path / "c")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("iid", ["../escaped", "a/b", "a\\b", "nul\0",
                                  "", ".", "..", 7])
 def test_instance_ids_must_be_plain_file_names(tmp_path, capsys, iid):

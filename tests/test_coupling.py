@@ -6,13 +6,15 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 from float_oracles import coupling_nondegenerate_float
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatbundles import coupling as cp
 from fatbundles import fatness as ft
 from fatbundles import liealg as la
 from fatbundles.catalog import make_pair, make_subsystem
 from fatbundles.errors import IsotropyMismatch, OddDimension
-from fatbundles.exact import mat, vec
+from fatbundles.exact import CoordinateSolver, mat, unit_vec, vec
 
 
 def cp3_instance():
@@ -115,6 +117,19 @@ def test_ce_closedness_detects_corrupted_normalization():
     assert cp.ce_closedness(g, bad_form) > 0
 
 
+def test_ce_closedness_needs_v_and_n_to_be_a_basis_of_g():
+    g, emb, j, inst = cp3_instance()
+    form = cp.instance_form(inst)
+    short = cp.InvariantTwoForm(g, j, form.v_basis, form.n_basis[1:],
+                                mat([row[1:] for row in form.gram[1:]]))
+    dependent = cp.InvariantTwoForm(g, j, form.v_basis,
+                                    form.v_basis[:1] + form.n_basis[1:],
+                                    form.gram)
+    for bad in (short, dependent):
+        with pytest.raises(ValueError, match="v \\+ n does not span g"):
+            cp.ce_closedness(g, bad)
+
+
 def test_nondegenerate_and_top_power():
     g, emb, j, inst = cp3_instance()
     form = cp.instance_form(inst)
@@ -204,3 +219,94 @@ def test_torus_subalgebra_instance():
     assert form.dim == 8
     min_sv, pf = cp.nondegenerate_and_top_power(form, 4)
     assert pf > 0 and min_sv > 0
+
+
+# -- the structure-constant coupling path against dense references --------
+
+COUPLING_CASES = {
+    "so5_so4_fat": (("so", (5,), "so", (4,)), (1, 1)),
+    "so5_so4_not_fat": (("so", (5,), "so", (4,)), (1, 0)),
+    "so5_u2": (("so", (5,), "u", (2,)), (1, 1)),
+    "so41_so4": (("so", (4, 1), "so", (4,)), (1, 1)),
+}
+
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+def coupling_case(name):
+    pair, tau = COUPLING_CASES[name]
+    g, emb = make_pair(*pair)
+    return g, cp.bundle_instance(g, emb, emb.torus_vector(tau))
+
+
+def dense_ce_closedness(g, form):
+    """max |d sigma| over basis triples the direct way: coordinates of every
+    unit vector from a CoordinateSolver, and brackets of unit vectors."""
+    solver = CoordinateSolver(list(form.v_basis) + list(form.n_basis))
+    nv = len(form.v_basis)
+    d = g.dim
+    units = [unit_vec(d, a) for a in range(d)]
+    coords = [solver.coords(u)[nv:] for u in units]
+    k = form.dim
+    sig = [[sum((ca[i] * form.gram[i][j] * cb[j]
+                 for i in range(k) for j in range(k)), Q(0))
+            for cb in coords] for ca in coords]
+
+    def sigma(x, b):
+        return sum((xa * sig[a][b] for a, xa in enumerate(x)), Q(0))
+
+    worst = Q(0)
+    for i in range(d):
+        for j in range(i + 1, d):
+            for kk in range(j + 1, d):
+                r = (sigma(g.bracket(units[i], units[j]), kk)
+                     + sigma(g.bracket(units[j], units[kk]), i)
+                     + sigma(g.bracket(units[kk], units[i]), j))
+                worst = max(worst, abs(r))
+    return worst
+
+
+def test_not_fat_case_has_isotropy_outside_h():
+    assert not coupling_case("so5_so4_not_fat")[1].isotropy_in_h
+    assert coupling_case("so5_so4_fat")[1].isotropy_in_h
+
+
+@pytest.mark.parametrize("name", sorted(COUPLING_CASES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_ce_closedness_matches_dense_reference(name, data):
+    g, inst = coupling_case(name)
+    k = len(inst.n_basis)
+    upper = data.draw(st.lists(RATIONALS, min_size=k * (k - 1) // 2,
+                               max_size=k * (k - 1) // 2))
+    entries = iter(upper)
+    gram = [[Q(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            gram[i][j] = next(entries)
+            gram[j][i] = -gram[i][j]
+    form = cp.InvariantTwoForm(g, inst.x_u, inst.v_basis, inst.n_basis,
+                               mat(gram))
+    assert cp.ce_closedness(g, form) == dense_ce_closedness(g, form)
+
+
+@pytest.mark.parametrize("name", sorted(COUPLING_CASES))
+def test_instance_form_is_closed_and_matches_dense_reference(name):
+    g, inst = coupling_case(name)
+    form = cp.instance_form(inst)
+    assert cp.ce_closedness(g, form) == dense_ce_closedness(g, form) == 0
+
+
+@pytest.mark.parametrize("name", sorted(COUPLING_CASES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_orbit_gram_is_the_killing_pairing_of_brackets(name, data):
+    g, inst = coupling_case(name)
+    extra = data.draw(st.lists(st.lists(RATIONALS, min_size=g.dim,
+                                        max_size=g.dim).map(vec),
+                               max_size=3))
+    rows = inst.n_basis + tuple(extra)
+    gram = cp._orbit_gram(g, inst.x_u, rows)
+    assert gram == tuple(
+        tuple(g.killing_form(inst.x_u, g.bracket(a, b)) for b in rows)
+        for a in rows)

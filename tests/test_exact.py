@@ -51,6 +51,13 @@ def test_solve_and_inverse():
     assert ex.solve(ex.mat([[1, 1], [1, 1]]), ex.vec([0, 1])) is None
 
 
+def test_inverse_rejects_non_square_input():
+    with pytest.raises(ValueError):
+        ex.inverse([[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError):
+        ex.inverse([[1, 0], [0, 1], [1, 1]])
+
+
 def test_det_matches_numpy():
     rng = np.random.default_rng(2)
     for _ in range(20):
