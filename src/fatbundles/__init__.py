@@ -65,7 +65,6 @@ from .liealg import (
     su,
     u_block_embedding,
     u_in_so,
-    vector_to_covector,
 )
 from .rootdata import (
     RootSystem,

@@ -112,15 +112,15 @@ def coupling_form(g: LieAlgebra, v_basis, x_u, *, n_basis=None) -> InvariantTwoF
 def bundle_instance(g: LieAlgebra, emb: SubalgebraEmbedding, x_u) -> HomogeneousBundleInstance:
     """Build the splitting v, n = (h cap n) + m at X_u in h.
 
-    Raises DegenerateRestriction when the Killing form is singular on the
+    Raises DimensionMismatch when X_u is not in h, and
+    DegenerateRestriction when the Killing form is singular on the
     isotropy algebra (no invariant complement).
     """
     x_u = g.check_vector(x_u)
-    # The fiber isotropy ker(ad_{X_u}) cap h; it is the whole kernel
-    # exactly when X_u is fat.
+    # ker ad_{X_u} = (ker cap h) + (ker cap m), as ad_{X_u} keeps h and m;
+    # it stays in h (X_u is fat) exactly when ad_{X_u}|_m is invertible.
+    in_h = rank(emb.ad_m(x_u)) == emb.dim_m
     v_rows = g.centralizer_in(x_u, emb.h_basis)
-    kernel = isotropy_algebra(g, x_u)
-    in_h = len(kernel) == len(v_rows)
     if v_rows:
         kv = [g.covector(r) for r in v_rows]
         if rank(gram(v_rows, kv)) != len(v_rows):

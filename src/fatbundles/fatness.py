@@ -6,7 +6,8 @@ u = B(X_u, .) is fat exactly when the antisymmetric Gram
 G_ij = B(X_u, [m_i, m_j]) is nondegenerate.  Three independent tests are
 run and must agree: the exact forbidden-wall evaluation (root criterion),
 a numeric smallest-singular-value test of the Gram (oracle), and the exact
-check that ker(ad_{X_u}) meets m trivially (centralizer criterion).
+check that ker(ad_{X_u}) meets m trivially, read off ad_{X_u}|_m for X_u
+in h (centralizer criterion).
 Disagreement raises, it is never voted away.
 """
 
@@ -126,13 +127,11 @@ def isotropy_algebra(g: LieAlgebra, x_u) -> tuple[Vec, ...]:
 
 
 def fat_by_centralizer(emb: SubalgebraEmbedding, x_u) -> Verdict:
-    """Fat iff ker(ad_{X_u}) intersects m trivially, i.e. the isotropy
-    algebra of the covector stays inside h."""
-    g = emb.ambient
-    x_u = g.check_vector(x_u)
+    """Fat iff ad_{X_u}|_m has no kernel (X_u in h, else DimensionMismatch),
+    i.e. the isotropy algebra of the covector stays inside h."""
+    rows = emb.ad_m(x_u)
     if not emb.m_basis:
         return Verdict(FAT, note="trivial horizontal space")
-    rows = g.ad_on(x_u, emb.m_basis)
     if rank(rows) == emb.dim_m:
         return Verdict(FAT)
     coeffs = nullspace(rows)[0]

@@ -412,11 +412,6 @@ class Covector:
         return self.algebra.killing_form(self.x_u, y)
 
 
-def vector_to_covector(g: LieAlgebra, x) -> Vec:
-    """Coordinates of B(x, .) in the dual basis, i.e. K x."""
-    return g.covector(x)
-
-
 def covector_to_vector(g: LieAlgebra, u) -> Vec:
     """Inverse musical isomorphism; requires a nondegenerate Killing form."""
     u = g.check_vector(u)
@@ -474,6 +469,32 @@ class SubalgebraEmbedding:
         ch, _ = self.split_coords(x)
         return all(c == 0 for c in ch)
 
+    def _ad_table(self) -> list[tuple[int, int, int, Fraction]]:
+        """Entries (a, i, j, v != 0) of the tables D_a = ad_{h_a}|_m, built
+        once; raises ValueError when some [h_a, m_j] leaves m."""
+        if "ad_m" not in self._cache:
+            table = []
+            for a, ha in enumerate(self.h_basis):
+                for j, mj in enumerate(self.m_basis):
+                    ch, cm = self.split_coords(self.ambient.bracket(ha, mj))
+                    if any(ch):
+                        raise ValueError(f"{self.name}: [h, m] leaves m")
+                    table += [(a, i, j, v) for i, v in enumerate(cm) if v]
+            self._cache["ad_m"] = table
+        return self._cache["ad_m"]
+
+    def ad_m(self, x) -> Mat:
+        """ad_x on m for x in h (else DimensionMismatch): column j holds the
+        m-coordinates of [x, m_j], formed as sum_a c_a D_a, c = h_coords(x)."""
+        c = self.h_coords(x)
+        if c is None:
+            raise DimensionMismatch("vector is not in h")
+        out = [[ZERO] * self.dim_m for _ in range(self.dim_m)]
+        for a, i, j, v in self._ad_table():
+            if c[a]:
+                out[i][j] += c[a] * v
+        return tuple(map(tuple, out))
+
     def torus_coords(self, x) -> Vec | None:
         """Coordinates of x in the torus basis, or None if x is not in t."""
         if self.torus_basis is None:
@@ -523,15 +544,11 @@ def reductive_split(g: LieAlgebra, h_basis, *, torus_basis=None,
 
 def _check_embedding(emb: SubalgebraEmbedding) -> None:
     g = emb.ambient
-    # Closure [h, h] in h and ad-invariance [h, m] in m.
     for i, hi in enumerate(emb.h_basis):
         for hj in emb.h_basis[i + 1:]:
             if emb.h_coords(g.bracket(hi, hj)) is None:
                 raise ValueError(f"{emb.name}: h is not closed under brackets")
-        for mj in emb.m_basis:
-            br = g.bracket(hi, mj)
-            if not emb.in_m(br):
-                raise ValueError(f"{emb.name}: [h, m] leaves m")
+    emb._ad_table()  # raises when [h, m] leaves m
     # B(h, m) = 0.
     kh = [g.covector(hi) for hi in emb.h_basis]
     if any(any(row) for row in gram(kh, emb.m_basis)):

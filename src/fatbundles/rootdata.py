@@ -24,7 +24,6 @@ from .exact import (
     mat_mul,
     rank,
     solve,
-    transpose,
     vec,
 )
 from .liealg import LieAlgebra, SubalgebraEmbedding, maximal_torus
@@ -198,14 +197,9 @@ def detect_subsystem(g: LieAlgebra, emb: SubalgebraEmbedding,
     k = emb.dim_m
     if k == 0:
         return subsystem_from_members(rs, rs.roots)
-    # ad_xi on m, in m-coordinates.
-    cols = []
-    for mj in emb.m_basis:
-        ch, cm = emb.split_coords(g.bracket(xi, mj))
-        if any(ch):
-            raise TorusMismatch("torus action does not preserve m")
-        cols.append(cm)
-    m_mat = transpose(cols)
+    if emb.h_coords(xi) is None:
+        raise TorusMismatch("torus is not contained in h")
+    m_mat = emb.ad_m(xi)
     m_sq = mat_mul(m_mat, m_mat)
     forbidden_pairs = []
     accounted = 0

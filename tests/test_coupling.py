@@ -13,7 +13,7 @@ from fatbundles import coupling as cp
 from fatbundles import fatness as ft
 from fatbundles import liealg as la
 from fatbundles.catalog import make_pair, make_subsystem
-from fatbundles.errors import IsotropyMismatch, OddDimension
+from fatbundles.errors import DimensionMismatch, IsotropyMismatch, OddDimension
 from fatbundles.exact import CoordinateSolver, mat, unit_vec, vec
 
 
@@ -31,6 +31,18 @@ def test_bundle_instance_splitting_dimensions():
     assert len(inst.fiber_basis) == 2      # so(4)/u(2) = S^2 directions
     assert len(inst.m_basis) == 4
     assert inst.isotropy_in_h
+
+
+def test_x_u_outside_h_is_rejected():
+    # X_u in m is outside h, so B(X_u, .) is no covector on h: both the
+    # splitting and the centralizer criterion refuse it instead of
+    # answering "not fat".
+    g, emb = make_pair("so", (5,), "so", (4,))
+    x = emb.m_basis[0]
+    with pytest.raises(DimensionMismatch):
+        cp.bundle_instance(g, emb, x)
+    with pytest.raises(DimensionMismatch):
+        ft.fat_by_centralizer(emb, x)
 
 
 def test_coupling_form_full_rank_and_isotropy_check():

@@ -6,14 +6,17 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 from float_oracles import fatness_gram_float
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from fatbundles import coupling as cp
 from fatbundles import fatness as ft
 from fatbundles import liealg as la
 from fatbundles import rootdata as rd
 from fatbundles.catalog import make_pair, make_subsystem
 from fatbundles.errors import CriteriaDisagree, DimensionMismatch
-from fatbundles.exact import vec
+from fatbundles.exact import mat, nullspace, rank, unit_vec, vec, vec_mat
 from fatbundles.verdicts import FAT, NOT_APPLICABLE, NOT_FAT
 
 
@@ -261,3 +264,93 @@ def test_float_basis_oracle_and_centralizer_agree():
     assert fat_cert.fat and fat_cert.agreed
     zero_cert = ft.certify(g, emb, vec([0, 0, 0]))
     assert not zero_cert.fat and zero_cert.agreed
+
+
+# -- the tabulated ad_h on m ------------------------------------------------
+
+# Rational entries p/q * 10^e with |e| up to 40, so that huge and tiny
+# terms meet in one sum.
+NONZERO = st.builds(lambda p, q, e: Q(p, q) * Q(10) ** e,
+                    st.integers(-99, 99).filter(bool), st.integers(1, 99),
+                    st.integers(-40, 40))
+
+AD_M_PAIRS = {
+    "so5_so4": ("so", (5,), "so", (4,)),
+    "so5_u2": ("so", (5,), "u", (2,)),
+    "so41_so4": ("so", (4, 1), "so", (4,)),
+    "so5_t2": ("so", (5,), "torus", (2,)),
+}
+
+
+def draw_h_vector(data, emb):
+    """sum_a c_a h_a over sparse h-coordinates c (often not fat)."""
+    coords = data.draw(st.dictionaries(st.integers(0, emb.dim_h - 1), NONZERO,
+                                       max_size=emb.dim_h))
+    return vec_mat([coords.get(a, Q(0)) for a in range(emb.dim_h)],
+                   emb.h_basis)
+
+
+def ad_m_reference(g, emb, x):
+    """Dense ad_x on m: column j is the m part of split_coords([x, m_j])."""
+    cols = []
+    for mj in emb.m_basis:
+        ch, cm = emb.split_coords(g.bracket(x, mj))
+        assert not any(ch)
+        cols.append(cm)
+    return tuple(zip(*cols))
+
+
+def centralizer_reference(g, emb, x):
+    """(status, witness) from the kernel of the (dim g) x k bracket matrix."""
+    rows = g.ad_on(x, emb.m_basis)
+    if rank(rows) == emb.dim_m:
+        return FAT, None
+    return NOT_FAT, vec_mat(nullspace(rows)[0], emb.m_basis)
+
+
+@pytest.mark.parametrize("name", sorted(AD_M_PAIRS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ad_m_matches_dense_brackets(name, data):
+    g, emb = make_pair(*AD_M_PAIRS[name])
+    x = draw_h_vector(data, emb)
+    d = emb.ad_m(x)
+    assert d == ad_m_reference(g, emb, x)
+    assert len(d) == emb.dim_m and all(len(row) == emb.dim_m for row in d)
+
+
+@pytest.mark.parametrize("name", sorted(AD_M_PAIRS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_centralizer_and_bundle_isotropy_match_full_kernels(name, data):
+    g, emb = make_pair(*AD_M_PAIRS[name])
+    x = draw_h_vector(data, emb)
+    v = ft.fat_by_centralizer(emb, x)
+    assert (v.status, v.witness_vector) == centralizer_reference(g, emb, x)
+    inst = cp.bundle_instance(g, emb, x)
+    full = len(ft.isotropy_algebra(g, x)) == len(inst.v_basis)
+    assert inst.isotropy_in_h == full == (v.status == FAT)
+
+
+def test_empty_h_ad_m_and_centralizer():
+    g = la.so(3)
+    emb = la.reductive_split(g, [])
+    zero = vec([0] * g.dim)
+    assert emb.ad_m(zero) == mat([[0] * 3] * 3)
+    v = ft.fat_by_centralizer(emb, zero)
+    assert (v.status, v.witness_vector) == centralizer_reference(g, emb, zero)
+    assert v.status == NOT_FAT
+    with pytest.raises(DimensionMismatch):
+        emb.ad_m(unit_vec(g.dim, 0))
+
+
+def test_check_embedding_rejects_m_not_ad_h_invariant():
+    # h = the (0, 1) rotation in so(4) is closed, but m = (e_1 + e_0, e_2,
+    # ..., e_5) is not ad_h-invariant: [h, e_3] is e_1 up to sign.
+    g = la.so(4)
+    h = [unit_vec(g.dim, 0)]
+    m = [vec([1, 1, 0, 0, 0, 0])] + [unit_vec(g.dim, j) for j in range(2, 6)]
+    for build in (la._check_embedding, lambda e: e.ad_m(h[0])):
+        emb = la.SubalgebraEmbedding(g, mat(h), mat(m), None, True, "skew")
+        with pytest.raises(ValueError, match=r"\[h, m\] leaves m"):
+            build(emb)

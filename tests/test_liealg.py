@@ -185,7 +185,7 @@ def test_covector_round_trip():
     rng = np.random.default_rng(8)
     for _ in range(10):
         x = vec(rng.integers(-9, 10, size=g.dim).tolist())
-        u = la.vector_to_covector(g, x)
+        u = g.covector(x)
         assert la.covector_to_vector(g, u) == x
     cov = la.Covector(g, unit_vec(g.dim, 0))
     assert cov(unit_vec(g.dim, 0)) == g.killing[0][0]

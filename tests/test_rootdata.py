@@ -103,6 +103,15 @@ def test_detect_rank_mismatch_raises():
         rd.detect_subsystem(g, emb, rd.root_system_for(g))
 
 
+def test_detect_torus_outside_h_raises():
+    g = la.so(5)
+    emb = la.so_block_embedding(g, 4)
+    skew = la.reductive_split(g, emb.h_basis, torus_basis=emb.m_basis[:2],
+                              check=False)
+    with pytest.raises(TorusMismatch):
+        rd.detect_subsystem(g, skew, rd.root_system_for(g))
+
+
 def test_fat_by_roots_examples():
     _, _, sub = detect("so", (5,), "so", (4,))
     assert rd.fat_by_roots((1, 1), sub).status == FAT
