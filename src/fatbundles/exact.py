@@ -291,40 +291,26 @@ class CoordinateSolver:
 
     def __init__(self, rows):
         self.rows: Mat = mat(rows)
-        if not self.rows:
-            self.ncols = 0
-            self.pivots: list[int] = []
-            self._inv: Mat = ()
-            self._sparse_rows: list[dict[int, Fraction]] = []
-            return
-        self.ncols = len(self.rows[0])
         _, pivots = rref(self.rows)
         if len(pivots) != len(self.rows):
             raise ValueError("spanning set is linearly dependent")
-        self.pivots = pivots
         pivot_block = tuple(tuple(row[p] for p in pivots) for row in self.rows)
-        self._inv = inverse(pivot_block)
+        # Nonzero (j, x) of each inverse pivot-block row, keyed by pivot.
+        self._inv_rows: dict[int, list[tuple[int, Fraction]]] = {
+            p: [(j, x) for j, x in enumerate(row) if x]
+            for p, row in zip(pivots, inverse(pivot_block))}
         self._sparse_rows = [
             {j: x for j, x in enumerate(row) if x} for row in self.rows
         ]
 
     def coords(self, v) -> Vec | None:
         """Coordinates of a dense vector or a sparse {index: value} dict."""
-        if isinstance(v, dict):
-            getter = lambda i: v.get(i, ZERO)
-            support = set(v)
-        else:
-            getter = lambda i: frac(v[i])
-            support = {i for i, x in enumerate(v) if x}
-        k = len(self.rows)
-        c = [ZERO] * k
-        for r, p in enumerate(self.pivots):
-            vp = getter(p)
-            if vp:
-                inv_row = self._inv[r]
-                for j in range(k):
-                    if inv_row[j]:
-                        c[j] += vp * inv_row[j]
+        if not isinstance(v, dict):
+            v = {i: frac(x) for i, x in enumerate(v) if x}
+        c = [ZERO] * len(self.rows)
+        for p, vp in v.items():
+            for j, x in self._inv_rows.get(p, ()):
+                c[j] += vp * x
         # Verify membership in the span (sparse accumulation).
         recon: dict[int, Fraction] = {}
         for j, cj in enumerate(c):
@@ -332,10 +318,10 @@ class CoordinateSolver:
                 for idx, val in self._sparse_rows[j].items():
                     recon[idx] = recon.get(idx, ZERO) + cj * val
         recon = {i: x for i, x in recon.items() if x}
-        if set(recon) != support:
+        if recon.keys() != v.keys():
             return None
         for i, x in recon.items():
-            if getter(i) != x:
+            if v[i] != x:
                 return None
         return tuple(c)
 

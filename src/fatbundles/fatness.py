@@ -24,11 +24,9 @@ from .exact import (
     ZERO,
     Mat,
     Vec,
-    dot,
+    _bareiss,
     identity,
-    mat,
     nullspace,
-    rank,
     vec,
     vec_mat,
 )
@@ -50,20 +48,28 @@ def canonical_curvature(emb: SubalgebraEmbedding, x, y) -> Vec:
     return tuple(-c / 2 for c in xh)
 
 
-def _pair_functionals(emb: SubalgebraEmbedding) -> list[list[Vec]]:
-    """Cached vectors u_ij = K [m_i, m_j], so that the fatness Gram is
-    G_ij(X) = X . u_ij."""
-    key = "pair_functionals"
-    if key not in emb._cache:
-        g = emb.ambient
-        k = emb.dim_m
-        table: list[list[Vec]] = [[None] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                w = g.bracket(emb.m_basis[i], emb.m_basis[j])
-                table[i][j] = g.covector(w)
-        emb._cache[key] = table
-    return emb._cache[key]
+def _gram_entries(emb: SubalgebraEmbedding) -> list[list[tuple]]:
+    """Per h_a, the nonzero entries (i, j, B(h_a, [m_i, m_j])) of G_a, paired
+    through the Killing covectors u_ij = K [m_i, m_j]."""
+    g = emb.ambient
+    m = emb.m_basis
+    h_cols = [[] for _ in range(g.dim)]  # (a, (h_a)_l) for each index l
+    for a, ha in enumerate(emb.h_basis):
+        for l, v in enumerate(ha):
+            if v:
+                h_cols[l].append((a, v))
+    table = [[] for _ in emb.h_basis]
+    for i in range(len(m)):
+        for j in range(i + 1, len(m)):
+            s: dict[int, Fraction] = {}
+            for l, v in enumerate(g.covector(g.bracket(m[i], m[j]))):
+                if v:
+                    for a, hl in h_cols[l]:
+                        s[a] = s.get(a, ZERO) + v * hl
+            for a, x in s.items():
+                if x:
+                    table[a] += [(i, j, x), (j, i, -x)]
+    return table
 
 
 def fatness_gram(emb: SubalgebraEmbedding, x_u) -> Mat:
@@ -71,21 +77,10 @@ def fatness_gram(emb: SubalgebraEmbedding, x_u) -> Mat:
 
     X_u must lie in h; then B(X_u, [X, Y]_h) = B(X_u, [X, Y]) by
     Killing-orthogonality of h and m, so this Gram carries the full
-    curvature pairing.
+    curvature pairing.  It is sum_a c_a G_a over the h-coordinates c of X_u.
     """
-    g = emb.ambient
-    x_u = g.check_vector(x_u)
-    if emb.h_coords(x_u) is None:
-        raise DimensionMismatch("X_u must lie in h")
-    table = _pair_functionals(emb)
-    k = emb.dim_m
-    rows = [[ZERO] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            s = dot(x_u, table[i][j])
-            rows[i][j] = s
-            rows[j][i] = -s
-    return mat(rows)
+    gram, den = emb.h_linear(_gram_entries, x_u)
+    return tuple(tuple(Fraction(v, den) for v in row) for row in gram)
 
 
 def _gram_svd(gram_float: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -105,8 +100,9 @@ def fat_by_oracle(emb: SubalgebraEmbedding, x_u, tol: float = 1e-9) -> Verdict:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    gram = fatness_gram(emb, x_u)
-    gf = np.array([[float(x) for x in row] for row in gram])
+    gram, den = emb.h_linear(_gram_entries, x_u)
+    # int / int is correctly rounded: each entry is float() of its Fraction.
+    gf = np.array([[v / den for v in row] for row in gram])
     smin, smax, null = _gram_svd(gf)
     if emb.dim_m == 0:
         return Verdict(FAT, min_singular_value=smin, max_singular_value=smax,
@@ -129,10 +125,10 @@ def isotropy_algebra(g: LieAlgebra, x_u) -> tuple[Vec, ...]:
 def fat_by_centralizer(emb: SubalgebraEmbedding, x_u) -> Verdict:
     """Fat iff ad_{X_u}|_m has no kernel (X_u in h, else DimensionMismatch),
     i.e. the isotropy algebra of the covector stays inside h."""
-    rows = emb.ad_m(x_u)
+    rows, _ = emb.ad_m_ints(x_u)
     if not emb.m_basis:
         return Verdict(FAT, note="trivial horizontal space")
-    if rank(rows) == emb.dim_m:
+    if _bareiss(rows)[0] == emb.dim_m:
         return Verdict(FAT)
     coeffs = nullspace(rows)[0]
     return Verdict(NOT_FAT, witness_vector=vec_mat(coeffs, emb.m_basis))

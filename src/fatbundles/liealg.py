@@ -23,6 +23,7 @@ from .exact import (
     CoordinateSolver,
     Mat,
     Vec,
+    _clear_denominators,
     dot,
     frac,
     gram,
@@ -162,7 +163,8 @@ class LieAlgebra:
     # -- basic operations ------------------------------------------------
 
     def check_vector(self, x) -> Vec:
-        x = vec(x)
+        if type(x) is not tuple or not all(type(a) is Fraction for a in x):
+            x = vec(x)
         if len(x) != self.dim:
             raise DimensionMismatch(
                 f"expected coordinate vector of length {self.dim}, got {len(x)}")
@@ -469,31 +471,61 @@ class SubalgebraEmbedding:
         ch, _ = self.split_coords(x)
         return all(c == 0 for c in ch)
 
-    def _ad_table(self) -> list[tuple[int, int, int, Fraction]]:
-        """Entries (a, i, j, v != 0) of the tables D_a = ad_{h_a}|_m, built
-        once; raises ValueError when some [h_a, m_j] leaves m."""
-        if "ad_m" not in self._cache:
-            table = []
-            for a, ha in enumerate(self.h_basis):
-                for j, mj in enumerate(self.m_basis):
-                    ch, cm = self.split_coords(self.ambient.bracket(ha, mj))
-                    if any(ch):
-                        raise ValueError(f"{self.name}: [h, m] leaves m")
-                    table += [(a, i, j, v) for i, v in enumerate(cm) if v]
-            self._cache["ad_m"] = table
-        return self._cache["ad_m"]
+    def h_linear(self, build, x) -> tuple[list[list[int]], int]:
+        """(M, den) with M / den = sum_a c_a T_a over the h-coordinates c of
+        x (else DimensionMismatch): M is a k x k integer matrix formed from
+        the nonzero c_a only.  ``build(emb)`` lists, per h_a, the nonzero
+        entries (i, j, v) of T_a; they are kept, keyed by ``build``, as
+        integers over one common denominator.  So is the last coerced x, so
+        that the criteria run on one X_u share one solve."""
+        x = self.ambient.check_vector(x)
+        last = self._cache.get("h_ints")
+        if last is None or last[0] is not x:
+            c = self.h_coords(x)
+            if c is None:
+                raise DimensionMismatch("vector is not in h")
+            support = [a for a, v in enumerate(c) if v]
+            last = self._cache["h_ints"] = (
+                x, support, *_clear_denominators([c[a] for a in support]))
+        _, support, ints, den = last
+        if build not in self._cache:
+            rows = build(self)
+            flat, flat_den = _clear_denominators(
+                [v for row in rows for *_, v in row])
+            it = iter(flat)
+            self._cache[build] = (
+                [[(i, j, next(it)) for i, j, _ in row] for row in rows],
+                flat_den)
+        table, table_den = self._cache[build]
+        out = [[0] * self.dim_m for _ in range(self.dim_m)]
+        for a, ca in zip(support, ints):
+            for i, j, v in table[a]:
+                out[i][j] += ca * v
+        return out, den * table_den
+
+    def _ad_entries(self) -> list[list[tuple[int, int, Fraction]]]:
+        """Per h_a, the nonzero entries (i, j, v) of D_a = ad_{h_a}|_m;
+        raises ValueError when some [h_a, m_j] leaves m."""
+        table = []
+        for ha in self.h_basis:
+            row = []
+            for j, mj in enumerate(self.m_basis):
+                ch, cm = self.split_coords(self.ambient.bracket(ha, mj))
+                if any(ch):
+                    raise ValueError(f"{self.name}: [h, m] leaves m")
+                row += [(i, j, v) for i, v in enumerate(cm) if v]
+            table.append(row)
+        return table
+
+    def ad_m_ints(self, x) -> tuple[list[list[int]], int]:
+        """ad_x on m for x in h (else DimensionMismatch) as (M, den), M / den
+        in m-coordinates: column j holds those of [x, m_j]."""
+        return self.h_linear(SubalgebraEmbedding._ad_entries, x)
 
     def ad_m(self, x) -> Mat:
-        """ad_x on m for x in h (else DimensionMismatch): column j holds the
-        m-coordinates of [x, m_j], formed as sum_a c_a D_a, c = h_coords(x)."""
-        c = self.h_coords(x)
-        if c is None:
-            raise DimensionMismatch("vector is not in h")
-        out = [[ZERO] * self.dim_m for _ in range(self.dim_m)]
-        for a, i, j, v in self._ad_table():
-            if c[a]:
-                out[i][j] += c[a] * v
-        return tuple(map(tuple, out))
+        """``ad_m_ints`` as exact rationals."""
+        rows, den = self.ad_m_ints(x)
+        return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
 
     def torus_coords(self, x) -> Vec | None:
         """Coordinates of x in the torus basis, or None if x is not in t."""
@@ -548,7 +580,7 @@ def _check_embedding(emb: SubalgebraEmbedding) -> None:
         for hj in emb.h_basis[i + 1:]:
             if emb.h_coords(g.bracket(hi, hj)) is None:
                 raise ValueError(f"{emb.name}: h is not closed under brackets")
-    emb._ad_table()  # raises when [h, m] leaves m
+    emb.ad_m_ints(zero_vec(g.dim))  # builds D_a; raises when [h, m] leaves m
     # B(h, m) = 0.
     kh = [g.covector(hi) for hi in emb.h_basis]
     if any(any(row) for row in gram(kh, emb.m_basis)):

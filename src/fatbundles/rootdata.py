@@ -153,8 +153,8 @@ def subsystem_from_members(parent: RootSystem, members) -> SubSystem:
 
 
 def root_eval(root, x) -> Fraction:
-    """alpha(x), exactly."""
-    return sum((frac(a) * frac(b) for a, b in zip(root, x)), ZERO)
+    """alpha(x), exactly, over the nonzero integer entries of alpha."""
+    return sum((frac(b) * a for a, b in zip(root, x) if a), ZERO)
 
 
 def _canonical_pairs(roots) -> list[Root]:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as Q
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -354,3 +355,76 @@ def test_check_embedding_rejects_m_not_ad_h_invariant():
         emb = la.SubalgebraEmbedding(g, mat(h), mat(m), None, True, "skew")
         with pytest.raises(ValueError, match=r"\[h, m\] leaves m"):
             build(emb)
+
+
+# -- the integer Gram and ad_m tables ----------------------------------------
+
+TABLE_PAIRS = {
+    "so5_so4": ("so", (5,), "so", (4,)),
+    "so5_u2": ("so", (5,), "u", (2,)),
+    "so41_so4": ("so", (4, 1), "so", (4,)),
+    "so7_so6": ("so", (7,), "so", (6,)),
+}
+
+
+def gram_reference(g, emb, x):
+    """Dense Fraction Gram: G_ij = x . K [m_i, m_j], G_ji = -G_ij."""
+    assert emb.h_coords(x) is not None
+    k = emb.dim_m
+    rows = [[Q(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            u = g.covector(g.bracket(emb.m_basis[i], emb.m_basis[j]))
+            rows[i][j] = sum((a * b for a, b in zip(x, u)), Q(0))
+            rows[j][i] = -rows[i][j]
+    return mat(rows)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_PAIRS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_tables_match_dense_fraction_references(name, data):
+    g, emb = make_pair(*TABLE_PAIRS[name])
+    if data.draw(st.booleans()):
+        x = draw_h_vector(data, emb)
+    else:
+        x = emb.torus_vector(data.draw(st.lists(
+            NONZERO | st.just(Q(0)), min_size=len(emb.torus_basis),
+            max_size=len(emb.torus_basis))))
+    ref = gram_reference(g, emb, x)
+    assert ft.fatness_gram(emb, x) == ref
+    assert emb.ad_m(x) == ad_m_reference(g, emb, x)
+    rows, den = emb.ad_m_ints(x)
+    assert all(type(v) is int for row in rows for v in row) and den > 0
+    # The oracle's float Gram is float() of each exact entry, so its SVD
+    # and verdict are those of the Fraction Gram.
+    with mock.patch.object(ft, "_gram_svd", wraps=ft._gram_svd) as svd:
+        verdict = ft.fat_by_oracle(emb, x)
+    ref_float = [[float(v) for v in row] for row in ref]
+    assert svd.call_args.args[0].tolist() == ref_float
+    smin, smax, null = ft._gram_svd(np.array(ref_float))
+    assert (verdict.min_singular_value, verdict.max_singular_value) == (smin,
+                                                                        smax)
+    if verdict.null_vector is not None:
+        assert verdict.null_vector == tuple(null)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_PAIRS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_coords_reject_vectors_outside_the_span(name, data):
+    g, emb = make_pair(*TABLE_PAIRS[name])
+    x = draw_h_vector(data, emb)
+    c = emb.h_coords(x)
+    assert vec_mat(c, emb.h_basis) == x
+    j = data.draw(st.integers(0, emb.dim_m - 1))
+    off = tuple(a + data.draw(NONZERO) * b
+                for a, b in zip(x, emb.m_basis[j]))
+    assert emb.h_coords(off) is None
+    sparse = {i: v for i, v in enumerate(off) if v}
+    assert emb._h_solver.coords(sparse) is None
+    assert emb._h_solver.coords({i: v for i, v in enumerate(x) if v}) == c
+    with pytest.raises(DimensionMismatch):
+        ft.fatness_gram(emb, off)
+    with pytest.raises(DimensionMismatch):
+        emb.ad_m(off)

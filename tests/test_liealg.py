@@ -400,3 +400,19 @@ def test_empty_subalgebra_membership_is_exact():
     assert emb.h_coords((Q(1, 10**12), 0, 0)) is None
     xh, xm = emb.project((1, 2, 3))
     assert xh == (0, 0, 0) and xm == (1, 2, 3)
+
+
+def test_check_vector_keeps_fraction_tuples_and_coerces_the_rest():
+    g = la.so(3)
+    x = (Q(1, 2), Q(0), Q(-3))
+    assert g.check_vector(x) is x
+    for raw in ([Q(1, 2), 0, -3], (0.5, 0, -3), ("1/2", "0", "-3"),
+                (Q(1, 2), 0, -3)):
+        got = g.check_vector(raw)
+        assert type(got) is tuple and got == x
+        assert all(type(v) is Q for v in got)
+    for bad in ((Q(1),) * 2, [Q(1)] * 4, ()):
+        with pytest.raises(DimensionMismatch):
+            g.check_vector(bad)
+    with pytest.raises(ValueError):
+        g.check_vector(("x", 0, 0))
