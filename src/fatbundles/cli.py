@@ -71,11 +71,14 @@ def _cert_path(out: str, iid) -> str:
         raise SystemExit2(str(exc))
 
 
-def _positive_float(text: str) -> float:
-    x = float(text)
-    if not x > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return x
+def _positive(kind):
+    """An argparse type: ``kind(text)``, rejected unless it is > 0."""
+    def positive(text: str):
+        x = kind(text)
+        if not x > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return x
+    return positive
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -105,7 +108,6 @@ def cmd_run(args) -> int:
     except OSError as exc:
         raise SystemExit2(f"cannot create output directory {args.out}: "
                           f"{exc.strerror}")
-    jobs = args.jobs or os.cpu_count() or 1
 
     def worker(spec: InstanceSpec):
         start = time.perf_counter()
@@ -114,8 +116,8 @@ def cmd_run(args) -> int:
         return spec.id, ok, payload, time.perf_counter() - start
 
     run_start = time.perf_counter()
-    if jobs > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1 and len(specs) > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(worker, specs))
     else:
         results = [worker(s) for s in specs]
@@ -265,12 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="catalog JSON file or a builtin catalog name")
     p_run.add_argument("--out", default="certs",
                        help="output directory for certificates")
-    p_run.add_argument("--tol", type=_positive_float, default=None,
+    p_run.add_argument("--tol", type=_positive(float), default=None,
                        help="override the relative singular value tolerance")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override every instance seed")
-    p_run.add_argument("--jobs", type=int, default=None,
-                       help="parallel instances (default: cpu count)")
+    p_run.add_argument("--jobs", type=_positive(int), default=1,
+                       help="instances run at once, in threads (default: 1)")
     p_run.set_defaults(func=cmd_run)
     p_explain = sub.add_parser("explain", help="human-readable report")
     p_explain.add_argument("id", help="instance id")

@@ -46,9 +46,29 @@ def identity(n: int) -> Mat:
     return tuple(unit_vec(n, i) for i in range(n))
 
 
+def sparse_vec(x) -> dict[int, Fraction]:
+    """The nonzero entries {index: value} of a vector."""
+    return {i: frac(a) for i, a in enumerate(x) if a}
+
+
+def dense_vec(x: dict, n: int) -> Vec:
+    """The length-n vector holding the entries of a sparse {index: value}."""
+    out = [ZERO] * n
+    for i, a in x.items():
+        out[i] = a
+    return tuple(out)
+
+
 def dot(x, y) -> Fraction:
     """Sum of x_i * y_i over the terms where both factors are nonzero."""
     return sum((a * b for a, b in zip(x, y) if a and b), ZERO)
+
+
+def sparse_dot(x: dict, y: dict) -> Fraction:
+    """dot() of two sparse {index: value} vectors, over the smaller one."""
+    if len(y) < len(x):
+        x, y = y, x
+    return sum((a * y[i] for i, a in x.items() if i in y), ZERO)
 
 
 def vec_mat(x, a) -> Vec:
@@ -83,10 +103,6 @@ def transpose(a) -> Mat:
 
 def sub_vec(x, y) -> Vec:
     return tuple(a - b for a, b in zip(x, y))
-
-
-def is_zero_vec(x) -> bool:
-    return all(a == 0 for a in x)
 
 
 def primitive(x) -> Vec:
@@ -284,9 +300,9 @@ class CoordinateSolver:
 
     Rows are the spanning vectors; ``coords(v)`` returns c with
     sum_i c_i rows_i == v, exactly, or None when v is outside the span.
-    The pivot submatrix is inverted once so repeated solves are cheap,
-    and sparse inputs (index -> value dicts) are handled without touching
-    the zero entries.
+    The pivot submatrix is inverted once so repeated solves are cheap, and
+    ``sparse_coords`` works on {index: value} dicts without touching the
+    zero entries.
     """
 
     def __init__(self, rows):
@@ -299,31 +315,25 @@ class CoordinateSolver:
         self._inv_rows: dict[int, list[tuple[int, Fraction]]] = {
             p: [(j, x) for j, x in enumerate(row) if x]
             for p, row in zip(pivots, inverse(pivot_block))}
-        self._sparse_rows = [
-            {j: x for j, x in enumerate(row) if x} for row in self.rows
-        ]
+        self.sparse_rows = [sparse_vec(row) for row in self.rows]
+
+    def sparse_coords(self, v: dict) -> dict | None:
+        """Nonzero coordinates {j: c_j} of a sparse {index: value} vector,
+        or None when it is outside the span."""
+        # A new key takes its first term as is, with no Fraction sum.
+        c: dict[int, Fraction] = {}
+        for p, vp in v.items():
+            for j, x in self._inv_rows.get(p, ()):
+                c[j] = c[j] + vp * x if j in c else vp * x
+        c = {j: cj for j, cj in c.items() if cj}
+        # Verify membership in the span.
+        recon: dict[int, Fraction] = {}
+        for j, cj in c.items():
+            for i, x in self.sparse_rows[j].items():
+                recon[i] = recon[i] + cj * x if i in recon else cj * x
+        return c if {i: x for i, x in recon.items() if x} == v else None
 
     def coords(self, v) -> Vec | None:
         """Coordinates of a dense vector or a sparse {index: value} dict."""
-        if not isinstance(v, dict):
-            v = {i: frac(x) for i, x in enumerate(v) if x}
-        c = [ZERO] * len(self.rows)
-        for p, vp in v.items():
-            for j, x in self._inv_rows.get(p, ()):
-                c[j] += vp * x
-        # Verify membership in the span (sparse accumulation).
-        recon: dict[int, Fraction] = {}
-        for j, cj in enumerate(c):
-            if cj:
-                for idx, val in self._sparse_rows[j].items():
-                    recon[idx] = recon.get(idx, ZERO) + cj * val
-        recon = {i: x for i, x in recon.items() if x}
-        if recon.keys() != v.keys():
-            return None
-        for i, x in recon.items():
-            if v[i] != x:
-                return None
-        return tuple(c)
-
-    def contains(self, v) -> bool:
-        return self.coords(v) is not None
+        c = self.sparse_coords(v if isinstance(v, dict) else sparse_vec(v))
+        return None if c is None else dense_vec(c, len(self.rows))

@@ -52,20 +52,18 @@ def _gram_entries(emb: SubalgebraEmbedding) -> list[list[tuple]]:
     """Per h_a, the nonzero entries (i, j, B(h_a, [m_i, m_j])) of G_a, paired
     through the Killing covectors u_ij = K [m_i, m_j]."""
     g = emb.ambient
-    m = emb.m_basis
+    m = emb.m_sparse
     h_cols = [[] for _ in range(g.dim)]  # (a, (h_a)_l) for each index l
-    for a, ha in enumerate(emb.h_basis):
-        for l, v in enumerate(ha):
-            if v:
-                h_cols[l].append((a, v))
+    for a, ha in enumerate(emb.h_sparse):
+        for l, v in ha.items():
+            h_cols[l].append((a, v))
     table = [[] for _ in emb.h_basis]
     for i in range(len(m)):
         for j in range(i + 1, len(m)):
             s: dict[int, Fraction] = {}
-            for l, v in enumerate(g.covector(g.bracket(m[i], m[j]))):
-                if v:
-                    for a, hl in h_cols[l]:
-                        s[a] = s.get(a, ZERO) + v * hl
+            for l, v in g.sparse_covector(g.sparse_bracket(m[i], m[j])).items():
+                for a, hl in h_cols[l]:
+                    s[a] = s.get(a, ZERO) + v * hl
             for a, x in s.items():
                 if x:
                     table[a] += [(i, j, x), (j, i, -x)]

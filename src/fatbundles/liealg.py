@@ -24,16 +24,16 @@ from .exact import (
     Mat,
     Vec,
     _clear_denominators,
+    dense_vec,
     dot,
-    frac,
-    gram,
     identity,
     inertia,
     mat,
     nullspace,
     primitive,
-    rank,
     solve,
+    sparse_dot,
+    sparse_vec,
     sub_vec,
     transpose,
     vec,
@@ -41,51 +41,22 @@ from .exact import (
     zero_vec,
 )
 
-# Sparse n x n matrix: {(row, col): value}.
-SparseMat = dict[tuple[int, int], Fraction]
-
-
-def _sparse(m) -> SparseMat:
-    return {(r, c): frac(x)
-            for r, row in enumerate(m) for c, x in enumerate(row) if x}
-
-
-def _dense(sp: SparseMat, n: int) -> Mat:
-    rows = [[ZERO] * n for _ in range(n)]
-    for (r, c), x in sp.items():
-        rows[r][c] = x
-    return mat(rows)
-
-
-def _sparse_mul(a: SparseMat, b: SparseMat) -> SparseMat:
-    by_row: dict[int, list[tuple[int, Fraction]]] = {}
-    for (r, c), x in b.items():
-        by_row.setdefault(r, []).append((c, x))
-    out: SparseMat = {}
-    for (r, c), x in a.items():
-        for c2, y in by_row.get(c, ()):
-            key = (r, c2)
-            s = out.get(key, ZERO) + x * y
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _sparse_comm(a: SparseMat, b: SparseMat) -> SparseMat:
-    out = _sparse_mul(a, b)
-    for key, x in _sparse_mul(b, a).items():
-        s = out.get(key, ZERO) - x
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
-def _flatten(sp: SparseMat, n: int) -> dict[int, Fraction]:
-    return {r * n + c: x for (r, c), x in sp.items()}
+def _commutator(a: dict, b: dict, n: int) -> dict[int, Fraction]:
+    """ab - ba for n x n matrices held as {r * n + c: value}, nonzero
+    entries only: a_rc and b_st meet in (ab)_rt when c == s and in (ba)_sc
+    when t == r."""
+    out: dict[int, Fraction] = {}
+    for ka, u in a.items():
+        r, c = divmod(ka, n)
+        for kb, v in b.items():
+            s, t = divmod(kb, n)
+            if c == s:
+                p, k = u * v, r * n + t
+                out[k] = out[k] + p if k in out else p
+            if t == r:
+                p, k = u * v, s * n + c
+                out[k] = out[k] - p if k in out else -p
+    return {k: x for k, x in out.items() if x}
 
 
 class LieAlgebra:
@@ -106,7 +77,6 @@ class LieAlgebra:
         self.dim = len(self.basis)
         self.family = family
         self.params = params
-        self._sparse_basis = [_sparse(b) for b in self.basis]
         flat_rows = [
             [b[r][c] for r in range(self.n) for c in range(self.n)]
             for b in self.basis
@@ -120,44 +90,45 @@ class LieAlgebra:
             ad_of[j][i] = {k: -v for k, v in ck.items()}
         self._ad_of = ad_of
         self.killing: Mat = self._killing_gram()
-        # Nonzero (j, K_ij) entries of each Killing row, for covector().
+        # Nonzero (j, K_ij) entries of each Killing row, for sparse_covector().
         self._killing_rows = [[(j, v) for j, v in enumerate(row) if v]
                               for row in self.killing]
-        self.semisimple = rank(self.killing) == self.dim
+        # A symmetric matrix has full rank iff its inertia has no zeros.
+        self.semisimple = inertia(self.killing)[2] == 0
 
     # -- construction helpers -------------------------------------------
 
     def _structure_exact(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        flat = self._flat_solver.sparse_rows
         structure = {}
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                comm = _sparse_comm(self._sparse_basis[i], self._sparse_basis[j])
-                coords = self._flat_solver.coords(_flatten(comm, self.n))
-                if coords is None:
+                comm = _commutator(flat[i], flat[j], self.n)
+                if not comm:
+                    continue
+                ck = self._flat_solver.sparse_coords(comm)
+                if ck is None:
                     raise ValueError(
                         f"{self.name}: basis does not close under the "
                         f"commutator (elements {i}, {j})")
-                ck = {k: x for k, x in enumerate(coords) if x}
-                if ck:
-                    structure[(i, j)] = ck
+                structure[(i, j)] = ck
         return structure
 
     def _killing_gram(self) -> Mat:
-        d = self.dim
-        rows = [[ZERO] * d for _ in range(d)]
-        for a in range(d):
-            for b in range(a, d):
-                s = ZERO
-                for j, ck in self._ad_of[a].items():
-                    row_b = self._ad_of[b]
-                    for k, v1 in ck.items():
-                        v2 = row_b.get(k)
-                        if v2:
-                            w = v2.get(j)
-                            if w:
-                                s += v1 * w
-                rows[a][b] = s
-                rows[b][a] = s
+        """K_ab = Tr(ad_a ad_b), summed over the entries (ad_a)_kj that meet
+        an entry (ad_b)_jk."""
+        # (row, col, value) of the nonzero entries of each ad_a.
+        entries = [[(k, j, v) for j, ck in row.items() for k, v in ck.items()]
+                   for row in self._ad_of]
+        by_entry: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+        for b, ent in enumerate(entries):
+            for k, j, v in ent:
+                by_entry.setdefault((k, j), []).append((b, v))
+        rows = [[ZERO] * self.dim for _ in range(self.dim)]
+        for a, ent in enumerate(entries):
+            for k, j, v in ent:
+                for b, w in by_entry.get((j, k), ()):
+                    rows[a][b] += v * w
         return mat(rows)
 
     # -- basic operations ------------------------------------------------
@@ -170,22 +141,25 @@ class LieAlgebra:
                 f"expected coordinate vector of length {self.dim}, got {len(x)}")
         return x
 
-    def bracket(self, x, y) -> Vec:
-        """[x, y] in coordinates, via the structure constants."""
-        x = self.check_vector(x)
-        y = self.check_vector(y)
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
+    def sparse_bracket(self, x: dict, y: dict) -> dict:
+        """[x, y] of sparse {index: value} vectors, via the structure
+        constants; only the nonzero entries are kept."""
+        out: dict[int, Fraction] = {}
+        for i, xi in x.items():
             row = self._ad_of[i]
-            for j, ck in row.items():
-                yj = y[j]
-                if yj:
+            for j, yj in y.items():
+                ck = row.get(j)
+                if ck:
                     f = xi * yj
                     for k, v in ck.items():
-                        out[k] += f * v
-        return tuple(out)
+                        out[k] = out[k] + f * v if k in out else f * v
+        return {k: v for k, v in out.items() if v}
+
+    def bracket(self, x, y) -> Vec:
+        """[x, y] in coordinates, via the structure constants."""
+        x = sparse_vec(self.check_vector(x))
+        y = sparse_vec(self.check_vector(y))
+        return dense_vec(self.sparse_bracket(x, y), self.dim)
 
     def ad_on(self, x, rows) -> Mat:
         """Matrix of ad_x on the span of ``rows``: column j is [x, rows_j]."""
@@ -195,11 +169,19 @@ class LieAlgebra:
         """Basis of the elements of span(rows) that commute with x."""
         return tuple(vec_mat(c, rows) for c in nullspace(self.ad_on(x, rows)))
 
+    def sparse_covector(self, x: dict) -> dict:
+        """K x for a sparse {index: value} x, nonzero entries only; K is
+        symmetric, so row j of K holds the terms of x_j."""
+        out: dict[int, Fraction] = {}
+        for j, xj in x.items():
+            for i, v in self._killing_rows[j]:
+                out[i] = out[i] + v * xj if i in out else v * xj
+        return {i: v for i, v in out.items() if v}
+
     def covector(self, x) -> Vec:
         """K x: the coordinates of B(x, .) in the dual basis."""
-        x = self.check_vector(x)
-        return tuple(sum((v * x[j] for j, v in row if x[j]), ZERO)
-                     for row in self._killing_rows)
+        x = sparse_vec(self.check_vector(x))
+        return dense_vec(self.sparse_covector(x), self.dim)
 
     def orthocomplement(self, covectors) -> Mat:
         """Common kernel of the given covectors (all of g when none)."""
@@ -248,17 +230,12 @@ class LieAlgebra:
 
     def realize(self, x) -> Mat:
         """The matrix sum_i x_i b_i."""
-        x = self.check_vector(x)
-        acc: SparseMat = {}
-        for xi, sp in zip(x, self._sparse_basis):
-            if xi:
-                for key, v in sp.items():
-                    acc[key] = acc.get(key, ZERO) + xi * v
-        return _dense(acc, self.n)
+        flat = vec_mat(self.check_vector(x), self._flat_solver.rows)
+        return tuple(flat[r * self.n:(r + 1) * self.n] for r in range(self.n))
 
     def coords_of_matrix(self, m) -> Vec | None:
         """Coordinates of an n x n matrix in the basis, or None."""
-        return self._flat_solver.coords(_flatten(_sparse(m), self.n))
+        return self._flat_solver.coords([x for row in m for x in row])
 
     def __repr__(self):
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
@@ -446,6 +423,9 @@ class SubalgebraEmbedding:
         self.dim_m = len(m_basis)
         self._full_solver = CoordinateSolver(list(h_basis) + list(m_basis))
         self._h_solver = CoordinateSolver(h_basis)
+        # The nonzero {index: value} entries of the h and m rows.
+        self.h_sparse = self._h_solver.sparse_rows
+        self.m_sparse = self._full_solver.sparse_rows[self.dim_h:]
         self._torus_solver = None
         self._cache: dict = {}
 
@@ -481,12 +461,11 @@ class SubalgebraEmbedding:
         x = self.ambient.check_vector(x)
         last = self._cache.get("h_ints")
         if last is None or last[0] is not x:
-            c = self.h_coords(x)
+            c = self._h_solver.sparse_coords(sparse_vec(x))
             if c is None:
                 raise DimensionMismatch("vector is not in h")
-            support = [a for a, v in enumerate(c) if v]
             last = self._cache["h_ints"] = (
-                x, support, *_clear_denominators([c[a] for a in support]))
+                x, list(c), *_clear_denominators(c.values()))
         _, support, ints, den = last
         if build not in self._cache:
             rows = build(self)
@@ -507,13 +486,16 @@ class SubalgebraEmbedding:
         """Per h_a, the nonzero entries (i, j, v) of D_a = ad_{h_a}|_m;
         raises ValueError when some [h_a, m_j] leaves m."""
         table = []
-        for ha in self.h_basis:
+        for ha in self.h_sparse:
             row = []
-            for j, mj in enumerate(self.m_basis):
-                ch, cm = self.split_coords(self.ambient.bracket(ha, mj))
-                if any(ch):
+            for j, mj in enumerate(self.m_sparse):
+                c = self._full_solver.sparse_coords(
+                    self.ambient.sparse_bracket(ha, mj))
+                if c is None:
+                    raise DimensionMismatch("vector is not in h + m")
+                if any(a < self.dim_h for a in c):
                     raise ValueError(f"{self.name}: [h, m] leaves m")
-                row += [(i, j, v) for i, v in enumerate(cm) if v]
+                row += [(a - self.dim_h, j, v) for a, v in c.items()]
             table.append(row)
         return table
 
@@ -559,14 +541,15 @@ def reductive_split(g: LieAlgebra, h_basis, *, torus_basis=None,
     h_rows = mat(h_basis)
     for row in h_rows:
         g.check_vector(row)
-    bh_rows = [g.covector(hi) for hi in h_rows]
-    gram_h = gram(h_rows, bh_rows)
-    if rank(gram_h) != len(h_rows):
+    h_sparse = [sparse_vec(hi) for hi in h_rows]
+    bh_sparse = [g.sparse_covector(hi) for hi in h_sparse]
+    _, neg, zero = inertia([[sparse_dot(hi, bh) for bh in bh_sparse]
+                            for hi in h_sparse])
+    if zero:
         raise DegenerateRestriction(
             f"Killing form of {g.name} is singular on the subalgebra")
-    m_rows = g.orthocomplement(bh_rows)
-    pos, neg, zero = inertia(gram_h)
-    compact = neg == len(h_rows) and pos == 0 and zero == 0
+    m_rows = g.orthocomplement([dense_vec(bh, g.dim) for bh in bh_sparse])
+    compact = neg == len(h_rows)
     emb = SubalgebraEmbedding(g, h_rows, m_rows, mat(torus_basis) if torus_basis else None,
                               compact, name=name)
     if check:
@@ -576,23 +559,25 @@ def reductive_split(g: LieAlgebra, h_basis, *, torus_basis=None,
 
 def _check_embedding(emb: SubalgebraEmbedding) -> None:
     g = emb.ambient
-    for i, hi in enumerate(emb.h_basis):
-        for hj in emb.h_basis[i + 1:]:
-            if emb.h_coords(g.bracket(hi, hj)) is None:
+    h_coords = emb._h_solver.sparse_coords
+    for i, hi in enumerate(emb.h_sparse):
+        for hj in emb.h_sparse[i + 1:]:
+            if h_coords(g.sparse_bracket(hi, hj)) is None:
                 raise ValueError(f"{emb.name}: h is not closed under brackets")
     emb.ad_m_ints(zero_vec(g.dim))  # builds D_a; raises when [h, m] leaves m
     # B(h, m) = 0.
-    kh = [g.covector(hi) for hi in emb.h_basis]
-    if any(any(row) for row in gram(kh, emb.m_basis)):
+    kh = [g.sparse_covector(hi) for hi in emb.h_sparse]
+    if any(sparse_dot(k, mj) for k in kh for mj in emb.m_sparse):
         raise ValueError(f"{emb.name}: B(h, m) != 0")
     # Torus, when provided: abelian and inside h.
     if emb.torus_basis is not None:
-        for ti in emb.torus_basis:
-            if emb.h_coords(ti) is None:
+        torus = [sparse_vec(g.check_vector(t)) for t in emb.torus_basis]
+        for ti in torus:
+            if h_coords(ti) is None:
                 raise ValueError(f"{emb.name}: torus is not contained in h")
-        for i, ti in enumerate(emb.torus_basis):
-            for tj in emb.torus_basis[i + 1:]:
-                if any(g.bracket(ti, tj)):
+        for i, ti in enumerate(torus):
+            for tj in torus[i + 1:]:
+                if g.sparse_bracket(ti, tj):
                     raise ValueError(f"{emb.name}: torus is not abelian")
 
 

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from fatbundles.cli import main
+from fatbundles.cli import build_parser, main
 from fatbundles.catalog import InstanceSpec, builtin_catalog, run_instance
 from fatbundles.serialize import dumps_canonical, parse_vec, vec_to_json
 
@@ -337,6 +337,20 @@ def test_tol_override_must_be_positive(tmp_path, tol):
                  "--tol", tol])
     assert exc.value.code == 2
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "1.5"])
+def test_jobs_must_be_a_positive_integer(tmp_path, jobs):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "paper_examples", "--out", str(tmp_path / "c"),
+                 "--jobs", jobs])
+    assert exc.value.code == 2
+    assert not (tmp_path / "c").exists()
+
+
+def test_jobs_defaults_to_one():
+    # Threads share the interpreter lock, so more than one costs time.
+    assert build_parser().parse_args(["run", "paper_examples"]).jobs == 1
 
 
 def test_out_naming_a_file_gives_exit_two(tmp_path, capsys):

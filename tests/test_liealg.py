@@ -17,7 +17,16 @@ from fatbundles.errors import (
     DimensionMismatch,
     NotCompact,
 )
-from fatbundles.exact import dot, gram, is_zero_vec, rank, unit_vec, vec
+from fatbundles.exact import (
+    dense_vec,
+    dot,
+    gram,
+    mat,
+    rank,
+    sparse_vec,
+    unit_vec,
+    vec,
+)
 
 
 def dense_covector(g, x):
@@ -66,7 +75,7 @@ def test_bracket_antisymmetry_and_self():
     for _ in range(10):
         x = vec(rng.integers(-5, 6, size=g.dim).tolist())
         y = vec(rng.integers(-5, 6, size=g.dim).tolist())
-        assert is_zero_vec(g.bracket(x, x))
+        assert not any(g.bracket(x, x))
         xy = g.bracket(x, y)
         yx = g.bracket(y, x)
         assert all(a == -b for a, b in zip(xy, yx))
@@ -202,7 +211,7 @@ def test_ad_kernel_and_killing_pairing_helpers():
     # Its centralizer is so(2) + so(3): dimension 1 + 3.
     cen = g.centralizer_in(x, rows)
     assert len(cen) == 4 == g.dim - rank(ad)
-    assert all(is_zero_vec(g.bracket(x, c)) for c in cen)
+    assert all(not any(g.bracket(x, c)) for c in cen)
     comp = g.orthocomplement([g.covector(c) for c in cen])
     assert len(comp) == g.dim - len(cen)
     assert all(g.killing_form(a, b) == 0 for a in cen for b in comp)
@@ -325,7 +334,7 @@ def test_maximal_torus_block_and_generic():
     assert len(found) == 2
     for t in found:
         assert emb_u.h_coords(t) is not None
-    assert is_zero_vec(g.bracket(found[0], found[1]))
+    assert not any(g.bracket(found[0], found[1]))
     # so(2) inside so(3): the torus is so(2) itself.
     g3 = la.so(3)
     emb2 = la.reductive_split(g3, [unit_vec(3, 0)])
@@ -368,28 +377,31 @@ def test_float_basis_algebra_is_exact():
     assert emb.dim_m == 2
 
 
-def test_float_basis_that_does_not_close_exactly_is_rejected():
-    # P so(3) P^-1 with P = 1 + t E_01.  With t = 1/10 the conjugate
-    # closes exactly; computed in floats with t = 0.1 the products are
-    # rounded, the entries read as binary rationals no longer span a
-    # subalgebra, and construction must fail instead of fitting constants.
-    def mul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
-                for i in range(3)]
+def matmul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
 
+
+def conjugated_so3(t):
+    """P so(3) P^-1 for P = 1 + t E_01, in the cyclic basis."""
     so3 = [[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
            [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
            [[0, -1, 0], [1, 0, 0], [0, 0, 0]]]
+    p = [[1, t, 0], [0, 1, 0], [0, 0, 1]]
+    p_inv = [[1, -t, 0], [0, 1, 0], [0, 0, 1]]
+    return [matmul(matmul(p, m), p_inv) for m in so3]
 
-    def conjugated(t):
-        p = [[1, t, 0], [0, 1, 0], [0, 0, 1]]
-        p_inv = [[1, -t, 0], [0, 1, 0], [0, 0, 1]]
-        return [mul(mul(p, m), p_inv) for m in so3]
 
-    g = la.matrix_algebra("so3-conj", conjugated(Q(1, 10)))
+def test_float_basis_that_does_not_close_exactly_is_rejected():
+    # With t = 1/10 the conjugate closes exactly; computed in floats with
+    # t = 0.1 the products are rounded, the entries read as binary
+    # rationals no longer span a subalgebra, and construction must fail
+    # instead of fitting constants.
+    g = la.matrix_algebra("so3-conj", conjugated_so3(Q(1, 10)))
     assert la.jacobi_residual(g) == 0
     with pytest.raises(ValueError, match="does not close"):
-        la.matrix_algebra("so3-conj-float", conjugated(0.1))
+        la.matrix_algebra("so3-conj-float", conjugated_so3(0.1))
 
 
 def test_empty_subalgebra_membership_is_exact():
@@ -416,3 +428,79 @@ def test_check_vector_keeps_fraction_tuples_and_coerces_the_rest():
             g.check_vector(bad)
     with pytest.raises(ValueError):
         g.check_vector(("x", 0, 0))
+
+
+# -- the pair build on supports -----------------------------------------------
+
+PAIR_BUILD_ALGEBRAS = {
+    "so5": lambda: la.so(5), "so41": lambda: la.so_pq(4, 1),
+    "su3": lambda: la.su(3), "u2": lambda: la.u_in_so(2),
+    "so3_conj": lambda: la.matrix_algebra("so3-conj", conjugated_so3(Q(1, 10)))}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_BUILD_ALGEBRAS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sparse_bracket_and_coords_match_matrices(name, data):
+    g = PAIR_BUILD_ALGEBRAS[name]()
+    x = data.draw(sparse_vectors(g.dim))
+    y = data.draw(sparse_vectors(g.dim))
+    mx, my = g.realize(x), g.realize(y)
+    commutator = [[a - b for a, b in zip(ra, rb)]
+                  for ra, rb in zip(matmul(mx, my), matmul(my, mx))]
+    assert g.realize(g.bracket(x, y)) == mat(commutator)
+    assert g.semisimple == (rank(g.killing) == g.dim)
+    # The flat solver behind coords_of_matrix: dense and sparse input agree,
+    # in the span and off it (a nonzero multiple of 1 is in none of these
+    # trace-free algebras).
+    solver = g._flat_solver
+    shift = data.draw(NONZERO)
+    for flat, coords in (
+            ([v for row in mx for v in row], x),
+            ([v + shift if i % (g.n + 1) == 0 else v
+              for i, v in enumerate(v for row in mx for v in row)], None)):
+        assert solver.coords(flat) == coords
+        sparse = solver.sparse_coords(sparse_vec(flat))
+        assert sparse is None if coords is None else (
+            dense_vec(sparse, g.dim) == coords and all(sparse.values()))
+
+
+def test_reductive_split_rejects_h_not_closed():
+    # E_01 and E_12 in so(4): B is definite on their span, so the split
+    # reaches the closure check, and [E_01, E_12] is E_02 up to sign.
+    g = la.so(4)
+    with pytest.raises(ValueError, match="h is not closed under brackets"):
+        la.reductive_split(g, [unit_vec(g.dim, 0), unit_vec(g.dim, 3)])
+
+
+def test_check_embedding_rejects_m_not_killing_orthogonal():
+    # h = E_01; m = (E_01 + E_23, E_02, E_03, E_12, E_13) is ad_h-invariant,
+    # since [E_01, E_23] = 0, but B(E_01, E_01 + E_23) = B(E_01, E_01) != 0.
+    g = la.so(4)
+    h = [unit_vec(g.dim, 0)]
+    m = [vec([1, 0, 0, 0, 0, 1])] + [unit_vec(g.dim, j) for j in range(1, 5)]
+    emb = la.SubalgebraEmbedding(g, mat(h), mat(m), None, True, "skew")
+    emb.ad_m(h[0])
+    with pytest.raises(ValueError, match=r"B\(h, m\) != 0"):
+        la._check_embedding(emb)
+
+
+def test_reductive_split_rejects_bad_torus():
+    g = la.so(4)
+    units = [unit_vec(g.dim, j) for j in range(g.dim)]
+    # E_23 commutes with h = E_01 but is not in h.
+    with pytest.raises(ValueError, match="torus is not contained in h"):
+        la.reductive_split(g, units[:1], torus_basis=units[5:])
+    # E_01 and E_02 lie in h = g but do not commute.
+    with pytest.raises(ValueError, match="torus is not abelian"):
+        la.reductive_split(g, units, torus_basis=units[:2])
+
+
+def test_sparse_kernels_drop_cancelled_entries():
+    # J = d_0 + d_1 spans the center of u(2), so K J = 0 although K d_0 is
+    # not zero; and [x, x] = 0 for every x.
+    g = la.u_in_so(2)
+    assert g.sparse_covector({2: Q(1)})
+    assert g.sparse_covector({2: Q(1), 3: Q(1)}) == {}
+    x = {0: Q(1, 3), 2: Q(-2)}
+    assert g.sparse_bracket(x, x) == {}
