@@ -119,7 +119,7 @@ def bundle_instance(g: LieAlgebra, emb: SubalgebraEmbedding, x_u) -> Homogeneous
     x_u = g.check_vector(x_u)
     # ker ad_{X_u} = (ker cap h) + (ker cap m), as ad_{X_u} keeps h and m;
     # it stays in h (X_u is fat) exactly when ad_{X_u}|_m is invertible.
-    in_h = rank(emb.ad_m(x_u)) == emb.dim_m
+    in_h = rank(emb.ad_m_ints(x_u)[0]) == emb.dim_m
     v_rows = g.centralizer_in(x_u, emb.h_basis)
     if v_rows:
         kv = [g.covector(r) for r in v_rows]

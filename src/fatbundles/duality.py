@@ -22,7 +22,12 @@ from .exact import (
     mat_mul,
 )
 from .fatness import certify, sample_rational_vectors
-from .liealg import LieAlgebra, SubalgebraEmbedding, reductive_split
+from .liealg import (
+    LieAlgebra,
+    SubalgebraEmbedding,
+    killing_signature,
+    reductive_split,
+)
 from .rootdata import RootSystem, detect_subsystem
 
 
@@ -94,8 +99,8 @@ def dualize(g: LieAlgebra, involution) -> DualPair:
     dual = LieAlgebra(f"dual({g.name})", dual_basis,
                       family=g.family, params=g.params)
     _verify_flip(g, dual, len(k_idx))
-    _, neg_in, _ = inertia(g.killing)
-    _, neg_out, _ = inertia(dual.killing)
+    neg_in, _, _ = killing_signature(g)
+    neg_out, _, _ = killing_signature(dual)
     # Exactly one side of a nontrivial dual pair is the compact form.
     if (neg_in == d) == (neg_out == d):
         raise InvolutionInvalid("dualization did not switch compactness")

@@ -118,99 +118,79 @@ def primitive(x) -> Vec:
     return tuple(Fraction(v // g) for v in ints)
 
 
-def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [[frac(x) for x in row] for row in rows]
+def _clear_denominators(row) -> tuple[list[int], int]:
+    """(row * denom as integers, denom) for denom the lcm of the row's
+    denominators; a row of ints is used as it is."""
+    if all(type(a) is int for a in row):
+        return list(row), 1
+    row = [a if isinstance(a, (int, Fraction)) else Fraction(a) for a in row]
+    denom = lcm(*(a.denominator for a in row))
+    if denom == 1:
+        return [a.numerator for a in row], 1
+    return [a.numerator * (denom // a.denominator) for a in row], denom
+
+
+def _reduce(rows) -> tuple[list[list[int]], list[int], Fraction]:
+    """Fraction-free Gauss-Jordan elimination: the one row reduction.
+
+    Returns (red, pivots, scale).  Row i of the reduced row echelon form
+    is red[i] / red[i][pivots[i]]; the rows past len(pivots) are zero.  For
+    a square matrix det(red) = scale * det(rows).  Each row is cleared of
+    denominators; a step touches only the rows with a nonzero in the pivot
+    column, each becoming p * row - f * pivot_row divided by its content,
+    so the entries stay as small as the row allows.
+    """
+    cleared = [_clear_denominators(row) for row in rows]
+    m = [ints for ints, _ in cleared]
+    num, den = prod(d for _, d in cleared), 1
     nr = len(m)
     nc = len(m[0]) if nr else 0
     pivots: list[int] = []
     r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        if p != 1:
-            m[r] = [x / p for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return m, pivots
-
-
-def _clear_denominators(row) -> tuple[list[int], int]:
-    """(row * denom as integers, denom) for denom the lcm of the row's
-    denominators."""
-    row = [frac(x) for x in row]
-    denom = lcm(*(a.denominator for a in row))
-    return [a.numerator * (denom // a.denominator) for a in row], denom
-
-
-def _integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Scale each row by the lcm of its denominators (preserves rank and
-    kernel); also returns the product of the scale factors."""
-    cleared = [_clear_denominators(row) for row in rows]
-    return [ints for ints, _ in cleared], prod(d for _, d in cleared)
-
-
-def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
-    """Fraction-free (Bareiss) elimination of an integer matrix.
-
-    Returns (rank, last pivot signed by the parity of the row swaps); for a
-    square matrix of full rank that signed pivot is the determinant.
-    """
-    m = [list(r) for r in rows if any(r)]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    r = 0
-    prev = 1
-    sign = 1
     for c in range(nc):
         piv = next((i for i in range(r, nr) if m[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-            sign = -sign
-        p = m[r][c]
+            num = -num
         row_r = m[r]
-        for i in range(r + 1, nr):
-            row_i = m[i]
-            mic = row_i[c]
-            for j in range(c + 1, nc):
-                row_i[j] = (p * row_i[j] - mic * row_r[j]) // prev
-            row_i[c] = 0
-        prev = p
+        p = row_r[c]
+        for i in range(nr):
+            f = m[i][c]
+            if i == r or not f:
+                continue
+            g = gcd(p, f)
+            pi, fi = p // g, f // g
+            row = [pi * a - fi * b for a, b in zip(m[i], row_r)]
+            # A row that cancels to zero has content 0 and stays as it is.
+            g = gcd(*row) or 1
+            m[i] = [a // g for a in row] if g != 1 else row
+            num *= pi
+            den *= g
+        pivots.append(c)
         r += 1
         if r == nr:
             break
-    return r, sign * prev
+    return m, pivots, Fraction(num, den)
 
 
 def rank(rows) -> int:
-    """Rank of a rational matrix (denominators cleared, then Bareiss)."""
-    return _bareiss(_integer_rows(rows)[0])[0]
+    """Rank of a rational matrix: its number of pivots."""
+    return len(_reduce(rows)[1])
 
 
 def nullspace(rows) -> list[Vec]:
     """Basis of {x : A x = 0}, in primitive integer form."""
-    if not rows:
-        return []
-    nc = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(nc) if c not in pivots]
+    nc = len(rows[0]) if rows else 0
+    red, pivots, _ = _reduce(rows)
     basis = []
-    for f in free:
+    for f in sorted(set(range(nc)).difference(pivots)):
         x = [ZERO] * nc
         x[f] = ONE
-        for i, p in enumerate(pivots):
-            x[p] = -red[i][f]
+        for row, p in zip(red, pivots):
+            if row[f]:
+                x[p] = Fraction(-row[f], row[p])
         basis.append(primitive(x))
     return basis
 
@@ -219,36 +199,42 @@ def solve(a_rows, b) -> Vec | None:
     """One solution of A x = b, or None if inconsistent.  Free variables
     are set to zero."""
     nc = len(a_rows[0]) if a_rows else 0
-    aug = [list(row) + [bi] for row, bi in zip(a_rows, b)]
-    red, pivots = rref(aug)
+    red, pivots, _ = _reduce([[*row, bi] for row, bi in zip(a_rows, b)])
     if nc in pivots:
         return None
     x = [ZERO] * nc
-    for i, p in enumerate(pivots):
-        x[p] = red[i][nc]
+    for row, p in zip(red, pivots):
+        x[p] = Fraction(row[nc], row[p])
     return tuple(x)
+
+
+def _with_identity(a) -> list[list]:
+    """The rows of [A | I]."""
+    n = len(a)
+    return [[*row, *(int(i == j) for j in range(n))]
+            for i, row in enumerate(a)]
 
 
 def inverse(a) -> Mat:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("inverse needs a square matrix")
-    aug = [list(row) + list(unit_vec(n, i)) for i, row in enumerate(a)]
-    red, pivots = rref(aug)
+    red, pivots, _ = _reduce(_with_identity(a))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n))
+    return tuple(tuple(Fraction(x, row[i]) for x in row[n:])
+                 for i, row in enumerate(red))
 
 
 def det(a) -> Fraction:
-    """Determinant of a square rational matrix by the Bareiss kernel."""
+    """Determinant of a square rational matrix: the product of the reduced
+    pivots over the scale the reduction applied, or zero below full rank."""
     if any(len(row) != len(a) for row in a):
         raise ValueError("det needs a square matrix")
-    rows, scale = _integer_rows(a)
-    r, pivot = _bareiss(rows)
-    if r < len(rows):
+    red, pivots, scale = _reduce(a)
+    if len(pivots) < len(a):
         return ZERO
-    return Fraction(pivot, scale)
+    return prod(row[p] for row, p in zip(red, pivots)) / scale
 
 
 def inertia(a) -> tuple[int, int, int]:
@@ -300,21 +286,22 @@ class CoordinateSolver:
 
     Rows are the spanning vectors; ``coords(v)`` returns c with
     sum_i c_i rows_i == v, exactly, or None when v is outside the span.
-    The pivot submatrix is inverted once so repeated solves are cheap, and
-    ``sparse_coords`` works on {index: value} dicts without touching the
-    zero entries.
+    One reduction of [rows | I] inverts the pivot submatrix, so repeated
+    solves are cheap, and ``sparse_coords`` works on {index: value} dicts
+    without touching the zero entries.
     """
 
     def __init__(self, rows):
         self.rows: Mat = mat(rows)
-        _, pivots = rref(self.rows)
-        if len(pivots) != len(self.rows):
+        n = len(self.rows[0]) if self.rows else 0
+        # [rows | I] reduces to [E rows | E], E the inverse of the pivot block.
+        red, pivots, _ = _reduce(_with_identity(self.rows))
+        if any(p >= n for p in pivots):
             raise ValueError("spanning set is linearly dependent")
-        pivot_block = tuple(tuple(row[p] for p in pivots) for row in self.rows)
-        # Nonzero (j, x) of each inverse pivot-block row, keyed by pivot.
+        # Nonzero (j, x) of each row of E, keyed by pivot.
         self._inv_rows: dict[int, list[tuple[int, Fraction]]] = {
-            p: [(j, x) for j, x in enumerate(row) if x]
-            for p, row in zip(pivots, inverse(pivot_block))}
+            p: [(j, Fraction(x, row[p])) for j, x in enumerate(row[n:]) if x]
+            for row, p in zip(red, pivots)}
         self.sparse_rows = [sparse_vec(row) for row in self.rows]
 
     def sparse_coords(self, v: dict) -> dict | None:

@@ -24,7 +24,6 @@ from .exact import (
     ZERO,
     Mat,
     Vec,
-    _bareiss,
     identity,
     nullspace,
     vec,
@@ -126,10 +125,10 @@ def fat_by_centralizer(emb: SubalgebraEmbedding, x_u) -> Verdict:
     rows, _ = emb.ad_m_ints(x_u)
     if not emb.m_basis:
         return Verdict(FAT, note="trivial horizontal space")
-    if _bareiss(rows)[0] == emb.dim_m:
+    kernel = nullspace(rows)
+    if not kernel:
         return Verdict(FAT)
-    coeffs = nullspace(rows)[0]
-    return Verdict(NOT_FAT, witness_vector=vec_mat(coeffs, emb.m_basis))
+    return Verdict(NOT_FAT, witness_vector=vec_mat(kernel[0], emb.m_basis))
 
 
 @dataclass(frozen=True)

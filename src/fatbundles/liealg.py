@@ -93,8 +93,11 @@ class LieAlgebra:
         # Nonzero (j, K_ij) entries of each Killing row, for sparse_covector().
         self._killing_rows = [[(j, v) for j, v in enumerate(row) if v]
                               for row in self.killing]
-        # A symmetric matrix has full rank iff its inertia has no zeros.
-        self.semisimple = inertia(self.killing)[2] == 0
+
+    @property
+    def semisimple(self) -> bool:
+        """Whether the Killing form is nondegenerate (Cartan's criterion)."""
+        return killing_signature(self)[2] == 0
 
     # -- construction helpers -------------------------------------------
 
@@ -422,9 +425,8 @@ class SubalgebraEmbedding:
         self.dim_h = len(h_basis)
         self.dim_m = len(m_basis)
         self._full_solver = CoordinateSolver(list(h_basis) + list(m_basis))
-        self._h_solver = CoordinateSolver(h_basis)
         # The nonzero {index: value} entries of the h and m rows.
-        self.h_sparse = self._h_solver.sparse_rows
+        self.h_sparse = self._full_solver.sparse_rows[:self.dim_h]
         self.m_sparse = self._full_solver.sparse_rows[self.dim_h:]
         self._torus_solver = None
         self._cache: dict = {}
@@ -443,9 +445,16 @@ class SubalgebraEmbedding:
         xh = vec_mat(ch, self.h_basis) if ch else zero_vec(self.ambient.dim)
         return xh, sub_vec(x, xh)
 
+    def sparse_h_coords(self, v: dict) -> dict | None:
+        """Nonzero h-coordinates {a: c_a} of a sparse {index: value} vector
+        when it lies in h, else None: its h + m coordinates have no m part."""
+        c = self._full_solver.sparse_coords(v)
+        return None if c is None or any(a >= self.dim_h for a in c) else c
+
     def h_coords(self, x) -> Vec | None:
         """Coefficients of x in the h-basis when x lies in h, else None."""
-        return self._h_solver.coords(self.ambient.check_vector(x))
+        c = self.sparse_h_coords(sparse_vec(self.ambient.check_vector(x)))
+        return None if c is None else dense_vec(c, self.dim_h)
 
     def in_m(self, x) -> bool:
         ch, _ = self.split_coords(x)
@@ -461,7 +470,7 @@ class SubalgebraEmbedding:
         x = self.ambient.check_vector(x)
         last = self._cache.get("h_ints")
         if last is None or last[0] is not x:
-            c = self._h_solver.sparse_coords(sparse_vec(x))
+            c = self.sparse_h_coords(sparse_vec(x))
             if c is None:
                 raise DimensionMismatch("vector is not in h")
             last = self._cache["h_ints"] = (
@@ -559,10 +568,9 @@ def reductive_split(g: LieAlgebra, h_basis, *, torus_basis=None,
 
 def _check_embedding(emb: SubalgebraEmbedding) -> None:
     g = emb.ambient
-    h_coords = emb._h_solver.sparse_coords
     for i, hi in enumerate(emb.h_sparse):
         for hj in emb.h_sparse[i + 1:]:
-            if h_coords(g.sparse_bracket(hi, hj)) is None:
+            if emb.sparse_h_coords(g.sparse_bracket(hi, hj)) is None:
                 raise ValueError(f"{emb.name}: h is not closed under brackets")
     emb.ad_m_ints(zero_vec(g.dim))  # builds D_a; raises when [h, m] leaves m
     # B(h, m) = 0.
@@ -573,7 +581,7 @@ def _check_embedding(emb: SubalgebraEmbedding) -> None:
     if emb.torus_basis is not None:
         torus = [sparse_vec(g.check_vector(t)) for t in emb.torus_basis]
         for ti in torus:
-            if h_coords(ti) is None:
+            if emb.sparse_h_coords(ti) is None:
                 raise ValueError(f"{emb.name}: torus is not contained in h")
         for i, ti in enumerate(torus):
             for tj in torus[i + 1:]:

@@ -1,0 +1,112 @@
+"""Fraction reference for the exact elimination kernel, kept beside the
+tests as a check that shares no code path with it: plain Gauss-Jordan on
+``Fraction`` entries, and rank, null space, solve, inverse, determinant and
+span coordinates read off it."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+
+
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p = m[r][c]
+        if p != 1:
+            m[r] = [x / p for x in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return m, pivots
+
+
+def rank(rows) -> int:
+    return len(rref(rows)[1])
+
+
+def nullspace(rows) -> list[tuple[Fraction, ...]]:
+    """Kernel basis, one vector per free column, each scaled to coprime
+    integers with its first nonzero entry positive."""
+    if not rows:
+        return []
+    nc = len(rows[0])
+    red, pivots = rref(rows)
+    basis = []
+    for f in (c for c in range(nc) if c not in pivots):
+        x = [Fraction(0)] * nc
+        x[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            x[p] = -red[i][f]
+        basis.append(_primitive(x))
+    return basis
+
+
+def _primitive(x) -> tuple[Fraction, ...]:
+    den = lcm(*(a.denominator for a in x))
+    ints = [int(a * den) for a in x]
+    g = gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(Fraction(v // g) for v in ints)
+
+
+def solve(a_rows, b):
+    """One solution of A x = b with the free variables zero, or None."""
+    nc = len(a_rows[0]) if a_rows else 0
+    red, pivots = rref([list(row) + [bi] for row, bi in zip(a_rows, b)])
+    if nc in pivots:
+        return None
+    x = [Fraction(0)] * nc
+    for i, p in enumerate(pivots):
+        x[p] = red[i][nc]
+    return tuple(x)
+
+
+def inverse(a):
+    """The inverse of a square matrix, or None when it is singular."""
+    n = len(a)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(a)]
+    red, pivots = rref(aug)
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(red[i][n:]) for i in range(n))
+
+
+def det(a) -> Fraction:
+    """Product of the pivots of forward elimination, signed by the swaps."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n = len(m)
+    out = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            out = -out
+        out *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return out
+
+
+def coords(rows, v):
+    """c with sum_i c_i rows_i == v, or None when v is outside the span."""
+    return solve([[row[j] for row in rows] for j in range(len(v))], v)

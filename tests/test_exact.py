@@ -1,18 +1,104 @@
-"""Exact linear algebra kernel: oracles are brute-force or numpy."""
+"""Exact linear algebra kernel: oracles are brute-force, numpy or the
+Fraction reference in ``fraction_oracles``."""
 
 from fractions import Fraction as Q
 
+import fraction_oracles as ref
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatbundles import exact as ex
 
 
-def test_rref_identity_pivots():
+def test_reduce_identity_pivots():
     rows = [[1, 2, 3], [0, 1, 4], [5, 6, 0]]
-    red, pivots = ex.rref(rows)
+    red, pivots, _ = ex._reduce(rows)
     assert pivots == [0, 1, 2]
-    assert red == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert [[Q(x, row[p]) for x in row] for row, p in zip(red, pivots)] == [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert ex.det(rows) == 1
+
+
+# p/q * 10^e over a wide exponent range, and plain ints as integer callers
+# pass them.
+ENTRY = st.one_of(
+    st.integers(-5, 5),
+    st.builds(lambda p, q, e: Q(p, q) * Q(10) ** e,
+              st.integers(-9, 9), st.integers(1, 9), st.integers(-40, 40)))
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Matrices up to 5 x 5, empty and 1 x 1 included, with zero rows, zero
+    columns and rows that are combinations of others: placed after the rows
+    they combine, such a row cancels to zero partway through elimination."""
+    nr = draw(st.integers(0, 5))
+    nc = nr if square else draw(st.integers(0, 5))
+    rows: list[list] = []
+    for _ in range(nr):
+        kind = draw(st.sampled_from(["entries", "combination", "zero"]))
+        if kind == "combination" and rows:
+            x = rows[draw(st.integers(0, len(rows) - 1))]
+            y = rows[draw(st.integers(0, len(rows) - 1))]
+            a, b = draw(ENTRY), draw(ENTRY)
+            rows.append([a * u + b * v for u, v in zip(x, y)])
+        elif kind == "zero":
+            rows.append([0] * nc)
+        else:
+            rows.append([draw(ENTRY) for _ in range(nc)])
+    zero_cols = draw(st.sets(st.integers(0, nc - 1))) if nc else set()
+    rows = [[0 if j in zero_cols else x for j, x in enumerate(row)]
+            for row in rows]
+    return draw(st.permutations(rows)) if draw(st.booleans()) else rows
+
+
+def _all_fractions(xs) -> bool:
+    return all(type(x) is Q for x in xs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=matrices(), data=st.data())
+def test_kernel_matches_fraction_reference(a, data):
+    assert ex.rank(a) == ref.rank(a)
+    ns = ex.nullspace(a)
+    assert ns == ref.nullspace(a)
+    assert all(_all_fractions(v) for v in ns)
+    b = [data.draw(ENTRY) for _ in a]
+    x = ex.solve(a, b)
+    assert x == ref.solve(a, b)
+    assert x is None or _all_fractions(x)
+    if a and ref.rank(a) < len(a):
+        with pytest.raises(ValueError, match="spanning set is linearly"):
+            ex.CoordinateSolver(a)
+        return
+    solver = ex.CoordinateSolver(a)
+    nc = len(a[0]) if a else 0
+    c = [data.draw(ENTRY) for _ in a]
+    inside = [sum((ci * row[j] for ci, row in zip(c, a)), Q(0))
+              for j in range(nc)]
+    outside = [data.draw(ENTRY) for _ in range(nc)]
+    for v in (inside, outside):
+        got = solver.coords(v)
+        assert got == ref.coords(a, v)
+        assert got is None or _all_fractions(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=matrices(square=True))
+def test_det_and_inverse_match_fraction_reference(a):
+    d = ex.det(a)
+    assert type(d) is Q and d == ref.det(a)
+    expected = ref.inverse(a)
+    if expected is None:
+        assert d == 0
+        with pytest.raises(ValueError, match="matrix is singular"):
+            ex.inverse(a)
+    else:
+        inv = ex.inverse(a)
+        assert inv == expected
+        assert all(_all_fractions(row) for row in inv)
 
 
 def test_rank_matches_numpy_on_random_integer_matrices():

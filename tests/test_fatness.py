@@ -17,7 +17,15 @@ from fatbundles import liealg as la
 from fatbundles import rootdata as rd
 from fatbundles.catalog import make_pair, make_subsystem
 from fatbundles.errors import CriteriaDisagree, DimensionMismatch
-from fatbundles.exact import mat, nullspace, rank, unit_vec, vec, vec_mat
+from fatbundles.exact import (
+    dense_vec,
+    mat,
+    nullspace,
+    rank,
+    unit_vec,
+    vec,
+    vec_mat,
+)
 from fatbundles.verdicts import FAT, NOT_APPLICABLE, NOT_FAT
 
 
@@ -422,8 +430,9 @@ def test_coords_reject_vectors_outside_the_span(name, data):
                 for a, b in zip(x, emb.m_basis[j]))
     assert emb.h_coords(off) is None
     sparse = {i: v for i, v in enumerate(off) if v}
-    assert emb._h_solver.coords(sparse) is None
-    assert emb._h_solver.coords({i: v for i, v in enumerate(x) if v}) == c
+    assert emb.sparse_h_coords(sparse) is None
+    assert dense_vec(emb.sparse_h_coords(
+        {i: v for i, v in enumerate(x) if v}), emb.dim_h) == c
     with pytest.raises(DimensionMismatch):
         ft.fatness_gram(emb, off)
     with pytest.raises(DimensionMismatch):
