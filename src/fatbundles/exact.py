@@ -1,10 +1,15 @@
-"""Exact rational linear algebra on plain Python fractions.
+"""Exact rational linear algebra on Python ints and fractions.
 
 Wall tests and reductive splittings must distinguish zero from small, so
 every rank, kernel and signature decision on exact data is made here with
 rational arithmetic.  Floating point enters the package only through the
 explicitly numeric oracles (SVD based tests in the fatness and curvature
 modules).
+
+An exact value is a Python int where it is integral and a ``Fraction``
+otherwise (``rational``); sparse {index: value} vectors and the solver keep
+that rule, so integer data never pays for ``Fraction`` arithmetic, and
+every public ``Vec`` and ``Mat`` holds ``Fraction``s only.
 """
 
 from __future__ import annotations
@@ -46,16 +51,24 @@ def identity(n: int) -> Mat:
     return tuple(unit_vec(n, i) for i in range(n))
 
 
-def sparse_vec(x) -> dict[int, Fraction]:
-    """The nonzero entries {index: value} of a vector."""
-    return {i: frac(a) for i, a in enumerate(x) if a}
+def rational(x) -> int | Fraction:
+    """frac(x) as an int when it is integral."""
+    if type(x) is int:
+        return x
+    x = frac(x)
+    return x if x.denominator != 1 else int(x.numerator)
+
+
+def sparse_vec(x) -> dict[int, int | Fraction]:
+    """The nonzero entries {index: rational(value)} of a vector."""
+    return {i: v for i, a in enumerate(x) if a and (v := rational(a))}
 
 
 def dense_vec(x: dict, n: int) -> Vec:
-    """The length-n vector holding the entries of a sparse {index: value}."""
+    """The length-n Fraction vector of a sparse {index: value}."""
     out = [ZERO] * n
     for i, a in x.items():
-        out[i] = a
+        out[i] = a if type(a) is Fraction else Fraction(a)
     return tuple(out)
 
 
@@ -64,11 +77,11 @@ def dot(x, y) -> Fraction:
     return sum((a * b for a, b in zip(x, y) if a and b), ZERO)
 
 
-def sparse_dot(x: dict, y: dict) -> Fraction:
+def sparse_dot(x: dict, y: dict) -> int | Fraction:
     """dot() of two sparse {index: value} vectors, over the smaller one."""
     if len(y) < len(x):
         x, y = y, x
-    return sum((a * y[i] for i, a in x.items() if i in y), ZERO)
+    return sum(a * y[i] for i, a in x.items() if i in y)
 
 
 def vec_mat(x, a) -> Vec:
@@ -208,18 +221,18 @@ def solve(a_rows, b) -> Vec | None:
     return tuple(x)
 
 
-def _with_identity(a) -> list[list]:
-    """The rows of [A | I]."""
-    n = len(a)
-    return [[*row, *(int(i == j) for j in range(n))]
-            for i, row in enumerate(a)]
+def _with_identity(rows: list[dict], n: int) -> list[list]:
+    """The dense rows of [A | I] for the sparse rows of an A of width n."""
+    k = len(rows)
+    return [[row.get(j, 0) for j in range(n)] + [int(i == j) for j in range(k)]
+            for i, row in enumerate(rows)]
 
 
 def inverse(a) -> Mat:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("inverse needs a square matrix")
-    red, pivots, _ = _reduce(_with_identity(a))
+    red, pivots, _ = _reduce(_with_identity([sparse_vec(r) for r in a], n))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(Fraction(x, row[i]) for x in row[n:])
@@ -288,33 +301,33 @@ class CoordinateSolver:
     sum_i c_i rows_i == v, exactly, or None when v is outside the span.
     One reduction of [rows | I] inverts the pivot submatrix, so repeated
     solves are cheap, and ``sparse_coords`` works on {index: value} dicts
-    without touching the zero entries.
+    without touching the zero entries, in int arithmetic on int rows.
     """
 
     def __init__(self, rows):
-        self.rows: Mat = mat(rows)
-        n = len(self.rows[0]) if self.rows else 0
+        self.sparse_rows = [sparse_vec(row) for row in rows]
+        n = len(rows[0]) if rows else 0
         # [rows | I] reduces to [E rows | E], E the inverse of the pivot block.
-        red, pivots, _ = _reduce(_with_identity(self.rows))
+        red, pivots, _ = _reduce(_with_identity(self.sparse_rows, n))
         if any(p >= n for p in pivots):
             raise ValueError("spanning set is linearly dependent")
         # Nonzero (j, x) of each row of E, keyed by pivot.
-        self._inv_rows: dict[int, list[tuple[int, Fraction]]] = {
-            p: [(j, Fraction(x, row[p])) for j, x in enumerate(row[n:]) if x]
+        self._inv_rows: dict[int, list[tuple[int, int | Fraction]]] = {
+            p: [(j, rational(Fraction(x, row[p])))
+                for j, x in enumerate(row[n:]) if x]
             for row, p in zip(red, pivots)}
-        self.sparse_rows = [sparse_vec(row) for row in self.rows]
 
     def sparse_coords(self, v: dict) -> dict | None:
         """Nonzero coordinates {j: c_j} of a sparse {index: value} vector,
         or None when it is outside the span."""
-        # A new key takes its first term as is, with no Fraction sum.
-        c: dict[int, Fraction] = {}
+        # A new key takes its first term as is, with no zero to add to.
+        c: dict[int, int | Fraction] = {}
         for p, vp in v.items():
             for j, x in self._inv_rows.get(p, ()):
                 c[j] = c[j] + vp * x if j in c else vp * x
-        c = {j: cj for j, cj in c.items() if cj}
+        c = {j: rational(cj) for j, cj in c.items() if cj}
         # Verify membership in the span.
-        recon: dict[int, Fraction] = {}
+        recon: dict[int, int | Fraction] = {}
         for j, cj in c.items():
             for i, x in self.sparse_rows[j].items():
                 recon[i] = recon[i] + cj * x if i in recon else cj * x
@@ -323,4 +336,4 @@ class CoordinateSolver:
     def coords(self, v) -> Vec | None:
         """Coordinates of a dense vector or a sparse {index: value} dict."""
         c = self.sparse_coords(v if isinstance(v, dict) else sparse_vec(v))
-        return None if c is None else dense_vec(c, len(self.rows))
+        return None if c is None else dense_vec(c, len(self.sparse_rows))

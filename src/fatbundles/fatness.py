@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import CriteriaDisagree, DimensionMismatch
 from .exact import (
-    ZERO,
     Mat,
     Vec,
     identity,
@@ -59,10 +58,10 @@ def _gram_entries(emb: SubalgebraEmbedding) -> list[list[tuple]]:
     table = [[] for _ in emb.h_basis]
     for i in range(len(m)):
         for j in range(i + 1, len(m)):
-            s: dict[int, Fraction] = {}
+            s: dict[int, int | Fraction] = {}
             for l, v in g.sparse_covector(g.sparse_bracket(m[i], m[j])).items():
                 for a, hl in h_cols[l]:
-                    s[a] = s.get(a, ZERO) + v * hl
+                    s[a] = s.get(a, 0) + v * hl
             for a, x in s.items():
                 if x:
                     table[a] += [(i, j, x), (j, i, -x)]

@@ -31,6 +31,7 @@ from .exact import (
     mat,
     nullspace,
     primitive,
+    rational,
     solve,
     sparse_dot,
     sparse_vec,
@@ -41,11 +42,11 @@ from .exact import (
     zero_vec,
 )
 
-def _commutator(a: dict, b: dict, n: int) -> dict[int, Fraction]:
+def _commutator(a: dict, b: dict, n: int) -> dict:
     """ab - ba for n x n matrices held as {r * n + c: value}, nonzero
     entries only: a_rc and b_st meet in (ab)_rt when c == s and in (ba)_sc
     when t == r."""
-    out: dict[int, Fraction] = {}
+    out: dict = {}
     for ka, u in a.items():
         r, c = divmod(ka, n)
         for kb, v in b.items():
@@ -70,29 +71,43 @@ class LieAlgebra:
     def __init__(self, name: str, basis, *,
                  family: str | None = None, params: tuple | None = None):
         self.name = name
-        self.basis: tuple[Mat, ...] = tuple(mat(b) for b in basis)
-        if not self.basis:
+        basis = list(basis)
+        if not basis:
             raise ValueError("empty basis")
-        self.n = len(self.basis[0])
-        self.dim = len(self.basis)
+        self.n = n = len(basis[0])
+        self.dim = len(basis)
         self.family = family
         self.params = params
-        flat_rows = [
-            [b[r][c] for r in range(self.n) for c in range(self.n)]
-            for b in self.basis
-        ]
-        self._flat_solver = CoordinateSolver(flat_rows)
+        for i, b in enumerate(basis):
+            if not n or len(b) != n or any(len(row) != n for row in b):
+                raise ValueError(f"{name}: basis element {i} is not a "
+                                 f"nonempty {n} x {n} matrix")
+        try:  # the solver reads each entry once, as an int or a Fraction
+            self._flat_solver = CoordinateSolver(
+                [[x for row in b for x in row] for b in basis])
+        except OverflowError as exc:  # an infinite float
+            raise ValueError(f"{name}: basis entry not finite: {exc}") from None
         self._structure = self._structure_exact()
         # c^k_{aj} indexed as _ad_of[a][j] = {k: value}, both argument orders.
-        ad_of: list[dict[int, dict[int, Fraction]]] = [dict() for _ in range(self.dim)]
+        self._ad_of: list[dict[int, dict]] = [dict() for _ in range(self.dim)]
         for (i, j), ck in self._structure.items():
-            ad_of[i][j] = ck
-            ad_of[j][i] = {k: -v for k, v in ck.items()}
-        self._ad_of = ad_of
-        self.killing: Mat = self._killing_gram()
+            self._ad_of[i][j] = ck
+            self._ad_of[j][i] = {k: -v for k, v in ck.items()}
         # Nonzero (j, K_ij) entries of each Killing row, for sparse_covector().
-        self._killing_rows = [[(j, v) for j, v in enumerate(row) if v]
-                              for row in self.killing]
+        self._killing_rows = [[(j, rational(v)) for j, v in enumerate(row) if v]
+                              for row in self._killing_gram()]
+
+    @functools.cached_property
+    def basis(self) -> tuple[Mat, ...]:
+        """The basis matrices as Fractions, built on first read."""
+        flats = [dense_vec(row, self.n ** 2) for row in self._flat_solver.sparse_rows]
+        return tuple(tuple(f[r:r + self.n] for r in range(0, len(f), self.n))
+                     for f in flats)
+
+    @functools.cached_property
+    def killing(self) -> Mat:
+        """The Killing Gram K_ab = B(e_a, e_b), built on first read."""
+        return tuple(dense_vec(dict(row), self.dim) for row in self._killing_rows)
 
     @property
     def semisimple(self) -> bool:
@@ -101,7 +116,7 @@ class LieAlgebra:
 
     # -- construction helpers -------------------------------------------
 
-    def _structure_exact(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+    def _structure_exact(self) -> dict[tuple[int, int], dict]:
         flat = self._flat_solver.sparse_rows
         structure = {}
         for i in range(self.dim):
@@ -117,22 +132,22 @@ class LieAlgebra:
                 structure[(i, j)] = ck
         return structure
 
-    def _killing_gram(self) -> Mat:
+    def _killing_gram(self) -> list[list]:
         """K_ab = Tr(ad_a ad_b), summed over the entries (ad_a)_kj that meet
         an entry (ad_b)_jk."""
         # (row, col, value) of the nonzero entries of each ad_a.
         entries = [[(k, j, v) for j, ck in row.items() for k, v in ck.items()]
                    for row in self._ad_of]
-        by_entry: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+        by_entry: dict[tuple[int, int], list[tuple[int, int | Fraction]]] = {}
         for b, ent in enumerate(entries):
             for k, j, v in ent:
                 by_entry.setdefault((k, j), []).append((b, v))
-        rows = [[ZERO] * self.dim for _ in range(self.dim)]
+        rows = [[0] * self.dim for _ in range(self.dim)]
         for a, ent in enumerate(entries):
             for k, j, v in ent:
                 for b, w in by_entry.get((j, k), ()):
                     rows[a][b] += v * w
-        return mat(rows)
+        return rows
 
     # -- basic operations ------------------------------------------------
 
@@ -147,7 +162,7 @@ class LieAlgebra:
     def sparse_bracket(self, x: dict, y: dict) -> dict:
         """[x, y] of sparse {index: value} vectors, via the structure
         constants; only the nonzero entries are kept."""
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for i, xi in x.items():
             row = self._ad_of[i]
             for j, yj in y.items():
@@ -156,7 +171,7 @@ class LieAlgebra:
                     f = xi * yj
                     for k, v in ck.items():
                         out[k] = out[k] + f * v if k in out else f * v
-        return {k: v for k, v in out.items() if v}
+        return {k: rational(v) for k, v in out.items() if v}
 
     def bracket(self, x, y) -> Vec:
         """[x, y] in coordinates, via the structure constants."""
@@ -175,11 +190,11 @@ class LieAlgebra:
     def sparse_covector(self, x: dict) -> dict:
         """K x for a sparse {index: value} x, nonzero entries only; K is
         symmetric, so row j of K holds the terms of x_j."""
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for j, xj in x.items():
             for i, v in self._killing_rows[j]:
                 out[i] = out[i] + v * xj if i in out else v * xj
-        return {i: v for i, v in out.items() if v}
+        return {i: rational(v) for i, v in out.items() if v}
 
     def covector(self, x) -> Vec:
         """K x: the coordinates of B(x, .) in the dual basis."""
@@ -225,16 +240,12 @@ class LieAlgebra:
         return worst
 
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        if i == j:
-            return ZERO
-        if i < j:
-            return self._structure.get((i, j), {}).get(k, ZERO)
-        return -self._structure.get((j, i), {}).get(k, ZERO)
+        return Fraction(self._ad_of[i].get(j, {}).get(k, 0))
 
     def realize(self, x) -> Mat:
         """The matrix sum_i x_i b_i."""
-        flat = vec_mat(self.check_vector(x), self._flat_solver.rows)
-        return tuple(flat[r * self.n:(r + 1) * self.n] for r in range(self.n))
+        x = self.check_vector(x)
+        return tuple(vec_mat(x, [b[r] for b in self.basis]) for r in range(self.n))
 
     def coords_of_matrix(self, m) -> Vec | None:
         """Coordinates of an n x n matrix in the basis, or None."""
@@ -256,8 +267,9 @@ def matrix_algebra(name: str, basis) -> LieAlgebra:
     """Build an algebra from a user-supplied matrix basis.
 
     Entries may be ints, fractions, "p/q" strings or floats; a float is
-    taken as its exact binary rational.  Raises ValueError when the basis
-    does not close exactly under the commutator.
+    taken as its exact binary rational.  Raises ValueError when the
+    matrices are not all n x n, an entry is not a finite number, or the
+    basis does not close exactly under the commutator.
     """
     return LieAlgebra(name, basis)
 
@@ -513,11 +525,6 @@ class SubalgebraEmbedding:
         in m-coordinates: column j holds those of [x, m_j]."""
         return self.h_linear(SubalgebraEmbedding._ad_entries, x)
 
-    def ad_m(self, x) -> Mat:
-        """``ad_m_ints`` as exact rationals."""
-        rows, den = self.ad_m_ints(x)
-        return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
-
     def torus_coords(self, x) -> Vec | None:
         """Coordinates of x in the torus basis, or None if x is not in t."""
         if self.torus_basis is None:
@@ -557,7 +564,7 @@ def reductive_split(g: LieAlgebra, h_basis, *, torus_basis=None,
     if zero:
         raise DegenerateRestriction(
             f"Killing form of {g.name} is singular on the subalgebra")
-    m_rows = g.orthocomplement([dense_vec(bh, g.dim) for bh in bh_sparse])
+    m_rows = g.orthocomplement([[k.get(j, 0) for j in range(g.dim)] for k in bh_sparse])
     compact = neg == len(h_rows)
     emb = SubalgebraEmbedding(g, h_rows, m_rows, mat(torus_basis) if torus_basis else None,
                               compact, name=name)

@@ -21,7 +21,6 @@ from .exact import (
     Vec,
     frac,
     mat,
-    mat_mul,
     rank,
     solve,
     vec,
@@ -199,14 +198,16 @@ def detect_subsystem(g: LieAlgebra, emb: SubalgebraEmbedding,
         return subsystem_from_members(rs, rs.roots)
     if emb.h_coords(xi) is None:
         raise TorusMismatch("torus is not contained in h")
-    m_mat = emb.ad_m(xi)
-    m_sq = mat_mul(m_mat, m_mat)
+    d, den = emb.ad_m_ints(xi)
+    d_sq = [[sum(a * b for a, b in zip(row, col)) for col in zip(*d)] for row in d]
     forbidden_pairs = []
     accounted = 0
     for rep in pairs:
+        # val = p/q: q^2 D^2 + (p den)^2 I is (q den)^2 ((D/den)^2 + val^2 I).
         val = root_eval(rep, lam)
-        shifted = [[m_sq[i][j] + (val * val if i == j else ZERO)
-                    for j in range(k)] for i in range(k)]
+        p2, q2 = (val.numerator * den) ** 2, val.denominator ** 2
+        shifted = [[q2 * x + (p2 if i == j else 0) for j, x in enumerate(row)]
+                   for i, row in enumerate(d_sq)]
         defect = k - rank(shifted)
         if defect:
             forbidden_pairs.append(rep)

@@ -1,7 +1,10 @@
-"""Fraction reference for the exact elimination kernel, kept beside the
-tests as a check that shares no code path with it: plain Gauss-Jordan on
-``Fraction`` entries, and rank, null space, solve, inverse, determinant and
-span coordinates read off it."""
+"""Fraction references for the exact kernel, kept beside the tests as
+checks that share no code path with it: plain Gauss-Jordan on ``Fraction``
+entries, with rank, null space, solve, inverse, determinant and span
+coordinates read off it, and structure constants and the Killing Gram from
+dense matrix commutators.  ``ad_m`` is no reference: it reads the kernel's
+integer ad_m table as ``Fraction``s, for the tests that compare it with
+dense brackets."""
 
 from __future__ import annotations
 
@@ -110,3 +113,44 @@ def det(a) -> Fraction:
 def coords(rows, v):
     """c with sum_i c_i rows_i == v, or None when v is outside the span."""
     return solve([[row[j] for row in rows] for j in range(len(v))], v)
+
+
+def ad_m(emb, x):
+    """ad_x on m in m-coordinates as Fractions: the (M, den) of
+    ``ad_m_ints`` read as M / den."""
+    rows, den = emb.ad_m_ints(x)
+    return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
+
+
+def _matmul(a, b):
+    n = len(a)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            if a[i][k]:
+                for j in range(n):
+                    out[i][j] += a[i][k] * b[k][j]
+    return out
+
+
+def structure_constants(basis):
+    """c[i][j]: the coordinates of [b_i, b_j] = b_i b_j - b_j b_i in the
+    basis, from dense matrix products solved with coords()."""
+    flat = [[Fraction(x) for row in b for x in row] for b in basis]
+    out = []
+    for bi in basis:
+        row = []
+        for bj in basis:
+            comm = [x - y for rx, ry in zip(_matmul(bi, bj), _matmul(bj, bi))
+                    for x, y in zip(rx, ry)]
+            row.append(coords(flat, comm))
+        out.append(row)
+    return out
+
+
+def killing_gram(c):
+    """K_ab = Tr(ad_a ad_b) with (ad_a)_kj = c[a][j][k], every term summed."""
+    d = len(c)
+    return tuple(tuple(sum((c[a][j][k] * c[b][k][j] for j in range(d)
+                            for k in range(d)), Fraction(0))
+                       for b in range(d)) for a in range(d))

@@ -253,27 +253,32 @@ def coupling_case(name):
 
 def dense_ce_closedness(g, form):
     """max |d sigma| over basis triples the direct way: coordinates of every
-    unit vector from a CoordinateSolver, and brackets of unit vectors."""
+    unit vector from a CoordinateSolver, and brackets of unit vectors, one
+    per pair."""
     solver = CoordinateSolver(list(form.v_basis) + list(form.n_basis))
     nv = len(form.v_basis)
     d = g.dim
     units = [unit_vec(d, a) for a in range(d)]
     coords = [solver.coords(u)[nv:] for u in units]
     k = form.dim
-    sig = [[sum((ca[i] * form.gram[i][j] * cb[j]
-                 for i in range(k) for j in range(k)), Q(0))
-            for cb in coords] for ca in coords]
-
-    def sigma(x, b):
-        return sum((xa * sig[a][b] for a, xa in enumerate(x)), Q(0))
-
+    # sig = C G C^T for the rows C of coordinates, in two products.
+    cg = [[sum((ca[i] * form.gram[i][j] for i in range(k) if ca[i]), Q(0))
+           for j in range(k)] for ca in coords]
+    sig = [[sum((x * cb[j] for j, x in enumerate(row) if x), Q(0))
+            for cb in coords] for row in cg]
+    # s[i, j][c] = sigma([e_i, e_j], e_c), from one bracket per pair.
+    s = {}
+    for i in range(d):
+        for j in range(i + 1, d):
+            br = g.bracket(units[i], units[j])
+            s[i, j] = [sum((x * sig[a][c] for a, x in enumerate(br) if x),
+                           Q(0)) for c in range(d)]
+            s[j, i] = [-v for v in s[i, j]]
     worst = Q(0)
     for i in range(d):
         for j in range(i + 1, d):
             for kk in range(j + 1, d):
-                r = (sigma(g.bracket(units[i], units[j]), kk)
-                     + sigma(g.bracket(units[j], units[kk]), i)
-                     + sigma(g.bracket(units[kk], units[i]), j))
+                r = s[i, j][kk] + s[j, kk][i] + s[kk, i][j]
                 worst = max(worst, abs(r))
     return worst
 

@@ -58,6 +58,12 @@ def _all_fractions(xs) -> bool:
     return all(type(x) is Q for x in xs)
 
 
+def _sparse_rule(xs) -> bool:
+    """Every value an int, or a Fraction that is not integral."""
+    return all(type(x) is int or (type(x) is Q and x.denominator != 1)
+               for x in xs)
+
+
 @settings(max_examples=200, deadline=None)
 @given(a=matrices(), data=st.data())
 def test_kernel_matches_fraction_reference(a, data):
@@ -79,10 +85,16 @@ def test_kernel_matches_fraction_reference(a, data):
     inside = [sum((ci * row[j] for ci, row in zip(c, a)), Q(0))
               for j in range(nc)]
     outside = [data.draw(ENTRY) for _ in range(nc)]
+    assert _sparse_rule(v for row in solver.sparse_rows for v in row.values())
+    assert _sparse_rule(x for row in solver._inv_rows.values() for _, x in row)
     for v in (inside, outside):
         got = solver.coords(v)
         assert got == ref.coords(a, v)
         assert got is None or _all_fractions(got)
+        sparse = solver.sparse_coords(ex.sparse_vec(v))
+        assert sparse is None or _sparse_rule(sparse.values())
+        dense = ex.dense_vec(ex.sparse_vec(v), nc)
+        assert dense == tuple(v) and _all_fractions(dense)
 
 
 @settings(max_examples=200, deadline=None)

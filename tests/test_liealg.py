@@ -4,10 +4,13 @@ Oracles: direct matrix commutators (numpy on exact integer matrices), the
 (n-2) Tr(XY) trace identity for so(n), and eigenvalue counts.
 """
 
+import functools
 from fractions import Fraction as Q
 
+import fraction_oracles as ref
 import numpy as np
 import pytest
+from fraction_oracles import ad_m
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -357,15 +360,20 @@ def test_dimension_mismatch_errors():
         g.killing_form((1, 0, 0, 0), (0, 1, 0))
 
 
+def scaled_so3():
+    """The cyclic so(3) basis times the float sqrt(2)."""
+    s = 2.0 ** 0.5
+    return [(np.array(m, dtype=float) * s).tolist() for m in (
+        [[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+        [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+        [[0, -1, 0], [1, 0, 0], [0, 0, 0]])]
+
+
 def test_float_basis_algebra_is_exact():
     # Scaled so(3) basis with an irrational factor: each float entry is
     # read as its exact binary rational, and the basis closes exactly.
     s = 2.0 ** 0.5
-    l = [np.array(m, dtype=float) * s for m in (
-        [[0, 0, 0], [0, 0, -1], [0, 1, 0]],
-        [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
-        [[0, -1, 0], [1, 0, 0], [0, 0, 0]])]
-    g = la.matrix_algebra("so3-scaled", [m.tolist() for m in l])
+    g = la.matrix_algebra("so3-scaled", scaled_so3())
     assert la.jacobi_residual(g) == 0
     br = g.bracket(unit_vec(3, 0), unit_vec(3, 1))
     assert br[2] == Q(s)
@@ -402,6 +410,22 @@ def test_float_basis_that_does_not_close_exactly_is_rejected():
     assert la.jacobi_residual(g) == 0
     with pytest.raises(ValueError, match="does not close"):
         la.matrix_algebra("so3-conj-float", conjugated_so3(0.1))
+
+
+@pytest.mark.parametrize("basis, message", [
+    # n is read off the first matrix; a wider row is not cut to n.
+    ([[[0, 1, 5], [-1, 0, 0]]], "element 0 is not a nonempty 2 x 2 matrix"),
+    ([[[0, 1], [-1]]], "element 0 is not a nonempty 2 x 2 matrix"),
+    ([[[0, 1], [-1, 0]], [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]],
+     "element 1 is not a nonempty 2 x 2 matrix"),
+    ([[]], "element 0 is not a nonempty 0 x 0 matrix"),
+    ([[[0, float("inf")], [-1, 0]]], "not finite"),
+    ([[[0, -float("inf")], [-1, 0]]], "not finite"),
+    ([[[0, float("nan")], [-1, 0]]], "NaN"),
+], ids=["wide", "ragged", "mixed", "empty", "inf", "-inf", "nan"])
+def test_matrix_algebra_rejects_malformed_bases(basis, message):
+    with pytest.raises(ValueError, match=message):
+        la.matrix_algebra("bad", basis)
 
 
 def test_empty_subalgebra_membership_is_exact():
@@ -465,6 +489,61 @@ def test_sparse_bracket_and_coords_match_matrices(name, data):
             dense_vec(sparse, g.dim) == coords and all(sparse.values()))
 
 
+# -- exact values: ints inside, Fractions outside ------------------------------
+
+RULE_ALGEBRAS = {
+    "so5": lambda: la.so(5), "so41": lambda: la.so_pq(4, 1),
+    "su3": lambda: la.su(3), "u2": lambda: la.u_in_so(2),
+    "so3_scaled": lambda: la.matrix_algebra("so3-scaled", scaled_so3()),
+    "so3_conj": lambda: la.matrix_algebra("so3-conj", conjugated_so3(Q(1, 10)))}
+
+
+@functools.lru_cache(maxsize=None)
+def rule_case(name):
+    """(g, the split of g along e_0, reference structure constants and
+    Killing Gram from the basis matrices)."""
+    g = RULE_ALGEBRAS[name]()
+    c = ref.structure_constants(g.basis)
+    return g, la.reductive_split(g, [unit_vec(g.dim, 0)]), c, ref.killing_gram(c)
+
+
+def fractions_only(t):
+    return type(t) is tuple and all(type(v) is Q for v in t)
+
+
+def sparse_rule(d):
+    """Every value an int, or a Fraction that is not integral."""
+    return all(type(v) is int or (type(v) is Q and v.denominator != 1)
+               for v in d.values())
+
+
+@pytest.mark.parametrize("name", sorted(RULE_ALGEBRAS))
+@settings(deadline=None)
+@given(data=st.data())
+def test_public_values_are_fractions_over_the_sparse_rule(name, data):
+    g, emb, c, killing = rule_case(name)
+    x = data.draw(sparse_vectors(g.dim))
+    y = data.draw(sparse_vectors(g.dim))
+    assert fractions_only(g.bracket(x, y)) and fractions_only(g.covector(x))
+    coords = g.coords_of_matrix(g.realize(x))
+    assert fractions_only(coords) and coords == x
+    t = data.draw(NONZERO)
+    hc = emb.h_coords(tuple(t * v for v in emb.h_basis[0]))
+    assert fractions_only(hc) and hc == (t,)
+    assert all(fractions_only(part) for part in emb.split_coords(x))
+    sx, sy = sparse_vec(x), sparse_vec(y)
+    assert sparse_rule(sx) and sparse_rule(g.sparse_bracket(sx, sy))
+    assert sparse_rule(g.sparse_covector(sx))
+    i, j = data.draw(st.integers(0, g.dim - 1)), data.draw(
+        st.integers(0, g.dim - 1))
+    row = tuple(g.structure_constant(i, j, k) for k in range(g.dim))
+    assert fractions_only(row) and row == c[i][j]
+    if i < j:
+        assert sparse_rule(g._structure.get((i, j), {}))
+    assert all(fractions_only(r) for b in g.basis for r in b)
+    assert all(fractions_only(r) for r in g.killing) and g.killing == killing
+
+
 def test_reductive_split_rejects_h_not_closed():
     # E_01 and E_12 in so(4): B is definite on their span, so the split
     # reaches the closure check, and [E_01, E_12] is E_02 up to sign.
@@ -480,7 +559,7 @@ def test_check_embedding_rejects_m_not_killing_orthogonal():
     h = [unit_vec(g.dim, 0)]
     m = [vec([1, 0, 0, 0, 0, 1])] + [unit_vec(g.dim, j) for j in range(1, 5)]
     emb = la.SubalgebraEmbedding(g, mat(h), mat(m), None, True, "skew")
-    emb.ad_m(h[0])
+    ad_m(emb, h[0])
     with pytest.raises(ValueError, match=r"B\(h, m\) != 0"):
         la._check_embedding(emb)
 

@@ -1,6 +1,8 @@
 """Root systems, wall tests, coweights and the shift search."""
 
+import importlib.util
 import itertools
+import pathlib
 import random
 from fractions import Fraction as Q
 
@@ -94,6 +96,36 @@ def test_detect_counts_partition_and_match_dim_m():
         assert len(sub.member_roots) + len(sub.forbidden) == \
             len(sub.parent.roots)
         assert len(sub.forbidden) == emb.dim_m
+
+
+def bench_inputs():
+    """The benchmark's input module, which writes the forbidden walls of
+    its pairs out by hand."""
+    path = pathlib.Path(__file__).parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = bench_inputs()
+
+
+@pytest.mark.parametrize("pair", sorted(BENCH.PAIRS))
+def test_detect_matches_the_walls_written_out(pair):
+    g_params, h_type, h_params = BENCH.PAIRS[pair]
+    _, _, sub = detect("so", g_params, h_type, h_params)
+    assert set(sub.forbidden) == BENCH.forbidden_walls(pair)
+
+
+def test_detect_does_not_depend_on_the_scale_of_the_h_basis():
+    # h rows scaled by 1/3 give ad_m tables over the denominator 3, which
+    # the integer shifted squares must carry.
+    g, emb, sub = detect("so", (7,), "u", (3,))
+    third = [[x / 3 for x in row] for row in emb.h_basis]
+    scaled = la.reductive_split(g, third, torus_basis=emb.torus_basis)
+    assert scaled.ad_m_ints(scaled.torus_basis[0])[1] == 3
+    assert rd.detect_subsystem(g, scaled, sub.parent) == sub
 
 
 def test_detect_rank_mismatch_raises():
