@@ -84,6 +84,15 @@ def sparse_dot(x: dict, y: dict) -> int | Fraction:
     return sum(a * y[i] for i, a in x.items() if i in y)
 
 
+def sparse_combination(c: dict, rows) -> dict:
+    """sum_j c_j rows_j for sparse {index: value} c and rows, nonzero only."""
+    out: dict = {}
+    for j, cj in c.items():
+        for i, x in rows[j].items():
+            out[i] = out[i] + cj * x if i in out else cj * x
+    return {i: rational(x) for i, x in out.items() if x}
+
+
 def vec_mat(x, a) -> Vec:
     """Row vector times matrix: sum_i x_i * a[i]."""
     n = len(a[0]) if a else 0
@@ -327,11 +336,7 @@ class CoordinateSolver:
                 c[j] = c[j] + vp * x if j in c else vp * x
         c = {j: rational(cj) for j, cj in c.items() if cj}
         # Verify membership in the span.
-        recon: dict[int, int | Fraction] = {}
-        for j, cj in c.items():
-            for i, x in self.sparse_rows[j].items():
-                recon[i] = recon[i] + cj * x if i in recon else cj * x
-        return c if {i: x for i, x in recon.items() if x} == v else None
+        return c if sparse_combination(c, self.sparse_rows) == v else None
 
     def coords(self, v) -> Vec | None:
         """Coordinates of a dense vector or a sparse {index: value} dict."""

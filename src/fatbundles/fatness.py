@@ -25,6 +25,7 @@ from .exact import (
     Vec,
     identity,
     nullspace,
+    sparse_combination,
     vec,
     vec_mat,
 )
@@ -51,20 +52,16 @@ def _gram_entries(emb: SubalgebraEmbedding) -> list[list[tuple]]:
     through the Killing covectors u_ij = K [m_i, m_j]."""
     g = emb.ambient
     m = emb.m_sparse
-    h_cols = [[] for _ in range(g.dim)]  # (a, (h_a)_l) for each index l
+    h_cols = [{} for _ in range(g.dim)]  # {a: (h_a)_l} for each index l
     for a, ha in enumerate(emb.h_sparse):
         for l, v in ha.items():
-            h_cols[l].append((a, v))
+            h_cols[l][a] = v
     table = [[] for _ in emb.h_basis]
     for i in range(len(m)):
         for j in range(i + 1, len(m)):
-            s: dict[int, int | Fraction] = {}
-            for l, v in g.sparse_covector(g.sparse_bracket(m[i], m[j])).items():
-                for a, hl in h_cols[l]:
-                    s[a] = s.get(a, 0) + v * hl
-            for a, x in s.items():
-                if x:
-                    table[a] += [(i, j, x), (j, i, -x)]
+            u = g.sparse_covector(g.sparse_bracket(m[i], m[j]))
+            for a, x in sparse_combination(u, h_cols).items():
+                table[a] += [(i, j, x), (j, i, -x)]
     return table
 
 
@@ -170,7 +167,7 @@ def certify(g: LieAlgebra, emb: SubalgebraEmbedding, x_u, *,
     CriteriaDisagree with the full certificate (all witnesses) attached.
     """
     x_u = g.check_vector(x_u)
-    tau = emb.torus_coords(x_u) if emb.torus_basis is not None else None
+    tau = emb.torus_coords(x_u)
     if subsystem is not None and tau is not None:
         roots_v = fat_by_roots(tau, subsystem)
     else:

@@ -33,6 +33,7 @@ from .exact import (
     primitive,
     rational,
     solve,
+    sparse_combination,
     sparse_dot,
     sparse_vec,
     sub_vec,
@@ -93,9 +94,7 @@ class LieAlgebra:
         for (i, j), ck in self._structure.items():
             self._ad_of[i][j] = ck
             self._ad_of[j][i] = {k: -v for k, v in ck.items()}
-        # Nonzero (j, K_ij) entries of each Killing row, for sparse_covector().
-        self._killing_rows = [[(j, rational(v)) for j, v in enumerate(row) if v]
-                              for row in self._killing_gram()]
+        self._killing_rows = [sparse_vec(row) for row in self._killing_gram()]
 
     @functools.cached_property
     def basis(self) -> tuple[Mat, ...]:
@@ -107,7 +106,7 @@ class LieAlgebra:
     @functools.cached_property
     def killing(self) -> Mat:
         """The Killing Gram K_ab = B(e_a, e_b), built on first read."""
-        return tuple(dense_vec(dict(row), self.dim) for row in self._killing_rows)
+        return tuple(dense_vec(row, self.dim) for row in self._killing_rows)
 
     @property
     def semisimple(self) -> bool:
@@ -189,12 +188,8 @@ class LieAlgebra:
 
     def sparse_covector(self, x: dict) -> dict:
         """K x for a sparse {index: value} x, nonzero entries only; K is
-        symmetric, so row j of K holds the terms of x_j."""
-        out: dict[int, int | Fraction] = {}
-        for j, xj in x.items():
-            for i, v in self._killing_rows[j]:
-                out[i] = out[i] + v * xj if i in out else v * xj
-        return {i: rational(v) for i, v in out.items() if v}
+        symmetric, so it is sum_j x_j K_j over its rows K_j."""
+        return sparse_combination(x, self._killing_rows)
 
     def covector(self, x) -> Vec:
         """K x: the coordinates of B(x, .) in the dual basis."""
@@ -440,7 +435,7 @@ class SubalgebraEmbedding:
         # The nonzero {index: value} entries of the h and m rows.
         self.h_sparse = self._full_solver.sparse_rows[:self.dim_h]
         self.m_sparse = self._full_solver.sparse_rows[self.dim_h:]
-        self._torus_solver = None
+        self.torus_sparse = [sparse_vec(t) for t in torus_basis or ()]
         self._cache: dict = {}
 
     def split_coords(self, x) -> tuple[Vec, Vec]:
@@ -465,29 +460,34 @@ class SubalgebraEmbedding:
 
     def h_coords(self, x) -> Vec | None:
         """Coefficients of x in the h-basis when x lies in h, else None."""
-        c = self.sparse_h_coords(sparse_vec(self.ambient.check_vector(x)))
+        c = self._h_solve(x)[1]
         return None if c is None else dense_vec(c, self.dim_h)
 
     def in_m(self, x) -> bool:
         ch, _ = self.split_coords(x)
         return all(c == 0 for c in ch)
 
+    def _h_solve(self, x) -> tuple:
+        """(x, c, ints, den): x checked, its sparse h-coordinates c (None
+        outside h) and c as ints / den.  The last solve is kept, keyed by
+        the identity of x, so one X_u is checked and solved once."""
+        last = self._cache.get("h")
+        if last is None or last[0] is not x:
+            x = self.ambient.check_vector(x)
+            c = self.sparse_h_coords(sparse_vec(x))
+            last = self._cache["h"] = (
+                x, c, *_clear_denominators(c.values() if c else ()))
+        return last
+
     def h_linear(self, build, x) -> tuple[list[list[int]], int]:
         """(M, den) with M / den = sum_a c_a T_a over the h-coordinates c of
-        x (else DimensionMismatch): M is a k x k integer matrix formed from
-        the nonzero c_a only.  ``build(emb)`` lists, per h_a, the nonzero
-        entries (i, j, v) of T_a; they are kept, keyed by ``build``, as
-        integers over one common denominator.  So is the last coerced x, so
-        that the criteria run on one X_u share one solve."""
-        x = self.ambient.check_vector(x)
-        last = self._cache.get("h_ints")
-        if last is None or last[0] is not x:
-            c = self.sparse_h_coords(sparse_vec(x))
-            if c is None:
-                raise DimensionMismatch("vector is not in h")
-            last = self._cache["h_ints"] = (
-                x, list(c), *_clear_denominators(c.values()))
-        _, support, ints, den = last
+        x (else DimensionMismatch), read off the shared ``_h_solve``: M is a
+        k x k integer matrix formed from the nonzero c_a only.  ``build(emb)``
+        lists, per h_a, the nonzero entries (i, j, v) of T_a; they are kept,
+        keyed by ``build``, as integers over one common denominator."""
+        _, c, ints, den = self._h_solve(x)
+        if c is None:
+            raise DimensionMismatch("vector is not in h")
         if build not in self._cache:
             rows = build(self)
             flat, flat_den = _clear_denominators(
@@ -498,7 +498,7 @@ class SubalgebraEmbedding:
                 flat_den)
         table, table_den = self._cache[build]
         out = [[0] * self.dim_m for _ in range(self.dim_m)]
-        for a, ca in zip(support, ints):
+        for a, ca in zip(c, ints):
             for i, j, v in table[a]:
                 out[i][j] += ca * v
         return out, den * table_den
@@ -526,12 +526,17 @@ class SubalgebraEmbedding:
         return self.h_linear(SubalgebraEmbedding._ad_entries, x)
 
     def torus_coords(self, x) -> Vec | None:
-        """Coordinates of x in the torus basis, or None if x is not in t."""
+        """Coordinates of x in the torus basis, or None if x is not in t.
+        They are solved from the shared h-coordinates of x, so they are None
+        for every x when the torus is not in h (only with ``check=False``)."""
         if self.torus_basis is None:
             return None
-        if self._torus_solver is None:
-            self._torus_solver = CoordinateSolver(self.torus_basis)
-        return self._torus_solver.coords(self.ambient.check_vector(x))
+        if "torus" not in self._cache:  # the torus rows in h-coordinates
+            rows = [self.sparse_h_coords(t) for t in self.torus_sparse]
+            self._cache["torus"] = None if None in rows else CoordinateSolver(
+                [dense_vec(r, self.dim_h) for r in rows])
+        c, solver = self._h_solve(x)[1], self._cache["torus"]
+        return None if c is None or solver is None else solver.coords(c)
 
     def torus_vector(self, tau) -> Vec:
         """The element sum_i tau_i T_i of the torus, in g-coordinates."""
@@ -540,7 +545,8 @@ class SubalgebraEmbedding:
         tau = vec(tau)
         if len(tau) != len(self.torus_basis):
             raise DimensionMismatch("torus coordinate length mismatch")
-        return vec_mat(tau, self.torus_basis)
+        return dense_vec(sparse_combination(sparse_vec(tau), self.torus_sparse),
+                         self.ambient.dim)
 
     def __repr__(self):
         return (f"SubalgebraEmbedding({self.name!r}, dim_h={self.dim_h}, "

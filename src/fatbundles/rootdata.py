@@ -19,6 +19,7 @@ from .exact import (
     ONE,
     ZERO,
     Vec,
+    _clear_denominators,
     frac,
     mat,
     rank,
@@ -225,11 +226,12 @@ def detect_subsystem(g: LieAlgebra, emb: SubalgebraEmbedding,
 
 
 def fat_by_roots(x, sub: SubSystem) -> Verdict:
-    """Forbidden-wall test: fat iff alpha(x) != 0 for every forbidden
-    root alpha.  x is a torus-coordinate vector; evaluation is exact."""
-    x = vec(x)
+    """Forbidden-wall test: fat iff alpha(x) != 0 for every forbidden root
+    alpha, else the first root on a wall is the witness.  The torus
+    coordinates x are cleared of denominators once, by their positive lcm."""
+    ints, _ = _clear_denominators(vec(x))
     for root in sub.forbidden:
-        if root_eval(root, x) == 0:
+        if not sum(a * b for a, b in zip(root, ints) if a):
             return Verdict(NOT_FAT, witness_root=root)
     return Verdict(FAT)
 

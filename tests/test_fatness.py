@@ -1,5 +1,6 @@
 """The triple fatness criterion: Gram oracle, centralizer, agreement."""
 
+import functools
 import random
 from fractions import Fraction as Q
 from unittest import mock
@@ -7,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from float_oracles import fatness_gram_float
-from fraction_oracles import ad_m
+from fraction_oracles import ad_m, coords
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -258,16 +259,20 @@ def test_sample_rational_vectors_deterministic_and_in_range():
             assert x.denominator in (1, 2, 3)
 
 
-def test_float_basis_oracle_and_centralizer_agree():
-    # Float basis (irrational scaling of so(3)) read as exact binary
-    # rationals, h = so(2): the criteria reach consensus exactly.
+def so3_float_basis():
+    """so(3) scaled by the float sqrt(2), read as exact binary rationals."""
     s = 2.0 ** 0.5
-    basis = [
+    return la.matrix_algebra("so3-scaled", [
         [[0, 0, 0], [0, 0, -s], [0, s, 0]],
         [[0, 0, s], [0, 0, 0], [-s, 0, 0]],
         [[0, -s, 0], [s, 0, 0], [0, 0, 0]],
-    ]
-    g = la.matrix_algebra("so3-scaled", basis)
+    ])
+
+
+def test_float_basis_oracle_and_centralizer_agree():
+    # Float basis (irrational scaling of so(3)), h = so(2): the criteria
+    # reach consensus exactly.
+    g = so3_float_basis()
     emb = la.reductive_split(g, [vec([0, 0, 1])])
     assert emb.dim_m == 2
     fat_cert = ft.certify(g, emb, vec([0, 0, 1]))
@@ -427,8 +432,10 @@ def test_coords_reject_vectors_outside_the_span(name, data):
     c = emb.h_coords(x)
     assert vec_mat(c, emb.h_basis) == x
     j = data.draw(st.integers(0, emb.dim_m - 1))
-    off = tuple(a + data.draw(NONZERO) * b
-                for a, b in zip(x, emb.m_basis[j]))
+    # One coefficient for all of m_j: drawn per entry, e_2 + e_4 in so5_u2's
+    # m could turn into e_2 - e_4, which lies in h.
+    k = data.draw(NONZERO)
+    off = tuple(a + k * b for a, b in zip(x, emb.m_basis[j]))
     assert emb.h_coords(off) is None
     sparse = {i: v for i, v in enumerate(off) if v}
     assert emb.sparse_h_coords(sparse) is None
@@ -438,3 +445,106 @@ def test_coords_reject_vectors_outside_the_span(name, data):
         ft.fatness_gram(emb, off)
     with pytest.raises(DimensionMismatch):
         ad_m(emb, off)
+
+
+# -- torus coordinates read off the h-coordinates ----------------------------
+
+def scaled_h_pair():
+    """so(7) > u(3) with the h rows scaled by 1/3 and the block torus kept."""
+    g, emb = make_pair("so", (7,), "u", (3,))
+    third = [[x / 3 for x in row] for row in emb.h_basis]
+    scaled = la.reductive_split(g, third, torus_basis=emb.torus_basis)
+    return g, scaled, rd.detect_subsystem(g, scaled, rd.root_system_for(g))
+
+
+def float_basis_pair():
+    """The float-basis so(3) > so(2), its torus h itself, no root data."""
+    g = so3_float_basis()
+    t = [vec([0, 0, 1])]
+    return g, la.reductive_split(g, t, torus_basis=t), None
+
+
+def builtin_pair(*args):
+    return *make_pair(*args), make_subsystem(*args)
+
+
+TORUS_PAIRS = {
+    "so5_so4": lambda: builtin_pair("so", (5,), "so", (4,)),
+    "so7_so6": lambda: builtin_pair("so", (7,), "so", (6,)),
+    "so5_u2": lambda: builtin_pair("so", (5,), "u", (2,)),
+    "so41_so4": lambda: builtin_pair("so", (4, 1), "so", (4,)),
+    "so61_so6": lambda: builtin_pair("so", (6, 1), "so", (6,)),
+    "so7_u3_scaled_h": scaled_h_pair,
+    "so3_float_basis": float_basis_pair,
+}
+
+
+@functools.cache
+def torus_case(name):
+    """(g, emb, sub, the h basis rows off the torus) for a TORUS_PAIRS name."""
+    g, emb, sub = TORUS_PAIRS[name]()
+    off_t = [h for h in emb.h_basis if coords(emb.torus_basis, h) is None]
+    return g, emb, sub, off_t
+
+
+def certify_any(g, emb, x, sub):
+    """The certificate of x, also when the criteria disagree."""
+    try:
+        return ft.certify(g, emb, x, subsystem=sub)
+    except CriteriaDisagree as exc:
+        return exc.certificate
+
+
+@pytest.mark.parametrize("name", sorted(TORUS_PAIRS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_torus_coords_round_trip_against_g_coordinate_solves(name, data):
+    g, emb, sub, off_t = torus_case(name)
+    r = len(emb.torus_basis)
+    tau = tuple(data.draw(st.lists(NONZERO | st.just(Q(0)), min_size=r,
+                                   max_size=r)))
+    x = emb.torus_vector(tau)
+    assert x == vec_mat(tau, emb.torus_basis)
+    assert emb.torus_coords(x) == tau == coords(emb.torus_basis, x)
+    assert emb.torus_coords(list(x)) == tau
+    assert certify_any(g, emb, x, sub).x_u_torus == tau
+    # In h but off the torus: no torus coordinates, so no root verdict.
+    if off_t:
+        h = off_t[data.draw(st.integers(0, len(off_t) - 1))]
+        c = data.draw(NONZERO)
+        y = tuple(a + c * b for a, b in zip(x, h))
+        assert coords(emb.torus_basis, y) is None
+        assert emb.torus_coords(y) is None
+        cert = certify_any(g, emb, y, sub)
+        assert cert.x_u_torus is None
+        assert cert.verdict_roots == NOT_APPLICABLE
+    # With an m part: not in h, so no torus coordinates and no certificate.
+    m = emb.m_basis[data.draw(st.integers(0, emb.dim_m - 1))]
+    c = data.draw(NONZERO)
+    z = tuple(a + c * b for a, b in zip(x, m))
+    assert coords(emb.h_basis, z) is None
+    assert emb.torus_coords(z) is None
+    with pytest.raises(DimensionMismatch, match="vector is not in h"):
+        ft.certify(g, emb, z, subsystem=sub)
+    # The shared solve is keyed by identity: x is still read correctly.
+    assert emb.torus_coords(x) == tau
+
+
+def test_torus_not_in_h_has_no_torus_coordinates():
+    # Only reductive_split(..., check=False) builds such an embedding.  The
+    # torus coordinates are solved from the h-coordinates, so they are None
+    # for every x, even for a torus row that lies in h; torus_vector still
+    # combines the given rows.
+    g, emb = so5_so4()
+    sub = make_subsystem("so", (5,), "so", (4,))
+    for torus in (emb.m_basis[:2], (emb.torus_basis[0], emb.m_basis[0])):
+        skew = la.reductive_split(g, emb.h_basis, torus_basis=torus,
+                                  check=False)
+        t = skew.torus_vector((1, 2))
+        assert t == vec_mat((1, 2), torus)
+        for x in (t, torus[0], emb.h_basis[0], vec([0] * g.dim)):
+            assert skew.torus_coords(x) is None
+        with pytest.raises(DimensionMismatch, match="vector is not in h"):
+            ft.certify(g, skew, t, subsystem=sub)
+        cert = ft.certify(g, skew, emb.torus_basis[0], subsystem=sub)
+        assert cert.x_u_torus is None and cert.verdict_roots == NOT_APPLICABLE

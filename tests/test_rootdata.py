@@ -1,5 +1,6 @@
 """Root systems, wall tests, coweights and the shift search."""
 
+import functools
 import importlib.util
 import itertools
 import pathlib
@@ -7,6 +8,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatbundles import liealg as la
 from fatbundles import rootdata as rd
@@ -190,6 +193,65 @@ def test_fat_by_roots_weyl_symmetry():
             signs[0] *= -1
         y = tuple(signs[i] * x[perm[i]] for i in range(3))
         assert rd.fat_by_roots(x, sub).status == rd.fat_by_roots(y, sub).status
+
+
+# Rationals p/q * 10^e with |e| up to 40, zero included: mixed
+# denominators and signs.
+WALL_ENTRIES = st.builds(lambda p, q, e: Q(p, q) * Q(10) ** e,
+                         st.integers(-99, 99), st.integers(1, 99),
+                         st.integers(-40, 40))
+
+def all_forbidden(type_label, rank):
+    return rd.subsystem_from_members(rd.build_root_system(type_label, rank),
+                                     [])
+
+
+WALL_SUBSYSTEMS = {
+    "so5_so4": lambda: detect("so", (5,), "so", (4,))[2],
+    "so7_so6": lambda: detect("so", (7,), "so", (6,))[2],
+    "so5_u2": lambda: detect("so", (5,), "u", (2,))[2],
+    "so41_so4": lambda: detect("so", (4, 1), "so", (4,))[2],
+    "so61_so6": lambda: detect("so", (6, 1), "so", (6,))[2],
+    "b3_all": lambda: all_forbidden("B", 3),
+    "a2_all": lambda: all_forbidden("A", 2),
+}
+
+
+def walls_reference(tau, sub):
+    """(status, witness_root) from root_eval on every forbidden root."""
+    on_wall = [r for r in sub.forbidden if rd.root_eval(r, tau) == 0]
+    return (NOT_FAT, on_wall[0]) if on_wall else (FAT, None)
+
+
+def as_input(data, x):
+    """x as one of the forms vec accepts: an int, a Fraction or "p/q"."""
+    kinds = ["fraction", "string"] + (["int"] if x.denominator == 1 else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "int":
+        return int(x)
+    return f"{x.numerator}/{x.denominator}" if kind == "string" else x
+
+
+@functools.cache
+def wall_subsystem(name):
+    return WALL_SUBSYSTEMS[name]()
+
+
+@pytest.mark.parametrize("name", sorted(WALL_SUBSYSTEMS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_integer_walls_match_fraction_root_evaluation(name, data):
+    sub = wall_subsystem(name)
+    n = sub.parent.coord_dim
+    tau = data.draw(st.lists(WALL_ENTRIES, min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        # Move tau onto the wall of a forbidden root.
+        root = data.draw(st.sampled_from(sub.forbidden))
+        i = next(k for k, a in enumerate(root) if a)
+        tau[i] -= rd.root_eval(root, tau) / root[i]
+        assert rd.root_eval(root, tau) == 0
+    v = rd.fat_by_roots([as_input(data, x) for x in tau], sub)
+    assert (v.status, v.witness_root) == walls_reference(tau, sub)
 
 
 def test_fundamental_coweights_duality():
