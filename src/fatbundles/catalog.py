@@ -11,7 +11,7 @@ from . import curvature as cv
 from . import duality as du
 from . import serialize as sz
 from .errors import CriteriaDisagree, FatBundleError
-from .exact import det, vec
+from .exact import vec
 from .fatness import certify, sample_rational_vectors
 from .liealg import (
     LieAlgebra,
@@ -98,8 +98,8 @@ class InstanceSpec:
         h = d.get("h") or {}
         xu = d.get("Xu")
         tol = float(d.get("tol", 1e-9))
-        if not tol > 0:
-            raise ValueError(f"instance {d.get('id')!r}: tol must be positive")
+        if not 0 < tol < float("inf"):
+            raise ValueError(f"instance {d.get('id')!r}: tol must be positive and finite")
         run = tuple(d.get("run", ("roots", "oracle", "centralizer")))
         unknown = [r for r in run if r not in RUN_KINDS]
         if unknown:
@@ -259,11 +259,11 @@ def _run_coupling(spec, inst, payload) -> bool:
     ok = ok and residual == 0
     if form.dim % 2 == 0:
         min_sv, pf = cp.nondegenerate_and_top_power(form, half)
-        info["min_sv"] = min_sv
+        info["min_sv"] = sz.json_float(min_sv)
         info["pfaffian_abs"] = pf
         if spec.expect in ("fat", "not_fat"):
             # Exact: the form is nondegenerate iff its Gram is invertible.
-            ok = ok and (det(form.gram) != 0) == (spec.expect == "fat")
+            ok = ok and (form.gram_det != 0) == (spec.expect == "fat")
     payload["coupling"] = info
     return ok
 

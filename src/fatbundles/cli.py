@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -39,8 +40,12 @@ def _load_catalog(source: str) -> list[InstanceSpec]:
             text = fh.read()
     except OSError as exc:
         raise SystemExit2(f"cannot read catalog {source}: {exc}")
+    def finite(text: str) -> float:  # Python reads NaN, Infinity and 1e999
+        if not math.isfinite(x := float(text)):
+            raise SystemExit2(f"{source}: {text} is not a finite JSON number")
+        return x
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=finite, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise SystemExit2(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}")
     if not isinstance(data, list):
@@ -72,11 +77,12 @@ def _cert_path(out: str, iid) -> str:
 
 
 def _positive(kind):
-    """An argparse type: ``kind(text)``, rejected unless it is > 0."""
+    """An argparse type: ``kind(text)``, rejected unless finite and > 0."""
     def positive(text: str):
         x = kind(text)
-        if not x > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < x < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be positive and finite, got {text}")
         return x
     return positive
 

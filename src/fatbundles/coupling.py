@@ -10,6 +10,7 @@ nondegenerate exactly when the base covector is fat.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -20,15 +21,17 @@ from .errors import DegenerateRestriction, IsotropyMismatch, OddDimension
 from .exact import (
     Mat,
     Vec,
-    congruence,
     det,
     frac,
-    gram,
     identity,
     inverse,
     mat,
     nullspace,
     rank,
+    sparse_congruence,
+    sparse_dot,
+    sparse_ints,
+    sparse_vec,
     vec,
     vec_mat,
 )
@@ -63,6 +66,10 @@ class InvariantTwoForm:
     def gram_float(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.gram])
 
+    @functools.cached_property
+    def gram_det(self) -> Fraction:  # computed once per form
+        return det(self.gram)
+
 
 @dataclass(frozen=True)
 class HomogeneousBundleInstance:
@@ -84,8 +91,12 @@ class HomogeneousBundleInstance:
 
 def _orbit_gram(g: LieAlgebra, x_u: Vec, rows: Mat) -> Mat:
     """Gram of B(x_u, [., .]) over the given rows: R S R^T with the
-    pairing matrix S_ab = B(x_u, [e_a, e_b])."""
-    return congruence(rows, g.orbit_pairing(x_u))
+    pairing matrix S_ab = B(x_u, [e_a, e_b]), in ints over one denominator."""
+    s_rows, s_den = g.orbit_pairing(x_u)
+    r, r_den = sparse_ints([sparse_vec(row) for row in rows])
+    den = s_den * r_den * r_den
+    return tuple(tuple(Fraction(row.get(j, 0), den) for j in range(len(r)))
+                 for row in sparse_congruence(r, s_rows))
 
 
 def coupling_form(g: LieAlgebra, v_basis, x_u, *, n_basis=None) -> InvariantTwoForm:
@@ -122,11 +133,12 @@ def bundle_instance(g: LieAlgebra, emb: SubalgebraEmbedding, x_u) -> Homogeneous
     in_h = rank(emb.ad_m_ints(x_u)[0]) == emb.dim_m
     v_rows = g.centralizer_in(x_u, emb.h_basis)
     if v_rows:
-        kv = [g.covector(r) for r in v_rows]
-        if rank(gram(v_rows, kv)) != len(v_rows):
+        vs = [sparse_vec(r) for r in v_rows]
+        kv = [g.sparse_covector(v) for v in vs]
+        if rank([[sparse_dot(v, k) for k in kv] for v in vs]) != len(vs):
             raise DegenerateRestriction("Killing form singular on v")
         # h cap n: elements of h Killing-orthogonal to v.
-        fiber_coeffs = nullspace(gram(kv, emb.h_basis))
+        fiber_coeffs = nullspace([[sparse_dot(k, h) for h in emb.h_sparse] for k in kv])
     else:
         fiber_coeffs = identity(emb.dim_h)
     fiber_rows = tuple(vec_mat(c, emb.h_basis) for c in fiber_coeffs)
@@ -227,11 +239,13 @@ def ce_closedness(g: LieAlgebra, form: InvariantTwoForm) -> Fraction:
     if len(inv) != g.dim:
         raise ValueError("v + n does not span g")
     # Row a of the inverse holds the (v, n) coordinates of e_a; the form
-    # sees only the n part.
+    # sees only the n part, row a of C.  sigma = C G C^T, in ints over den.
     nv = len(form.v_basis)
-    sig = congruence([row[nv:] for row in inv], form.gram)
-    return g.triple_residual(
-        [{b: {0: s} for b, s in enumerate(row) if s} for row in sig])
+    c, c_den = sparse_ints([sparse_vec(row[nv:]) for row in inv])
+    gram, g_den = sparse_ints([sparse_vec(row) for row in form.gram])
+    residual = g.triple_residual([{(b, 0): s for b, s in row.items()}
+                                  for row in sparse_congruence(c, gram)])
+    return Fraction(residual, c_den * c_den * g_den)
 
 
 def nondegenerate_and_top_power(form: InvariantTwoForm,
@@ -245,7 +259,7 @@ def nondegenerate_and_top_power(form: InvariantTwoForm,
         return float("inf"), 1.0
     gf = form.gram_float()
     min_sv = float(np.linalg.svd(gf, compute_uv=False)[-1])
-    d = det(form.gram)
+    d = form.gram_det
     if d < 0:
         raise ValueError("antisymmetric Gram has negative determinant")
     pf_abs = sqrt(float(d))

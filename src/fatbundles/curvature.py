@@ -289,6 +289,8 @@ def twistor_fatness(tensor: CurvatureTensor, num_frames: int = 100,
     full form is numerically nondegenerate.  The verdict is fat only if
     all frames pass.
     """
+    if num_frames < 1:
+        raise ValueError("num_frames must be >= 1")
     n = tensor.n
     bound = 1.0 - (2 * n + 1) * tensor.epsilon / 3.0
     frames = random_frames(n, num_frames, seed)

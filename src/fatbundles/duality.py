@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 from .errors import InvolutionInvalid
 from .exact import (
-    ZERO,
     Mat,
     Vec,
     inertia,
     mat,
-    mat_mul,
+    rational,
+    sparse_vec,
 )
 from .fatness import certify, sample_rational_vectors
 from .liealg import (
@@ -43,12 +43,25 @@ class DualPair:
     involution: Mat
 
 
-def _theta_matrix_action(g: LieAlgebra, t_mat: Mat) -> list[Vec]:
-    """Coordinates of theta(b_i) = T b_i T for every basis element."""
+def _product(a: dict, b: dict, n: int) -> dict:
+    """ab for n x n matrices held as {r * n + c: value}, nonzero only."""
+    b_rows: dict[int, list] = {}
+    for kb, v in b.items():
+        b_rows.setdefault(kb // n, []).append((kb % n, v))
+    out: dict = {}
+    for ka, u in a.items():
+        r, c = divmod(ka, n)
+        for t, v in b_rows.get(c, ()):
+            k = r * n + t
+            out[k] = out[k] + u * v if k in out else u * v
+    return {k: rational(x) for k, x in out.items() if x}
+
+
+def _theta_matrix_action(g: LieAlgebra, t: dict) -> list[dict]:
+    """Sparse coordinates of theta(b_i) = T b_i T for every basis element."""
     out = []
-    for b in g.basis:
-        img = mat_mul(mat_mul(t_mat, b), t_mat)
-        c = g.coords_of_matrix(img)
+    for b in g._flat_solver.sparse_rows:
+        c = g._flat_solver.sparse_coords(_product(_product(t, b, g.n), t, g.n))
         if c is None:
             raise InvolutionInvalid("conjugation does not preserve the algebra")
         out.append(c)
@@ -68,35 +81,35 @@ def dualize(g: LieAlgebra, involution) -> DualPair:
     n = g.n
     if len(t_mat) != n or any(len(r) != n for r in t_mat):
         raise InvolutionInvalid("involution matrix has the wrong shape")
-    t_sq = mat_mul(t_mat, t_mat)
-    if t_sq != tuple(tuple(ZERO if i != j else t_sq[i][i] for j in range(n))
-                     for i in range(n)) or any(t_sq[i][i] != 1 for i in range(n)):
+    t = sparse_vec([x for row in t_mat for x in row])
+    if _product(t, t, n) != {i * n + i: 1 for i in range(n)}:
         raise InvolutionInvalid("T^2 != identity")
     # T^2 = 1 gives theta^2(X) = T^2 X T^2 = X and T[X, Y]T = [TXT, TYT]:
     # once theta preserves g it is an involutive automorphism of g.
-    theta_rows = mat(_theta_matrix_action(g, t_mat))
+    theta = _theta_matrix_action(g, t)
     d = g.dim
     # Eigenspaces: for the built-in adapted bases theta is diagonal +-1.
-    diag = all(theta_rows[i][j] == 0 for i in range(d) for j in range(d) if i != j)
-    if not diag:
+    if any(c.keys() - {i} for i, c in enumerate(theta)):
         raise InvolutionInvalid(
             "involution is not diagonal on the basis; rebase the algebra "
             "to a theta-adapted basis first")
-    k_idx = [i for i in range(d) if theta_rows[i][i] == 1]
-    p_idx = [i for i in range(d) if theta_rows[i][i] == -1]
+    k_idx = [i for i in range(d) if theta[i].get(i) == 1]
+    p_idx = [i for i in range(d) if theta[i].get(i) == -1]
     if sorted(k_idx + p_idx) != list(range(d)):
         raise InvolutionInvalid("theta eigenvalues are not +-1")
     if k_idx != list(range(len(k_idx))):
         raise InvolutionInvalid("basis must list the compact part first")
-    gram_k = tuple(tuple(g.killing[i][j] for j in k_idx) for i in k_idx)
+    gram_k = [[g._killing_rows[i].get(j, 0) for j in k_idx] for i in k_idx]
     pos, neg, zero = inertia(gram_k) if k_idx else (0, 0, 0)
     if neg != len(k_idx):
         raise InvolutionInvalid("the +1 eigenspace of theta is not compact")
     if not p_idx:
         return DualPair(g, g, d, t_mat)
-    dual_basis = [g.basis[i] for i in k_idx]
-    dual_basis += [mat_mul(g.basis[i], t_mat) for i in p_idx]
-    dual = LieAlgebra(f"dual({g.name})", dual_basis,
+    flat = g._flat_solver.sparse_rows
+    dual_flat = [flat[i] for i in k_idx] + [_product(flat[i], t, n) for i in p_idx]
+    dual = LieAlgebra(f"dual({g.name})",
+                      [[[b.get(r * n + c, 0) for c in range(n)] for r in range(n)]
+                       for b in dual_flat],
                       family=g.family, params=g.params)
     _verify_flip(g, dual, len(k_idx))
     neg_in, _, _ = killing_signature(g)
@@ -112,20 +125,15 @@ def dualize(g: LieAlgebra, involution) -> DualPair:
 def _verify_flip(g: LieAlgebra, dual: LieAlgebra, k_dim: int) -> None:
     """The dual constants must equal the originals with the k-components
     of [p, p] brackets sign-flipped."""
-    d = g.dim
-    for i in range(d):
-        for j in range(i + 1, d):
-            orig = g._structure.get((i, j), {})
-            new = dual._structure.get((i, j), {})
-            flip = i >= k_dim and j >= k_dim
-            expect = {}
-            for k, v in orig.items():
-                expect[k] = -v if (flip and k < k_dim) else v
-            if flip and any(k >= k_dim for k in orig):
-                raise InvolutionInvalid("[p, p] is not contained in k")
-            if new != expect:
-                raise InvolutionInvalid(
-                    f"dual constants differ from the sign flip at ({i}, {j})")
+    for i, j in sorted(g._structure.keys() | dual._structure.keys()):
+        orig = g._structure.get((i, j), {})
+        flip = i >= k_dim  # i < j, so (i, j) is a pair in p
+        if flip and any(k >= k_dim for k in orig):
+            raise InvolutionInvalid("[p, p] is not contained in k")
+        if dual._structure.get((i, j), {}) != {k: -v if flip else v
+                                               for k, v in orig.items()}:
+            raise InvolutionInvalid(
+                f"dual constants differ from the sign flip at ({i}, {j})")
 
 
 def standard_involution(g: LieAlgebra) -> Mat:

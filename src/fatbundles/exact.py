@@ -14,6 +14,7 @@ every public ``Vec`` and ``Mat`` holds ``Fraction``s only.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -93,6 +94,25 @@ def sparse_combination(c: dict, rows) -> dict:
     return {i: rational(x) for i, x in out.items() if x}
 
 
+def sparse_congruence(rows, m) -> list[dict]:
+    """R M R^T for sparse {index: value} rows R and the rows M_a of M:
+    row i is (R_i M) R^T, two sparse combinations."""
+    cols: defaultdict = defaultdict(dict)  # the rows of R^T
+    for i, row in enumerate(rows):
+        for a, x in row.items():
+            cols[a][i] = x
+    return [sparse_combination(sparse_combination(r, m), cols) for r in rows]
+
+
+def sparse_ints(rows) -> tuple[list[dict], int]:
+    """(M, den) with M / den the sparse {index: value} rows and every value
+    of M an int: the rows over their one least common denominator."""
+    den = lcm(*(x.denominator for row in rows for x in row.values()
+                if type(x) is not int))
+    return [{i: x * den if type(x) is int else x.numerator * (den // x.denominator)
+             for i, x in row.items()} for row in rows], den
+
+
 def vec_mat(x, a) -> Vec:
     """Row vector times matrix: sum_i x_i * a[i]."""
     n = len(a[0]) if a else 0
@@ -103,24 +123,6 @@ def vec_mat(x, a) -> Vec:
                 if r:
                     out[j] += xi * r
     return tuple(out)
-
-
-def gram(a, b) -> Mat:
-    """Pairwise dot products: entry (i, j) is a[i] . b[j]."""
-    return tuple(tuple(dot(x, y) for y in b) for x in a)
-
-
-def congruence(rows, m) -> Mat:
-    """rows . m . rows^T: the Gram of the bilinear form m over the rows."""
-    return gram([vec_mat(r, m) for r in rows], rows)
-
-
-def mat_mul(a, b) -> Mat:
-    return gram(a, transpose(b))
-
-
-def transpose(a) -> Mat:
-    return tuple(zip(*a)) if a else ()
 
 
 def sub_vec(x, y) -> Vec:
@@ -152,11 +154,14 @@ def _clear_denominators(row) -> tuple[list[int], int]:
     return [a.numerator * (denom // a.denominator) for a in row], denom
 
 
-def _reduce(rows) -> tuple[list[list[int]], list[int], Fraction]:
+def _reduce(rows, forward: bool = False
+            ) -> tuple[list[list[int]], list[int], Fraction]:
     """Fraction-free Gauss-Jordan elimination: the one row reduction.
 
     Returns (red, pivots, scale).  Row i of the reduced row echelon form
-    is red[i] / red[i][pivots[i]]; the rows past len(pivots) are zero.  For
+    is red[i] / red[i][pivots[i]]; the rows past len(pivots) are zero.
+    ``forward`` stops at a row echelon form, eliminating below each pivot
+    only: enough for the pivots and the determinant.  For
     a square matrix det(red) = scale * det(rows).  Each row is cleared of
     denominators; a step touches only the rows with a nonzero in the pivot
     column, each becoming p * row - f * pivot_row divided by its content,
@@ -178,7 +183,7 @@ def _reduce(rows) -> tuple[list[list[int]], list[int], Fraction]:
             num = -num
         row_r = m[r]
         p = row_r[c]
-        for i in range(nr):
+        for i in range(r + 1 if forward else 0, nr):
             f = m[i][c]
             if i == r or not f:
                 continue
@@ -199,7 +204,7 @@ def _reduce(rows) -> tuple[list[list[int]], list[int], Fraction]:
 
 def rank(rows) -> int:
     """Rank of a rational matrix: its number of pivots."""
-    return len(_reduce(rows)[1])
+    return len(_reduce(rows, forward=True)[1])
 
 
 def nullspace(rows) -> list[Vec]:
@@ -253,53 +258,47 @@ def det(a) -> Fraction:
     pivots over the scale the reduction applied, or zero below full rank."""
     if any(len(row) != len(a) for row in a):
         raise ValueError("det needs a square matrix")
-    red, pivots, scale = _reduce(a)
+    red, pivots, scale = _reduce(a, forward=True)
     if len(pivots) < len(a):
         return ZERO
     return prod(row[p] for row, p in zip(red, pivots)) / scale
 
 
 def inertia(a) -> tuple[int, int, int]:
-    """Signature (n_pos, n_neg, n_zero) of an exact symmetric matrix,
-    computed by congruence (symmetric Gaussian) elimination."""
-    m = [[frac(x) for x in row] for row in a]
-    n = len(m)
+    """Signature (n_pos, n_neg, n_zero) of an exact symmetric matrix, by
+    fraction-free symmetric elimination: each pivot d on the diagonal is
+    counted and removed, and the rest becomes |d| A - sign(d) a a^T over
+    its content, a positive multiple of the Schur complement."""
+    n = len(a)
+    flat, _ = _clear_denominators([x for row in a for x in row])
+    m = [flat[i * n:(i + 1) * n] for i in range(n)]
     pos = neg = 0
-    k = 0
-    while k < n:
-        piv = next((i for i in range(k, n) if m[i][i] != 0), None)
-        if piv is None:
-            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
-                        if m[i][j] != 0), None)
+    while m:
+        # The last pivot found is the cheapest to pop.
+        k = next((i for i in reversed(range(len(m))) if m[i][i]), None)
+        if k is None:
+            off = next(((i, j) for i, row in enumerate(m)
+                        for j in range(i + 1, len(m)) if row[j]), None)
             if off is None:
                 break
             i, j = off
             # e_i <- e_i + e_j turns the zero diagonal entry into 2 m_ij.
-            for c in range(n):
-                m[i][c] += m[j][c]
-            for r in range(n):
-                m[r][i] += m[r][j]
-            piv = i
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            for r in range(n):
-                m[r][k], m[r][piv] = m[r][piv], m[r][k]
-        d = m[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if m[i][k]:
-                f = m[i][k] / d
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-        for j in range(k + 1, n):
-            if m[k][j]:
-                f = m[k][j] / d
-                for i in range(k, n):
-                    m[i][j] -= f * m[i][k]
-        k += 1
+            m[i] = [x + y for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] += row[j]
+            k = i
+        piv = m.pop(k)
+        d = piv.pop(k)
+        col = [row.pop(k) for row in m]
+        pos += d > 0
+        neg += d < 0
+        if any(col):  # else the rest is the Schur complement as it is
+            s = 1 if d > 0 else -1
+            m = [[abs(d) * x - s * f * p for x, p in zip(row, piv)]
+                 for row, f in zip(m, col)]
+            g = gcd(*(x for row in m for x in row))
+            if g > 1:
+                m = [[x // g for x in row] for row in m]
     return pos, neg, n - pos - neg
 
 

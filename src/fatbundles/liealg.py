@@ -19,7 +19,6 @@ from .errors import (
     NotCompact,
 )
 from .exact import (
-    ZERO,
     CoordinateSolver,
     Mat,
     Vec,
@@ -35,9 +34,9 @@ from .exact import (
     solve,
     sparse_combination,
     sparse_dot,
+    sparse_ints,
     sparse_vec,
     sub_vec,
-    transpose,
     vec,
     vec_mat,
     zero_vec,
@@ -178,13 +177,13 @@ class LieAlgebra:
         y = sparse_vec(self.check_vector(y))
         return dense_vec(self.sparse_bracket(x, y), self.dim)
 
-    def ad_on(self, x, rows) -> Mat:
-        """Matrix of ad_x on the span of ``rows``: column j is [x, rows_j]."""
-        return transpose([self.bracket(x, r) for r in rows])
-
     def centralizer_in(self, x, rows) -> Mat:
-        """Basis of the elements of span(rows) that commute with x."""
-        return tuple(vec_mat(c, rows) for c in nullspace(self.ad_on(x, rows)))
+        """Basis of the elements of span(rows) that commute with x: the
+        kernel of ad_x on the rows, whose column j is [x, rows_j]."""
+        x = sparse_vec(self.check_vector(x))
+        cols = [self.sparse_bracket(x, sparse_vec(r)) for r in rows]
+        ad = [[col.get(i, 0) for col in cols] for i in range(self.dim)]
+        return tuple(vec_mat(c, rows) for c in nullspace(ad))
 
     def sparse_covector(self, x: dict) -> dict:
         """K x for a sparse {index: value} x, nonzero entries only; K is
@@ -204,35 +203,33 @@ class LieAlgebra:
         """B(x, y) = Tr(ad_x ad_y), evaluated through the cached Gram."""
         return dot(self.check_vector(x), self.covector(y))
 
-    def orbit_pairing(self, x) -> Mat:
-        """S_ab = B(x, [e_a, e_b]): the orbit form of x over the basis."""
-        kx = self.covector(x)
-        return tuple(
-            tuple(sum((v * kx[k] for k, v in row.get(b, {}).items()), ZERO)
-                  for b in range(self.dim))
-            for row in self._ad_of)
+    def orbit_pairing(self, x) -> tuple[list[dict], int]:
+        """(S, den) with S / den the orbit form S_ab = B(x, [e_a, e_b]) =
+        sum_k c^k_ab (K x)_k of x, in sparse rows S_a = {b: value}."""
+        (kx,), den = sparse_ints([self.sparse_covector(
+            sparse_vec(self.check_vector(x)))])
+        return [{b: rational(s) for b, ck in row.items() if (s := sparse_dot(ck, kx))}
+                for row in self._ad_of], den
 
-    def triple_residual(self, table) -> Fraction:
+    def triple_residual(self, table) -> int | Fraction:
         """Max |entry| over basis triples i < j < k of
-        sum_cyc sum_l c^l_ij table[l][k], where table[l] maps k to a sparse
-        {index: value} vector (absent means zero).  The structure constants
-        give the Jacobi residual; table[l][k] = {0: sigma_lk} gives
-        max |d sigma(e_i, e_j, e_k)|."""
-        worst: Fraction = ZERO
-        d = self.dim
-        ad_of = self._ad_of
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    total: dict[int, Fraction] = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for l, cl in ad_of[a].get(b, {}).items():
-                            for idx, v in table[l].get(c, {}).items():
-                                total[idx] = total.get(idx, ZERO) + cl * v
-                    m = max(map(abs, total.values()), default=ZERO)
-                    if m > worst:
-                        worst = m
-        return worst
+        sum_cyc sum_l c^l_ij table[l][k], where table[l] is a sparse
+        {(k, index): value} table of vectors.  The structure constants
+        give the Jacobi residual; table[l] = {(k, 0): sigma_lk} gives
+        max |d sigma(e_i, e_j, e_k)|.  Each W_ab = sum_l c^l_ab table[l],
+        a < b, is formed once and its entries W_ab[c] are added into the
+        sorted triples, negated when a < c < b (where c^l_ba = -c^l_ab)."""
+        totals: dict[tuple, int | Fraction] = {}
+        for a, row in enumerate(self._ad_of):
+            for b, cab in row.items():
+                if b < a:
+                    continue
+                for (c, idx), w in sparse_combination(cab, table).items():
+                    if c != a and c != b:
+                        key = (*sorted((a, b, c)), idx)
+                        w = -w if a < c < b else w
+                        totals[key] = totals[key] + w if key in totals else w
+        return max(map(abs, totals.values()), default=0)
 
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
         return Fraction(self._ad_of[i].get(j, {}).get(k, 0))
@@ -254,7 +251,8 @@ class LieAlgebra:
 
 def killing_signature(g: LieAlgebra) -> tuple[int, int, int]:
     """(n_neg, n_pos, n_zero) of the Killing form."""
-    pos, neg, zero = inertia(g.killing)
+    pos, neg, zero = inertia([[row.get(j, 0) for j in range(g.dim)]
+                              for row in g._killing_rows])
     return neg, pos, zero
 
 
@@ -676,4 +674,6 @@ def u_block_embedding(g: LieAlgebra, n: int, *, name: str = "") -> SubalgebraEmb
 def jacobi_residual(g: LieAlgebra) -> Fraction:
     """Max residual of the Jacobi identity over all basis triples (exact
     zero for every algebra that closes)."""
-    return g.triple_residual(g._ad_of)
+    return Fraction(g.triple_residual(
+        [{(c, k): v for c, ck in row.items() for k, v in ck.items()}
+         for row in g._ad_of]))

@@ -55,70 +55,34 @@ def _sorted_roots(roots) -> tuple[Root, ...]:
 def build_root_system(type_label: str, rank: int) -> RootSystem:
     """Roots of A_n (trace-zero model), B_n, C_n or D_n."""
     n = rank
+    if type_label not in ("A", "B", "C", "D"):
+        raise ValueError(f"unsupported root system type {type_label!r}")
+    least = 2 if type_label == "D" else 1
+    if n < least:
+        raise ValueError(f"{type_label}_n needs rank >= {least}")
+    dim = n + 1 if type_label == "A" else n
+
+    def root(*entries) -> Root:  # the vector with the given (index, value)s
+        r = [0] * dim
+        for i, v in entries:
+            r[i] = v
+        return tuple(r)
+
+    # e_i - e_{i+1}, then for B, C and D the last simple root.
+    simple = [root((i, 1), (i + 1, -1)) for i in range(dim - 1)]
     if type_label == "A":
-        if n < 1:
-            raise ValueError("A_n needs rank >= 1")
-        dim = n + 1
-        roots = []
-        for i in range(dim):
-            for j in range(dim):
-                if i != j:
-                    r = [0] * dim
-                    r[i], r[j] = 1, -1
-                    roots.append(tuple(r))
-        simple = []
-        for i in range(n):
-            r = [0] * dim
-            r[i], r[i + 1] = 1, -1
-            simple.append(tuple(r))
-        return RootSystem("A", n, _sorted_roots(roots), tuple(simple))
-    if type_label in ("B", "C"):
-        if n < 1:
-            raise ValueError(f"{type_label}_n needs rank >= 1")
-        roots = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        r = [0] * n
-                        r[i], r[j] = si, sj
-                        roots.append(tuple(r))
-        short = 1 if type_label == "B" else 2
-        for i in range(n):
-            for s in (short, -short):
-                r = [0] * n
-                r[i] = s
-                roots.append(tuple(r))
-        simple = []
-        for i in range(n - 1):
-            r = [0] * n
-            r[i], r[i + 1] = 1, -1
-            simple.append(tuple(r))
-        last = [0] * n
-        last[n - 1] = short
-        simple.append(tuple(last))
-        return RootSystem(type_label, n, _sorted_roots(roots), tuple(simple))
-    if type_label == "D":
-        if n < 2:
-            raise ValueError("D_n needs rank >= 2")
-        roots = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        r = [0] * n
-                        r[i], r[j] = si, sj
-                        roots.append(tuple(r))
-        simple = []
-        for i in range(n - 1):
-            r = [0] * n
-            r[i], r[i + 1] = 1, -1
-            simple.append(tuple(r))
-        last = [0] * n
-        last[n - 2], last[n - 1] = 1, 1
-        simple.append(tuple(last))
-        return RootSystem("D", n, _sorted_roots(roots), tuple(simple))
-    raise ValueError(f"unsupported root system type {type_label!r}")
+        roots = [root((i, 1), (j, -1))
+                 for i in range(dim) for j in range(dim) if i != j]
+    else:  # the long roots +-e_i +- e_j, and for B and C the short ones
+        roots = [root((i, si), (j, sj)) for i in range(n) for j in range(i + 1, n)
+                 for si in (1, -1) for sj in (1, -1)]
+        if type_label == "D":
+            simple.append(root((n - 2, 1), (n - 1, 1)))
+        else:
+            short = 1 if type_label == "B" else 2
+            roots += [root((i, s)) for i in range(n) for s in (short, -short)]
+            simple.append(root((n - 1, short)))
+    return RootSystem(type_label, n, _sorted_roots(roots), tuple(simple))
 
 
 def root_system_for(g: LieAlgebra) -> RootSystem:

@@ -18,7 +18,7 @@ from .fatness import FatnessCertificate
 
 
 def json_float(x):
-    """Strict-JSON float: infinities become None."""
+    """Strict-JSON float: NaN and the infinities become None."""
     if x is None:
         return None
     x = float(x)
@@ -86,11 +86,12 @@ def block_report_to_json(rep: BlockReport) -> dict:
         "fiber_dim": rep.fiber_dim,
         "horizontal_dim": rep.horizontal_dim,
         "cross_block_zero": rep.cross_block_zero,
-        "cross_max_abs": rep.cross_max_abs,
+        "cross_max_abs": json_float(rep.cross_max_abs),
         "fiber_min_sv": json_float(rep.fiber_min_sv),
         "horizontal_min_sv": json_float(rep.horizontal_min_sv),
         "horizontal_equals_fatness_gram": rep.horizontal_equals_fatness_gram,
-        "fiber_to_horizontal_norm_ratio": rep.fiber_to_horizontal_norm_ratio,
+        "fiber_to_horizontal_norm_ratio": json_float(
+            rep.fiber_to_horizontal_norm_ratio),
     }
 
 
@@ -120,7 +121,8 @@ def agreement_to_json(rep: AgreementReport) -> dict:
                 "tau": vec_to_json(s.tau),
                 "noncompact": s.verdict_noncompact,
                 "compact": s.verdict_compact,
-                "min_sv": [s.min_sv_noncompact, s.min_sv_compact],
+                "min_sv": [json_float(s.min_sv_noncompact),
+                           json_float(s.min_sv_compact)],
             }
             for s in rep.samples
         ],
@@ -129,5 +131,6 @@ def agreement_to_json(rep: AgreementReport) -> dict:
 
 def dumps_canonical(obj) -> str:
     """Canonical JSON text: sorted keys, fixed separators, newline at the
-    end, so equal payloads serialize byte-identically."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    end, so equal payloads serialize byte-identically.  A NaN or infinite
+    float is not JSON and raises ValueError."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -1,7 +1,9 @@
 """Fraction references for the exact kernel, kept beside the tests as
 checks that share no code path with it: plain Gauss-Jordan on ``Fraction``
 entries, with rank, null space, solve, inverse, determinant and span
-coordinates read off it, and structure constants and the Killing Gram from
+coordinates read off it; symmetric Gaussian elimination for the inertia;
+dense matrix products and congruences; the triple residual summed over
+every basis triple; and structure constants and the Killing Gram from
 dense matrix commutators.  ``ad_m`` is no reference: it reads the kernel's
 integer ad_m table as ``Fraction``s, for the tests that compare it with
 dense brackets."""
@@ -154,3 +156,72 @@ def killing_gram(c):
     return tuple(tuple(sum((c[a][j][k] * c[b][k][j] for j in range(d)
                             for k in range(d)), Fraction(0))
                        for b in range(d)) for a in range(d))
+
+
+def ad_on(g, x, rows):
+    """Matrix of ad_x on the rows: column j is the dense bracket [x, rows_j]."""
+    return tuple(zip(*(g.bracket(x, r) for r in rows)))
+
+
+def mat_mul(a, b):
+    """The dense product of two matrices, as a tuple of Fraction rows."""
+    return tuple(tuple(sum((Fraction(x) * y for x, y in zip(row, col)),
+                           Fraction(0)) for col in zip(*b)) for row in a)
+
+
+def congruence(rows, m):
+    """rows . m . rows^T: the Gram of the bilinear form m over the rows."""
+    return mat_mul(mat_mul(rows, m), tuple(zip(*rows)))
+
+
+def inertia(a) -> tuple[int, int, int]:
+    """(n_pos, n_neg, n_zero) of a symmetric matrix by symmetric Gaussian
+    elimination on Fractions, with e_i <- e_i + e_j for a zero diagonal."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n = len(m)
+    pos = neg = 0
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][i]), None)
+        if piv is None:
+            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                        if m[i][j]), None)
+            if off is None:
+                break
+            i, j = off
+            for c in range(n):
+                m[i][c] += m[j][c]
+            for r in range(n):
+                m[r][i] += m[r][j]
+            piv = i
+        m[k], m[piv] = m[piv], m[k]
+        for row in m:
+            row[k], row[piv] = row[piv], row[k]
+        d = m[k][k]
+        pos, neg = (pos + 1, neg) if d > 0 else (pos, neg + 1)
+        for i in range(k + 1, n):
+            f = m[i][k] / d
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+        for i in range(k + 1, n):
+            m[i][k] = Fraction(0)
+        for j in range(k + 1, n):
+            m[k][j] = Fraction(0)
+    return pos, neg, n - pos - neg
+
+
+def triple_residual(c, table):
+    """max |sum_cyc sum_l c[i][j][l] * table[l][k]| over basis triples
+    i < j < k, every term summed: c[i][j] and table[l][k] are dense
+    Fraction vectors."""
+    d = len(c)
+    worst = Fraction(0)
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                total = [Fraction(0)] * len(table[0][0])
+                for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l in range(d):
+                        if c[a][b][l]:
+                            total = [t + c[a][b][l] * v
+                                     for t, v in zip(total, table[l][e])]
+                worst = max([worst, *map(abs, total)])
+    return worst

@@ -402,3 +402,43 @@ def test_run_reports_its_time_on_stderr_only(tmp_path, capsys):
     assert line.startswith("run: 5 instances in ")
     slowest = line.split("; slowest ")[1].split(" (")[0]
     assert slowest in ids
+
+
+@pytest.mark.parametrize("tol", ["inf", "Infinity"])
+def test_non_finite_tol_override_exits_two(tmp_path, capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "paper_examples", "--out", str(tmp_path / "c"),
+                 "--tol", tol])
+    assert exc.value.code == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    # A string that float() reads as infinite.
+    (json.dumps([{**GOOD, "tol": "inf"}]), "tol must be positive and finite"),
+    # Python's json reads these literals by default; JSON has none of them.
+    (json.dumps([GOOD])[:-2] + ', "tol": Infinity}]',
+     "Infinity is not a finite JSON number"),
+    (json.dumps([GOOD])[:-2] + ', "pinch": {"epsilon": NaN}}]',
+     "NaN is not a finite JSON number"),
+    # A number literal too large for a float.
+    (json.dumps([GOOD])[:-2] + ', "dual": {"scale": 1e999}}]',
+     "1e999 is not a finite JSON number"),
+], ids=["inf_string", "Infinity_literal", "NaN_literal", "overflowing_literal"])
+def test_non_finite_catalog_values_exit_two(tmp_path, capsys, text, message):
+    path = tmp_path / "catalog.json"
+    path.write_text(text)
+    assert run_cli(["run", str(path), "--out", str(tmp_path / "c")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_zero_pinch_frames_gives_fail_certificate(tmp_path, capsys):
+    out = tmp_path / "certs"
+    path = _write_catalog(tmp_path, [
+        {"id": "bad", "run": ["pinch"], "pinch": {"n": 2, "frames": 0}}, GOOD])
+    assert run_cli(["run", path, "--out", str(out)]) == 1
+    broken = json.loads((out / "bad.json").read_text())
+    assert broken["error"] == "ValueError: num_frames must be >= 1"
+    assert json.loads((out / "good.json").read_text())["passed"]

@@ -127,6 +127,13 @@ def test_ce_closedness_detects_corrupted_normalization():
             for j2 in range(k)] for i in range(k)]
     bad_form = cp.InvariantTwoForm(g, j, form.v_basis, form.n_basis, mat(bad))
     assert cp.ce_closedness(g, bad_form) > 0
+    # One entry moved by 1, which also breaks antisymmetry.
+    moved = [list(row) for row in form.gram]
+    moved[0][1] += 1
+    moved_form = cp.InvariantTwoForm(g, j, form.v_basis, form.n_basis,
+                                     mat(moved))
+    assert cp.ce_closedness(g, moved_form) == dense_ce_closedness(
+        g, moved_form) > 0
 
 
 def test_ce_closedness_needs_v_and_n_to_be_a_basis_of_g():
@@ -327,3 +334,21 @@ def test_orbit_gram_is_the_killing_pairing_of_brackets(name, data):
     assert gram == tuple(
         tuple(g.killing_form(inst.x_u, g.bracket(a, b)) for b in rows)
         for a in rows)
+
+
+@pytest.mark.parametrize("name", sorted(COUPLING_CASES))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_ce_closedness_of_one_moved_entry_matches_dense_reference(name, data):
+    # One entry moved by +-1 breaks antisymmetry as well, so no part of the
+    # sigma table may be read off another.
+    g, inst = coupling_case(name)
+    form = cp.instance_form(inst)
+    k = form.dim
+    i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+    gram = [list(row) for row in form.gram]
+    gram[i][j] += data.draw(st.sampled_from([-1, 1]))
+    bad = cp.InvariantTwoForm(g, inst.x_u, inst.v_basis, inst.n_basis,
+                              mat(gram))
+    assert cp.ce_closedness(g, bad) == dense_ce_closedness(g, bad)
+

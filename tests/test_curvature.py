@@ -178,3 +178,9 @@ def test_frame_validation():
 def test_pinching_estimate_rejects_bad_sample_count():
     with pytest.raises(ValueError):
         cv.pinching_estimate(cv.constant_curvature(2, 1.0), 0, 0)
+
+
+def test_twistor_fatness_rejects_no_frames():
+    tensor = cv.constant_curvature(2, 1.0)
+    with pytest.raises(ValueError, match="num_frames must be >= 1"):
+        cv.twistor_fatness(tensor, num_frames=0)

@@ -1,5 +1,8 @@
 """Structure-constant duality and fat-set agreement across dual pairs."""
 
+from fractions import Fraction as Q
+
+import fraction_oracles as ref
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from fatbundles import duality as du
 from fatbundles import liealg as la
 from fatbundles import rootdata as rd
 from fatbundles.errors import InvolutionInvalid
-from fatbundles.exact import inertia, mat, unit_vec
+from fatbundles.exact import dense_vec, inertia, mat, sparse_vec, unit_vec
 
 
 def test_dualize_so41_gives_compact_so5():
@@ -67,6 +70,39 @@ def test_double_dual_restores_original_exactly():
         back = du.dualize(pair.compact_dual, t)
         assert back.noncompact.basis == g.basis
         assert back.noncompact._structure == g._structure
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_theta_action_and_dual_basis_match_dense_products(p):
+    g = la.so_pq(p, 1)
+    t = du.standard_involution(g)
+    theta = du._theta_matrix_action(
+        g, sparse_vec([x for row in t for x in row]))
+    assert [dense_vec(c, g.dim) for c in theta] == [
+        g.coords_of_matrix(ref.mat_mul(ref.mat_mul(t, b), t)) for b in g.basis]
+    pair = du.dualize(g, t)
+    k = pair.k_dim
+    assert pair.noncompact is g and k == p * (p - 1) // 2
+    assert pair.compact_dual.basis == tuple(
+        b if i < k else ref.mat_mul(b, t) for i, b in enumerate(g.basis))
+
+
+def test_theta_action_of_a_rational_conjugation():
+    # T = diag(1, 1, -1) conjugated by a rational Q is T' with T'^2 = 1 and
+    # an off-diagonal entry; on so(2, 1) written in the Q-conjugated basis,
+    # with rational entries, it acts as T does on so(2, 1).
+    g = la.so_pq(2, 1)
+    q = mat([[1, 0, 1], [0, 1, 0], [0, 0, 2]])
+    q_inv = mat([[1, 0, Q(-1, 2)], [0, 1, 0], [0, 0, Q(1, 2)]])
+    conj = la.matrix_algebra(
+        "so(2,1)^Q", [ref.mat_mul(ref.mat_mul(q, b), q_inv) for b in g.basis])
+    t = ref.mat_mul(ref.mat_mul(q, du.standard_involution(g)), q_inv)
+    theta = du._theta_matrix_action(
+        conj, sparse_vec([x for row in t for x in row]))
+    assert [dense_vec(c, conj.dim) for c in theta] == [
+        conj.coords_of_matrix(ref.mat_mul(ref.mat_mul(t, b), t))
+        for b in conj.basis]
+    assert t[0][2] == -1 and theta == [{0: 1}, {1: -1}, {2: -1}]
 
 
 def test_dualize_rejects_non_involution():

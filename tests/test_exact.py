@@ -144,7 +144,7 @@ def test_solve_and_inverse():
     x = ex.solve(ex.mat(a), ex.vec([5, 10]))
     assert x == (Q(1), Q(3))
     inv = ex.inverse(ex.mat(a))
-    prod = ex.mat_mul(ex.mat(a), inv)
+    prod = ref.mat_mul(ex.mat(a), inv)
     assert prod == ex.identity(2)
     assert ex.solve(ex.mat([[1, 1], [1, 1]]), ex.vec([0, 1])) is None
 
@@ -186,6 +186,11 @@ def test_inertia_on_known_forms():
     assert ex.inertia([[0, 1], [1, 0]]) == (1, 1, 0)
     assert ex.inertia([[0, 0], [0, 0]]) == (0, 0, 2)
     assert ex.inertia([[-1, 0, 0], [0, -2, 0], [0, 0, 0]]) == (0, 2, 1)
+    # Every diagonal entry zero: only the e_i + e_j step finds a pivot.
+    assert ex.inertia([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == (1, 2, 0)
+    assert ex.inertia([[0, 2, 0], [2, 0, 0], [0, 0, 0]]) == (1, 1, 1)
+    assert ex.inertia([[Q(1, 2), Q(1, 3)], [Q(1, 3), Q(2, 9)]]) == (1, 0, 1)
+    assert ex.inertia([]) == (0, 0, 0)
 
 
 def test_inertia_matches_numpy_eigenvalues():
@@ -197,6 +202,49 @@ def test_inertia_matches_numpy_eigenvalues():
         ev = np.linalg.eigvalsh(np.array(sym, dtype=float))
         assert pos == int((ev > 1e-9).sum())
         assert neg == int((ev < -1e-9).sum())
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric matrices up to 5 x 5: ENTRY entries, the same with a zero
+    diagonal (the e_i + e_j step), or C D C^T of rank below the size."""
+    n = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["entries", "zero_diagonal", "low_rank"]))
+    if kind == "low_rank":
+        r = draw(st.integers(0, max(n - 1, 0)))
+        c = [[draw(ENTRY) for _ in range(r)] for _ in range(n)]
+        dg = [draw(ENTRY) for _ in range(r)]
+        return [[sum((x * e * y for x, e, y in zip(ci, dg, cj)), Q(0))
+                 for cj in c] for ci in c]
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(ENTRY)
+        if kind == "zero_diagonal":
+            a[i][i] = 0
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=symmetric_matrices())
+def test_inertia_matches_fraction_reference(a):
+    assert ex.inertia(a) == ref.inertia(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sparse_congruence_and_common_denominator_match_dense(data):
+    n, k = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 4))
+    m = [[data.draw(ENTRY) for _ in range(n)] for _ in range(n)]
+    r = [[data.draw(ENTRY) for _ in range(n)] for _ in range(k)]
+    ints, den = ex.sparse_ints([ex.sparse_vec(x) for x in r])
+    assert all(type(v) is int for row in ints for v in row.values())
+    assert [ex.dense_vec({i: Q(v, den) for i, v in row.items()}, n)
+            for row in ints] == [tuple(map(Q, x)) for x in r]
+    got = ex.sparse_congruence([ex.sparse_vec(x) for x in r],
+                               [ex.sparse_vec(x) for x in m])
+    assert _sparse_rule(v for row in got for v in row.values())
+    assert [ex.dense_vec(row, k) for row in got] == list(ref.congruence(r, m))
 
 
 def test_primitive_scaling():

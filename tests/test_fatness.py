@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from float_oracles import fatness_gram_float
-from fraction_oracles import ad_m, coords
+from fraction_oracles import ad_m, ad_on, coords
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -317,7 +317,7 @@ def ad_m_reference(g, emb, x):
 
 def centralizer_reference(g, emb, x):
     """(status, witness) from the kernel of the (dim g) x k bracket matrix."""
-    rows = g.ad_on(x, emb.m_basis)
+    rows = ad_on(g, x, emb.m_basis)
     if rank(rows) == emb.dim_m:
         return FAT, None
     return NOT_FAT, vec_mat(nullspace(rows)[0], emb.m_basis)

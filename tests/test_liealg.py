@@ -4,6 +4,7 @@ Oracles: direct matrix commutators (numpy on exact integer matrices), the
 (n-2) Tr(XY) trace identity for so(n), and eigenvalue counts.
 """
 
+import copy
 import functools
 from fractions import Fraction as Q
 
@@ -23,9 +24,9 @@ from fatbundles.errors import (
 from fatbundles.exact import (
     dense_vec,
     dot,
-    gram,
     mat,
     rank,
+    sparse_dot,
     sparse_vec,
     unit_vec,
     vec,
@@ -143,6 +144,53 @@ def test_jacobi_exact_on_builtins():
         assert la.jacobi_residual(g) == 0
 
 
+# Small algebras for the dense triple loop: so(5), so(4, 1), su(3), u(2) and
+# the float-basis so(3), whose structure constants are not all integers.
+JACOBI_ALGEBRAS = {
+    "so5": lambda: la.so(5), "so41": lambda: la.so_pq(4, 1),
+    "su3": lambda: la.su(3), "u2": lambda: la.u_in_so(2),
+    "scaled_so3": lambda: la.matrix_algebra("so3-scaled", scaled_so3())}
+
+
+def corrupted(g, i, j, k, delta):
+    """A copy of g whose constant c^k_ij (and c^k_ji) is moved by delta."""
+    bad = copy.copy(g)
+    bad._ad_of = [dict(row) for row in g._ad_of]
+    ck = dict(g._ad_of[i].get(j, {}))
+    ck[k] = ck.get(k, 0) + delta
+    bad._ad_of[i][j] = ck
+    bad._ad_of[j][i] = {a: -v for a, v in ck.items()}
+    return bad
+
+
+def dense_jacobi_residual(g):
+    """The Jacobi residual by the dense triple loop of the references."""
+    c = [[dense_vec(g._ad_of[a].get(b, {}), g.dim) for b in range(g.dim)]
+         for a in range(g.dim)]
+    return ref.triple_residual(c, c)
+
+
+@pytest.mark.parametrize("name", sorted(JACOBI_ALGEBRAS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_jacobi_residual_of_one_corrupted_constant(name, data):
+    g = JACOBI_ALGEBRAS[name]()
+    d = g.dim
+    i, j = data.draw(st.sampled_from(sorted(g._structure)))
+    k = data.draw(st.integers(0, d - 1))
+    bad = corrupted(g, i, j, k, data.draw(st.sampled_from([-1, 1])))
+    assert la.jacobi_residual(bad) == dense_jacobi_residual(bad)
+    assert la.jacobi_residual(g) == dense_jacobi_residual(g) == 0
+
+
+def test_jacobi_residual_sees_a_corrupted_constant():
+    # [e_0, e_1] = -e_4 in the so(5) basis; moving that constant breaks
+    # Jacobi, and the residual is the dense loop's.
+    g = la.so(5)
+    bad = corrupted(g, 0, 1, 4, 1)
+    assert la.jacobi_residual(bad) == dense_jacobi_residual(bad) > 0
+
+
 def test_build_algebra_dimensions():
     assert la.so(5).dim == 10
     assert la.so_pq(4, 1).dim == 10
@@ -207,7 +255,7 @@ def test_ad_kernel_and_killing_pairing_helpers():
     g = la.so(5)
     x = unit_vec(g.dim, 0)          # the rotation in the (0, 1) plane
     rows = [unit_vec(g.dim, j) for j in range(g.dim)]
-    ad = g.ad_on(x, rows)
+    ad = ref.ad_on(g, x, rows)
     for j, r in enumerate(rows):
         column = [float(row[j]) for row in ad]
         assert np.allclose(column, commutator_oracle(g, x, r))
@@ -258,11 +306,12 @@ def test_sparse_killing_contraction_matches_dense(name, data):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(sparse_vectors(6), min_size=1, max_size=4),
        st.lists(sparse_vectors(6), min_size=1, max_size=4))
-def test_dot_and_gram_match_the_dense_sum(a, b):
+def test_dot_and_sparse_dot_match_the_dense_sum(a, b):
     def dense(x, y):
         return sum((p * q for p, q in zip(x, y)), Q(0))
     assert all(dot(x, y) == dense(x, y) for x in a for y in b)
-    assert gram(a, b) == tuple(tuple(dense(x, y) for y in b) for x in a)
+    assert all(sparse_dot(sparse_vec(x), sparse_vec(y)) == dense(x, y)
+               for x in a for y in b)
 
 
 def test_reductive_split_so5_so4():

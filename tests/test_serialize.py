@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction as Q
 
+import pytest
+
 from fatbundles import serialize as sz
 from fatbundles.catalog import make_pair, make_subsystem
 from fatbundles.fatness import certify
@@ -25,3 +27,26 @@ def test_certificate_schema_matches_contract():
     assert d["min_sv"] == 6.0 and d["seed"] == 17
     assert d["Xu_torus"] == ["1", "1"]
     json.dumps(d)
+
+
+def test_dumps_canonical_refuses_non_finite_floats():
+    # NaN and the infinities are not JSON; json.dumps would write them.
+    for x in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            sz.dumps_canonical({"min_sv": x})
+    assert sz.dumps_canonical({"min_sv": 1e308}) == '{\n  "min_sv": 1e+308\n}\n'
+
+
+def test_block_report_and_dual_samples_write_non_finite_floats_as_null():
+    from fatbundles.coupling import BlockReport
+    from fatbundles.duality import AgreementReport, SamplePair
+    rep = BlockReport(2, 4, True, float("inf"), 1.0, float("inf"), True,
+                      float("nan"))
+    out = sz.block_report_to_json(rep)
+    assert out["cross_max_abs"] is out["horizontal_min_sv"] is None
+    assert out["fiber_to_horizontal_norm_ratio"] is None
+    sample = SamplePair((Q(1),), "fat", "fat", float("inf"), 2.0)
+    dual = sz.agreement_to_json(AgreementReport("p", (sample,), 0))
+    assert dual["pairs"][0]["min_sv"] == [None, 2.0]
+    for payload in (out, dual):
+        json.loads(sz.dumps_canonical(payload))
