@@ -90,29 +90,33 @@ class InstanceSpec:
     def from_json(cls, d: dict) -> "InstanceSpec":
         if not isinstance(d, dict):
             raise ValueError("instance entry is not an object")
+        where = f"instance {d.get('id')!r}"
         for key in ("g", "h", "pinch", "shift", "dual"):
             if d.get(key) is not None and not isinstance(d[key], dict):
-                raise ValueError(
-                    f"instance {d.get('id')!r}: {key!r} is not an object")
+                raise ValueError(f"{where}: {key!r} is not an object")
         g = d.get("g") or {}
         h = d.get("h") or {}
         xu = d.get("Xu")
         tol = float(d.get("tol", 1e-9))
         if not 0 < tol < float("inf"):
-            raise ValueError(f"instance {d.get('id')!r}: tol must be positive and finite")
-        run = tuple(d.get("run", ("roots", "oracle", "centralizer")))
+            raise ValueError(f"{where}: tol must be positive and finite")
+        run = d.get("run", ("roots", "oracle", "centralizer"))
+        if not isinstance(run, (list, tuple)):  # not a string's characters
+            raise ValueError(f"{where}: run must be a list of run kinds, got {run!r}")
         unknown = [r for r in run if r not in RUN_KINDS]
         if unknown:
-            raise ValueError(
-                f"instance {d.get('id')!r}: unknown run kinds {unknown}")
+            raise ValueError(f"{where}: unknown run kinds {unknown}")
         if d.get("expect") not in (None, "fat", "not_fat"):
-            raise ValueError(f"instance {d.get('id')!r}: unknown expect "
-                             f"{d['expect']!r}")
+            raise ValueError(f"{where}: unknown expect {d['expect']!r}")
         for key, n in (("samples", d.get("samples", 0)),
                        ("dual.samples", (d.get("dual") or {}).get("samples", 0))):
             if type(n) is not int or n < 0:
-                raise ValueError(f"instance {d.get('id')!r}: {key} must be "
-                                 f"an integer >= 0")
+                raise ValueError(f"{where}: {key} must be an integer >= 0")
+        # Only ints are taken: int() would read 5.7 as 5 and true as 1.
+        for key, xs in (("g.params", g.get("params", ())),
+                        ("h.params", h.get("params", ())), ("seed", [d.get("seed", 0)])):
+            if not isinstance(xs, (list, tuple)) or any(type(x) is not int for x in xs):
+                raise ValueError(f"{where}: {key} takes integers only, got {xs!r}")
         return cls(
             id=check_id(d["id"]),
             g_family=g.get("family"),
@@ -120,9 +124,9 @@ class InstanceSpec:
             h_type=h.get("type"),
             h_params=tuple(h.get("params", ())) if h else None,
             xu_torus=sz.parse_vec(xu) if xu is not None else None,
-            run=run,
+            run=tuple(run),
             expect=d.get("expect"),
-            seed=int(d.get("seed", 0)),
+            seed=d.get("seed", 0),
             tol=tol,
             samples=d.get("samples", 0),
             pinch=d.get("pinch"),
@@ -165,6 +169,15 @@ def make_subsystem(g_family: str, g_params: tuple, h_type: str,
     g, emb = make_pair(g_family, g_params, h_type, h_params)
     rs = root_system_for(g)
     return detect_subsystem(g, emb, rs)
+
+
+@functools.lru_cache(maxsize=None)
+def make_dual(emb: SubalgebraEmbedding, rs: RootSystem | None) -> tuple:
+    """Construct (and cache) the dual pair of a ``make_pair`` embedding,
+    with h and its sub-root-systems in both algebras."""
+    pair = du.dualize(emb.ambient, du.standard_involution(emb.ambient))
+    embs = du.pair_embeddings(pair, emb.h_basis, emb.torus_basis)
+    return pair, *embs, du.dual_subsystems(pair, *embs, rs)
 
 
 def resolve(spec: InstanceSpec) -> ResolvedInstance:
@@ -271,12 +284,9 @@ def _run_coupling(spec, inst, payload) -> bool:
 def _run_dual(spec, inst, payload) -> bool:
     params = spec.dual or {}
     samples = int(params.get("samples", 200))
-    g = inst.g
-    pair = du.dualize(g, du.standard_involution(g))
-    emb_nc, emb_c = du.pair_embeddings(pair, inst.emb.h_basis,
-                                       inst.emb.torus_basis)
+    pair, emb_nc, emb_c, subs = make_dual(inst.emb, inst.rs)
     rep = du.compare_fat_sets(pair, emb_nc, emb_c, inst.rs, samples,
-                              spec.seed, tol=spec.tol)
+                              spec.seed, tol=spec.tol, subsystems=subs)
     payload["dual"] = sz.agreement_to_json(rep)
     return rep.agreement_fraction == 1.0
 
@@ -378,7 +388,7 @@ def builtin_catalog(name: str) -> list[InstanceSpec]:
         ]
         return [
             InstanceSpec(id=pid, g_family="so", g_params=gp, h_type=ht,
-                         h_params=hp, xu_torus=vec([1] * _rank(gp)),
+                         h_params=hp, xu_torus=vec([1] * (sum(gp) // 2)),
                          run=("roots", "oracle", "centralizer"),
                          expect="fat", samples=200)
             for pid, gp, ht, hp in pairs
@@ -391,8 +401,3 @@ def builtin_catalog(name: str) -> list[InstanceSpec]:
             for n in (2, 3)
         ]
     raise FatBundleError(f"unknown builtin catalog {name!r}")
-
-
-def _rank(g_params: tuple) -> int:
-    n = g_params[0] if len(g_params) == 1 else sum(g_params)
-    return n // 2

@@ -64,7 +64,8 @@ class InvariantTwoForm:
             self.scale * r)
 
     def gram_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.gram])
+        rows = [[float(x) for x in row] for row in self.gram]
+        return np.array(rows, dtype=float).reshape(self.dim, self.dim)
 
     @functools.cached_property
     def gram_det(self) -> Fraction:  # computed once per form

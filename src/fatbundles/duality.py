@@ -196,21 +196,28 @@ def pair_embeddings(pair: DualPair, h_rows, torus_rows
     return emb_nc, emb_c
 
 
-def compare_fat_sets(pair: DualPair, emb_nc: SubalgebraEmbedding,
-                     emb_c: SubalgebraEmbedding, rs: RootSystem,
-                     samples: int, seed: int, *,
-                     tol: float = 1e-9) -> AgreementReport:
-    """Certify sampled torus covectors in both algebras of a dual pair
-    and report verdict agreement (with counterexamples, none expected).
-
-    The root criterion is literally shared: the detected forbidden sets
-    must coincide, so each sample is a three-way consistency check across
-    both algebras.
-    """
+def dual_subsystems(pair: DualPair, emb_nc: SubalgebraEmbedding,
+                    emb_c: SubalgebraEmbedding, rs: RootSystem) -> tuple:
+    """The sub-root-systems of h in both algebras of a dual pair, whose
+    forbidden sets must coincide: the root criterion is literally shared."""
     sub_nc = detect_subsystem(pair.noncompact, emb_nc, rs)
     sub_c = detect_subsystem(pair.compact_dual, emb_c, rs)
     if sub_nc.forbidden != sub_c.forbidden:
         raise InvolutionInvalid("dual pair disagrees on the forbidden set")
+    return sub_nc, sub_c
+
+
+def compare_fat_sets(pair: DualPair, emb_nc: SubalgebraEmbedding,
+                     emb_c: SubalgebraEmbedding, rs: RootSystem,
+                     samples: int, seed: int, *, tol: float = 1e-9,
+                     subsystems: tuple | None = None) -> AgreementReport:
+    """Certify sampled torus covectors in both algebras of a dual pair
+    and report verdict agreement (with counterexamples, none expected).
+
+    Each sample is a three-way consistency check across both algebras,
+    on the ``dual_subsystems`` (detected from ``rs`` when not given).
+    """
+    sub_nc, sub_c = subsystems or dual_subsystems(pair, emb_nc, emb_c, rs)
     rank = len(emb_nc.torus_basis)
     out = []
     for tau in sample_rational_vectors(rank, samples, seed):

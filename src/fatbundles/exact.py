@@ -202,14 +202,31 @@ def _reduce(rows, forward: bool = False
     return m, pivots, Fraction(num, den)
 
 
+def _monomial_columns(rows) -> set[int] | None:
+    """The columns hit when each row and column has at most one nonzero, as
+    in ad_x on m for x in a torus: their number is the rank, and the other
+    unit vectors span the kernel.  Else None, found at the first bad row."""
+    hit: set[int] = set()
+    for row in rows:
+        n = len(row) - row.count(0)
+        if n > 1 or n and (j := row.index(next(filter(None, row)))) in hit:
+            return None
+        if n:
+            hit.add(j)
+    return hit
+
+
 def rank(rows) -> int:
     """Rank of a rational matrix: its number of pivots."""
-    return len(_reduce(rows, forward=True)[1])
+    hit = _monomial_columns(rows)
+    return len(_reduce(rows, forward=True)[1]) if hit is None else len(hit)
 
 
 def nullspace(rows) -> list[Vec]:
     """Basis of {x : A x = 0}, in primitive integer form."""
     nc = len(rows[0]) if rows else 0
+    if (hit := _monomial_columns(rows)) is not None:
+        return [unit_vec(nc, f) for f in range(nc) if f not in hit]
     red, pivots, _ = _reduce(rows)
     basis = []
     for f in sorted(set(range(nc)).difference(pivots)):

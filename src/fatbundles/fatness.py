@@ -127,7 +127,7 @@ def fat_by_centralizer(emb: SubalgebraEmbedding, x_u) -> Verdict:
     return Verdict(NOT_FAT, witness_vector=vec_mat(kernel[0], emb.m_basis))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FatnessCertificate:
     """The triple verdict with witnesses and numeric margins."""
 
@@ -166,7 +166,7 @@ def certify(g: LieAlgebra, emb: SubalgebraEmbedding, x_u, *,
     and X_u lies in the stored torus.  Disagreement raises
     CriteriaDisagree with the full certificate (all witnesses) attached.
     """
-    x_u = g.check_vector(x_u)
+    x_u = emb.h_solve(x_u)[0]  # checked, and solved once for every criterion
     tau = emb.torus_coords(x_u)
     if subsystem is not None and tau is not None:
         roots_v = fat_by_roots(tau, subsystem)

@@ -458,14 +458,14 @@ class SubalgebraEmbedding:
 
     def h_coords(self, x) -> Vec | None:
         """Coefficients of x in the h-basis when x lies in h, else None."""
-        c = self._h_solve(x)[1]
+        c = self.h_solve(x)[1]
         return None if c is None else dense_vec(c, self.dim_h)
 
     def in_m(self, x) -> bool:
         ch, _ = self.split_coords(x)
         return all(c == 0 for c in ch)
 
-    def _h_solve(self, x) -> tuple:
+    def h_solve(self, x) -> tuple:
         """(x, c, ints, den): x checked, its sparse h-coordinates c (None
         outside h) and c as ints / den.  The last solve is kept, keyed by
         the identity of x, so one X_u is checked and solved once."""
@@ -479,11 +479,11 @@ class SubalgebraEmbedding:
 
     def h_linear(self, build, x) -> tuple[list[list[int]], int]:
         """(M, den) with M / den = sum_a c_a T_a over the h-coordinates c of
-        x (else DimensionMismatch), read off the shared ``_h_solve``: M is a
+        x (else DimensionMismatch), read off the shared ``h_solve``: M is a
         k x k integer matrix formed from the nonzero c_a only.  ``build(emb)``
         lists, per h_a, the nonzero entries (i, j, v) of T_a; they are kept,
         keyed by ``build``, as integers over one common denominator."""
-        _, c, ints, den = self._h_solve(x)
+        _, c, ints, den = self.h_solve(x)
         if c is None:
             raise DimensionMismatch("vector is not in h")
         if build not in self._cache:
@@ -533,7 +533,7 @@ class SubalgebraEmbedding:
             rows = [self.sparse_h_coords(t) for t in self.torus_sparse]
             self._cache["torus"] = None if None in rows else CoordinateSolver(
                 [dense_vec(r, self.dim_h) for r in rows])
-        c, solver = self._h_solve(x)[1], self._cache["torus"]
+        c, solver = self.h_solve(x)[1], self._cache["torus"]
         return None if c is None or solver is None else solver.coords(c)
 
     def torus_vector(self, tau) -> Vec:

@@ -193,7 +193,7 @@ def fat_by_roots(x, sub: SubSystem) -> Verdict:
     """Forbidden-wall test: fat iff alpha(x) != 0 for every forbidden root
     alpha, else the first root on a wall is the witness.  The torus
     coordinates x are cleared of denominators once, by their positive lcm."""
-    ints, _ = _clear_denominators(vec(x))
+    ints, _ = _clear_denominators(x)
     for root in sub.forbidden:
         if not sum(a * b for a, b in zip(root, ints) if a):
             return Verdict(NOT_FAT, witness_root=root)

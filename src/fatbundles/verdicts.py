@@ -9,7 +9,7 @@ NOT_FAT = "not_fat"
 NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Outcome of one fatness criterion with its witness data.
 

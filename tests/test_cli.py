@@ -290,6 +290,43 @@ def test_unknown_expect_and_bad_sample_counts_exit_two(tmp_path, capsys,
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("field, message", [
+    # int() read these as so(5), so(4), seed 1 and seed 2.
+    ({"g": {"family": "so", "params": [5.7]}},
+     "g.params takes integers only, got [5.7]"),
+    ({"h": {"type": "so", "params": [4.0]}},
+     "h.params takes integers only, got [4.0]"),
+    ({"seed": True}, "seed takes integers only, got [True]"),
+    ({"seed": 2.5}, "seed takes integers only, got [2.5]"),
+    # A string was read one character at a time, as run kinds 'r', 'o', ...
+    ({"run": "roots"}, "run must be a list of run kinds, got 'roots'"),
+])
+def test_mistyped_params_seed_and_run_exit_two(tmp_path, capsys, field,
+                                               message):
+    path = _write_catalog(tmp_path, [{**GOOD, **field}])
+    assert run_cli(["run", path, "--out", str(tmp_path / "c")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_empty_coupling_form_writes_a_block_report(tmp_path, capsys):
+    # h = g, so v = h and n = 0: the coupling form has dimension 0.
+    out = tmp_path / "certs"
+    path = _write_catalog(tmp_path, [
+        {"id": "empty", "g": {"family": "so", "params": [4]},
+         "h": {"type": "so", "params": [4]}, "Xu": ["0", "0"],
+         "run": ["coupling"]}])
+    assert run_cli(["run", path, "--out", str(out)]) == 0
+    info = json.loads((out / "empty.json").read_text())["coupling"]
+    assert info["form"]["dim"] == 0
+    assert info["blocks"] == {
+        "cross_block_zero": True, "cross_max_abs": 0.0, "fiber_dim": 0,
+        "fiber_min_sv": None, "fiber_to_horizontal_norm_ratio": None,
+        "horizontal_dim": 0, "horizontal_equals_fatness_gram": True,
+        "horizontal_min_sv": None}
+    assert info["closedness_residual"] == "0"
+
+
 @pytest.mark.parametrize("iid", ["../escaped", "a/b", "a\\b", "nul\0",
                                  "", ".", "..", 7])
 def test_instance_ids_must_be_plain_file_names(tmp_path, capsys, iid):

@@ -163,3 +163,26 @@ def test_dual_gram_matrices_differ_only_by_m_sign_data():
         s2 = np.linalg.svd(np.array([[float(v) for v in r] for r in g2]),
                            compute_uv=False)
         assert np.abs(s1 - s2).max() < 1e-9
+
+
+def test_dual_instances_of_one_pair_build_it_once():
+    from dataclasses import replace
+
+    from fatbundles import catalog as ct
+    from fatbundles import serialize as sz
+    spec = replace(ct.builtin_catalog("duality")[0], dual={"samples": 30})
+    ct.make_dual.cache_clear()
+    first = ct.run_instance(spec)
+    again = ct.run_instance(replace(spec, id="again"))
+    assert (ct.make_dual.cache_info().hits, ct.make_dual.cache_info().misses) \
+        == (1, 1)
+    assert first[0] and again[0]
+    assert again[1]["dual"] == first[1]["dual"]
+    # The uncached path, detecting both sub-root-systems itself.
+    g = la.so_pq(4, 1)
+    pair = du.dualize(g, du.standard_involution(g))
+    emb = la.so_block_embedding(g, 4)
+    emb_nc, emb_c = du.pair_embeddings(pair, emb.h_basis, emb.torus_basis)
+    rep = du.compare_fat_sets(pair, emb_nc, emb_c, rd.root_system_for(g),
+                              30, spec.seed)
+    assert first[1]["dual"] == sz.agreement_to_json(rep)

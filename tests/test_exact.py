@@ -113,6 +113,53 @@ def test_det_and_inverse_match_fraction_reference(a):
         assert all(_all_fractions(row) for row in inv)
 
 
+NONZERO = ENTRY.filter(bool)
+
+
+@st.composite
+def monomial_matrices(draw, near=False):
+    """Matrices up to 6 x 6 with at most one nonzero in each row and in each
+    column, permuted, with zero rows and zero columns; square or not.  With
+    ``near`` one change sends them down the general path: a second nonzero
+    in a row, or a second row on a column already hit."""
+    nr = draw(st.integers(2 if near else 0, 6))
+    nc = nr if draw(st.booleans()) else draw(st.integers(2 if near else 0, 6))
+    hits = draw(st.integers(1 if near else 0, min(nr, nc)))
+    rows = draw(st.permutations(range(nr)))[:hits]
+    cols = draw(st.permutations(range(nc)))[:hits]
+    a = [[0] * nc for _ in range(nr)]
+    for i, j in zip(rows, cols):
+        a[i][j] = draw(NONZERO)
+    if near:
+        i, j = rows[0], cols[0]
+        if draw(st.booleans()):
+            a[i][draw(st.sampled_from([c for c in range(nc) if c != j]))] = \
+                draw(NONZERO)
+        else:
+            other = draw(st.sampled_from([r for r in range(nr) if r != i]))
+            a[other] = [0] * nc
+            a[other][j] = draw(NONZERO)
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(monomial_matrices(), monomial_matrices(near=True)))
+def test_monomial_rank_and_kernel_match_fraction_reference(a):
+    nonzero = [[j for j, x in enumerate(row) if x] for row in a]
+    cols = [j for row in nonzero for j in row]
+    monomial = all(len(row) <= 1 for row in nonzero) and \
+        len(cols) == len(set(cols))
+    hit = ex._monomial_columns(a)
+    assert hit == (set(cols) if monomial else None)
+    assert ex.rank(a) == ref.rank(a)
+    ns = ex.nullspace(a)
+    assert ns == ref.nullspace(a)
+    assert all(_all_fractions(v) for v in ns)
+    if all(len(row) == len(a) for row in a):
+        d = ex.det(a)
+        assert type(d) is Q and d == ref.det(a)
+
+
 def test_rank_matches_numpy_on_random_integer_matrices():
     rng = np.random.default_rng(0)
     for _ in range(25):
