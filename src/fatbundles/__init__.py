@@ -2,6 +2,8 @@
 homogeneous principal bundles, with exact rational root-data arithmetic
 and numeric curvature oracles."""
 
+__version__ = "0.1.0"  # set first: certificates record it
+
 from .coupling import (
     BlockReport,
     HomogeneousBundleInstance,
@@ -80,5 +82,3 @@ from .rootdata import (
     verify_shift,
 )
 from .verdicts import FAT, NOT_APPLICABLE, NOT_FAT, Verdict
-
-__version__ = "0.1.0"

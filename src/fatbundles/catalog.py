@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from . import __version__
 from . import coupling as cp
 from . import curvature as cv
 from . import duality as du
@@ -206,7 +207,8 @@ def run_instance(spec: InstanceSpec) -> tuple[bool, dict]:
     Failures, whatever their exception type, are captured in the payload,
     never raised, so a batch run can isolate a broken instance.
     """
-    payload: dict = {"id": spec.id, "spec": spec.to_json()}
+    payload: dict = {"id": spec.id, "schema_version": sz.SCHEMA_VERSION,
+                     "version": __version__, "spec": spec.to_json()}
     try:
         inst = resolve(spec)
         passed = True
@@ -273,7 +275,7 @@ def _run_coupling(spec, inst, payload) -> bool:
     if form.dim % 2 == 0:
         min_sv, pf = cp.nondegenerate_and_top_power(form, half)
         info["min_sv"] = sz.json_float(min_sv)
-        info["pfaffian_abs"] = pf
+        info["pfaffian_abs"] = sz.json_float(pf)
         if spec.expect in ("fat", "not_fat"):
             # Exact: the form is nondegenerate iff its Gram is invertible.
             ok = ok and (form.gram_det != 0) == (spec.expect == "fat")
@@ -302,10 +304,10 @@ def _run_pinch(spec, payload) -> bool:
                              tol=spec.tol)
     berger = cv.berger_check(tensor, eps)
     payload["pinch"] = {
-        "tensor": {"n": n, "epsilon": eps, "sign": tensor.sign,
-                   "seed": spec.seed,
-                   "achieved_epsilon": tensor.achieved_epsilon,
-                   "berger_max": tensor.berger_max},
+        "tensor": {"n": n, "epsilon": sz.json_float(eps),
+                   "sign": tensor.sign, "seed": spec.seed,
+                   "achieved_epsilon": sz.json_float(tensor.achieved_epsilon),
+                   "berger_max": sz.json_float(tensor.berger_max)},
         "berger_passed": berger.passed,
         "report": sz.twistor_report_to_json(rep),
     }

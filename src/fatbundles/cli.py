@@ -172,8 +172,12 @@ def _print_certification(payload: dict) -> None:
         v = cert["verdicts"]
         print(f"  verdicts: roots={v['roots']} oracle={v['oracle']} "
               f"centralizer={v['centralizer']} agreed={cert['agreed']}")
+        well = cert.get("well_conditioned")
         print(f"  gram singular values: min {cert['min_sv']} "
-              f"max {cert['max_sv']}")
+              f"max {cert['max_sv']}, tol {spec.tol}, well conditioned "
+              f"{well} (schema {payload.get('schema_version', 1)})")
+        if not well:
+            print("  the exact rank of the Gram decided; the float SVD did not")
         for key in ("witness_root", "null_vector", "centralizer_witness"):
             if key in cert:
                 print(f"  {key}: {cert[key]}")

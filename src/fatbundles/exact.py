@@ -327,6 +327,8 @@ class CoordinateSolver:
     One reduction of [rows | I] inverts the pivot submatrix, so repeated
     solves are cheap, and ``sparse_coords`` works on {index: value} dicts
     without touching the zero entries, in int arithmetic on int rows.
+    When each row has one nonzero (a unit-vector basis), v is in the span
+    iff it lives on their columns, and each coordinate is read off one entry.
     """
 
     def __init__(self, rows):
@@ -341,10 +343,16 @@ class CoordinateSolver:
             p: [(j, rational(Fraction(x, row[p])))
                 for j, x in enumerate(row[n:]) if x]
             for row, p in zip(red, pivots)}
+        self._monomial = all(len(row) == 1 for row in self.sparse_rows)
 
     def sparse_coords(self, v: dict) -> dict | None:
         """Nonzero coordinates {j: c_j} of a sparse {index: value} vector,
         or None when it is outside the span."""
+        if self._monomial:
+            if not v.keys() <= self._inv_rows.keys():
+                return None
+            return {j: rational(vp * x) for p, vp in v.items()
+                    for j, x in self._inv_rows[p]}
         # A new key takes its first term as is, with no zero to add to.
         c: dict[int, int | Fraction] = {}
         for p, vp in v.items():

@@ -5,7 +5,8 @@ the identity is -1/2 [X, Y]_h on the reductive complement m, so a covector
 u = B(X_u, .) is fat exactly when the antisymmetric Gram
 G_ij = B(X_u, [m_i, m_j]) is nondegenerate.  Three independent tests are
 run and must agree: the exact forbidden-wall evaluation (root criterion),
-a numeric smallest-singular-value test of the Gram (oracle), and the exact
+the exact rank of the Gram (oracle, with float singular-value margins
+cross-checked where the Gram is well conditioned), and the exact
 check that ker(ad_{X_u}) meets m trivially, read off ad_{X_u}|_m for X_u
 in h (centralizer criterion).
 Disagreement raises, it is never voted away.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 
 import numpy as np
 
@@ -23,8 +25,10 @@ from .errors import CriteriaDisagree, DimensionMismatch
 from .exact import (
     Mat,
     Vec,
+    _monomial_columns,
     identity,
     nullspace,
+    rank,
     sparse_combination,
     vec,
     vec_mat,
@@ -76,38 +80,40 @@ def fatness_gram(emb: SubalgebraEmbedding, x_u) -> Mat:
     return tuple(tuple(Fraction(v, den) for v in row) for row in gram)
 
 
-def _gram_svd(gram_float: np.ndarray) -> tuple[float, float, np.ndarray]:
-    if gram_float.size == 0:
-        return float("inf"), float("inf"), np.zeros(0)
-    u, s, vt = np.linalg.svd(gram_float)
-    return float(s[-1]), float(s[0]), vt[-1]
-
-
 def fat_by_oracle(emb: SubalgebraEmbedding, x_u, tol: float = 1e-9) -> Verdict:
-    """Numeric nondegeneracy test of the fatness Gram.
+    """Exact nondegeneracy test of the fatness Gram, with float margins.
 
-    Fat iff the smallest singular value exceeds tol times the largest.
-    Odd-dimensional m is unconditionally not fat (an antisymmetric matrix
-    of odd size is singular); the verdict then still carries a numeric
-    null vector.
+    Fat iff the integer Gram has rank dim m (never for odd dim m); else
+    ``null_vector`` is its first exact kernel vector.  The margins smin,
+    smax are its extreme singular values, read off the entries of a
+    monomial Gram (every torus X_u), else numpy's SVD of the Gram over a
+    power of two above its entries, which then neither overflow nor
+    underflow; None past the float range.  When smin > tol * smax the Gram
+    is well conditioned, the float SVD calls it fat, and ``certify``
+    demands that the exact rank agrees.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     gram, den = emb.h_linear(_gram_entries, x_u)
-    # int / int is correctly rounded: each entry is float() of its Fraction.
-    gf = np.array([[v / den for v in row] for row in gram])
-    smin, smax, null = _gram_svd(gf)
-    if emb.dim_m == 0:
-        return Verdict(FAT, min_singular_value=smin, max_singular_value=smax,
-                       note="trivial horizontal space")
-    if emb.dim_m % 2 == 1:
-        return Verdict(NOT_FAT, null_vector=tuple(null),
-                       min_singular_value=smin, max_singular_value=smax,
-                       note="odd dimension")
-    if smax > 0 and smin > tol * smax:
-        return Verdict(FAT, min_singular_value=smin, max_singular_value=smax)
-    return Verdict(NOT_FAT, null_vector=tuple(null),
-                   min_singular_value=smin, max_singular_value=smax)
+    hit = _monomial_columns(gram)
+    if hit is not None:  # the singular values are the |entries|; none if m = 0
+        sv = sorted(abs(sum(row)) for row in gram) or [inf]
+    else:
+        top = 1 << max(abs(v) for row in gram for v in row).bit_length()
+        s = np.linalg.svd(np.array([[v / top for v in row] for row in gram]),
+                          compute_uv=False)
+        sv, den = [Fraction(s[-1]), Fraction(s[0])], Fraction(den, top)
+    try:  # int / int and float(Fraction) are correctly rounded
+        smin, smax = float(sv[0] / den), float(sv[-1] / den)
+    except OverflowError:
+        smin = smax = None
+    margins = {"min_singular_value": smin, "max_singular_value": smax,
+               "well_conditioned": bool(sv[-1]) and sv[0] / sv[-1] > tol}
+    if (len(hit) if hit is not None else rank(gram)) == emb.dim_m:
+        return Verdict(FAT, **margins,
+                       note="" if emb.dim_m else "trivial horizontal space")
+    return Verdict(NOT_FAT, null_vector=nullspace(gram)[0], **margins,
+                   note="odd dimension" if emb.dim_m % 2 else "")
 
 
 def isotropy_algebra(g: LieAlgebra, x_u) -> tuple[Vec, ...]:
@@ -129,7 +135,7 @@ def fat_by_centralizer(emb: SubalgebraEmbedding, x_u) -> Verdict:
 
 @dataclass(frozen=True, slots=True)
 class FatnessCertificate:
-    """The triple verdict with witnesses and numeric margins."""
+    """The triple verdict with witnesses and the oracle's float margins."""
 
     instance: str
     x_u: Vec
@@ -139,6 +145,7 @@ class FatnessCertificate:
     verdict_centralizer: str
     min_singular_value: float | None
     max_singular_value: float | None
+    well_conditioned: bool
     witness_root: tuple | None
     null_vector: tuple | None
     centralizer_witness: Vec | None
@@ -163,7 +170,8 @@ def certify(g: LieAlgebra, emb: SubalgebraEmbedding, x_u, *,
     """Run every applicable criterion on X_u and demand consensus.
 
     The root criterion participates only when a sub-root-system is given
-    and X_u lies in the stored torus.  Disagreement raises
+    and X_u lies in the stored torus.  Disagreement, or a well-conditioned
+    Gram (fat by the float SVD) that is not fat by its exact rank, raises
     CriteriaDisagree with the full certificate (all witnesses) attached.
     """
     x_u = emb.h_solve(x_u)[0]  # checked, and solved once for every criterion
@@ -176,7 +184,9 @@ def certify(g: LieAlgebra, emb: SubalgebraEmbedding, x_u, *,
     central_v = fat_by_centralizer(emb, x_u)
     statuses = {v.status for v in (roots_v, oracle_v, central_v)
                 if v.status != NOT_APPLICABLE}
-    agreed = len(statuses) == 1
+    # A well-conditioned Gram is fat by the float SVD: the exact rank agrees.
+    agreed = len(statuses) == 1 and not (
+        oracle_v.well_conditioned and oracle_v.status == NOT_FAT)
     cert = FatnessCertificate(
         instance=instance,
         x_u=x_u,
@@ -186,6 +196,7 @@ def certify(g: LieAlgebra, emb: SubalgebraEmbedding, x_u, *,
         verdict_centralizer=central_v.status,
         min_singular_value=oracle_v.min_singular_value,
         max_singular_value=oracle_v.max_singular_value,
+        well_conditioned=oracle_v.well_conditioned,
         witness_root=roots_v.witness_root,
         null_vector=oracle_v.null_vector,
         centralizer_witness=central_v.witness_vector,

@@ -1,13 +1,15 @@
 """JSON encoding of certificate payloads.
 
 Exact values are written as integer or "p/q" rational strings, parsed
-back by ``parse_vec``; certificate files are emitted in a canonical key
-order so identical runs are byte-identical.
+back by ``parse_vec``, and floats at 12 significant digits; certificate
+files are emitted in a canonical key order so identical runs are
+byte-identical.  ``SCHEMA_VERSION`` numbers the payload format.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .coupling import BlockReport, InvariantTwoForm
@@ -16,15 +18,16 @@ from .duality import AgreementReport
 from .exact import frac, vec
 from .fatness import FatnessCertificate
 
+SCHEMA_VERSION = 2
+
 
 def json_float(x):
-    """Strict-JSON float: NaN and the infinities become None."""
-    if x is None:
+    """Strict-JSON float at 12 significant digits, so the last bits of a
+    platform's float arithmetic stay out of the bytes (they still move at
+    a rounding boundary).  NaN and the infinities become None."""
+    if x is None or not math.isfinite(x := float(x)):
         return None
-    x = float(x)
-    if x != x or x in (float("inf"), float("-inf")):
-        return None
-    return x
+    return float(f"{x:.12g}")
 
 
 def frac_str(x) -> str:
@@ -57,6 +60,7 @@ def certificate_to_json(cert: FatnessCertificate) -> dict:
         },
         "min_sv": json_float(cert.min_singular_value),
         "max_sv": json_float(cert.max_singular_value),
+        "well_conditioned": cert.well_conditioned,
         "agreed": cert.agreed,
         "seed": cert.seed,
     }
@@ -65,7 +69,7 @@ def certificate_to_json(cert: FatnessCertificate) -> dict:
     if cert.witness_root is not None:
         out["witness_root"] = list(cert.witness_root)
     if cert.null_vector is not None:
-        out["null_vector"] = [float(x) for x in cert.null_vector]
+        out["null_vector"] = vec_to_json(cert.null_vector)
     if cert.centralizer_witness is not None:
         out["centralizer_witness"] = vec_to_json(cert.centralizer_witness)
     if cert.oracle_note:
@@ -98,12 +102,13 @@ def block_report_to_json(rep: BlockReport) -> dict:
 def twistor_report_to_json(rep: TwistorReport) -> dict:
     return {
         "verdict": rep.verdict,
-        "bound": rep.bound,
-        "min_diag_margin": rep.min_diag_margin,
-        "min_sv": rep.min_singular_value,
+        "bound": json_float(rep.bound),
+        "min_diag_margin": json_float(rep.min_diag_margin),
+        "min_sv": json_float(rep.min_singular_value),
         "seed": rep.seed,
         "frames": [
-            {"diag_margin": m.diag_margin, "min_sv": m.min_singular_value}
+            {"diag_margin": json_float(m.diag_margin),
+             "min_sv": json_float(m.min_singular_value)}
             for m in rep.frames
         ],
     }
@@ -114,7 +119,7 @@ def agreement_to_json(rep: AgreementReport) -> dict:
         "pair": rep.pair_name,
         "samples": rep.total,
         "agreed": rep.agreed,
-        "fraction": rep.agreement_fraction,
+        "fraction": json_float(rep.agreement_fraction),
         "seed": rep.seed,
         "pairs": [
             {

@@ -14,9 +14,12 @@ class Verdict:
     """Outcome of one fatness criterion with its witness data.
 
     ``witness_root`` is a vanishing forbidden root (root criterion),
-    ``null_vector`` a unit kernel vector of the curvature Gram in
-    m-coordinates (numeric oracle), ``witness_vector`` an exact nonzero
-    element of ker(ad) intersected with m (centralizer criterion).
+    ``null_vector`` an exact kernel vector of the curvature Gram in
+    m-coordinates, primitive integers (oracle), ``witness_vector`` an exact
+    nonzero element of ker(ad) intersected with m (centralizer criterion).
+    The oracle decides by the exact rank of the Gram; its singular values
+    are margins, None past the float range, and ``tol`` only sets
+    ``well_conditioned`` (smin > tol * smax, the float SVD's fat).
     """
 
     status: str
@@ -25,4 +28,5 @@ class Verdict:
     witness_vector: tuple | None = None
     min_singular_value: float | None = None
     max_singular_value: float | None = None
+    well_conditioned: bool | None = None
     note: str = ""

@@ -479,3 +479,35 @@ def test_zero_pinch_frames_gives_fail_certificate(tmp_path, capsys):
     broken = json.loads((out / "bad.json").read_text())
     assert broken["error"] == "ValueError: num_frames must be >= 1"
     assert json.loads((out / "good.json").read_text())["passed"]
+
+
+def test_oracle_past_the_float_range_and_ill_conditioned_gram_pass(
+        tmp_path, capsys):
+    # Exact verdicts on inputs whose float Gram overflows, or whose
+    # smin / smax = 1e-13 is under tol: both fat, with agreed true and
+    # well_conditioned false, and explain says the exact rank decided.
+    import fatbundles
+    pair = {"g": {"family": "so", "params": [5]},
+            "h": {"type": "so", "params": [4]}}
+    catalog = [{"id": "huge", **pair, "Xu": ["1e400", "2"], "run": ["oracle"]},
+               {"id": "thin", **pair, "Xu": ["1", "1/10000000000000"],
+                "expect": "fat"}]
+    out = tmp_path / "certs"
+    assert run_cli(["run", _write_catalog(tmp_path, catalog),
+                    "--out", str(out)]) == 0
+    huge = json.loads((out / "huge.json").read_text())
+    assert huge["schema_version"] == 2
+    assert huge["version"] == fatbundles.__version__
+    cert = huge["certificate"]
+    assert cert["verdicts"]["oracle"] == "fat" and cert["agreed"]
+    assert cert["min_sv"] is cert["max_sv"] is None
+    assert cert["well_conditioned"] is False
+    thin = json.loads((out / "thin.json").read_text())["certificate"]
+    assert thin["agreed"] and thin["well_conditioned"] is False
+    assert (thin["min_sv"], thin["max_sv"]) == (6e-13, 6.0)
+    capsys.readouterr()
+    for iid in ("huge", "thin"):
+        assert run_cli(["explain", iid, "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "tol 1e-09, well conditioned False (schema 2)" in text
+        assert "the exact rank of the Gram decided" in text

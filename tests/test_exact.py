@@ -315,6 +315,34 @@ def test_coordinate_solver_round_trip():
     assert c2 == (Q(0), Q(1), Q(0))
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_monomial_solver_matches_the_general_solve(data):
+    # Rows with one nonzero each, as the unit-vector h + m bases and torus
+    # rows are: coordinates read off, the span test without recombination.
+    n = data.draw(st.integers(1, 6))
+    cols = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+    nonzero = ENTRY.filter(bool)
+    rows = [[0] * n for _ in cols]
+    for row, j in zip(rows, cols):
+        row[j] = data.draw(nonzero)
+    solver = ex.CoordinateSolver(rows)
+    general = ex.CoordinateSolver(rows)
+    general._monomial = False
+    assert solver._monomial
+    inside = [sum((data.draw(ENTRY) * row[j] for row in rows), Q(0))
+              for j in range(n)]
+    outside = [data.draw(ENTRY) for _ in range(n)]
+    for v in (inside, outside, [0] * n):
+        sparse = ex.sparse_vec(v)
+        got = solver.sparse_coords(sparse)
+        assert got == general.sparse_coords(sparse)
+        assert got is None or _sparse_rule(got.values())
+        assert solver.coords(v) == ref.coords(rows, v)
+    assert solver.coords(inside) is not None
+    assert not ex.CoordinateSolver([[1, 1], [0, 1]])._monomial
+
+
 def test_coordinate_solver_rejects_dependent_rows():
     with pytest.raises(ValueError):
         ex.CoordinateSolver([[1, 2], [2, 4]])

@@ -1,6 +1,8 @@
 """The triple fatness criterion: Gram oracle, centralizer, agreement."""
 
+import dataclasses
 import functools
+import json
 import random
 from fractions import Fraction as Q
 from unittest import mock
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from float_oracles import fatness_gram_float
 from fraction_oracles import ad_m, ad_on, coords
+from fraction_oracles import rank as reference_rank
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -28,6 +31,7 @@ from fatbundles.exact import (
     vec,
     vec_mat,
 )
+from fatbundles.serialize import certificate_to_json, dumps_canonical
 from fatbundles.verdicts import FAT, NOT_APPLICABLE, NOT_FAT
 
 
@@ -179,15 +183,61 @@ def test_certify_roots_not_applicable_off_torus():
 
 
 def test_certify_disagreement_raises_with_certificate():
-    # A tolerance failure must surface as CriteriaDisagree, never a vote:
-    # tol = 1 makes the numeric oracle reject everything.
-    g, emb = so5_so4()
+    # A criterion that goes wrong must surface as CriteriaDisagree, never a
+    # vote: with the Gram table of one h basis element zeroed, the oracle
+    # calls the fat J singular while the roots and the centralizer say fat.
+    g = so5_so4()[0]
+    emb = la.so_block_embedding(g, 4)  # its own table cache
     sub = make_subsystem("so", (5,), "so", (4,))
-    with pytest.raises(CriteriaDisagree) as err:
-        ft.certify(g, emb, emb.torus_vector((1, 1)), subsystem=sub, tol=1.0)
+    j = emb.torus_vector((1, 1))
+    a0 = min(emb.h_solve(j)[1])
+    entries = ft._gram_entries
+
+    def one_block_zeroed(e):
+        return [[] if a == a0 else row for a, row in enumerate(entries(e))]
+    with mock.patch.object(ft, "_gram_entries", one_block_zeroed):
+        with pytest.raises(CriteriaDisagree) as err:
+            ft.certify(g, emb, j, subsystem=sub)
     cert = err.value.certificate
     assert cert is not None and not cert.agreed
     assert cert.verdict_roots == FAT and cert.verdict_oracle == NOT_FAT
+    assert cert.verdict_centralizer == FAT
+
+
+def test_well_conditioned_singular_gram_raises():
+    # A Gram the float SVD calls fat (well conditioned) must be fat by its
+    # exact rank too: at a not-fat X_u, such an oracle verdict disagrees even
+    # though all three exact verdicts are not fat.
+    g, emb = so5_so4()
+    sub = make_subsystem("so", (5,), "so", (4,))
+    oracle = ft.fat_by_oracle
+
+    def claims_well_conditioned(*args):
+        return dataclasses.replace(oracle(*args), well_conditioned=True)
+    with mock.patch.object(ft, "fat_by_oracle", claims_well_conditioned):
+        assert ft.certify(g, emb, emb.torus_vector((1, 1)), subsystem=sub).fat
+        with pytest.raises(CriteriaDisagree) as err:
+            ft.certify(g, emb, emb.torus_vector((1, 0)), subsystem=sub)
+    cert = err.value.certificate
+    assert {cert.verdict_roots, cert.verdict_oracle,
+            cert.verdict_centralizer} == {NOT_FAT}
+    assert cert.well_conditioned and not cert.agreed
+
+
+def test_tol_sets_well_conditioned_not_the_verdict():
+    # Exact verdicts: tol = 1 or a Gram with smin / smax = 1e-13 are fat,
+    # only not well conditioned; the margins are read off the monomial Gram.
+    g, emb = so5_so4()
+    sub = make_subsystem("so", (5,), "so", (4,))
+    cert = ft.certify(g, emb, emb.torus_vector((1, 1)), subsystem=sub,
+                      tol=1.0)
+    assert cert.fat and cert.agreed and not cert.well_conditioned
+    cert = ft.certify(g, emb, emb.torus_vector((1, Q(1, 10**13))),
+                      subsystem=sub)
+    assert cert.fat and cert.agreed and not cert.well_conditioned
+    assert (cert.min_singular_value, cert.max_singular_value) == (6e-13, 6.0)
+    assert ft.certify(g, emb, emb.torus_vector((1, 2)), subsystem=sub
+                      ).well_conditioned
 
 
 def test_noncompact_certificates():
@@ -410,17 +460,22 @@ def test_integer_tables_match_dense_fraction_references(name, data):
     assert ad_m(emb, x) == ad_m_reference(g, emb, x)
     rows, den = emb.ad_m_ints(x)
     assert all(type(v) is int for row in rows for v in row) and den > 0
-    # The oracle's float Gram is float() of each exact entry, so its SVD
-    # and verdict are those of the Fraction Gram.
-    with mock.patch.object(ft, "_gram_svd", wraps=ft._gram_svd) as svd:
-        verdict = ft.fat_by_oracle(emb, x)
-    ref_float = [[float(v) for v in row] for row in ref]
-    assert svd.call_args.args[0].tolist() == ref_float
-    smin, smax, null = ft._gram_svd(np.array(ref_float))
-    assert (verdict.min_singular_value, verdict.max_singular_value) == (smin,
-                                                                        smax)
-    if verdict.null_vector is not None:
-        assert verdict.null_vector == tuple(null)
+    # The oracle decides by the exact rank of the Fraction Gram; its margins
+    # are numpy's singular values of that Gram, to rounding.
+    verdict = ft.fat_by_oracle(emb, x)
+    assert (verdict.status == FAT) == (reference_rank(ref) == emb.dim_m)
+    s = np.linalg.svd(np.array([[float(v) for v in row] for row in ref]),
+                      compute_uv=False)
+    got = (verdict.min_singular_value, verdict.max_singular_value)
+    assert got == pytest.approx((s[-1], s[0]), rel=1e-12, abs=1e-12 * s[0])
+    assert verdict.well_conditioned == (s[-1] > 1e-9 * s[0]) or \
+        s[-1] == pytest.approx(1e-9 * s[0], rel=1e-9)
+    if verdict.status == FAT:
+        assert verdict.null_vector is None
+    else:  # an exact nonzero kernel vector, in primitive integers
+        null = verdict.null_vector
+        assert any(null) and all(v.denominator == 1 for v in null)
+        assert all(sum(a * b for a, b in zip(row, null)) == 0 for row in ref)
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_PAIRS))
@@ -477,6 +532,7 @@ TORUS_PAIRS = {
     "so7_u3_scaled_h": scaled_h_pair,
     "so3_float_basis": float_basis_pair,
 }
+BUILTIN_PAIRS = ("so41_so4", "so5_so4", "so5_u2", "so61_so6", "so7_so6")
 
 
 @functools.cache
@@ -528,6 +584,41 @@ def test_torus_coords_round_trip_against_g_coordinate_solves(name, data):
         ft.certify(g, emb, z, subsystem=sub)
     # The shared solve is keyed by identity: x is still read correctly.
     assert emb.torus_coords(x) == tau
+
+
+# p/q * 10^e with |e| up to 400: past the float range on both sides.
+HUGE_OR_TINY = st.builds(lambda p, q, e: Q(p, q) * Q(10) ** e,
+                         st.integers(-99, 99).filter(bool),
+                         st.integers(1, 99), st.integers(-400, 400))
+
+
+def draw_near_wall_tau(data, r):
+    """Torus coordinates on or near the walls t_i = 0 and t_i = +-t_j."""
+    tau = [data.draw(HUGE_OR_TINY)]
+    for _ in range(r - 1):
+        other = data.draw(st.sampled_from(tau)) * data.draw(st.sampled_from(
+            (1, -1)))
+        tau.append(data.draw(st.sampled_from((
+            data.draw(HUGE_OR_TINY), Q(0), other,
+            other * (1 + data.draw(HUGE_OR_TINY) / 10**400)))))
+    return data.draw(st.permutations(tau))
+
+
+@pytest.mark.parametrize("name", BUILTIN_PAIRS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_near_wall_torus_covectors_reach_consensus(name, data):
+    # Every verdict is exact, whatever the floats make of the Gram: the
+    # three criteria agree, the verdict is the root test, and the
+    # certificate is strict JSON with null for a margin past the float range.
+    g, emb, sub, _ = torus_case(name)
+    tau = draw_near_wall_tau(data, len(emb.torus_basis))
+    cert = ft.certify(g, emb, emb.torus_vector(tau), subsystem=sub)
+    assert cert.agreed
+    assert cert.fat == all(rd.root_eval(a, tau) for a in sub.forbidden)
+    assert cert.verdict_roots == cert.verdict_oracle == cert.verdict_centralizer
+    text = dumps_canonical(certificate_to_json(cert))
+    assert json.loads(text)["well_conditioned"] == cert.well_conditioned
 
 
 def test_torus_not_in_h_has_no_torus_coordinates():

@@ -50,3 +50,30 @@ def test_block_report_and_dual_samples_write_non_finite_floats_as_null():
     assert dual["pairs"][0]["min_sv"] == [None, 2.0]
     for payload in (out, dual):
         json.loads(sz.dumps_canonical(payload))
+
+
+def test_floats_are_written_at_twelve_significant_digits():
+    # The last bits of a float SVD or einsum stay out of the bytes: LAPACK's
+    # 97.99999999999999 for an exact 98 is written as 98.0.
+    assert sz.json_float(97.99999999999999) == 98.0
+    assert sz.json_float(0.1 + 0.2) == 0.3
+    assert sz.json_float(1 / 3) == 0.333333333333
+    assert sz.json_float(6e-13) == 6e-13 and sz.json_float(-2.5) == -2.5
+    assert sz.json_float(1e308) == 1e308 and sz.json_float(None) is None
+    from fatbundles.curvature import FrameMargin, TwistorReport
+    frame = FrameMargin(0.1 + 0.2, 2 / 3)
+    rep = TwistorReport("fat", 1 / 3, 0.1 + 0.2, 2 / 3, (frame,), 5)
+    out = sz.twistor_report_to_json(rep)
+    assert (out["bound"], out["min_diag_margin"], out["min_sv"]) == (
+        0.333333333333, 0.3, 0.666666666667)
+    assert out["frames"] == [{"diag_margin": 0.3, "min_sv": 0.666666666667}]
+
+
+def test_not_fat_certificate_writes_an_exact_null_vector():
+    g, emb = make_pair("so", (5,), "so", (4,))
+    sub = make_subsystem("so", (5,), "so", (4,))
+    cert = certify(g, emb, emb.torus_vector((1, 0)), subsystem=sub)
+    d = sz.certificate_to_json(cert)
+    assert d["null_vector"] == ["0", "0", "1", "0"]
+    assert (d["min_sv"], d["max_sv"], d["well_conditioned"]) == (0.0, 6.0,
+                                                                 False)
