@@ -4,6 +4,7 @@ and the per-instance runners used by both the CLI and the test suite."""
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from . import __version__
@@ -38,6 +39,17 @@ from .rootdata import (
 
 RUN_KINDS = ("roots", "oracle", "centralizer", "coupling", "pinch",
              "dual", "shift")
+
+# pinch key: (rule, check).  The twistor sweep holds every frame at once
+# and R has (2n)^4 entries, so n and frames have a budget.
+PINCH_KEYS = {
+    "n": ("an integer in 1..8", lambda v: type(v) is int and 1 <= v <= 8),
+    "frames": ("an integer <= 10000", lambda v: type(v) is int and v <= 10**4),
+    "epsilon": ("a finite number",
+                lambda v: type(v) is int or type(v) is float and math.isfinite(v)),
+    "sign": ('"+", "-", 1 or -1',
+             lambda v: (type(v), v) in ((str, "+"), (str, "-"), (int, 1), (int, -1))),
+}
 
 
 def check_id(iid) -> str:
@@ -118,6 +130,10 @@ class InstanceSpec:
                         ("h.params", h.get("params", ())), ("seed", [d.get("seed", 0)])):
             if not isinstance(xs, (list, tuple)) or any(type(x) is not int for x in xs):
                 raise ValueError(f"{where}: {key} takes integers only, got {xs!r}")
+        pinch = d.get("pinch") or {}
+        for key, (rule, ok) in PINCH_KEYS.items():
+            if key in pinch and not ok(pinch[key]):
+                raise ValueError(f"{where}: pinch.{key} must be {rule}, got {pinch[key]!r}")
         return cls(
             id=check_id(d["id"]),
             g_family=g.get("family"),
@@ -295,10 +311,10 @@ def _run_dual(spec, inst, payload) -> bool:
 
 def _run_pinch(spec, payload) -> bool:
     params = spec.pinch or {}
-    n = int(params.get("n", 2))
-    eps = float(params.get("epsilon", 0.9 * 3 / (2 * n + 1)))
+    n = params.get("n", 2)
+    eps = params.get("epsilon", 0.9 * 3 / (2 * n + 1))
     sign = params.get("sign", "+")
-    frames = int(params.get("frames", 100))
+    frames = params.get("frames", 100)
     tensor = cv.random_pinched(n, eps, sign, spec.seed)
     rep = cv.twistor_fatness(tensor, num_frames=frames, seed=spec.seed,
                              tol=spec.tol)

@@ -63,8 +63,12 @@ class InvariantTwoForm:
             mat([[r * x for x in row] for row in self.gram]),
             self.scale * r)
 
-    def gram_float(self) -> np.ndarray:
-        rows = [[float(x) for x in row] for row in self.gram]
+    def gram_float(self) -> np.ndarray | None:
+        """The Gram in floats; None when an entry is past the float range."""
+        try:
+            rows = [[float(x) for x in row] for row in self.gram]
+        except OverflowError:
+            return None
         return np.array(rows, dtype=float).reshape(self.dim, self.dim)
 
     @functools.cached_property
@@ -179,9 +183,10 @@ class BlockReport:
     fiber_dim: int
     horizontal_dim: int
     cross_block_zero: bool
-    cross_max_abs: float
-    fiber_min_sv: float
-    horizontal_min_sv: float
+    # The floats are None when the Gram is past the float range.
+    cross_max_abs: float | None
+    fiber_min_sv: float | None
+    horizontal_min_sv: float | None
     horizontal_equals_fatness_gram: bool
     fiber_to_horizontal_norm_ratio: float | None
 
@@ -195,23 +200,26 @@ def verify_block_structure(inst: HomogeneousBundleInstance,
         raise ValueError("form is not expressed over the instance basis")
     f = len(inst.fiber_basis)
     k = form.dim
-    gf = form.gram_float()
-    cross = gf[:f, f:]
-    cross_max = float(np.abs(cross).max()) if cross.size else 0.0
     cross_zero = all(
         form.gram[i][j] == 0 for i in range(f) for j in range(f, k))
-    fiber_block = gf[:f, :f]
-    horiz_block = gf[f:, f:]
-    fiber_sv = (float(np.linalg.svd(fiber_block, compute_uv=False)[-1])
-                if f else float("inf"))
-    horiz_sv = (float(np.linalg.svd(horiz_block, compute_uv=False)[-1])
-                if k > f else float("inf"))
     fat_gram = fatness_gram(inst.emb, inst.x_u)
     equals = all(form.gram[f + i][f + j] == form.scale * x
                  for i, row in enumerate(fat_gram) for j, x in enumerate(row))
-    fiber_norm = float(np.linalg.norm(fiber_block))
-    horiz_norm = float(np.linalg.norm(horiz_block))
-    ratio = (fiber_norm / horiz_norm) if horiz_norm else None
+    gf = form.gram_float()
+    if gf is None:  # past the float range: only the exact checks report
+        cross_max = fiber_sv = horiz_sv = ratio = None
+    else:
+        cross = gf[:f, f:]
+        cross_max = float(np.abs(cross).max()) if cross.size else 0.0
+        fiber_block = gf[:f, :f]
+        horiz_block = gf[f:, f:]
+        fiber_sv = (float(np.linalg.svd(fiber_block, compute_uv=False)[-1])
+                    if f else float("inf"))
+        horiz_sv = (float(np.linalg.svd(horiz_block, compute_uv=False)[-1])
+                    if k > f else float("inf"))
+        fiber_norm = float(np.linalg.norm(fiber_block))
+        horiz_norm = float(np.linalg.norm(horiz_block))
+        ratio = (fiber_norm / horiz_norm) if horiz_norm else None
     return BlockReport(
         fiber_dim=f,
         horizontal_dim=k - f,
@@ -249,20 +257,23 @@ def ce_closedness(g: LieAlgebra, form: InvariantTwoForm) -> Fraction:
     return Fraction(residual, c_den * c_den * g_den)
 
 
-def nondegenerate_and_top_power(form: InvariantTwoForm,
-                                half_dim: int) -> tuple[float, float]:
+def nondegenerate_and_top_power(form: InvariantTwoForm, half_dim: int
+                                ) -> tuple[float | None, float | None]:
     """(min singular value, |Pfaffian|) of the Gram; a nonzero Pfaffian
-    certifies that the top power of the form does not vanish pointwise."""
+    certifies that the top power of the form does not vanish pointwise.
+    Either is None when it is past the float range."""
     if form.dim != 2 * half_dim:
         raise OddDimension(
             f"form dimension {form.dim} is not twice {half_dim}")
     if form.dim == 0:
         return float("inf"), 1.0
     gf = form.gram_float()
-    min_sv = float(np.linalg.svd(gf, compute_uv=False)[-1])
+    min_sv = None if gf is None else float(np.linalg.svd(gf, compute_uv=False)[-1])
     d = form.gram_det
     if d < 0:
         raise ValueError("antisymmetric Gram has negative determinant")
-    pf_abs = sqrt(float(d))
+    try:
+        pf_abs = sqrt(float(d))
+    except OverflowError:
+        pf_abs = None
     return min_sv, pf_abs
-

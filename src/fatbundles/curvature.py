@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePlane, ScaleFailure
+from .errors import ScaleFailure
 
 SYMMETRY_TOL = 1e-12
 
@@ -85,13 +85,24 @@ def algebraic_projection(a: np.ndarray) -> np.ndarray:
     return a - cyc / 3.0
 
 
+def _plane_terms(r: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """(R(x, y, y, x), |x|^2 |y|^2 - g(x, y)^2) over stacks of planes
+    span(x_p, y_p): one product with R flattened to N^2 x N^2."""
+    p, N = x.shape
+    xy = (x[:, :, None] * y[:, None, :]).reshape(p, N * N)
+    yx = (y[:, :, None] * x[:, None, :]).reshape(p, N * N)
+    num = ((xy @ r.reshape(N * N, N * N)) * yx).sum(axis=1)
+    denom = (x * x).sum(axis=1) * (y * y).sum(axis=1) - (x * y).sum(axis=1) ** 2
+    return num, denom
+
+
 def sectional_curvature(r: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """K(x, y) = R(x, y, y, x) / (|x|^2 |y|^2 - g(x, y)^2)."""
-    denom = float(x @ x) * float(y @ y) - float(x @ y) ** 2
-    if denom < 1e-12:
-        raise DegeneratePlane("sampled plane is numerically degenerate")
-    num = float(np.einsum("ijkl,i,j,k,l->", r, x, y, y, x))
-    return num / denom
+    num, denom = _plane_terms(np.asarray(r), np.asarray(x, dtype=float)[None],
+                              np.asarray(y, dtype=float)[None])
+    if denom[0] < 1e-12:
+        raise ValueError("plane is numerically degenerate")
+    return float(num[0] / denom[0])
 
 
 def _mixed_mask(N: int) -> np.ndarray:
@@ -118,28 +129,21 @@ def pinching_estimate(r, num_samples: int = 200, seed: int = 0
         raise ValueError("num_samples must be >= 1")
     arr = r.R if isinstance(r, CurvatureTensor) else np.asarray(r)
     N = arr.shape[0]
+    if N < 2:
+        raise ValueError("a plane needs dimension >= 2")
+    i, j = np.triu_indices(N, 1)  # coordinate planes: K(e_i, e_j) = R_ijji
+    values = [np.abs(arr[i, j, j, i])]
     rng = np.random.default_rng(seed)
-    values = []
-    for i in range(N):
-        for j in range(i + 1, N):
-            x = np.zeros(N)
-            y = np.zeros(N)
-            x[i] = 1.0
-            y[j] = 1.0
-            values.append(abs(sectional_curvature(arr, x, y)))
-    drawn = 0
-    while drawn < num_samples:
-        x = rng.standard_normal(N)
-        y = rng.standard_normal(N)
-        try:
-            values.append(abs(sectional_curvature(arr, x, y)))
-        except DegeneratePlane:
-            continue
-        drawn += 1
-    kmin = float(min(values))
-    kmax = float(max(values))
-    eps = 1.0 - kmin / kmax if kmax > 0 else 1.0
-    return kmin, kmax, eps
+    need = num_samples
+    while need:  # redraw only the degenerate planes' shortfall
+        planes = rng.standard_normal((need, 2, N))
+        num, denom = _plane_terms(arr, planes[:, 0], planes[:, 1])
+        kept = denom >= 1e-12
+        values.append(np.abs(num[kept] / denom[kept]))
+        need -= int(kept.sum())
+    values = np.concatenate(values)
+    kmin, kmax = float(values.min()), float(values.max())
+    return kmin, kmax, 1.0 - kmin / kmax if kmax > 0 else 1.0
 
 
 def random_pinched(n: int, epsilon: float, sign, seed: int) -> CurvatureTensor:
@@ -223,11 +227,7 @@ class Frame:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        u = self.matrix
-        n2 = u.shape[0]
-        if np.abs(u @ u.T - np.eye(n2)).max() > 1e-10:
-            raise ValueError("frame is not orthonormal")
-        self.matrix.setflags(write=False)
+        _orthonormal(self.matrix).setflags(write=False)
 
     def j_u(self) -> np.ndarray:
         j = standard_complex_structure(self.matrix.shape[0] // 2)
@@ -238,25 +238,41 @@ def identity_frame(n: int) -> Frame:
     return Frame(np.eye(2 * n))
 
 
-def random_frames(n: int, count: int, seed: int) -> list[Frame]:
-    """Haar-distributed orthonormal frames (QR with sign fixing)."""
+def _orthonormal(u: np.ndarray) -> np.ndarray:
+    """u, a frame or a stack of frames, once u u^T = 1 to 1e-10."""
+    if u.size and np.abs(u @ u.swapaxes(-1, -2) - np.eye(u.shape[-1])).max() > 1e-10:
+        raise ValueError("frame is not orthonormal")
+    return u
+
+
+def _frame_stack(n: int, count: int, seed: int) -> np.ndarray:
+    """``count`` Haar-distributed orthonormal frames as one stack: one QR
+    of all the Gaussian draws, signs fixed by diag(r)."""
     rng = np.random.default_rng(seed)
-    out = []
-    N = 2 * n
-    for _ in range(count):
-        q, r = np.linalg.qr(rng.standard_normal((N, N)))
-        q = q * np.sign(np.diag(r))
-        out.append(Frame(q))
-    return out
+    q, r = np.linalg.qr(rng.standard_normal((count, 2 * n, 2 * n)))
+    return _orthonormal(q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :])
+
+
+def random_frames(n: int, count: int, seed: int) -> list[Frame]:
+    """Haar-distributed orthonormal frames (QR with sign fixing); the
+    first k of ``count`` frames are the k frames of the same seed."""
+    return [Frame(q) for q in _frame_stack(n, count, seed)]
+
+
+def _twistor_stack(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """T_f = u_f^T M_f u_f over a stack of frames u_f, with R contracted
+    first: M_f = R . vec(J_u,f) for J_u,f = u_f J u_f^T."""
+    count, N, _ = u.shape
+    ut = u.transpose(0, 2, 1)
+    ju = (u @ standard_complex_structure(N // 2) @ ut).reshape(count, N * N)
+    return ut @ (ju @ r.reshape(N * N, N * N).T).reshape(u.shape) @ u
 
 
 def twistor_form(tensor, frame: Frame) -> np.ndarray:
     """Gram T_ab = Tr(R(u_a, u_b) J_u) over the frame columns, summed
     over the full adapted basis; antisymmetric."""
     arr = tensor.R if isinstance(tensor, CurvatureTensor) else np.asarray(tensor)
-    u = frame.matrix
-    ju = frame.j_u()
-    return np.einsum("ijkl,ia,jb,kl->ab", arr, u, u, ju)
+    return _twistor_stack(arr, frame.matrix[None])[0]
 
 
 @dataclass(frozen=True)
@@ -287,30 +303,22 @@ def twistor_fatness(tensor: CurvatureTensor, num_frames: int = 100,
     |sum_j g(R(X_i, J_u X_i) J_u X_j, X_j)| (the n-term half trace, which
     the pinching bound controls) reaches 1 - (2n+1) epsilon / 3 and the
     full form is numerically nondegenerate.  The verdict is fat only if
-    all frames pass.
+    all frames pass.  The frames are one stack: one QR, one contraction
+    and one SVD for the whole sweep.
     """
     if num_frames < 1:
         raise ValueError("num_frames must be >= 1")
     n = tensor.n
     bound = 1.0 - (2 * n + 1) * tensor.epsilon / 3.0
-    frames = random_frames(n, num_frames, seed)
-    margins = []
-    all_pass = True
-    for fr in frames:
-        t = twistor_form(tensor, fr)
-        diag = min(abs(t[2 * i, 2 * i + 1]) / 2.0 for i in range(n))
-        sv = np.linalg.svd(t, compute_uv=False)
-        min_sv = float(sv[-1])
-        margins.append(FrameMargin(diag_margin=float(diag),
-                                   min_singular_value=min_sv))
-        nondeg = sv[0] > 0 and min_sv > tol * float(sv[0])
-        if diag < bound - 1e-12 or not nondeg:
-            all_pass = False
+    t = _twistor_stack(tensor.R, _frame_stack(n, num_frames, seed))
+    pairs = 2 * np.arange(n)
+    diag = np.abs(t[:, pairs, pairs + 1]).min(axis=1) / 2.0
+    sv = np.linalg.svd(t, compute_uv=False)
+    nondeg = (sv[:, 0] > 0) & (sv[:, -1] > tol * sv[:, 0])
+    all_pass = not ((diag < bound - 1e-12) | ~nondeg).any()
     return TwistorReport(
-        verdict="fat" if all_pass else "not_fat",
-        bound=bound,
-        min_diag_margin=min(m.diag_margin for m in margins),
-        min_singular_value=min(m.min_singular_value for m in margins),
-        frames=tuple(margins),
-        seed=seed,
-    )
+        verdict="fat" if all_pass else "not_fat", bound=bound,
+        min_diag_margin=float(diag.min()),
+        min_singular_value=float(sv[:, -1].min()),
+        frames=tuple(FrameMargin(float(d), float(s)) for d, s in zip(diag, sv[:, -1])),
+        seed=seed)

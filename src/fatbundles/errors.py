@@ -43,11 +43,6 @@ class InvolutionInvalid(FatBundleError):
     with compact fixed part."""
 
 
-class DegeneratePlane(FatBundleError):
-    """A sampled 2-plane was numerically degenerate (internal signal,
-    the sampler retries)."""
-
-
 class CriteriaDisagree(FatBundleError):
     """The independent fatness criteria returned different verdicts.
 

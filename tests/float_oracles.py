@@ -1,7 +1,9 @@
 """Float reference pipelines, kept beside the tests as checks that share
 no code path with the exact kernel: dense float64 structure constants and
-Killing form, the fatness Gram, and an end-to-end numeric coupling-form
-nondegeneracy verdict built on scipy null spaces."""
+Killing form, the fatness Gram, an end-to-end numeric coupling-form
+nondegeneracy verdict built on scipy null spaces, and one-at-a-time
+references for the stacked curvature kernels: per-frame QR draws, the
+four-operand twistor einsum and the per-plane pinching loop."""
 
 from __future__ import annotations
 
@@ -60,3 +62,51 @@ def coupling_nondegenerate_float(g, emb, x_u, tol: float = 1e-9
     if gram.shape[0] % 2 == 1:
         return False, min_sv
     return bool(sv[0] > 0 and min_sv > tol * sv[0]), min_sv
+
+
+def random_frames_reference(n: int, count: int, seed: int) -> np.ndarray:
+    """Haar frames drawn and QR-factored one at a time, signs fixed."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        q, r = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))
+        out.append(q * np.sign(np.diag(r)))
+    return np.array(out).reshape(count, 2 * n, 2 * n)
+
+
+def twistor_form_reference(r: np.ndarray, u: np.ndarray, j: np.ndarray
+                           ) -> np.ndarray:
+    """T_ab = sum R_ijkl u_ia u_jb (u J u^T)_kl for one frame u."""
+    return np.einsum("ijkl,ia,jb,kl->ab", r, u, u, u @ j @ u.T)
+
+
+def sectional_curvature_reference(r: np.ndarray, x: np.ndarray,
+                                  y: np.ndarray) -> float | None:
+    """K(x, y), or None on a plane with denominator under 1e-12."""
+    denom = float(x @ x) * float(y @ y) - float(x @ y) ** 2
+    if denom < 1e-12:
+        return None
+    return float(np.einsum("ijkl,i,j,k,l->", r, x, y, y, x)) / denom
+
+
+def pinching_estimate_reference(r: np.ndarray, num_samples: int, seed: int
+                                ) -> tuple[float, float, float, float]:
+    """(K_min_abs, K_max_abs, eps_est) over the coordinate planes and
+    num_samples random planes drawn one at a time, degenerate ones
+    redrawn; last, the worst conditioning |x|^2 |y|^2 / denominator of a
+    kept plane, by which a thin plane magnifies the rounding of K."""
+    N = r.shape[0]
+    eye = np.eye(N)
+    values = [abs(sectional_curvature_reference(r, eye[i], eye[j]))
+              for i in range(N) for j in range(i + 1, N)]
+    rng = np.random.default_rng(seed)
+    worst = 1.0
+    while len(values) < N * (N - 1) // 2 + num_samples:
+        x, y = rng.standard_normal(N), rng.standard_normal(N)
+        k = sectional_curvature_reference(r, x, y)
+        if k is not None:
+            values.append(abs(k))
+            worst = max(worst, float(x @ x) * float(y @ y)
+                        / (float(x @ x) * float(y @ y) - float(x @ y) ** 2))
+    kmin, kmax = min(values), max(values)
+    return kmin, kmax, 1.0 - kmin / kmax if kmax > 0 else 1.0, worst

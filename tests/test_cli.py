@@ -351,10 +351,10 @@ def test_explain_does_not_read_outside_out(tmp_path, capsys):
     # A shift instance without vertices: KeyError.
     ({"id": "bad", "run": ["shift"], "shift": {"type": "B", "rank": 2}},
      "KeyError: 'vertices'"),
-    # An 82-digit entry overflows the float Pfaffian: OverflowError.
+    # A certification without a covector: FatBundleError.
     ({"id": "bad", "g": {"family": "so", "params": [5]},
-      "h": {"type": "u", "params": [2]}, "Xu": ["1" + "0" * 81, "1"],
-      "run": ["coupling"]}, "OverflowError: "),
+      "h": {"type": "u", "params": [2]}, "run": ["oracle"]},
+     "FatBundleError: bad: certification needs an Xu"),
 ])
 def test_any_instance_exception_gives_fail_certificate(tmp_path, capsys,
                                                        bad, error):
@@ -469,6 +469,63 @@ def test_non_finite_catalog_values_exit_two(tmp_path, capsys, text, message):
     assert run_cli(["run", str(path), "--out", str(tmp_path / "c")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
+
+
+def test_coupling_past_the_float_range_writes_null_floats(tmp_path):
+    # The exact determinant decides; a float report value past the float
+    # range is null: the whole float Gram of Xu = (1e400, 2), and the
+    # Pfaffian alone of an 82-digit Xu.
+    catalog = [{"id": "huge", "g": {"family": "so", "params": [5]},
+                "h": {"type": "so", "params": [4]}, "Xu": ["1e400", "2"],
+                "run": ["coupling"], "expect": "fat"},
+               {"id": "wide", "g": {"family": "so", "params": [5]},
+                "h": {"type": "u", "params": [2]},
+                "Xu": ["1" + "0" * 81, "1"], "run": ["coupling"],
+                "expect": "fat"}]
+    out = tmp_path / "certs"
+    assert run_cli(["run", _write_catalog(tmp_path, catalog),
+                    "--out", str(out)]) == 0
+    huge = json.loads((out / "huge.json").read_text())["coupling"]
+    assert huge["min_sv"] is huge["pfaffian_abs"] is None
+    assert huge["blocks"]["cross_block_zero"]
+    assert huge["blocks"]["horizontal_equals_fatness_gram"]
+    for key in ("cross_max_abs", "fiber_min_sv", "horizontal_min_sv",
+                "fiber_to_horizontal_norm_ratio"):
+        assert huge["blocks"][key] is None
+    wide = json.loads((out / "wide.json").read_text())["coupling"]
+    assert wide["pfaffian_abs"] is None and wide["min_sv"] == 6.0
+
+
+@pytest.mark.parametrize("pinch, message", [
+    # int() ran these as n = 2 and 1 frame; float() read the strings.
+    ({"n": 2.7}, "pinch.n must be an integer in 1..8, got 2.7"),
+    ({"n": "2"}, "pinch.n must be an integer in 1..8, got '2'"),
+    ({"frames": True}, "pinch.frames must be an integer <= 10000, got True"),
+    ({"frames": "3"}, "pinch.frames must be an integer <= 10000, got '3'"),
+    ({"epsilon": "0.3"}, "pinch.epsilon must be a finite number, got '0.3'"),
+    ({"epsilon": False}, "pinch.epsilon must be a finite number, got False"),
+    # Any sign but "-" and -1 ran as +.
+    ({"sign": "x"}, 'pinch.sign must be "+", "-", 1 or -1, got \'x\''),
+    ({"sign": True}, 'pinch.sign must be "+", "-", 1 or -1, got True'),
+    ({"sign": 1.0}, 'pinch.sign must be "+", "-", 1 or -1, got 1.0'),
+    # The budget; n = 0 sampled planes in R^0 forever.
+    ({"n": 9}, "pinch.n must be an integer in 1..8, got 9"),
+    ({"n": 0, "epsilon": 0.1}, "pinch.n must be an integer in 1..8, got 0"),
+    ({"frames": 10001}, "pinch.frames must be an integer <= 10000, got 10001"),
+])
+def test_mistyped_or_oversized_pinch_keys_exit_two(tmp_path, capsys, pinch,
+                                                   message):
+    path = _write_catalog(tmp_path, [
+        {"id": "p", "run": ["pinch"], "pinch": pinch}])
+    assert run_cli(["run", path, "--out", str(tmp_path / "c")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_pinch_keys_at_the_budget_and_integer_epsilon_parse(tmp_path):
+    spec = InstanceSpec.from_json({"id": "p", "run": ["pinch"], "pinch": {
+        "n": 8, "frames": 10000, "epsilon": 0, "sign": -1}})
+    assert spec.pinch == {"n": 8, "frames": 10000, "epsilon": 0, "sign": -1}
 
 
 def test_zero_pinch_frames_gives_fail_certificate(tmp_path, capsys):

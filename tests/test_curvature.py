@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatbundles import curvature as cv
+from float_oracles import (
+    pinching_estimate_reference,
+    random_frames_reference,
+    twistor_form_reference,
+)
 
 
 def test_constant_curvature_sectional_values():
@@ -184,3 +191,80 @@ def test_twistor_fatness_rejects_no_frames():
     tensor = cv.constant_curvature(2, 1.0)
     with pytest.raises(ValueError, match="num_frames must be >= 1"):
         cv.twistor_fatness(tensor, num_frames=0)
+
+
+ns = st.integers(1, 4)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def unit_tensor(n: int, seed: int) -> np.ndarray:
+    """A random algebraic curvature tensor of unit Frobenius norm."""
+    a = cv.algebraic_projection(
+        np.random.default_rng(seed).standard_normal((2 * n,) * 4))
+    return a / np.linalg.norm(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=ns, seed=seeds, count=st.integers(1, 12), more=st.integers(1, 8))
+def test_stacked_frames_equal_one_at_a_time_draws_and_extend(n, seed, count,
+                                                             more):
+    frames = np.array([f.matrix for f in cv.random_frames(n, count, seed)])
+    assert np.array_equal(frames, random_frames_reference(n, count, seed))
+    longer = cv.random_frames(n, count + more, seed)
+    assert np.array_equal(frames, [f.matrix for f in longer[:count]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=ns, seed=seeds)
+def test_stacked_twistor_forms_match_the_einsum_reference(n, seed):
+    r = unit_tensor(n, seed)
+    j = cv.standard_complex_structure(n)
+    frames = cv.random_frames(n, 6, seed)
+    stacked = cv._twistor_stack(r, np.array([f.matrix for f in frames]))
+    for fr, t in zip(frames, stacked):
+        ref = twistor_form_reference(r, fr.matrix, j)
+        scale = np.abs(ref).max()
+        assert np.abs(t - ref).max() <= 1e-12 * scale
+        assert np.abs(cv.twistor_form(r, fr) - ref).max() <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=ns, seed=seeds, samples=st.integers(1, 60))
+def test_stacked_pinching_estimate_matches_the_plane_loop(n, seed, samples):
+    # |K| <= 1 for a unit tensor.  Both evaluations round K to a few ulps
+    # times the plane's conditioning, which a thin plane (rare past n = 1)
+    # pushes past 100; there the bound grows with it.
+    r = unit_tensor(n, seed)
+    *ref, worst = pinching_estimate_reference(r, samples, seed)
+    got = cv.pinching_estimate(r, samples, seed)
+    assert np.abs(np.subtract(got, ref)).max() <= 1e-14 * max(100.0, worst)
+
+
+def test_pinching_estimate_redraws_only_the_degenerate_planes(monkeypatch):
+    # Planes (x, y) in R^2 from a fixed normal stream: parallel, then three
+    # good ones.  Two samples take the first two good planes, one after the
+    # other, and leave the third plane and the tail unread.
+    stream = [1, 0, 2, 0, 1, 0, 0, 1, 1, 2, 3, 1, 2, 1, 1, 3, 9, 9]
+    left = []
+
+    class Fixed:
+        def __init__(self, seed):
+            self.values = list(stream)
+            left.append(self)
+
+        def standard_normal(self, shape):
+            size = int(np.prod(shape))
+            out, self.values = self.values[:size], self.values[size:]
+            return np.array(out, dtype=float).reshape(shape)
+
+    r = unit_tensor(1, 3)
+    monkeypatch.setattr(np.random, "default_rng", Fixed)
+    got = cv.pinching_estimate(r, 2, 0)
+    assert np.abs(np.subtract(got, pinching_estimate_reference(r, 2, 0)[:3])
+                  ).max() <= 1e-12
+    assert [f.values for f in left[-2:]] == [[2, 1, 1, 3, 9, 9]] * 2
+
+
+def test_pinching_estimate_needs_a_plane():
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        cv.pinching_estimate(np.zeros((1, 1, 1, 1)), 5, 0)
