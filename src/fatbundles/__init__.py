@@ -10,15 +10,12 @@ from .coupling import (
     InvariantTwoForm,
     bundle_instance,
     ce_closedness,
-    coupling_form,
     instance_form,
     nondegenerate_and_top_power,
-    shifted_coupling,
     verify_block_structure,
 )
 from .curvature import (
     CurvatureTensor,
-    Frame,
     berger_check,
     constant_curvature,
     pinching_estimate,
@@ -34,7 +31,6 @@ from .errors import (
     DimensionMismatch,
     FatBundleError,
     InvolutionInvalid,
-    IsotropyMismatch,
     NotCompact,
     OddDimension,
     ScaleFailure,
@@ -42,7 +38,6 @@ from .errors import (
 )
 from .fatness import (
     FatnessCertificate,
-    canonical_curvature,
     certify,
     fat_by_centralizer,
     fat_by_oracle,
@@ -51,12 +46,10 @@ from .fatness import (
     sample_rational_vectors,
 )
 from .liealg import (
-    Covector,
     LieAlgebra,
     SubalgebraEmbedding,
     block_torus,
     build_algebra,
-    covector_to_vector,
     killing_signature,
     matrix_algebra,
     maximal_torus,

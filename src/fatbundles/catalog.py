@@ -50,6 +50,9 @@ PINCH_KEYS = {
     "sign": ('"+", "-", 1 or -1',
              lambda v: (type(v), v) in ((str, "+"), (str, "-"), (int, 1), (int, -1))),
 }
+# The documented keys of each object field; any other key is a typo.
+FIELD_KEYS = {"pinch": tuple(PINCH_KEYS), "dual": ("samples",),
+              "shift": ("type", "rank", "member_roots", "vertices", "expect_shift")}
 
 
 def check_id(iid) -> str:
@@ -107,18 +110,27 @@ class InstanceSpec:
         for key in ("g", "h", "pinch", "shift", "dual"):
             if d.get(key) is not None and not isinstance(d[key], dict):
                 raise ValueError(f"{where}: {key!r} is not an object")
+        for key, known in FIELD_KEYS.items():
+            unknown = [k for k in d.get(key) or {} if k not in known]
+            if unknown:
+                raise ValueError(f"{where}: unknown {key} keys {unknown}")
         g = d.get("g") or {}
         h = d.get("h") or {}
         xu = d.get("Xu")
-        tol = float(d.get("tol", 1e-9))
-        if not 0 < tol < float("inf"):
-            raise ValueError(f"{where}: tol must be positive and finite")
+        if xu is not None and not isinstance(xu, (list, tuple)):
+            raise ValueError(f"{where}: Xu must be a list of rationals, got {xu!r}")
+        tol = d.get("tol", 1e-9)  # float() would read true and "1e-3"
+        if type(tol) not in (int, float) or not 0 < tol < float("inf"):
+            raise ValueError(f"{where}: tol must be positive and finite, got {tol!r}")
         run = d.get("run", ("roots", "oracle", "centralizer"))
         if not isinstance(run, (list, tuple)):  # not a string's characters
             raise ValueError(f"{where}: run must be a list of run kinds, got {run!r}")
         unknown = [r for r in run if r not in RUN_KINDS]
         if unknown:
             raise ValueError(f"{where}: unknown run kinds {unknown}")
+        if ("shift" in run or d.get("shift") is not None) \
+                and "vertices" not in (d.get("shift") or {}):
+            raise ValueError(f"{where}: shift.vertices is required")
         if d.get("expect") not in (None, "fat", "not_fat"):
             raise ValueError(f"{where}: unknown expect {d['expect']!r}")
         for key, n in (("samples", d.get("samples", 0)),
@@ -144,7 +156,7 @@ class InstanceSpec:
             run=tuple(run),
             expect=d.get("expect"),
             seed=d.get("seed", 0),
-            tol=tol,
+            tol=float(tol),
             samples=d.get("samples", 0),
             pinch=d.get("pinch"),
             shift=d.get("shift"),

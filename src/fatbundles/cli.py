@@ -15,7 +15,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .catalog import (
@@ -115,18 +114,13 @@ def cmd_run(args) -> int:
         raise SystemExit2(f"cannot create output directory {args.out}: "
                           f"{exc.strerror}")
 
-    def worker(spec: InstanceSpec):
+    run_start = time.perf_counter()
+    results = []
+    for spec in specs:  # one at a time, in catalog order
         start = time.perf_counter()
         ok, payload = run_instance(spec)
         _write_atomic(_cert_path(args.out, spec.id), dumps_canonical(payload))
-        return spec.id, ok, payload, time.perf_counter() - start
-
-    run_start = time.perf_counter()
-    if args.jobs > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(worker, specs))
-    else:
-        results = [worker(s) for s in specs]
+        results.append((spec.id, ok, payload, time.perf_counter() - start))
     wall = time.perf_counter() - run_start
 
     width = max((len(r[0]) for r in results), default=2)
@@ -282,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None,
                        help="override every instance seed")
     p_run.add_argument("--jobs", type=_positive(int), default=1,
-                       help="instances run at once, in threads (default: 1)")
+                       help="accepted for compatibility; has no effect")
     p_run.set_defaults(func=cmd_run)
     p_explain = sub.add_parser("explain", help="human-readable report")
     p_explain.add_argument("id", help="instance id")

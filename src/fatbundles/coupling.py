@@ -17,7 +17,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import DegenerateRestriction, IsotropyMismatch, OddDimension
+from .errors import DegenerateRestriction, OddDimension
 from .exact import (
     Mat,
     Vec,
@@ -32,10 +32,9 @@ from .exact import (
     sparse_dot,
     sparse_ints,
     sparse_vec,
-    vec,
     vec_mat,
 )
-from .fatness import fatness_gram, isotropy_algebra
+from .fatness import fatness_gram
 from .liealg import LieAlgebra, SubalgebraEmbedding
 
 
@@ -104,27 +103,6 @@ def _orbit_gram(g: LieAlgebra, x_u: Vec, rows: Mat) -> Mat:
                  for row in sparse_congruence(r, s_rows))
 
 
-def coupling_form(g: LieAlgebra, v_basis, x_u, *, n_basis=None) -> InvariantTwoForm:
-    """The orbit realization of the coupling form at X_u.
-
-    ``v_basis`` must span exactly ker(ad_{X_u}) (checked, raising
-    IsotropyMismatch).  The Gram of B(X_u, [., .]) is returned over
-    ``n_basis`` (default: the Killing-orthogonal complement of v).
-    """
-    x_u = g.check_vector(x_u)
-    v_rows = mat(v_basis)
-    kernel = isotropy_algebra(g, x_u)
-    rv = rank(v_rows)
-    if rv != len(kernel) or rank(v_rows + kernel) != rv:
-        raise IsotropyMismatch(
-            f"v (dim {len(v_rows)}) is not ker(ad_X) (dim {len(kernel)})")
-    if n_basis is None:
-        n_basis = g.orthocomplement([g.covector(r) for r in v_rows])
-    n_rows = mat(n_basis)
-    return InvariantTwoForm(g, x_u, v_rows, n_rows,
-                            _orbit_gram(g, x_u, n_rows))
-
-
 def bundle_instance(g: LieAlgebra, emb: SubalgebraEmbedding, x_u) -> HomogeneousBundleInstance:
     """Build the splitting v, n = (h cap n) + m at X_u in h.
 
@@ -158,22 +136,6 @@ def instance_form(inst: HomogeneousBundleInstance) -> InvariantTwoForm:
     picks up a null direction on m."""
     return InvariantTwoForm(inst.g, inst.x_u, inst.v_basis, inst.n_basis,
                             _orbit_gram(inst.g, inst.x_u, inst.n_basis))
-
-
-def shifted_coupling(g: LieAlgebra, emb: SubalgebraEmbedding, tau, a) -> InvariantTwoForm:
-    """Coupling form at the shifted torus vector X_tau + X_a.
-
-    Used with the moment-polytope shift search: a shift keeping the moment
-    image off every forbidden wall makes this form nondegenerate, a shift
-    landing on a wall produces the matching degenerate form.
-    """
-    tau = vec(tau)
-    a = vec(a)
-    if len(tau) != len(a):
-        raise ValueError("shift and base point live in the same torus")
-    shifted = tuple(t + s for t, s in zip(tau, a))
-    x = emb.torus_vector(shifted)
-    return instance_form(bundle_instance(g, emb, x))
 
 
 @dataclass(frozen=True)

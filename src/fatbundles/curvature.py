@@ -28,11 +28,6 @@ def standard_complex_structure(n: int) -> np.ndarray:
     return j
 
 
-def symplectic_gram(n: int) -> np.ndarray:
-    """Gram of the form (x, y) -> g(Jx, y), i.e. J transposed."""
-    return standard_complex_structure(n).T
-
-
 @dataclass(frozen=True)
 class CurvatureTensor:
     """R[i, j, k, l] = g(R(e_i, e_j) e_k, e_l) in an orthonormal basis,
@@ -96,15 +91,6 @@ def _plane_terms(r: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
     return num, denom
 
 
-def sectional_curvature(r: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """K(x, y) = R(x, y, y, x) / (|x|^2 |y|^2 - g(x, y)^2)."""
-    num, denom = _plane_terms(np.asarray(r), np.asarray(x, dtype=float)[None],
-                              np.asarray(y, dtype=float)[None])
-    if denom[0] < 1e-12:
-        raise ValueError("plane is numerically degenerate")
-    return float(num[0] / denom[0])
-
-
 def _mixed_mask(N: int) -> np.ndarray:
     key = N
     if key not in _mixed_mask_cache:
@@ -124,7 +110,8 @@ def pinching_estimate(r, num_samples: int = 200, seed: int = 0
                       ) -> tuple[float, float, float]:
     """(K_min_abs, K_max_abs, eps_est) over all coordinate planes plus
     random planes; eps_est = 1 - K_min_abs / K_max_abs, i.e. the pinching
-    after normalizing the largest absolute curvature to 1."""
+    after normalizing the largest absolute curvature to 1.  In dimension 2
+    the one plane gives K = R_0110 exactly, with no sampling."""
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     arr = r.R if isinstance(r, CurvatureTensor) else np.asarray(r)
@@ -133,6 +120,9 @@ def pinching_estimate(r, num_samples: int = 200, seed: int = 0
         raise ValueError("a plane needs dimension >= 2")
     i, j = np.triu_indices(N, 1)  # coordinate planes: K(e_i, e_j) = R_ijji
     values = [np.abs(arr[i, j, j, i])]
+    if N == 2:
+        k = float(values[0][0])
+        return k, k, 0.0 if k > 0 else 1.0
     rng = np.random.default_rng(seed)
     need = num_samples
     while need:  # redraw only the degenerate planes' shortfall
@@ -197,10 +187,6 @@ class BergerReport:
     max_mixed_abs: float
     worst_index: tuple[int, int, int, int] | None
 
-    @property
-    def violation(self) -> float:
-        return max(0.0, self.max_mixed_abs - self.bound)
-
 
 def berger_check(tensor, epsilon: float) -> BergerReport:
     """Check |R_ijkl| <= 2/3 epsilon for every quadruple with at least
@@ -218,26 +204,6 @@ def berger_check(tensor, epsilon: float) -> BergerReport:
     return BergerReport(max_mixed <= bound + 1e-12, bound, max_mixed, worst)
 
 
-@dataclass(frozen=True)
-class Frame:
-    """An orthonormal frame u; its columns are automatically adapted to
-    the conjugated complex structure J_u = u J u^T, since u J e_{2i}
-    equals the next column."""
-
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        _orthonormal(self.matrix).setflags(write=False)
-
-    def j_u(self) -> np.ndarray:
-        j = standard_complex_structure(self.matrix.shape[0] // 2)
-        return self.matrix @ j @ self.matrix.T
-
-
-def identity_frame(n: int) -> Frame:
-    return Frame(np.eye(2 * n))
-
-
 def _orthonormal(u: np.ndarray) -> np.ndarray:
     """u, a frame or a stack of frames, once u u^T = 1 to 1e-10."""
     if u.size and np.abs(u @ u.swapaxes(-1, -2) - np.eye(u.shape[-1])).max() > 1e-10:
@@ -245,34 +211,23 @@ def _orthonormal(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _frame_stack(n: int, count: int, seed: int) -> np.ndarray:
+def random_frames(n: int, count: int, seed: int) -> np.ndarray:
     """``count`` Haar-distributed orthonormal frames as one stack: one QR
-    of all the Gaussian draws, signs fixed by diag(r)."""
+    of all the Gaussian draws, signs fixed by diag(r).  The first k of
+    ``count`` frames are the k frames of the same seed."""
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((count, 2 * n, 2 * n)))
     return _orthonormal(q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :])
 
 
-def random_frames(n: int, count: int, seed: int) -> list[Frame]:
-    """Haar-distributed orthonormal frames (QR with sign fixing); the
-    first k of ``count`` frames are the k frames of the same seed."""
-    return [Frame(q) for q in _frame_stack(n, count, seed)]
-
-
-def _twistor_stack(r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """T_f = u_f^T M_f u_f over a stack of frames u_f, with R contracted
-    first: M_f = R . vec(J_u,f) for J_u,f = u_f J u_f^T."""
+def twistor_form(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The twistor Grams T_f,ab = Tr(R(u_a, u_b) J_u,f) over a stack of
+    frames u_f, each antisymmetric: T_f = u_f^T M_f u_f, with R contracted
+    first, M_f = R . vec(J_u,f) for J_u,f = u_f J u_f^T."""
     count, N, _ = u.shape
     ut = u.transpose(0, 2, 1)
     ju = (u @ standard_complex_structure(N // 2) @ ut).reshape(count, N * N)
     return ut @ (ju @ r.reshape(N * N, N * N).T).reshape(u.shape) @ u
-
-
-def twistor_form(tensor, frame: Frame) -> np.ndarray:
-    """Gram T_ab = Tr(R(u_a, u_b) J_u) over the frame columns, summed
-    over the full adapted basis; antisymmetric."""
-    arr = tensor.R if isinstance(tensor, CurvatureTensor) else np.asarray(tensor)
-    return _twistor_stack(arr, frame.matrix[None])[0]
 
 
 @dataclass(frozen=True)
@@ -310,7 +265,7 @@ def twistor_fatness(tensor: CurvatureTensor, num_frames: int = 100,
         raise ValueError("num_frames must be >= 1")
     n = tensor.n
     bound = 1.0 - (2 * n + 1) * tensor.epsilon / 3.0
-    t = _twistor_stack(tensor.R, _frame_stack(n, num_frames, seed))
+    t = twistor_form(tensor.R, random_frames(n, num_frames, seed))
     pairs = 2 * np.arange(n)
     diag = np.abs(t[:, pairs, pairs + 1]).min(axis=1) / 2.0
     sv = np.linalg.svd(t, compute_uv=False)

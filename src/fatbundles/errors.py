@@ -23,11 +23,6 @@ class TorusMismatch(FatBundleError):
     root system (wrong torus convention or wrong rank)."""
 
 
-class IsotropyMismatch(FatBundleError):
-    """The provided isotropy subalgebra differs from the actual
-    centralizer of the base vector."""
-
-
 class OddDimension(FatBundleError, ValueError):
     """A symplectic-type operation was asked for on an odd-dimensional
     space."""

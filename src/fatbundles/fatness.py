@@ -21,7 +21,7 @@ from math import inf
 
 import numpy as np
 
-from .errors import CriteriaDisagree, DimensionMismatch
+from .errors import CriteriaDisagree
 from .exact import (
     Mat,
     Vec,
@@ -36,19 +36,6 @@ from .exact import (
 from .liealg import LieAlgebra, SubalgebraEmbedding
 from .rootdata import SubSystem, fat_by_roots
 from .verdicts import FAT, NOT_APPLICABLE, NOT_FAT, Verdict
-
-
-def canonical_curvature(emb: SubalgebraEmbedding, x, y) -> Vec:
-    """Curvature of the canonical connection at the identity coset:
-    the h-component of -1/2 [x, y], for x, y in m."""
-    g = emb.ambient
-    x = g.check_vector(x)
-    y = g.check_vector(y)
-    for v in (x, y):
-        if not emb.in_m(v):
-            raise DimensionMismatch("curvature arguments must lie in m")
-    xh, _ = emb.project(g.bracket(x, y))
-    return tuple(-c / 2 for c in xh)
 
 
 def _gram_entries(emb: SubalgebraEmbedding) -> list[list[tuple]]:

@@ -31,7 +31,6 @@ from .exact import (
     nullspace,
     primitive,
     rational,
-    solve,
     sparse_combination,
     sparse_dot,
     sparse_ints,
@@ -384,29 +383,6 @@ def su(n: int) -> LieAlgebra:
 
 def u_in_so(n: int) -> LieAlgebra:
     return build_algebra("u-in-so", n)
-
-
-# -- covectors -------------------------------------------------------------
-
-class Covector:
-    """A covector u = B(X_u, .) represented by X_u (musical isomorphism)."""
-
-    def __init__(self, algebra: LieAlgebra, x_u):
-        self.algebra = algebra
-        self.x_u = algebra.check_vector(x_u)
-
-    def __call__(self, y) -> Fraction:
-        return self.algebra.killing_form(self.x_u, y)
-
-
-def covector_to_vector(g: LieAlgebra, u) -> Vec:
-    """Inverse musical isomorphism; requires a nondegenerate Killing form."""
-    u = g.check_vector(u)
-    x = solve(g.killing, u)
-    if x is None:
-        raise DegenerateRestriction(
-            f"Killing form of {g.name} is degenerate; no representative")
-    return x
 
 
 # -- reductive splittings ---------------------------------------------------

@@ -335,7 +335,7 @@ def find_fat_shift(vertices, sub: SubSystem) -> Vec | None:
     nvars = len(vertices[0])
     pairs = _canonical_pairs(sub.forbidden)
     if not pairs:
-        return zero_shift(nvars)
+        return vec([0] * nvars)
     ranges = []
     for root in pairs:
         vals = [root_eval(root, v) for v in vertices]
@@ -361,6 +361,3 @@ def find_fat_shift(vertices, sub: SubSystem) -> Vec | None:
             return witness
     return None
 
-
-def zero_shift(nvars: int) -> Vec:
-    return vec([0] * nvars)

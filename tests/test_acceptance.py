@@ -120,8 +120,8 @@ def test_criterion_4_pinched_twistor_margins_and_closed_form():
     for n in (2, 3):
         for kappa in (1.0, -1.0, 0.75):
             t = cv.constant_curvature(n, kappa)
-            oracle = 2 * kappa * cv.symplectic_gram(n)
-            resid = np.abs(cv.twistor_form(t, cv.identity_frame(n))
+            oracle = 2 * kappa * cv.standard_complex_structure(n).T
+            resid = np.abs(cv.twistor_form(t.R, np.eye(2 * n)[None])[0]
                            - oracle).max()
             ok &= resid <= 1e-12
     report(ok, f"criterion 4: 80 pinched tensors x 100 frames nondegenerate "

@@ -3,9 +3,12 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import fatbundles
 from fatbundles.cli import build_parser, main
 from fatbundles.catalog import InstanceSpec, builtin_catalog, run_instance
 from fatbundles.serialize import dumps_canonical, parse_vec, vec_to_json
@@ -309,6 +312,49 @@ def test_mistyped_params_seed_and_run_exit_two(tmp_path, capsys, field,
     assert not (tmp_path / "c").exists()
 
 
+SHIFT = {"type": "B", "rank": 2, "member_roots": [],
+         "vertices": [["0", "0"], ["1", "1"]], "expect_shift": True}
+
+
+@pytest.mark.parametrize("entry, message", [
+    # A typo of frames ran the default 100 frames.
+    ({"run": ["pinch"], "pinch": {"n": 2, "epsilon": 0.54, "frame": 5}},
+     "unknown pinch keys ['frame']"),
+    ({"run": ["shift"], "shift": {**SHIFT, "expect": True}},
+     "unknown shift keys ['expect']"),
+    ({**GOOD, "run": ["dual"], "dual": {"samples": 2, "sample": 5}},
+     "unknown dual keys ['sample']"),
+    # A misspelt or missing vertex list was a FAIL certificate, exit 1.
+    ({"run": ["shift"], "shift": {"type": "B", "rank": 2, "vertics": []}},
+     "unknown shift keys ['vertics']"),
+    ({"run": ["shift"], "shift": {"type": "B", "rank": 2}},
+     "shift.vertices is required"),
+    ({"run": ["shift"]}, "shift.vertices is required"),
+    # A string Xu was read one character at a time, as ["1", "2"].
+    ({**GOOD, "Xu": "12"}, "Xu must be a list of rationals, got '12'"),
+    # float() read these as tol 1.0 and 0.001.
+    ({**GOOD, "tol": True}, "tol must be positive and finite, got True"),
+    ({**GOOD, "tol": "1e-3"}, "tol must be positive and finite, got '1e-3'"),
+], ids=["pinch_frame", "shift_expect", "dual_sample", "shift_vertics",
+        "shift_no_vertices", "no_shift", "Xu_string", "tol_bool", "tol_string"])
+def test_unknown_keys_and_mistyped_xu_and_tol_exit_two(tmp_path, capsys,
+                                                       entry, message):
+    path = _write_catalog(tmp_path, [{**entry, "id": "typo"}])
+    assert run_cli(["run", path, "--out", str(tmp_path / "c")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_documented_keys_and_integer_tol_parse():
+    spec = InstanceSpec.from_json({
+        "id": "keys", "g": {"family": "so", "params": [4, 1]},
+        "h": {"type": "so", "params": [4]}, "tol": 1, "run": ["dual", "shift"],
+        "dual": {"samples": 3}, "shift": SHIFT})
+    assert spec.tol == 1.0 and type(spec.tol) is float
+    assert spec.shift == SHIFT and spec.dual == {"samples": 3}
+    assert run_instance(spec)[0]
+
+
 def test_empty_coupling_form_writes_a_block_report(tmp_path, capsys):
     # h = g, so v = h and n = 0: the coupling form has dimension 0.
     out = tmp_path / "certs"
@@ -348,9 +394,9 @@ def test_explain_does_not_read_outside_out(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad, error", [
-    # A shift instance without vertices: KeyError.
-    ({"id": "bad", "run": ["shift"], "shift": {"type": "B", "rank": 2}},
-     "KeyError: 'vertices'"),
+    # A pinch sweep over no frames, which the parser cannot see: ValueError.
+    pytest.param({"id": "bad", "run": ["pinch"], "pinch": {"n": 2, "frames": 0}},
+                 "ValueError: num_frames must be >= 1", id="pinch_no_frames"),
     # A certification without a covector: FatBundleError.
     ({"id": "bad", "g": {"family": "so", "params": [5]},
       "h": {"type": "u", "params": [2]}, "run": ["oracle"]},
@@ -386,8 +432,33 @@ def test_jobs_must_be_a_positive_integer(tmp_path, jobs):
 
 
 def test_jobs_defaults_to_one():
-    # Threads share the interpreter lock, so more than one costs time.
     assert build_parser().parse_args(["run", "paper_examples"]).jobs == 1
+
+
+@pytest.mark.parametrize("catalog", ["paper_examples", "duality"])
+def test_jobs_two_writes_what_a_default_run_writes(tmp_path, capsys, catalog):
+    # --jobs is accepted and selects nothing: instances run one at a time.
+    outs = []
+    for i, extra in enumerate(([], ["--jobs", "2"])):
+        out = tmp_path / f"certs{i}"
+        assert run_cli(["run", catalog, "--out", str(out), *extra]) == 0
+        outs.append((out, capsys.readouterr().out))
+    (a, stdout_a), (b, stdout_b) = outs
+    assert stdout_a == stdout_b
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b)) and names
+    _, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
+    assert mismatch == [] and errors == []
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    code = ("import sys, fatbundles.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(fatbundles.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_out_naming_a_file_gives_exit_two(tmp_path, capsys):

@@ -13,7 +13,7 @@ from fatbundles import coupling as cp
 from fatbundles import fatness as ft
 from fatbundles import liealg as la
 from fatbundles.catalog import make_pair, make_subsystem
-from fatbundles.errors import DimensionMismatch, IsotropyMismatch, OddDimension
+from fatbundles.errors import DimensionMismatch, OddDimension
 from fatbundles.exact import CoordinateSolver, mat, unit_vec, vec
 
 
@@ -47,7 +47,8 @@ def test_x_u_outside_h_is_rejected():
 
 def test_coupling_form_full_rank_and_isotropy_check():
     g, emb, j, inst = cp3_instance()
-    form = cp.coupling_form(g, inst.v_basis, j)
+    assert len(ft.isotropy_algebra(g, j)) == len(inst.v_basis)
+    form = cp.instance_form(inst)
     assert form.dim == 6
     gf = form.gram_float()
     assert np.linalg.matrix_rank(gf, tol=1e-9) == 6
@@ -55,10 +56,6 @@ def test_coupling_form_full_rank_and_isotropy_check():
     assert all(form.gram[i][i] == 0 for i in range(6))
     assert all(form.gram[i][k] == -form.gram[k][i]
                for i in range(6) for k in range(6))
-    with pytest.raises(IsotropyMismatch):
-        cp.coupling_form(g, inst.v_basis[:3], j)
-    with pytest.raises(IsotropyMismatch):
-        cp.coupling_form(g, emb.h_basis, j)
 
 
 def test_form_vanishes_against_isotropy_directions():
@@ -172,10 +169,16 @@ def test_pfaffian_scales_with_half_dim_power():
         assert pfr > 0
 
 
+def shifted_coupling(g, emb, tau, a):
+    """The coupling form at the shifted torus vector X_tau + X_a."""
+    shifted = tuple(Q(t) + Q(s) for t, s in zip(tau, a, strict=True))
+    return cp.instance_form(cp.bundle_instance(g, emb, emb.torus_vector(shifted)))
+
+
 def test_shifted_coupling_zero_shift_matches():
     g, emb = make_pair("so", (5,), "so", (4,))
     base = cp.instance_form(cp.bundle_instance(g, emb, emb.torus_vector((1, 1))))
-    shifted = cp.shifted_coupling(g, emb, (1, 1), (0, 0))
+    shifted = shifted_coupling(g, emb, (1, 1), (0, 0))
     assert shifted.gram == base.gram
     assert shifted.n_basis == base.n_basis
 
@@ -183,7 +186,7 @@ def test_shifted_coupling_zero_shift_matches():
 def test_shifted_coupling_restores_nondegeneracy():
     g, emb = make_pair("so", (5,), "so", (4,))
     # (1, 0) is on a forbidden wall; the (0, 1) shift moves it to (1, 1).
-    form = cp.shifted_coupling(g, emb, (1, 0), (0, 1))
+    form = shifted_coupling(g, emb, (1, 0), (0, 1))
     min_sv, pf = cp.nondegenerate_and_top_power(form, form.dim // 2)
     assert pf > 0 and min_sv > 1e-9
     cert = ft.certify(g, emb, emb.torus_vector((1, 1)),
@@ -193,7 +196,7 @@ def test_shifted_coupling_restores_nondegeneracy():
 
 def test_shifted_coupling_wall_shift_degenerates():
     g, emb = make_pair("so", (5,), "so", (4,))
-    form = cp.shifted_coupling(g, emb, (1, 0), (0, 0))
+    form = shifted_coupling(g, emb, (1, 0), (0, 0))
     gf = form.gram_float()
     sv = np.linalg.svd(gf, compute_uv=False)
     assert sv[-1] < 1e-12

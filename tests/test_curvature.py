@@ -9,6 +9,7 @@ from fatbundles import curvature as cv
 from float_oracles import (
     pinching_estimate_reference,
     random_frames_reference,
+    sectional_curvature_reference,
     twistor_form_reference,
 )
 
@@ -20,7 +21,7 @@ def test_constant_curvature_sectional_values():
         rng = np.random.default_rng(0)
         for _ in range(10):
             x, y = rng.standard_normal(4), rng.standard_normal(4)
-            assert cv.sectional_curvature(t.R, x, y) == pytest.approx(kappa)
+            assert sectional_curvature_reference(t.R, x, y) == pytest.approx(kappa)
 
 
 def test_constant_curvature_pinching_estimate():
@@ -55,7 +56,7 @@ def test_random_pinched_contracts():
             # all sampled sectional curvatures negative
             rng = np.random.default_rng(3)
             x, y = rng.standard_normal(2 * n), rng.standard_normal(2 * n)
-            assert cv.sectional_curvature(t.R, x, y) < 0
+            assert sectional_curvature_reference(t.R, x, y) < 0
 
 
 def test_random_pinched_zero_epsilon_is_constant():
@@ -93,24 +94,23 @@ def test_berger_hand_built_violation():
     assert not rep.passed
     assert rep.max_mixed_abs == 1.0
     assert rep.bound == pytest.approx(2 / 3 * 0.1)
-    assert rep.violation == pytest.approx(1.0 - 2 / 3 * 0.1)
+    assert rep.max_mixed_abs - rep.bound == pytest.approx(1.0 - 2 / 3 * 0.1)
 
 
 def test_twistor_form_constant_curvature_closed_form():
     for n in (2, 3):
         for kappa in (1.0, -1.0, 0.5):
             t = cv.constant_curvature(n, kappa)
-            oracle = 2 * kappa * cv.symplectic_gram(n)
-            assert np.abs(cv.twistor_form(t, cv.identity_frame(n))
+            oracle = 2 * kappa * cv.standard_complex_structure(n).T
+            assert np.abs(cv.twistor_form(t.R, np.eye(2 * n)[None])[0]
                           - oracle).max() < 1e-12
-            for fr in cv.random_frames(n, 5, seed=8):
-                assert np.abs(cv.twistor_form(t, fr) - oracle).max() < 1e-10
+            for m in cv.twistor_form(t.R, cv.random_frames(n, 5, seed=8)):
+                assert np.abs(m - oracle).max() < 1e-10
 
 
 def test_twistor_form_antisymmetric_zero_diagonal():
     t = cv.random_pinched(2, 0.5, "+", 42)
-    for fr in cv.random_frames(2, 5, seed=4):
-        m = cv.twistor_form(t, fr)
+    for m in cv.twistor_form(t.R, cv.random_frames(2, 5, seed=4)):
         assert np.abs(m + m.T).max() < 1e-10
         assert np.abs(np.diag(m)).max() < 1e-12
 
@@ -135,9 +135,7 @@ def test_twistor_form_frame_equivariance():
                 k[2 * a + 1, 2 * b] = q[a, b].imag
         assert np.abs(k @ k.T - np.eye(2 * n)).max() < 1e-10
         assert np.abs(k @ j - j @ k).max() < 1e-10
-        u2 = cv.Frame(fr.matrix @ k)
-        m1 = cv.twistor_form(t, fr)
-        m2 = cv.twistor_form(t, u2)
+        m1, m2 = cv.twistor_form(t.R, cv._orthonormal(np.array([fr, fr @ k])))
         assert np.abs(m2 - k.T @ m1 @ k).max() < 1e-10
 
 
@@ -176,9 +174,9 @@ def test_tensor_validate_rejects_broken_symmetry():
 
 def test_frame_validation():
     with pytest.raises(ValueError):
-        cv.Frame(np.eye(4) * 2)
-    fr = cv.identity_frame(3)
-    ju = fr.j_u()
+        cv._orthonormal(np.eye(4) * 2)
+    fr = cv._orthonormal(np.eye(6))
+    ju = fr @ cv.standard_complex_structure(3) @ fr.T
     assert np.abs(ju @ ju + np.eye(6)).max() < 1e-12
 
 
@@ -208,10 +206,10 @@ def unit_tensor(n: int, seed: int) -> np.ndarray:
 @given(n=ns, seed=seeds, count=st.integers(1, 12), more=st.integers(1, 8))
 def test_stacked_frames_equal_one_at_a_time_draws_and_extend(n, seed, count,
                                                              more):
-    frames = np.array([f.matrix for f in cv.random_frames(n, count, seed)])
+    frames = cv.random_frames(n, count, seed)
     assert np.array_equal(frames, random_frames_reference(n, count, seed))
     longer = cv.random_frames(n, count + more, seed)
-    assert np.array_equal(frames, [f.matrix for f in longer[:count]])
+    assert np.array_equal(frames, longer[:count])
 
 
 @settings(max_examples=40, deadline=None)
@@ -220,12 +218,9 @@ def test_stacked_twistor_forms_match_the_einsum_reference(n, seed):
     r = unit_tensor(n, seed)
     j = cv.standard_complex_structure(n)
     frames = cv.random_frames(n, 6, seed)
-    stacked = cv._twistor_stack(r, np.array([f.matrix for f in frames]))
-    for fr, t in zip(frames, stacked):
-        ref = twistor_form_reference(r, fr.matrix, j)
-        scale = np.abs(ref).max()
-        assert np.abs(t - ref).max() <= 1e-12 * scale
-        assert np.abs(cv.twistor_form(r, fr) - ref).max() <= 1e-12 * scale
+    for fr, t in zip(frames, cv.twistor_form(r, frames)):
+        ref = twistor_form_reference(r, fr, j)
+        assert np.abs(t - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,10 +236,11 @@ def test_stacked_pinching_estimate_matches_the_plane_loop(n, seed, samples):
 
 
 def test_pinching_estimate_redraws_only_the_degenerate_planes(monkeypatch):
-    # Planes (x, y) in R^2 from a fixed normal stream: parallel, then three
+    # Planes (x, y) in R^4 from a fixed normal stream: parallel, then three
     # good ones.  Two samples take the first two good planes, one after the
     # other, and leave the third plane and the tail unread.
-    stream = [1, 0, 2, 0, 1, 0, 0, 1, 1, 2, 3, 1, 2, 1, 1, 3, 9, 9]
+    stream = [1, 0, 2, 0, 2, 0, 4, 0, 1, 0, 0, 1, 0, 1, 1, 0,
+              1, 2, 3, 1, 0, 1, 0, 2, 2, 1, 1, 3, 1, 0, 2, 1, 9, 9]
     left = []
 
     class Fixed:
@@ -257,12 +253,28 @@ def test_pinching_estimate_redraws_only_the_degenerate_planes(monkeypatch):
             out, self.values = self.values[:size], self.values[size:]
             return np.array(out, dtype=float).reshape(shape)
 
-    r = unit_tensor(1, 3)
+    r = unit_tensor(2, 3)
     monkeypatch.setattr(np.random, "default_rng", Fixed)
     got = cv.pinching_estimate(r, 2, 0)
     assert np.abs(np.subtract(got, pinching_estimate_reference(r, 2, 0)[:3])
                   ).max() <= 1e-12
-    assert [f.values for f in left[-2:]] == [[2, 1, 1, 3, 9, 9]] * 2
+    assert [f.values for f in left[-2:]] == [[2, 1, 1, 3, 1, 0, 2, 1, 9, 9]] * 2
+
+
+@pytest.mark.parametrize("kappa", [0.7, -1.0, 1e-3])
+def test_pinching_estimate_reads_the_one_plane_of_dimension_two(kappa):
+    # K = R_0110 on the only plane: exact, and the estimate draws nothing.
+    assert cv.pinching_estimate(cv.constant_curvature(1, kappa), 200, 5) \
+        == (abs(kappa), abs(kappa), 0.0)
+    assert cv.pinching_estimate(np.zeros((2,) * 4), 1, 0) == (0.0, 0.0, 1.0)
+
+
+def test_random_pinched_in_dimension_two():
+    for eps, sign in ((0.0, "+"), (0.0, "-"), (0.5, "+"), (0.9, "-")):
+        t = cv.random_pinched(1, eps, sign, 0)
+        assert t.achieved_epsilon == 0.0
+        assert 1 - eps - 1e-12 <= abs(t.R[0, 1, 1, 0]) <= 1 + 1e-12
+        assert cv.twistor_fatness(t, num_frames=5, seed=0).fat
 
 
 def test_pinching_estimate_needs_a_plane():
