@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 from . import __version__
 from . import coupling as cp
@@ -37,31 +38,84 @@ from .rootdata import (
 )
 
 
-RUN_KINDS = ("roots", "oracle", "centralizer", "coupling", "pinch",
-             "dual", "shift")
+VERDICT_KINDS = ("roots", "oracle", "centralizer", "coupling", "pinch")
+RUN_KINDS = VERDICT_KINDS + ("dual", "shift")
 
-# pinch key: (rule, check).  The twistor sweep holds every frame at once
-# and R has (2n)^4 entries, so n and frames have a budget.
-PINCH_KEYS = {
-    "n": ("an integer in 1..8", lambda v: type(v) is int and 1 <= v <= 8),
-    "frames": ("an integer <= 10000", lambda v: type(v) is int and v <= 10**4),
-    "epsilon": ("a finite number",
-                lambda v: type(v) is int or type(v) is float and math.isfinite(v)),
-    "sign": ('"+", "-", 1 or -1',
-             lambda v: (type(v), v) in ((str, "+"), (str, "-"), (int, 1), (int, -1))),
+
+def _rationals(v) -> bool:  # a list that serialize.parse_vec reads
+    try:
+        return type(v) in (list, tuple) and sz.parse_vec(v) is not None
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+def _all(ok):  # a list, never a string, of items that pass ok
+    return lambda v: type(v) in (list, tuple) and all(map(ok, v))
+
+
+TEXT = ("a string", lambda v: type(v) is str)
+SAMPLES = ("an integer in 0..10000", lambda v: type(v) is int and 0 <= v <= 10**4)
+PARAMS = ("a list of positive integers with sum <= 32",
+          lambda v: _all(lambda x: type(x) is int and x > 0)(v) and sum(v) <= 32)
+# The catalog entry contract: each object's closed key set, and each key's
+# rule (the error text) and check; null means absent.  The ranges are the
+# size budget: dim so(32) = 496, the pinch sweep holds every frame at once
+# and R has (2n)^4 entries, and the shift search enumerates sign patterns.
+ENTRY = {
+    "id": ("a plain file name", lambda v: type(v) is str and v not in ("", ".", "..")
+           and not any(c in v for c in "/\\\0")),
+    "g": {"family": TEXT, "params": PARAMS},
+    "h": {"type": TEXT, "params": PARAMS},
+    "Xu": ("a list of rationals", _rationals),
+    "run": ("a list of run kinds", _all(RUN_KINDS.__contains__)),
+    "expect": ('"fat" or "not_fat"', ("fat", "not_fat").__contains__),
+    "seed": ("an integer", lambda v: type(v) is int),
+    "tol": ("a positive finite number",
+            lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max),
+    "samples": SAMPLES,
+    "pinch": {
+        "n": ("an integer in 1..8", lambda v: type(v) is int and 1 <= v <= 8),
+        "epsilon": ("a finite number", lambda v: type(v) is int
+                    or type(v) is float and math.isfinite(v)),
+        "sign": ('"+", "-", 1 or -1', lambda v: (type(v), v) in (
+            (str, "+"), (str, "-"), (int, 1), (int, -1))),
+        "frames": ("an integer <= 10000", lambda v: type(v) is int and v <= 10**4),
+    },
+    "shift": {
+        "type": TEXT,
+        "rank": ("an integer in 1..8", lambda v: type(v) is int and 1 <= v <= 8),
+        "member_roots": ("a list of integer lists", _all(_all(lambda x: type(x) is int))),
+        "vertices": ("a list of rational lists", _all(_rationals)),
+        "expect_shift": ("true or false", lambda v: type(v) is bool),
+    },
+    "dual": {"samples": SAMPLES},
 }
-# The documented keys of each object field; any other key is a typo.
-FIELD_KEYS = {"pinch": tuple(PINCH_KEYS), "dual": ("samples",),
-              "shift": ("type", "rank", "member_roots", "vertices", "expect_shift")}
+REQUIRED = ("id", "shift.vertices")
+
+
+def _checked(obj, table: dict, path: str = "") -> dict:
+    """obj less its null keys, once its keys and values keep to table."""
+    if type(obj) is not dict:
+        raise ValueError(f"{path[:-1] or 'entry'} must be an object, got {obj!r}")
+    if unknown := [key for key in obj if key not in table]:
+        raise ValueError(f"unknown key {path}{unknown[0]} = {obj[unknown[0]]!r}")
+    out = {}
+    for key, rule in table.items():
+        if obj.get(key) is None:
+            if path + key in REQUIRED:
+                raise ValueError(f"{path}{key} is required")
+        elif type(rule) is dict:
+            out[key] = _checked(obj[key], rule, f"{path}{key}.")
+        elif rule[1](obj[key]):
+            out[key] = obj[key]
+        else:
+            raise ValueError(f"{path}{key} must be {rule[0]}, got {obj[key]!r}")
+    return out
 
 
 def check_id(iid) -> str:
-    """An instance id names its certificate file, so it must be a plain
-    file name."""
-    if (not isinstance(iid, str) or iid in ("", ".", "..")
-            or any(c in iid for c in "/\\\0")):
-        raise ValueError(f"instance id {iid!r} is not a plain file name")
-    return iid
+    """An instance id names its certificate file: ENTRY's plain file name."""
+    return _checked({"id": iid}, ENTRY)["id"]
 
 
 @dataclass(frozen=True)
@@ -92,76 +146,28 @@ class InstanceSpec:
             out["h"] = {"type": self.h_type, "params": list(self.h_params)}
         if self.xu_torus is not None:
             out["Xu"] = [sz.frac_str(x) for x in self.xu_torus]
-        if self.expect is not None:
-            out["expect"] = self.expect
         if self.samples:
             out["samples"] = self.samples
-        for key, val in (("pinch", self.pinch), ("shift", self.shift),
-                         ("dual", self.dual)):
+        for key, val in (("expect", self.expect), ("pinch", self.pinch),
+                         ("shift", self.shift), ("dual", self.dual)):
             if val is not None:
                 out[key] = val
         return out
 
     @classmethod
-    def from_json(cls, d: dict) -> "InstanceSpec":
-        if not isinstance(d, dict):
-            raise ValueError("instance entry is not an object")
-        where = f"instance {d.get('id')!r}"
-        for key in ("g", "h", "pinch", "shift", "dual"):
-            if d.get(key) is not None and not isinstance(d[key], dict):
-                raise ValueError(f"{where}: {key!r} is not an object")
-        for key, known in FIELD_KEYS.items():
-            unknown = [k for k in d.get(key) or {} if k not in known]
-            if unknown:
-                raise ValueError(f"{where}: unknown {key} keys {unknown}")
-        g = d.get("g") or {}
-        h = d.get("h") or {}
-        xu = d.get("Xu")
-        if xu is not None and not isinstance(xu, (list, tuple)):
-            raise ValueError(f"{where}: Xu must be a list of rationals, got {xu!r}")
-        tol = d.get("tol", 1e-9)  # float() would read true and "1e-3"
-        if type(tol) not in (int, float) or not 0 < tol < float("inf"):
-            raise ValueError(f"{where}: tol must be positive and finite, got {tol!r}")
-        run = d.get("run", ("roots", "oracle", "centralizer"))
-        if not isinstance(run, (list, tuple)):  # not a string's characters
-            raise ValueError(f"{where}: run must be a list of run kinds, got {run!r}")
-        unknown = [r for r in run if r not in RUN_KINDS]
-        if unknown:
-            raise ValueError(f"{where}: unknown run kinds {unknown}")
-        if ("shift" in run or d.get("shift") is not None) \
-                and "vertices" not in (d.get("shift") or {}):
-            raise ValueError(f"{where}: shift.vertices is required")
-        if d.get("expect") not in (None, "fat", "not_fat"):
-            raise ValueError(f"{where}: unknown expect {d['expect']!r}")
-        for key, n in (("samples", d.get("samples", 0)),
-                       ("dual.samples", (d.get("dual") or {}).get("samples", 0))):
-            if type(n) is not int or n < 0:
-                raise ValueError(f"{where}: {key} must be an integer >= 0")
-        # Only ints are taken: int() would read 5.7 as 5 and true as 1.
-        for key, xs in (("g.params", g.get("params", ())),
-                        ("h.params", h.get("params", ())), ("seed", [d.get("seed", 0)])):
-            if not isinstance(xs, (list, tuple)) or any(type(x) is not int for x in xs):
-                raise ValueError(f"{where}: {key} takes integers only, got {xs!r}")
-        pinch = d.get("pinch") or {}
-        for key, (rule, ok) in PINCH_KEYS.items():
-            if key in pinch and not ok(pinch[key]):
-                raise ValueError(f"{where}: pinch.{key} must be {rule}, got {pinch[key]!r}")
-        return cls(
-            id=check_id(d["id"]),
-            g_family=g.get("family"),
-            g_params=tuple(g.get("params", ())) if g else None,
-            h_type=h.get("type"),
-            h_params=tuple(h.get("params", ())) if h else None,
-            xu_torus=sz.parse_vec(xu) if xu is not None else None,
-            run=tuple(run),
-            expect=d.get("expect"),
-            seed=d.get("seed", 0),
-            tol=float(tol),
-            samples=d.get("samples", 0),
-            pinch=d.get("pinch"),
-            shift=d.get("shift"),
-            dual=d.get("dual"),
-        )
+    def from_json(cls, d) -> "InstanceSpec":
+        d = _checked(d, ENTRY)
+        g, h, xu = d.pop("g", {}), d.pop("h", {}), d.pop("Xu", None)
+        spec = cls(**d, g_family=g.get("family"), h_type=h.get("type"),
+                   g_params=tuple(g.get("params", ())) if g else None,
+                   h_params=tuple(h.get("params", ())) if h else None,
+                   xu_torus=None if xu is None else sz.parse_vec(xu))
+        spec = replace(spec, run=tuple(spec.run), tol=float(spec.tol))
+        if spec.expect and not set(VERDICT_KINDS) & set(spec.run):
+            raise ValueError(f"run must give expect a verdict, got {list(spec.run)}")
+        if "shift" in spec.run and spec.shift is None:
+            raise ValueError("shift is required when run has shift")
+        return spec
 
 
 @dataclass
@@ -312,8 +318,7 @@ def _run_coupling(spec, inst, payload) -> bool:
 
 
 def _run_dual(spec, inst, payload) -> bool:
-    params = spec.dual or {}
-    samples = int(params.get("samples", 200))
+    samples = (spec.dual or {}).get("samples", 200)
     pair, emb_nc, emb_c, subs = make_dual(inst.emb, inst.rs)
     rep = du.compare_fat_sets(pair, emb_nc, emb_c, inst.rs, samples,
                               spec.seed, tol=spec.tol, subsystems=subs)
@@ -339,13 +344,12 @@ def _run_pinch(spec, payload) -> bool:
         "berger_passed": berger.passed,
         "report": sz.twistor_report_to_json(rep),
     }
-    expect = spec.expect or "fat"
-    return berger.passed and rep.verdict == expect
+    return berger.passed and rep.verdict == (spec.expect or "fat")
 
 
 def _run_shift(spec, payload) -> bool:
-    params = spec.shift or {}
-    rs = build_root_system(params.get("type", "B"), int(params.get("rank", 2)))
+    params = spec.shift
+    rs = build_root_system(params.get("type", "B"), params.get("rank", 2))
     members = [tuple(r) for r in params.get("member_roots", [])]
     sub = subsystem_from_members(rs, members)
     vertices = [sz.parse_vec(v) for v in params["vertices"]]
@@ -369,8 +373,7 @@ def _run_shift(spec, payload) -> bool:
             for root in sub.forbidden
         }
     payload["shift_search"] = info
-    expect_shift = bool(params.get("expect_shift", True))
-    if expect_shift:
+    if params.get("expect_shift", True):
         return shift is not None and info["verified"]
     return shift is None
 
@@ -386,12 +389,10 @@ def builtin_catalog(name: str) -> list[InstanceSpec]:
         return [
             InstanceSpec(
                 id="so5_so4_J", g_family="so", g_params=(5,),
-                h_type="so", h_params=(4,), xu_torus=vec((1, 1)),
-                run=("roots", "oracle", "centralizer"), expect="fat"),
+                h_type="so", h_params=(4,), xu_torus=vec((1, 1)), expect="fat"),
             InstanceSpec(
                 id="so41_so4_J", g_family="so", g_params=(4, 1),
-                h_type="so", h_params=(4,), xu_torus=vec((1, 1)),
-                run=("roots", "oracle", "centralizer"), expect="fat"),
+                h_type="so", h_params=(4,), xu_torus=vec((1, 1)), expect="fat"),
             InstanceSpec(
                 id="so5_u2_J_coupling", g_family="so", g_params=(5,),
                 h_type="u", h_params=(2,), xu_torus=vec((1, 1)),
@@ -419,7 +420,6 @@ def builtin_catalog(name: str) -> list[InstanceSpec]:
         return [
             InstanceSpec(id=pid, g_family="so", g_params=gp, h_type=ht,
                          h_params=hp, xu_torus=vec([1] * (sum(gp) // 2)),
-                         run=("roots", "oracle", "centralizer"),
                          expect="fat", samples=200)
             for pid, gp, ht, hp in pairs
         ]

@@ -54,7 +54,7 @@ def _load_catalog(source: str) -> list[InstanceSpec]:
     for entry in data:
         try:
             spec = InstanceSpec.from_json(entry)
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise SystemExit2(f"{source}: bad instance entry {entry!r}: {exc}")
         if spec.id in seen:
             raise SystemExit2(f"{source}: duplicate instance id {spec.id!r}")

@@ -3,15 +3,27 @@
 import filecmp
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fatbundles
 from fatbundles.cli import build_parser, main
-from fatbundles.catalog import InstanceSpec, builtin_catalog, run_instance
+from fatbundles.catalog import (
+    ENTRY,
+    REQUIRED,
+    InstanceSpec,
+    builtin_catalog,
+    builtin_names,
+    run_instance,
+)
 from fatbundles.serialize import dumps_canonical, parse_vec, vec_to_json
+from test_rootdata import bench_inputs
 
 
 def run_cli(args):
@@ -157,7 +169,12 @@ def test_explain_not_fat_witness(tmp_path, capsys):
 
 
 def test_instance_spec_round_trip():
-    for spec in builtin_catalog("paper_examples"):
+    # explain parses the spec echo of a certificate, so the contract must
+    # accept every echo and read it back as the same spec.
+    specs = [s for name in builtin_names() for s in builtin_catalog(name)]
+    specs += [InstanceSpec.from_json(e) for e in bench_inputs().cli_catalog(1401)]
+    assert len(specs) == 12 + 36
+    for spec in specs:
         again = InstanceSpec.from_json(spec.to_json())
         assert again == spec
 
@@ -268,22 +285,29 @@ def _write_catalog(tmp_path, entries):
 def test_non_object_entries_exit_two(tmp_path, capsys, entry):
     path = _write_catalog(tmp_path, [entry])
     assert run_cli(["run", path, "--out", str(tmp_path / "c")]) == 2
-    assert "not an object" in capsys.readouterr().err
+    if isinstance(entry, dict):  # entry["id"] is "bad_<key>"
+        message = f"{entry['id'][4:]} must be an object, got 5"
+    else:
+        message = f"entry must be an object, got {entry!r}"
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
 
 
+# The case ids are kept stable across rewrites of the messages.
 @pytest.mark.parametrize("field, message", [
-    ({"expect": "fatt"}, "unknown expect 'fatt'"),
-    ({"expect": 1}, "unknown expect 1"),
-    ({"samples": -3}, "samples must be an integer >= 0"),
-    ({"samples": 2.5}, "samples must be an integer >= 0"),
-    ({"samples": "3"}, "samples must be an integer >= 0"),
-    ({"samples": True}, "samples must be an integer >= 0"),
+    ({"expect": "fatt"}, 'expect must be "fat" or "not_fat", got \'fatt\''),
+    ({"expect": 1}, 'expect must be "fat" or "not_fat", got 1'),
+    ({"samples": -3}, "samples must be an integer in 0..10000, got -3"),
+    ({"samples": 2.5}, "samples must be an integer in 0..10000, got 2.5"),
+    ({"samples": "3"}, "samples must be an integer in 0..10000, got '3'"),
+    ({"samples": True}, "samples must be an integer in 0..10000, got True"),
     ({"run": ["dual"], "dual": {"samples": -1}},
-     "dual.samples must be an integer >= 0"),
+     "dual.samples must be an integer in 0..10000, got -1"),
     ({"run": ["dual"], "dual": {"samples": 1.5}},
-     "dual.samples must be an integer >= 0"),
-])
+     "dual.samples must be an integer in 0..10000, got 1.5"),
+], ids=["field0-unknown expect 'fatt'", "field1-unknown expect 1",
+        *(f"field{i}-samples must be an integer >= 0" for i in range(2, 6)),
+        *(f"field{i}-dual.samples must be an integer >= 0" for i in (6, 7))])
 def test_unknown_expect_and_bad_sample_counts_exit_two(tmp_path, capsys,
                                                        field, message):
     path = _write_catalog(tmp_path, [{**GOOD, "id": "typo", "Xu": ["1", "0"],
@@ -293,17 +317,22 @@ def test_unknown_expect_and_bad_sample_counts_exit_two(tmp_path, capsys,
     assert not (tmp_path / "c").exists()
 
 
+# The case ids are kept stable across rewrites of the messages.
 @pytest.mark.parametrize("field, message", [
     # int() read these as so(5), so(4), seed 1 and seed 2.
     ({"g": {"family": "so", "params": [5.7]}},
-     "g.params takes integers only, got [5.7]"),
+     "g.params must be a list of positive integers with sum <= 32, got [5.7]"),
     ({"h": {"type": "so", "params": [4.0]}},
-     "h.params takes integers only, got [4.0]"),
-    ({"seed": True}, "seed takes integers only, got [True]"),
-    ({"seed": 2.5}, "seed takes integers only, got [2.5]"),
+     "h.params must be a list of positive integers with sum <= 32, got [4.0]"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": 2.5}, "seed must be an integer, got 2.5"),
     # A string was read one character at a time, as run kinds 'r', 'o', ...
     ({"run": "roots"}, "run must be a list of run kinds, got 'roots'"),
-])
+], ids=["field0-g.params takes integers only, got [5.7]",
+        "field1-h.params takes integers only, got [4.0]",
+        "field2-seed takes integers only, got [True]",
+        "field3-seed takes integers only, got [2.5]",
+        "field4-run must be a list of run kinds, got 'roots'"])
 def test_mistyped_params_seed_and_run_exit_two(tmp_path, capsys, field,
                                                message):
     path = _write_catalog(tmp_path, [{**GOOD, **field}])
@@ -319,22 +348,23 @@ SHIFT = {"type": "B", "rank": 2, "member_roots": [],
 @pytest.mark.parametrize("entry, message", [
     # A typo of frames ran the default 100 frames.
     ({"run": ["pinch"], "pinch": {"n": 2, "epsilon": 0.54, "frame": 5}},
-     "unknown pinch keys ['frame']"),
+     "unknown key pinch.frame = 5"),
     ({"run": ["shift"], "shift": {**SHIFT, "expect": True}},
-     "unknown shift keys ['expect']"),
+     "unknown key shift.expect = True"),
     ({**GOOD, "run": ["dual"], "dual": {"samples": 2, "sample": 5}},
-     "unknown dual keys ['sample']"),
+     "unknown key dual.sample = 5"),
     # A misspelt or missing vertex list was a FAIL certificate, exit 1.
     ({"run": ["shift"], "shift": {"type": "B", "rank": 2, "vertics": []}},
-     "unknown shift keys ['vertics']"),
+     "unknown key shift.vertics = []"),
     ({"run": ["shift"], "shift": {"type": "B", "rank": 2}},
      "shift.vertices is required"),
-    ({"run": ["shift"]}, "shift.vertices is required"),
+    ({"run": ["shift"]}, "shift is required when run has shift"),
     # A string Xu was read one character at a time, as ["1", "2"].
     ({**GOOD, "Xu": "12"}, "Xu must be a list of rationals, got '12'"),
     # float() read these as tol 1.0 and 0.001.
-    ({**GOOD, "tol": True}, "tol must be positive and finite, got True"),
-    ({**GOOD, "tol": "1e-3"}, "tol must be positive and finite, got '1e-3'"),
+    ({**GOOD, "tol": True}, "tol must be a positive finite number, got True"),
+    ({**GOOD, "tol": "1e-3"},
+     "tol must be a positive finite number, got '1e-3'"),
 ], ids=["pinch_frame", "shift_expect", "dual_sample", "shift_vertics",
         "shift_no_vertices", "no_shift", "Xu_string", "tol_bool", "tol_string"])
 def test_unknown_keys_and_mistyped_xu_and_tol_exit_two(tmp_path, capsys,
@@ -379,7 +409,7 @@ def test_instance_ids_must_be_plain_file_names(tmp_path, capsys, iid):
     out = tmp_path / "certs" / "inner"
     path = _write_catalog(tmp_path, [{**GOOD, "id": iid}])
     assert run_cli(["run", path, "--out", str(out)]) == 2
-    assert "not a plain file name" in capsys.readouterr().err
+    assert f"id must be a plain file name, got {iid!r}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["catalog.json"]
 
 
@@ -390,7 +420,7 @@ def test_explain_does_not_read_outside_out(tmp_path, capsys):
         (out / "so5_so4_J.json").read_text())
     capsys.readouterr()
     assert run_cli(["explain", "../outside", "--out", str(out)]) == 2
-    assert "not a plain file name" in capsys.readouterr().err
+    assert "id must be a plain file name, got '../outside'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -524,7 +554,8 @@ def test_non_finite_tol_override_exits_two(tmp_path, capsys, tol):
 
 @pytest.mark.parametrize("text, message", [
     # A string that float() reads as infinite.
-    (json.dumps([{**GOOD, "tol": "inf"}]), "tol must be positive and finite"),
+    (json.dumps([{**GOOD, "tol": "inf"}]),
+     "tol must be a positive finite number, got 'inf'"),
     # Python's json reads these literals by default; JSON has none of them.
     (json.dumps([GOOD])[:-2] + ', "tol": Infinity}]',
      "Infinity is not a finite JSON number"),
@@ -639,3 +670,128 @@ def test_oracle_past_the_float_range_and_ill_conditioned_gram_pass(
         text = capsys.readouterr().out
         assert "tol 1e-09, well conditioned False (schema 2)" in text
         assert "the exact rank of the Gram decided" in text
+
+
+PINCH = {"run": ["pinch"], "pinch": {"n": 2, "epsilon": 0.54, "frames": 5}}
+
+
+@pytest.mark.parametrize("entry, message", [
+    # Each of these ran (exit 0 or a FAIL certificate) or raised KeyError.
+    ({**GOOD, "sampels": 5}, "unknown key sampels = 5"),
+    ({**GOOD, "g": {"family": "so", "params": [5], "parms": [3]}},
+     "unknown key g.parms = [3]"),
+    ({"id": "s", "run": ["shift"], "shift": {**SHIFT, "rank": 2.7}},
+     "shift.rank must be an integer in 1..8, got 2.7"),
+    ({"id": "s", "run": ["shift"], "shift": {**SHIFT, "expect_shift": "no"}},
+     "shift.expect_shift must be true or false, got 'no'"),
+    ({k: v for k, v in GOOD.items() if k != "id"}, "id is required"),
+    ({**GOOD, "run": []}, "run must give expect a verdict, got []"),
+    ({"id": "s", "run": ["shift"], "shift": SHIFT, "expect": "not_fat"},
+     "run must give expect a verdict, got ['shift']"),
+    ({**GOOD, "g": {"family": 5, "params": [5]}}, "g.family must be a string, got 5"),
+    # Tracebacks through the CLI: OverflowError and ZeroDivisionError.
+    ({**GOOD, "tol": 10**400},
+     f"tol must be a positive finite number, got {10**400}"),
+    ({**GOOD, "Xu": ["1/0", "1"]},
+     "Xu must be a list of rationals, got ['1/0', '1']"),
+    # Past the size budget; a shift search at rank 10^6 was killed for memory.
+    ({**GOOD, "g": {"family": "so", "params": [400]}},
+     "g.params must be a list of positive integers with sum <= 32, got [400]"),
+    ({"id": "s", "run": ["shift"], "shift": {**SHIFT, "rank": 10**6}},
+     "shift.rank must be an integer in 1..8, got 1000000"),
+    ({**GOOD, "samples": 10**5}, "samples must be an integer in 0..10000, got 100000"),
+], ids=["sampels", "g_parms", "rank_float", "expect_shift_string", "no_id",
+        "expect_no_run", "expect_shift_run", "family_int", "tol_past_float",
+        "Xu_zero_denominator", "params_400",
+        "rank_million", "samples_1e5"])
+def test_entries_outside_the_contract_raise(entry, message):
+    with pytest.raises(ValueError) as exc:
+        InstanceSpec.from_json(entry)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("entry", [
+    {**GOOD, "g": {"family": "so", "params": [32]},
+     "h": {"type": "so", "params": [32]}, "samples": 10**4},
+    {**GOOD, "g": {"family": "so", "params": [31, 1]},
+     "h": {"type": "so", "params": [1]}, "samples": 0},
+    {"id": "s", "run": ["shift"], "shift": {**SHIFT, "rank": 8}},
+    {"id": "s", "run": ["shift"], "shift": {**SHIFT, "rank": 1}},
+    {**GOOD, "run": ["dual"], "dual": {"samples": 10**4}, "expect": None},
+    {**PINCH, "id": "p", "expect": "not_fat"},
+    # null means absent: these are the defaults.
+    {"id": "n", "g": None, "h": None, "Xu": None, "run": None, "expect": None,
+     "seed": None, "tol": None, "samples": None, "pinch": None, "shift": None,
+     "dual": None},
+], ids=["params_32", "params_31_1", "rank_8", "rank_1", "dual_samples_1e4",
+        "pinch_expect", "nulls"])
+def test_entries_at_the_budget_edges_and_nulls_parse(entry):
+    spec = InstanceSpec.from_json(entry)
+    assert InstanceSpec.from_json(spec.to_json()) == spec
+    if entry["id"] == "n":
+        assert spec == InstanceSpec(id="n")
+
+
+# Valid entries inside a small budget (so(<= 7), pinch n <= 2 and frames
+# <= 5, samples <= 5); every value a mutation swaps in keeps them there.
+VALID = [
+    {**GOOD, "samples": 3, "seed": 2, "tol": 1e-9},
+    {**COUPLING_SO5_U2, "id": "c", "Xu": ["1", "2"], "expect": "fat"},
+    {**PINCH, "id": "p", "seed": 1, "expect": "fat"},
+    {"id": "d", "g": {"family": "so", "params": [4, 1]},
+     "h": {"type": "so", "params": [4]}, "run": ["dual"], "dual": {"samples": 5}},
+    {"id": "s", "run": ["shift"], "shift": SHIFT},
+]
+BIG = 10**40
+WRONG = [None, True, False, 0, 1, 2, -1, 2.7, "x", "12", "roots", [], {}, [1],
+         ["1", "2"], [["1", "2"]], BIG, 3 * BIG / 7, 3 / (7 * BIG),
+         [f"{3 * BIG}/7", f"3/{7 * BIG}"], 10**400]
+
+
+@st.composite
+def mutated_entries(draw):
+    entry = json.loads(json.dumps(draw(st.sampled_from(VALID))))
+    for _ in range(draw(st.integers(1, 3))):
+        objects = [entry] + [v for v in entry.values() if isinstance(v, dict)]
+        obj = draw(st.sampled_from(objects))
+        keys = sorted(obj) or ["id"]
+        key = draw(st.sampled_from(keys))
+        action = draw(st.sampled_from(["drop", "rename", "add", "swap"]))
+        if action == "drop":
+            obj.pop(key, None)
+        elif action == "rename" and key in obj:
+            obj[key + "_"] = obj.pop(key)
+        elif action == "add":
+            obj[draw(st.sampled_from(["sampels", "frame", "parms", "Xv"]))] = 1
+        else:
+            obj[key] = draw(st.sampled_from(WRONG))
+    return entry
+
+
+@settings(max_examples=100, deadline=None)
+@given(entry=mutated_entries())
+def test_mutated_entries_raise_value_error_or_run_deterministically(entry):
+    try:
+        spec = InstanceSpec.from_json(entry)
+    except ValueError:
+        return
+    first = dumps_canonical(run_instance(spec)[1])
+    assert dumps_canonical(run_instance(spec)[1]) == first
+
+
+def test_readme_key_table_is_the_contract():
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    rows = {key: (rule, default) for key, rule, default in re.findall(
+        r"^\| `([\w.]+)` \| (.+?) \| (.+?) \|$", readme.read_text(), re.M)}
+    rules = {}
+
+    def walk(table, path):
+        for key, rule in table.items():
+            if isinstance(rule, dict):
+                walk(rule, f"{path}{key}.")
+            else:
+                rules[path + key] = rule[0]
+    walk(ENTRY, "")
+    assert {k: rule for k, (rule, _) in rows.items()} == rules
+    assert {k for k, (_, default) in rows.items()
+            if default.startswith("required")} == set(REQUIRED)
