@@ -42,9 +42,12 @@ VERDICT_KINDS = ("roots", "oracle", "centralizer", "coupling", "pinch")
 RUN_KINDS = VERDICT_KINDS + ("dual", "shift")
 
 
-def _rationals(v) -> bool:  # a list that serialize.parse_vec reads
-    try:
-        return type(v) in (list, tuple) and sz.parse_vec(v) is not None
+def _rationals(v) -> bool:  # a list that serialize.parse_vec reads, in budget
+    try:  # a string's exponent is checked before Fraction expands it
+        return type(v) in (list, tuple) and all(
+            type(x) is not str or len(x) <= 1000
+            and abs(int(x.lower().partition("e")[2] or 0)) <= 1000 for x in v
+        ) and sz.parse_vec(v) is not None
     except (ValueError, ZeroDivisionError):
         return False
 
@@ -54,6 +57,7 @@ def _all(ok):  # a list, never a string, of items that pass ok
 
 
 TEXT = ("a string", lambda v: type(v) is str)
+RATIONAL_STRINGS = "strings of <= 1000 characters with |exponent| <= 1000"
 SAMPLES = ("an integer in 0..10000", lambda v: type(v) is int and 0 <= v <= 10**4)
 PARAMS = ("a list of positive integers with sum <= 32",
           lambda v: _all(lambda x: type(x) is int and x > 0)(v) and sum(v) <= 32)
@@ -66,7 +70,7 @@ ENTRY = {
            and not any(c in v for c in "/\\\0")),
     "g": {"family": TEXT, "params": PARAMS},
     "h": {"type": TEXT, "params": PARAMS},
-    "Xu": ("a list of rationals", _rationals),
+    "Xu": (f"a list of rationals ({RATIONAL_STRINGS})", _rationals),
     "run": ("a list of run kinds", _all(RUN_KINDS.__contains__)),
     "expect": ('"fat" or "not_fat"', ("fat", "not_fat").__contains__),
     "seed": ("an integer", lambda v: type(v) is int),
@@ -85,12 +89,12 @@ ENTRY = {
         "type": TEXT,
         "rank": ("an integer in 1..8", lambda v: type(v) is int and 1 <= v <= 8),
         "member_roots": ("a list of integer lists", _all(_all(lambda x: type(x) is int))),
-        "vertices": ("a list of rational lists", _all(_rationals)),
+        "vertices": (f"a list of rational lists ({RATIONAL_STRINGS})", _all(_rationals)),
         "expect_shift": ("true or false", lambda v: type(v) is bool),
     },
     "dual": {"samples": SAMPLES},
 }
-REQUIRED = ("id", "shift.vertices")
+REQUIRED = ("id", "g.family", "g.params", "h.type", "h.params", "shift.vertices")
 
 
 def _checked(obj, table: dict, path: str = "") -> dict:
@@ -157,6 +161,9 @@ class InstanceSpec:
     @classmethod
     def from_json(cls, d) -> "InstanceSpec":
         d = _checked(d, ENTRY)
+        if ("g" in d) != ("h" in d):
+            raise ValueError("h is required with g" if "g" in d else
+                             "g is required with h")
         g, h, xu = d.pop("g", {}), d.pop("h", {}), d.pop("Xu", None)
         spec = cls(**d, g_family=g.get("family"), h_type=h.get("type"),
                    g_params=tuple(g.get("params", ())) if g else None,
@@ -272,7 +279,7 @@ def run_instance(spec: InstanceSpec) -> tuple[bool, dict]:
 
 def _run_certification(spec, inst, payload) -> bool:
     if inst.x_u is None:
-        raise FatBundleError(f"{spec.id}: certification needs an Xu")
+        raise FatBundleError(f"{spec.id}: certification needs an Xu, g and h")
     cert = certify(inst.g, inst.emb, inst.x_u, subsystem=inst.subsystem,
                    tol=spec.tol, instance=spec.id, seed=spec.seed)
     payload["certificate"] = sz.certificate_to_json(cert)
@@ -293,6 +300,8 @@ def _run_certification(spec, inst, payload) -> bool:
 
 
 def _run_coupling(spec, inst, payload) -> bool:
+    if inst.x_u is None:
+        raise FatBundleError(f"{spec.id}: coupling needs an Xu, g and h")
     bi = cp.bundle_instance(inst.g, inst.emb, inst.x_u)
     form = cp.instance_form(bi)
     rep = cp.verify_block_structure(bi, form)
@@ -318,6 +327,8 @@ def _run_coupling(spec, inst, payload) -> bool:
 
 
 def _run_dual(spec, inst, payload) -> bool:
+    if inst.rs is None:
+        raise FatBundleError(f"{spec.id}: dual needs g, h and a full-rank torus")
     samples = (spec.dual or {}).get("samples", 200)
     pair, emb_nc, emb_c, subs = make_dual(inst.emb, inst.rs)
     rep = du.compare_fat_sets(pair, emb_nc, emb_c, inst.rs, samples,

@@ -47,6 +47,8 @@ def _load_catalog(source: str) -> list[InstanceSpec]:
         data = json.loads(text, parse_constant=finite, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise SystemExit2(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except ValueError as exc:  # an integer past Python's int-string digit limit
+        raise SystemExit2(f"{source}: {str(exc).split(';')[0]}")
     if not isinstance(data, list):
         raise SystemExit2(f"{source}: catalog must be a JSON array")
     specs = []

@@ -94,13 +94,19 @@ def sparse_combination(c: dict, rows) -> dict:
     return {i: rational(x) for i, x in out.items() if x}
 
 
-def sparse_congruence(rows, m) -> list[dict]:
-    """R M R^T for sparse {index: value} rows R and the rows M_a of M:
-    row i is (R_i M) R^T, two sparse combinations."""
-    cols: defaultdict = defaultdict(dict)  # the rows of R^T
+def sparse_columns(rows) -> defaultdict:
+    """The rows {a: {i: R_ia}} of R^T for sparse {index: value} rows R."""
+    cols: defaultdict = defaultdict(dict)
     for i, row in enumerate(rows):
         for a, x in row.items():
             cols[a][i] = x
+    return cols
+
+
+def sparse_congruence(rows, m) -> list[dict]:
+    """R M R^T for sparse {index: value} rows R and the rows M_a of M:
+    row i is (R_i M) R^T, two sparse combinations."""
+    cols = sparse_columns(rows)
     return [sparse_combination(sparse_combination(r, m), cols) for r in rows]
 
 
@@ -252,22 +258,15 @@ def solve(a_rows, b) -> Vec | None:
     return tuple(x)
 
 
-def _with_identity(rows: list[dict], n: int) -> list[list]:
-    """The dense rows of [A | I] for the sparse rows of an A of width n."""
-    k = len(rows)
-    return [[row.get(j, 0) for j in range(n)] + [int(i == j) for j in range(k)]
-            for i, row in enumerate(rows)]
-
-
 def inverse(a) -> Mat:
-    n = len(a)
-    if any(len(row) != n for row in a):
+    """Row i of the inverse: the coordinates of e_i in the rows of a."""
+    if any(len(row) != len(a) for row in a):
         raise ValueError("inverse needs a square matrix")
-    red, pivots, _ = _reduce(_with_identity([sparse_vec(r) for r in a], n))
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(Fraction(x, row[i]) for x in row[n:])
-                 for i, row in enumerate(red))
+    try:
+        solver = CoordinateSolver(a)
+    except ValueError:
+        raise ValueError("matrix is singular") from None
+    return tuple(solver.coords({i: 1}) for i in range(len(a)))
 
 
 def det(a) -> Fraction:
@@ -320,22 +319,28 @@ def inertia(a) -> tuple[int, int, int]:
 
 
 class CoordinateSolver:
-    """Expresses vectors in a fixed linearly independent spanning set.
-
-    Rows are the spanning vectors; ``coords(v)`` returns c with
-    sum_i c_i rows_i == v, exactly, or None when v is outside the span.
-    One reduction of [rows | I] inverts the pivot submatrix, so repeated
-    solves are cheap, and ``sparse_coords`` works on {index: value} dicts
-    without touching the zero entries, in int arithmetic on int rows.
-    When each row has one nonzero (a unit-vector basis), v is in the span
-    iff it lives on their columns, and each coordinate is read off one entry.
-    """
+    """Expresses vectors in a fixed linearly independent spanning set of
+    dense or sparse {index: value} rows: ``sparse_coords(v)`` is c with
+    sum_j c_j rows_j == v, exactly, or None when v is outside the span.
+    On pairwise disjoint supports (unit vectors, the E_ij - E_ji of so(n))
+    c_j = v_p / rows_j[p] is read off at each row's first index p.  Else
+    one reduction of [rows | I] inverts the pivot block, in ints on int
+    rows.  Either way membership is checked against the rows."""
 
     def __init__(self, rows):
-        self.sparse_rows = [sparse_vec(row) for row in rows]
-        n = len(rows[0]) if rows else 0
+        self.sparse_rows = rows = [r if type(r) is dict else sparse_vec(r)
+                                   for r in rows]
+        self._disjoint = all(rows) and sum(map(len, rows)) == len(set().union(*rows))
+        if self._disjoint:  # (j, 1 / rows_j[p]) at each row's pivot p
+            self._inv_rows = {min(r): [(j, rational(ONE / r[min(r)]))]
+                              for j, r in enumerate(rows)}
+            sizes = [len(r) for r in rows]
+            self._size = sizes if max(sizes, default=1) > 1 else None
+            return
+        n = 1 + max((max(r) for r in rows if r), default=-1)
         # [rows | I] reduces to [E rows | E], E the inverse of the pivot block.
-        red, pivots, _ = _reduce(_with_identity(self.sparse_rows, n))
+        red, pivots, _ = _reduce([[r.get(j, 0) for j in range(n)] + [
+            int(i == j) for j in range(len(rows))] for i, r in enumerate(rows)])
         if any(p >= n for p in pivots):
             raise ValueError("spanning set is linearly dependent")
         # Nonzero (j, x) of each row of E, keyed by pivot.
@@ -343,20 +348,29 @@ class CoordinateSolver:
             p: [(j, rational(Fraction(x, row[p])))
                 for j, x in enumerate(row[n:]) if x]
             for row, p in zip(red, pivots)}
-        self._monomial = all(len(row) == 1 for row in self.sparse_rows)
 
     def sparse_coords(self, v: dict) -> dict | None:
         """Nonzero coordinates {j: c_j} of a sparse {index: value} vector,
         or None when it is outside the span."""
-        if self._monomial:
-            if not v.keys() <= self._inv_rows.keys():
+        inv = self._inv_rows
+        if self._disjoint:
+            c = {j: rational(vp * x) for p, vp in v.items() if p in inv
+                 for j, x in inv[p]}
+            # v == sum_j c_j rows_j iff it has their entries and no other:
+            # one per coordinate when each row has one entry.
+            if not self._size:
+                return c if len(c) == len(v) else None
+            if len(v) != sum(map(self._size.__getitem__, c)):
                 return None
-            return {j: rational(vp * x) for p, vp in v.items()
-                    for j, x in self._inv_rows[p]}
+            for j, cj in c.items():
+                for i, x in self.sparse_rows[j].items():
+                    if v.get(i) != cj * x:
+                        return None
+            return c
         # A new key takes its first term as is, with no zero to add to.
-        c: dict[int, int | Fraction] = {}
+        c = {}
         for p, vp in v.items():
-            for j, x in self._inv_rows.get(p, ()):
+            for j, x in inv.get(p, ()):
                 c[j] = c[j] + vp * x if j in c else vp * x
         c = {j: rational(cj) for j, cj in c.items() if cj}
         # Verify membership in the span.

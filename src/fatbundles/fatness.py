@@ -29,6 +29,7 @@ from .exact import (
     identity,
     nullspace,
     rank,
+    sparse_columns,
     sparse_combination,
     vec,
     vec_mat,
@@ -42,17 +43,11 @@ def _gram_entries(emb: SubalgebraEmbedding) -> list[list[tuple]]:
     """Per h_a, the nonzero entries (i, j, B(h_a, [m_i, m_j])) of G_a, paired
     through the Killing covectors u_ij = K [m_i, m_j]."""
     g = emb.ambient
-    m = emb.m_sparse
-    h_cols = [{} for _ in range(g.dim)]  # {a: (h_a)_l} for each index l
-    for a, ha in enumerate(emb.h_sparse):
-        for l, v in ha.items():
-            h_cols[l][a] = v
-    table = [[] for _ in emb.h_basis]
-    for i in range(len(m)):
-        for j in range(i + 1, len(m)):
-            u = g.sparse_covector(g.sparse_bracket(m[i], m[j]))
-            for a, x in sparse_combination(u, h_cols).items():
-                table[a] += [(i, j, x), (j, i, -x)]
+    h_cols = sparse_columns(emb.h_sparse)  # {a: (h_a)_l} for each index l
+    table: list[list] = [[] for _ in emb.h_sparse]
+    for (i, j), b in g.sparse_brackets(emb.m_sparse):
+        for a, x in sparse_combination(g.sparse_covector(b), h_cols).items():
+            table[a] += [(i, j, x), (j, i, -x)]
     return table
 
 

@@ -11,6 +11,7 @@ with unnormalized integer bases so that downstream wall tests stay exact.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .errors import (
@@ -31,7 +32,9 @@ from .exact import (
     nullspace,
     primitive,
     rational,
+    sparse_columns,
     sparse_combination,
+    sparse_congruence,
     sparse_dot,
     sparse_ints,
     sparse_vec,
@@ -40,24 +43,6 @@ from .exact import (
     vec_mat,
     zero_vec,
 )
-
-def _commutator(a: dict, b: dict, n: int) -> dict:
-    """ab - ba for n x n matrices held as {r * n + c: value}, nonzero
-    entries only: a_rc and b_st meet in (ab)_rt when c == s and in (ba)_sc
-    when t == r."""
-    out: dict = {}
-    for ka, u in a.items():
-        r, c = divmod(ka, n)
-        for kb, v in b.items():
-            s, t = divmod(kb, n)
-            if c == s:
-                p, k = u * v, r * n + t
-                out[k] = out[k] + p if k in out else p
-            if t == r:
-                p, k = u * v, s * n + c
-                out[k] = out[k] - p if k in out else -p
-    return {k: x for k, x in out.items() if x}
-
 
 class LieAlgebra:
     """A finite-dimensional real Lie algebra given by a matrix basis.
@@ -92,7 +77,7 @@ class LieAlgebra:
         for (i, j), ck in self._structure.items():
             self._ad_of[i][j] = ck
             self._ad_of[j][i] = {k: -v for k, v in ck.items()}
-        self._killing_rows = [sparse_vec(row) for row in self._killing_gram()]
+        self._killing_rows = self._killing_gram()
 
     @functools.cached_property
     def basis(self) -> tuple[Mat, ...]:
@@ -114,11 +99,31 @@ class LieAlgebra:
     # -- construction helpers -------------------------------------------
 
     def _structure_exact(self) -> dict[tuple[int, int], dict]:
-        flat = self._flat_solver.sparse_rows
+        """c^k_ij for i < j with [e_i, e_j] != 0, in that order.  Only basis
+        matrices that share a row or column index are multiplied: a_rc and
+        b_st meet in (ab)_rt when c == s and in (ba)_sc when t == r."""
+        n = self.n
+        ents = [[(*divmod(k, n), x) for k, x in row.items()]
+                for row in self._flat_solver.sparse_rows]
+        touch: dict[int, set] = {}  # the elements with an entry in row or column s
+        for j, ent in enumerate(ents):
+            for s, t, _ in ent:
+                touch.setdefault(s, set()).add(j)
+                touch.setdefault(t, set()).add(j)
         structure = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                comm = _commutator(flat[i], flat[j], self.n)
+        for i, a in enumerate(ents):
+            meet = set().union(*(touch[r] | touch[c] for r, c, _ in a))
+            for j in sorted(m for m in meet if m > i):
+                comm: dict = {}
+                for r, c, u in a:
+                    for s, t, v in ents[j]:
+                        if c == s:
+                            p, k = u * v, r * n + t
+                            comm[k] = comm[k] + p if k in comm else p
+                        if t == r:
+                            p, k = u * v, s * n + c
+                            comm[k] = comm[k] - p if k in comm else -p
+                comm = {k: x for k, x in comm.items() if x}
                 if not comm:
                     continue
                 ck = self._flat_solver.sparse_coords(comm)
@@ -129,9 +134,9 @@ class LieAlgebra:
                 structure[(i, j)] = ck
         return structure
 
-    def _killing_gram(self) -> list[list]:
-        """K_ab = Tr(ad_a ad_b), summed over the entries (ad_a)_kj that meet
-        an entry (ad_b)_jk."""
+    def _killing_gram(self) -> list[dict]:
+        """The sparse rows of K_ab = Tr(ad_a ad_b), summed over the entries
+        (ad_a)_kj that meet an entry (ad_b)_jk."""
         # (row, col, value) of the nonzero entries of each ad_a.
         entries = [[(k, j, v) for j, ck in row.items() for k, v in ck.items()]
                    for row in self._ad_of]
@@ -139,12 +144,13 @@ class LieAlgebra:
         for b, ent in enumerate(entries):
             for k, j, v in ent:
                 by_entry.setdefault((k, j), []).append((b, v))
-        rows = [[0] * self.dim for _ in range(self.dim)]
-        for a, ent in enumerate(entries):
+        rows: list[dict] = [{} for _ in range(self.dim)]
+        for row, ent in zip(rows, entries):
             for k, j, v in ent:
                 for b, w in by_entry.get((j, k), ()):
-                    rows[a][b] += v * w
-        return rows
+                    row[b] = row[b] + v * w if b in row else v * w
+        return [{b: rational(x) for b, x in sorted(row.items()) if x}
+                for row in rows]
 
     # -- basic operations ------------------------------------------------
 
@@ -156,19 +162,31 @@ class LieAlgebra:
                 f"expected coordinate vector of length {self.dim}, got {len(x)}")
         return x
 
+    def sparse_brackets(self, xs, ys=None) -> Iterator[tuple[tuple[int, int], dict]]:
+        """((i, j), [xs_i, ys_j]) for the nonzero brackets of sparse
+        {index: value} vectors, in (i, j) order, via the structure constants:
+        only the c_ab with a in x_i and b in some y_j are read.  Without ys,
+        the pairs i < j of xs (the others follow by antisymmetry)."""
+        cols = sparse_columns(xs if ys is None else ys)
+        for i, x in enumerate(xs):
+            acc: dict[int, dict] = {}
+            lo = i if ys is None else -1
+            for a, xa in x.items():
+                row = self._ad_of[a]
+                for b in row.keys() & cols.keys():  # over the smaller of the two
+                    for j, yb in cols[b].items():
+                        if j <= lo:
+                            continue
+                        f, d = xa * yb, acc.setdefault(j, {})
+                        for k, v in row[b].items():
+                            d[k] = d[k] + f * v if k in d else f * v
+            for j in sorted(acc):
+                if br := {k: rational(v) for k, v in acc[j].items() if v}:
+                    yield (i, j), br
+
     def sparse_bracket(self, x: dict, y: dict) -> dict:
-        """[x, y] of sparse {index: value} vectors, via the structure
-        constants; only the nonzero entries are kept."""
-        out: dict[int, int | Fraction] = {}
-        for i, xi in x.items():
-            row = self._ad_of[i]
-            for j, yj in y.items():
-                ck = row.get(j)
-                if ck:
-                    f = xi * yj
-                    for k, v in ck.items():
-                        out[k] = out[k] + f * v if k in out else f * v
-        return {k: rational(v) for k, v in out.items() if v}
+        """[x, y] of sparse {index: value} vectors, nonzero entries only."""
+        return next((b for _, b in self.sparse_brackets([x], [y])), {})
 
     def bracket(self, x, y) -> Vec:
         """[x, y] in coordinates, via the structure constants."""
@@ -179,9 +197,10 @@ class LieAlgebra:
     def centralizer_in(self, x, rows) -> Mat:
         """Basis of the elements of span(rows) that commute with x: the
         kernel of ad_x on the rows, whose column j is [x, rows_j]."""
-        x = sparse_vec(self.check_vector(x))
-        cols = [self.sparse_bracket(x, sparse_vec(r)) for r in rows]
-        ad = [[col.get(i, 0) for col in cols] for i in range(self.dim)]
+        cols = dict(self.sparse_brackets([sparse_vec(self.check_vector(x))],
+                                         [sparse_vec(r) for r in rows]))
+        ad = [[cols.get((0, j), {}).get(i, 0) for j in range(len(rows))]
+              for i in range(self.dim)]
         return tuple(vec_mat(c, rows) for c in nullspace(ad))
 
     def sparse_covector(self, x: dict) -> dict:
@@ -238,10 +257,6 @@ class LieAlgebra:
         x = self.check_vector(x)
         return tuple(vec_mat(x, [b[r] for b in self.basis]) for r in range(self.n))
 
-    def coords_of_matrix(self, m) -> Vec | None:
-        """Coordinates of an n x n matrix in the basis, or None."""
-        return self._flat_solver.coords([x for row in m for x in row])
-
     def __repr__(self):
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
 
@@ -296,69 +311,46 @@ def _u_in_so_basis(n: int) -> list[list[list[int]]]:
     """u(n) realized in so(2n): skew-Hermitian z = a + ib mapped to 2x2
     blocks [[a, -b], [b, a]]; these are exactly the elements of so(2n)
     commuting with the block complex structure."""
-    N = 2 * n
+    def rotation(*terms):  # sum of s (E_rc - E_cr) over the terms (s, r, c)
+        m = [[0] * (2 * n) for _ in range(2 * n)]
+        for s, r, c in terms:
+            m[r][c], m[c][r] = s, -s
+        return m
     out = []
     for j in range(n):
         for k in range(j + 1, n):
-            re = [[0] * N for _ in range(N)]
-            re[2 * j][2 * k] = 1
-            re[2 * j + 1][2 * k + 1] = 1
-            re[2 * k][2 * j] = -1
-            re[2 * k + 1][2 * j + 1] = -1
-            out.append(re)
-            im = [[0] * N for _ in range(N)]
-            im[2 * j][2 * k + 1] = -1
-            im[2 * j + 1][2 * k] = 1
-            im[2 * k][2 * j + 1] = -1
-            im[2 * k + 1][2 * j] = 1
-            out.append(im)
-    for j in range(n):
-        d = [[0] * N for _ in range(N)]
-        d[2 * j][2 * j + 1] = -1
-        d[2 * j + 1][2 * j] = 1
-        out.append(d)
-    return out
+            out += [rotation((1, 2 * j, 2 * k), (1, 2 * j + 1, 2 * k + 1)),
+                    rotation((-1, 2 * j, 2 * k + 1), (1, 2 * j + 1, 2 * k))]
+    return out + [rotation((1, 2 * j + 1, 2 * j)) for j in range(n)]
 
 
 def _su_basis(n: int) -> list[list[list[int]]]:
     """su(n) realified inside so(2n): the u(n) basis with the diagonal
     replaced by traceless differences."""
-    N = 2 * n
     base = _u_in_so_basis(n)
-    off = base[: n * (n - 1)]
     diag = base[n * (n - 1):]
-    out = list(off)
-    for j in range(n - 1):
-        m = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(diag[j], diag[j + 1])]
-        out.append(m)
-    return out
+    return base[:n * (n - 1)] + [
+        [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(x, y)]
+        for x, y in zip(diag, diag[1:])]
+
+
+# (family, number of params) -> (basis, least param, name); a name is
+# formatted with the params and then their doubles, for u(n) in so(2n).
+_FAMILIES = {("so", 1): (_so_basis, 2, "so({})"),
+             ("so", 2): (_so_pq_basis, 1, "so({},{})"),
+             ("su", 1): (_su_basis, 2, "su({})"),
+             ("u-in-so", 1): (_u_in_so_basis, 1, "u({})<so({})")}
 
 
 @functools.lru_cache(maxsize=None)
 def _build_cached(family: str, params: tuple) -> LieAlgebra:
-    if family == "so" and len(params) == 1:
-        n = params[0]
-        if n < 2:
-            raise ValueError("so(n) needs n >= 2")
-        return LieAlgebra(f"so({n})", _so_basis(n), family="so", params=params)
-    if family == "so" and len(params) == 2:
-        p, q = params
-        if p < 1 or q < 1:
-            raise ValueError("so(p,q) needs p, q >= 1")
-        return LieAlgebra(f"so({p},{q})", _so_pq_basis(p, q),
-                          family="so", params=params)
-    if family == "su":
-        (n,) = params
-        if n < 2:
-            raise ValueError("su(n) needs n >= 2")
-        return LieAlgebra(f"su({n})", _su_basis(n), family="su", params=params)
-    if family == "u-in-so":
-        (n,) = params
-        if n < 1:
-            raise ValueError("u(n) in so(2n) needs n >= 1")
-        return LieAlgebra(f"u({n})<so({2*n})", _u_in_so_basis(n),
-                          family="u-in-so", params=params)
-    raise ValueError(f"unsupported family {family!r} with params {params!r}")
+    if (family, len(params)) not in _FAMILIES:
+        raise ValueError(f"unsupported family {family!r} with params {params!r}")
+    basis, least, name = _FAMILIES[family, len(params)]
+    name = name.format(*params, *(2 * p for p in params))
+    if min(params) < least:
+        raise ValueError(f"{name} needs parameters >= {least}")
+    return LieAlgebra(name, basis(*params), family=family, params=params)
 
 
 def build_algebra(family: str, params) -> LieAlgebra:
@@ -392,24 +384,27 @@ class SubalgebraEmbedding:
 
     ``h_basis`` and ``m_basis`` are rows of coordinate vectors in g.
     ``torus_basis`` is an optional maximal abelian subalgebra of h,
-    expected in the block convention when root tests are used.
+    expected in the block convention when root tests are used.  Each row
+    is given dense or as a sparse {index: value} dict, and kept both ways.
     """
 
-    def __init__(self, ambient: LieAlgebra, h_basis: Mat, m_basis: Mat,
-                 torus_basis: Mat | None, compact: bool, name: str = ""):
+    def __init__(self, ambient: LieAlgebra, h_basis, m_basis, torus_basis,
+                 compact: bool, name: str = ""):
         self.ambient = ambient
-        self.h_basis = h_basis
-        self.m_basis = m_basis
-        self.torus_basis = torus_basis
         self.compact = compact
         self.name = name or f"h<{ambient.name}"
         self.dim_h = len(h_basis)
         self.dim_m = len(m_basis)
-        self._full_solver = CoordinateSolver(list(h_basis) + list(m_basis))
-        # The nonzero {index: value} entries of the h and m rows.
+        self._full_solver = CoordinateSolver([*h_basis, *m_basis])
+        # The nonzero {index: value} entries of the h, m and torus rows.
         self.h_sparse = self._full_solver.sparse_rows[:self.dim_h]
         self.m_sparse = self._full_solver.sparse_rows[self.dim_h:]
-        self.torus_sparse = [sparse_vec(t) for t in torus_basis or ()]
+        self.torus_sparse = [t if type(t) is dict else sparse_vec(t)
+                             for t in torus_basis or ()]
+        self.h_basis, self.m_basis, torus = (
+            tuple(dense_vec(r, ambient.dim) for r in rows)
+            for rows in (self.h_sparse, self.m_sparse, self.torus_sparse))
+        self.torus_basis = None if torus_basis is None else torus
         self._cache: dict = {}
 
     def split_coords(self, x) -> tuple[Vec, Vec]:
@@ -480,18 +475,14 @@ class SubalgebraEmbedding:
     def _ad_entries(self) -> list[list[tuple[int, int, Fraction]]]:
         """Per h_a, the nonzero entries (i, j, v) of D_a = ad_{h_a}|_m;
         raises ValueError when some [h_a, m_j] leaves m."""
-        table = []
-        for ha in self.h_sparse:
-            row = []
-            for j, mj in enumerate(self.m_sparse):
-                c = self._full_solver.sparse_coords(
-                    self.ambient.sparse_bracket(ha, mj))
-                if c is None:
-                    raise DimensionMismatch("vector is not in h + m")
-                if any(a < self.dim_h for a in c):
-                    raise ValueError(f"{self.name}: [h, m] leaves m")
-                row += [(a - self.dim_h, j, v) for a, v in c.items()]
-            table.append(row)
+        table: list[list] = [[] for _ in self.h_sparse]
+        for (a, j), b in self.ambient.sparse_brackets(self.h_sparse, self.m_sparse):
+            c = self._full_solver.sparse_coords(b)
+            if c is None:
+                raise DimensionMismatch("vector is not in h + m")
+            if any(i < self.dim_h for i in c):
+                raise ValueError(f"{self.name}: [h, m] leaves m")
+            table[a] += [(i - self.dim_h, j, v) for i, v in c.items()]
         return table
 
     def ad_m_ints(self, x) -> tuple[list[list[int]], int]:
@@ -507,8 +498,7 @@ class SubalgebraEmbedding:
             return None
         if "torus" not in self._cache:  # the torus rows in h-coordinates
             rows = [self.sparse_h_coords(t) for t in self.torus_sparse]
-            self._cache["torus"] = None if None in rows else CoordinateSolver(
-                [dense_vec(r, self.dim_h) for r in rows])
+            self._cache["torus"] = None if None in rows else CoordinateSolver(rows)
         c, solver = self.h_solve(x)[1], self._cache["torus"]
         return None if c is None or solver is None else solver.coords(c)
 
@@ -529,25 +519,23 @@ class SubalgebraEmbedding:
 
 def reductive_split(g: LieAlgebra, h_basis, *, torus_basis=None,
                     name: str = "", check: bool = True) -> SubalgebraEmbedding:
-    """Split g = h + m with m the Killing-orthogonal complement of h.
+    """Split g = h + m with m the Killing-orthogonal complement of h.  The
+    h and torus rows are coordinate vectors, dense or sparse {index: value}.
 
     Raises DegenerateRestriction when B restricted to h is singular (no
     reductive complement exists in the Killing-orthogonal sense).
     """
-    h_rows = mat(h_basis)
-    for row in h_rows:
-        g.check_vector(row)
-    h_sparse = [sparse_vec(hi) for hi in h_rows]
+    h_sparse, torus = ([r if type(r) is dict else sparse_vec(g.check_vector(r))
+                        for r in rows] for rows in (h_basis, torus_basis or ()))
     bh_sparse = [g.sparse_covector(hi) for hi in h_sparse]
-    _, neg, zero = inertia([[sparse_dot(hi, bh) for bh in bh_sparse]
-                            for hi in h_sparse])
+    _, neg, zero = inertia([[row.get(j, 0) for j in range(len(h_sparse))]
+                            for row in sparse_congruence(h_sparse, g._killing_rows)])
     if zero:
         raise DegenerateRestriction(
             f"Killing form of {g.name} is singular on the subalgebra")
     m_rows = g.orthocomplement([[k.get(j, 0) for j in range(g.dim)] for k in bh_sparse])
-    compact = neg == len(h_rows)
-    emb = SubalgebraEmbedding(g, h_rows, m_rows, mat(torus_basis) if torus_basis else None,
-                              compact, name=name)
+    compact = neg == len(h_sparse)
+    emb = SubalgebraEmbedding(g, h_sparse, m_rows, torus or None, compact, name=name)
     if check:
         _check_embedding(emb)
     return emb
@@ -555,25 +543,20 @@ def reductive_split(g: LieAlgebra, h_basis, *, torus_basis=None,
 
 def _check_embedding(emb: SubalgebraEmbedding) -> None:
     g = emb.ambient
-    for i, hi in enumerate(emb.h_sparse):
-        for hj in emb.h_sparse[i + 1:]:
-            if emb.sparse_h_coords(g.sparse_bracket(hi, hj)) is None:
-                raise ValueError(f"{emb.name}: h is not closed under brackets")
+    for _, b in g.sparse_brackets(emb.h_sparse):
+        if emb.sparse_h_coords(b) is None:
+            raise ValueError(f"{emb.name}: h is not closed under brackets")
     emb.ad_m_ints(zero_vec(g.dim))  # builds D_a; raises when [h, m] leaves m
-    # B(h, m) = 0.
-    kh = [g.sparse_covector(hi) for hi in emb.h_sparse]
-    if any(sparse_dot(k, mj) for k in kh for mj in emb.m_sparse):
+    # B(h, m) = 0: each K h_i summed over the columns of m.
+    cols = sparse_columns(emb.m_sparse)
+    if any(sparse_combination(g.sparse_covector(hi), cols) for hi in emb.h_sparse):
         raise ValueError(f"{emb.name}: B(h, m) != 0")
     # Torus, when provided: abelian and inside h.
     if emb.torus_basis is not None:
-        torus = [sparse_vec(g.check_vector(t)) for t in emb.torus_basis]
-        for ti in torus:
-            if emb.sparse_h_coords(ti) is None:
-                raise ValueError(f"{emb.name}: torus is not contained in h")
-        for i, ti in enumerate(torus):
-            for tj in torus[i + 1:]:
-                if g.sparse_bracket(ti, tj):
-                    raise ValueError(f"{emb.name}: torus is not abelian")
+        if None in map(emb.sparse_h_coords, emb.torus_sparse):
+            raise ValueError(f"{emb.name}: torus is not contained in h")
+        if next(g.sparse_brackets(emb.torus_sparse), None):
+            raise ValueError(f"{emb.name}: torus is not abelian")
 
 
 def maximal_torus(emb: SubalgebraEmbedding) -> Mat:
@@ -602,48 +585,40 @@ def maximal_torus(emb: SubalgebraEmbedding) -> Mat:
 
 # -- block embeddings for the classical catalog -----------------------------
 
+def _coords_in(g: LieAlgebra, flats, what: str) -> list[dict]:
+    """The sparse g-coordinates, keys ascending, of the n x n matrices
+    {r * n + c: value} in flats; ValueError naming the first not in g."""
+    rows = [g._flat_solver.sparse_coords(flat) for flat in flats]
+    if None in rows:
+        raise ValueError(f"{what} element {rows.index(None)} is not in {g.name}")
+    return [dict(sorted(c.items())) for c in rows]
+
+
 def block_torus(g: LieAlgebra, r: int) -> Mat:
     """Coordinates of the block torus T_i spanned by 2x2 rotation blocks
     [[0, -t_i], [t_i, 0]] on the diagonal, for i = 0..r-1."""
-    rows = []
-    for i in range(r):
-        m = _antisym(g.n, 2 * i + 1, 2 * i)
-        c = g.coords_of_matrix(m)
-        if c is None:
-            raise ValueError(f"{g.name}: block torus element {i} is not in g")
-        rows.append(c)
-    return mat(rows)
+    n = g.n
+    return tuple(dense_vec(t, g.dim) for t in _coords_in(g, (
+        {(2 * i + 1) * n + 2 * i: 1, 2 * i * n + 2 * i + 1: -1} for i in range(r)),
+        "block torus"))
 
 
 def so_block_embedding(g: LieAlgebra, k: int, *, name: str = "") -> SubalgebraEmbedding:
     """so(k) in the top-left block of g (g built from so(n) or so(p,q))."""
-    h_rows = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            c = g.coords_of_matrix(_antisym(g.n, i, j))
-            if c is None:
-                raise ValueError(f"so({k}) block does not embed in {g.name}")
-            h_rows.append(c)
-    torus = block_torus(g, k // 2) if k >= 2 else None
-    return reductive_split(g, h_rows, torus_basis=torus,
+    n = g.n
+    h_rows = _coords_in(g, ({i * n + j: 1, j * n + i: -1} for i in range(k)
+                            for j in range(i + 1, k)), f"so({k}) block")
+    return reductive_split(g, h_rows, torus_basis=block_torus(g, k // 2),
                            name=name or f"so({k})<{g.name}")
 
 
 def u_block_embedding(g: LieAlgebra, n: int, *, name: str = "") -> SubalgebraEmbedding:
     """u(n), the commutant of the block complex structure inside the
     so(2n) top-left block of g."""
-    h_rows = []
-    for m in _u_in_so_basis(n):
-        big = [[0] * g.n for _ in range(g.n)]
-        for r in range(2 * n):
-            for c in range(2 * n):
-                big[r][c] = m[r][c]
-        coords = g.coords_of_matrix(big)
-        if coords is None:
-            raise ValueError(f"u({n}) block does not embed in {g.name}")
-        h_rows.append(coords)
-    torus = block_torus(g, n)
-    return reductive_split(g, h_rows, torus_basis=torus,
+    h_rows = _coords_in(g, ({r * g.n + c: x for r, row in enumerate(m)
+                             for c, x in enumerate(row) if x}
+                            for m in _u_in_so_basis(n)), f"u({n}) block")
+    return reductive_split(g, h_rows, torus_basis=block_torus(g, n),
                            name=name or f"u({n})<{g.name}")
 
 

@@ -3,20 +3,28 @@ checks that share no code path with it: plain Gauss-Jordan on ``Fraction``
 entries, with rank, null space, solve, inverse, determinant and span
 coordinates read off it; symmetric Gaussian elimination for the inertia;
 dense matrix products and congruences; the triple residual summed over
-every basis triple; and structure constants and the Killing Gram from
-dense matrix commutators.  ``ad_m`` is no reference: it reads the kernel's
-integer ad_m table as ``Fraction``s, for the tests that compare it with
-dense brackets."""
+every basis triple; structure constants and the Killing Gram from dense
+matrix commutators; the [rows | I] span solver (``Solver``), which
+eliminates whatever the rows' supports are, the structure constants of
+every basis pair through it (``structure_all_pairs``) and the Killing
+rows from them by one dense contraction (``killing_rows``).  ``ad_m`` is no
+reference: it reads the kernel's integer ad_m table as ``Fraction``s, for
+the tests that compare it with dense brackets, and ``coords_of_matrix``
+reads a matrix through the kernel's flat solver."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
+
+ZERO = Fraction(0)  # shared: most entries are zero
+
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [[Fraction(x) if x else ZERO for x in row] for row in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     pivots: list[int] = []
@@ -63,7 +71,7 @@ def nullspace(rows) -> list[tuple[Fraction, ...]]:
 
 def _primitive(x) -> tuple[Fraction, ...]:
     den = lcm(*(a.denominator for a in x))
-    ints = [int(a * den) for a in x]
+    ints = [a.numerator * (den // a.denominator) for a in x]
     g = gcd(*ints)
     if next(v for v in ints if v) < 0:
         g = -g
@@ -115,6 +123,12 @@ def det(a) -> Fraction:
 def coords(rows, v):
     """c with sum_i c_i rows_i == v, or None when v is outside the span."""
     return solve([[row[j] for row in rows] for j in range(len(v))], v)
+
+
+def coords_of_matrix(g, m):
+    """The g-coordinates of an n x n matrix, or None: the kernel's flat
+    solver on the flattened entries (no reference either)."""
+    return g._flat_solver.coords([x for row in m for x in row])
 
 
 def ad_m(emb, x):
@@ -225,3 +239,92 @@ def triple_residual(c, table):
                                      for t, v in zip(total, table[l][e])]
                 worst = max([worst, *map(abs, total)])
     return worst
+
+
+class Solver:
+    """Span coordinates from the reduced row echelon form of [rows | I]:
+    the I part holds the inverse of the pivot block, a coordinate c_j sums
+    v_p times its entries over the pivots p, and a solve is kept only when
+    sum_j c_j rows_j recombines to v.  Rows are dense or sparse
+    {index: value}; c is built in the order the entries of v reach it."""
+
+    def __init__(self, rows):
+        self.rows = [dict(r) if isinstance(r, dict) else
+                     {i: Fraction(x) for i, x in enumerate(r) if x} for r in rows]
+        n = 1 + max((max(r) for r in self.rows if r), default=-1)
+        red, pivots = rref([[r.get(j, 0) for j in range(n)] +
+                            [int(i == j) for j in range(len(self.rows))]
+                            for i, r in enumerate(self.rows)])
+        if any(p >= n for p in pivots):
+            raise ValueError("spanning set is linearly dependent")
+        # Integral entries as ints, only for speed.
+        self.inv = {p: [(j, int(x) if x.denominator == 1 else x)
+                        for j, x in enumerate(row[n:]) if x]
+                    for row, p in zip(red, pivots)}
+
+    def sparse_coords(self, v: dict):
+        c: dict = {}
+        for p, vp in v.items():
+            for j, x in self.inv.get(p, ()):
+                c[j] = c.get(j, 0) + vp * x
+        c = {j: x for j, x in c.items() if x}
+        back: dict = {}
+        for j, cj in c.items():
+            for i, x in self.rows[j].items():
+                back[i] = back.get(i, 0) + cj * x
+        return c if {i: x for i, x in back.items() if x} == v else None
+
+
+def commutator(a: dict, b: dict, n: int) -> dict:
+    """ab - ba for n x n matrices held as {r * n + c: value}, nonzero
+    entries only: a_rc and b_st meet in (ab)_rt when c == s and in (ba)_sc
+    when t == r."""
+    out: dict = {}
+    for ka, u in a.items():
+        r, c = divmod(ka, n)
+        for kb, v in b.items():
+            s, t = divmod(kb, n)
+            if c == s:
+                p, k = u * v, r * n + t
+                out[k] = out[k] + p if k in out else p
+            if t == r:
+                p, k = u * v, s * n + c
+                out[k] = out[k] - p if k in out else -p
+    return {k: x for k, x in out.items() if x}
+
+
+def structure_all_pairs(flats, n: int) -> dict:
+    """{(i, j): c^k_ij} for every pair i < j of flattened n x n basis
+    matrices {r * n + c: value} with a nonzero commutator, in that order,
+    solved by ``Solver``; ValueError names the first pair that leaves the
+    span."""
+    solver = Solver(flats)
+    out = {}
+    for i in range(len(flats)):
+        for j in range(i + 1, len(flats)):
+            comm = commutator(flats[i], flats[j], n)
+            if not comm:
+                continue
+            ck = solver.sparse_coords(comm)
+            if ck is None:
+                raise ValueError("basis does not close under the commutator "
+                                 f"(elements {i}, {j})")
+            out[(i, j)] = ck
+    return out
+
+
+def killing_rows(structure: dict, dim: int) -> list[dict]:
+    """The nonzero entries of K_ab = Tr(ad_a ad_b), row by row in column
+    order, from {(i, j): c^k_ij} with i < j: one contraction of the dense
+    (ad_a)_kj = c^k_aj, in int64 when every constant is an integer (exact
+    at these sizes), else over Fraction objects."""
+    ints = all(v == int(v) for ck in structure.values() for v in ck.values())
+    ad = np.zeros((dim, dim, dim), dtype=np.int64 if ints else object)
+    if not ints:
+        ad[...] = Fraction(0)
+    for (i, j), ck in structure.items():
+        for k, v in ck.items():
+            ad[i, k, j], ad[j, k, i] = v, -v
+    gram = np.einsum("akj,bjk->ab", ad, ad)
+    return [{b: int(x) if ints else x for b, x in enumerate(row) if x}
+            for row in gram]

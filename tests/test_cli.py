@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -360,7 +361,8 @@ SHIFT = {"type": "B", "rank": 2, "member_roots": [],
      "shift.vertices is required"),
     ({"run": ["shift"]}, "shift is required when run has shift"),
     # A string Xu was read one character at a time, as ["1", "2"].
-    ({**GOOD, "Xu": "12"}, "Xu must be a list of rationals, got '12'"),
+    ({**GOOD, "Xu": "12"}, "Xu must be a list of rationals (strings of <= 1000 "
+     "characters with |exponent| <= 1000), got '12'"),
     # float() read these as tol 1.0 and 0.001.
     ({**GOOD, "tol": True}, "tol must be a positive finite number, got True"),
     ({**GOOD, "tol": "1e-3"},
@@ -692,8 +694,8 @@ PINCH = {"run": ["pinch"], "pinch": {"n": 2, "epsilon": 0.54, "frames": 5}}
     # Tracebacks through the CLI: OverflowError and ZeroDivisionError.
     ({**GOOD, "tol": 10**400},
      f"tol must be a positive finite number, got {10**400}"),
-    ({**GOOD, "Xu": ["1/0", "1"]},
-     "Xu must be a list of rationals, got ['1/0', '1']"),
+    ({**GOOD, "Xu": ["1/0", "1"]}, "Xu must be a list of rationals (strings of "
+     "<= 1000 characters with |exponent| <= 1000), got ['1/0', '1']"),
     # Past the size budget; a shift search at rank 10^6 was killed for memory.
     ({**GOOD, "g": {"family": "so", "params": [400]}},
      "g.params must be a list of positive integers with sum <= 32, got [400]"),
@@ -795,3 +797,66 @@ def test_readme_key_table_is_the_contract():
     assert {k: rule for k, (rule, _) in rows.items()} == rules
     assert {k for k, (_, default) in rows.items()
             if default.startswith("required")} == set(REQUIRED)
+
+
+RATIONALS = "(strings of <= 1000 characters with |exponent| <= 1000)"
+
+
+@pytest.mark.parametrize("text, message", [
+    # json.loads raised a plain ValueError past the int-string digit limit.
+    ('[{"id": "a", "seed": %s}]' % ("1" * 5000,),
+     "Exceeds the limit (4300 digits) for integer string conversion"),
+    # Fraction("1e100000000") expands the exponent: minutes of parsing.
+    (json.dumps([{**GOOD, "Xu": ["1e100000000", "1"]}]),
+     f"Xu must be a list of rationals {RATIONALS}, got ['1e100000000', '1']"),
+    (json.dumps([{"id": "s", "run": ["shift"],
+                  "shift": {**SHIFT, "vertices": [["0", "1E-100000000"]]}}]),
+     f"shift.vertices must be a list of rational lists {RATIONALS}"),
+    (json.dumps([{**GOOD, "Xu": ["1" * 1001, "1"]}]),
+     f"Xu must be a list of rationals {RATIONALS}"),
+], ids=["int_5000_digits", "Xu_exponent", "vertex_exponent", "Xu_1001_chars"])
+def test_oversized_literals_exit_two_at_once(tmp_path, capsys, text, message):
+    path = tmp_path / "catalog.json"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert run_cli(["run", str(path), "--out", str(tmp_path / "c")]) == 2
+    assert time.perf_counter() - start < 1
+    assert message in capsys.readouterr().err
+
+
+def test_rationals_at_the_string_budget_parse():
+    for xu in (["1" * 1000, "1e1000"], ["1e-1000", "1/" + "3" * 998], [10**1000, 1]):
+        assert InstanceSpec.from_json({**GOOD, "Xu": xu}).xu_torus is not None
+
+
+@pytest.mark.parametrize("entry, message", [
+    # A g without h ran to "TypeError: 'NoneType' object is not iterable".
+    ({**GOOD, "h": None}, "h is required with g"),
+    ({**GOOD, "g": None}, "g is required with h"),
+    # An h without params ran to "IndexError: tuple index out of range".
+    ({**GOOD, "h": {"type": "so"}}, "h.params is required"),
+    ({**GOOD, "g": {"params": [5]}}, "g.family is required"),
+], ids=["g_without_h", "h_without_g", "h_without_params", "g_without_family"])
+def test_a_pair_needs_g_and_h_in_full(entry, message):
+    with pytest.raises(ValueError) as exc:
+        InstanceSpec.from_json(entry)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("entry, error", [
+    # so(3,1) has rank 2 and the so(3) block torus rank 1, as so(31,1) and
+    # so(30) have 16 and 15: "AttributeError: 'NoneType' object has no
+    # attribute 'rank'".
+    ({"id": "x", "g": {"family": "so", "params": [3, 1]},
+      "h": {"type": "so", "params": [3]}, "run": ["dual"]},
+     "FatBundleError: x: dual needs g, h and a full-rank torus"),
+    ({"id": "x", "run": ["dual"]},
+     "FatBundleError: x: dual needs g, h and a full-rank torus"),
+    # Each ran to an AttributeError or a TypeError on the missing X_u.
+    ({**COUPLING_SO5_U2, "id": "x"}, "FatBundleError: x: coupling needs an Xu, g and h"),
+    ({"id": "x", "Xu": ["1", "1"], "run": ["coupling"]},
+     "FatBundleError: x: coupling needs an Xu, g and h"),
+], ids=["dual_torus_rank", "dual_no_pair", "coupling_no_xu", "coupling_no_pair"])
+def test_runs_missing_their_inputs_name_the_cause(entry, error):
+    passed, payload = run_instance(InstanceSpec.from_json(entry))
+    assert not passed and payload["error"] == error

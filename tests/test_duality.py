@@ -79,7 +79,7 @@ def test_theta_action_and_dual_basis_match_dense_products(p):
     theta = du._theta_matrix_action(
         g, sparse_vec([x for row in t for x in row]))
     assert [dense_vec(c, g.dim) for c in theta] == [
-        g.coords_of_matrix(ref.mat_mul(ref.mat_mul(t, b), t)) for b in g.basis]
+        ref.coords_of_matrix(g, ref.mat_mul(ref.mat_mul(t, b), t)) for b in g.basis]
     pair = du.dualize(g, t)
     k = pair.k_dim
     assert pair.noncompact is g and k == p * (p - 1) // 2
@@ -100,7 +100,7 @@ def test_theta_action_of_a_rational_conjugation():
     theta = du._theta_matrix_action(
         conj, sparse_vec([x for row in t for x in row]))
     assert [dense_vec(c, conj.dim) for c in theta] == [
-        conj.coords_of_matrix(ref.mat_mul(ref.mat_mul(t, b), t))
+        ref.coords_of_matrix(conj, ref.mat_mul(ref.mat_mul(t, b), t))
         for b in conj.basis]
     assert t[0][2] == -1 and theta == [{0: 1}, {1: -1}, {2: -1}]
 

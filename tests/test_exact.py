@@ -327,9 +327,8 @@ def test_monomial_solver_matches_the_general_solve(data):
     for row, j in zip(rows, cols):
         row[j] = data.draw(nonzero)
     solver = ex.CoordinateSolver(rows)
-    general = ex.CoordinateSolver(rows)
-    general._monomial = False
-    assert solver._monomial
+    general = ref.Solver(rows)
+    assert solver._disjoint  # read off, with no elimination
     inside = [sum((data.draw(ENTRY) * row[j] for row in rows), Q(0))
               for j in range(n)]
     outside = [data.draw(ENTRY) for _ in range(n)]
@@ -340,7 +339,75 @@ def test_monomial_solver_matches_the_general_solve(data):
         assert got is None or _sparse_rule(got.values())
         assert solver.coords(v) == ref.coords(rows, v)
     assert solver.coords(inside) is not None
-    assert not ex.CoordinateSolver([[1, 1], [0, 1]])._monomial
+    assert not ex.CoordinateSolver([[1, 1], [0, 1]])._disjoint
+
+
+# Nonzero p/q, drawn directly rather than filtered.
+SPARSE_ENTRY = st.builds(lambda p, q, s: s * Q(p, q), st.integers(1, 9),
+                         st.integers(1, 4), st.sampled_from([1, -1]))
+
+
+@st.composite
+def sparse_row_sets(draw):
+    """Up to 6 sparse rational rows of width up to 8: pairwise disjoint
+    supports (each column owned by at most one row, so a row may be zero),
+    or random overlapping supports; then possibly a zero row or a
+    combination of earlier rows, both dependent, and a shuffle."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        owner = draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n))
+        rows = [{c: draw(SPARSE_ENTRY) for c in range(n) if owner[c] == j}
+                for j in range(k)]
+    else:
+        rows = [{c: draw(SPARSE_ENTRY) for c in
+                 sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))}
+                for _ in range(k)]
+    extra = draw(st.sampled_from(["none", "zero", "combination"]))
+    if extra == "zero":
+        rows.append({})
+    elif extra == "combination" and rows:
+        a, b = draw(SPARSE_ENTRY), draw(SPARSE_ENTRY)
+        x, y = rows[0], rows[-1]
+        comb = {c: a * x.get(c, 0) + b * y.get(c, 0) for c in sorted(x.keys() | y.keys())}
+        rows.append({c: v for c, v in comb.items() if v})
+    return draw(st.permutations(rows)) if draw(st.booleans()) else rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=sparse_row_sets(), data=st.data())
+def test_read_off_solver_matches_the_elimination_reference(rows, data):
+    # The same coordinates (None included, and in the same key order) and
+    # the same error as the [rows | I] solver, on disjoint supports (read
+    # off) and on overlapping ones (eliminated).
+    try:
+        expected = ref.Solver(rows)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            ex.CoordinateSolver(rows)
+        return
+    solver = ex.CoordinateSolver(rows)
+    disjoint = sum(map(len, rows)) == len(set().union(*rows))
+    assert solver._disjoint == (disjoint and all(rows))
+    width = 1 + max((max(r) for r in rows if r), default=1)
+    coeffs = [data.draw(st.sampled_from([0, 1, -1]) | SPARSE_ENTRY) for _ in rows]
+    inside = {}
+    for cj, row in zip(coeffs, rows):
+        for i, x in row.items():
+            inside[i] = inside.get(i, 0) + cj * x
+    inside = {i: x for i, x in inside.items() if x}
+    tests = [inside, {}, {data.draw(st.integers(0, width)): data.draw(SPARSE_ENTRY)}]
+    if inside:  # one entry changed, dropped, or one added
+        i = data.draw(st.sampled_from(sorted(inside)))
+        tests += [{**inside, i: inside[i] + 1} if inside[i] != -1 else {**inside, i: 2},
+                  {c: x for c, x in inside.items() if c != i},
+                  {**inside, width: data.draw(SPARSE_ENTRY)}]
+    for v in tests:
+        v = dict(data.draw(st.permutations(list(v.items()))))
+        got, want = solver.sparse_coords(v), expected.sparse_coords(v)
+        assert got == want
+        assert got is None or (list(got) == list(want) and _sparse_rule(got.values()))
+    assert solver.sparse_coords(inside) is not None
 
 
 def test_coordinate_solver_rejects_dependent_rows():

@@ -5,6 +5,7 @@ Oracles: direct matrix commutators (numpy on exact integer matrices), the
 """
 
 import copy
+import re
 import functools
 from fractions import Fraction as Q
 
@@ -89,10 +90,10 @@ def test_bracket_antisymmetry_and_self():
 def test_so5_elementary_bracket():
     # [A_1, A_2] = E_21 - E_12 for A_i = E_{i5} - E_{5i} (1-indexed).
     g = la.so(5)
-    a1 = g.coords_of_matrix([[0, 0, 0, 0, 1], [0] * 5, [0] * 5, [0] * 5,
-                             [-1, 0, 0, 0, 0]])
-    a2 = g.coords_of_matrix([[0] * 5, [0, 0, 0, 0, 1], [0] * 5, [0] * 5,
-                             [0, -1, 0, 0, 0]])
+    a1 = ref.coords_of_matrix(g, [[0, 0, 0, 0, 1], [0] * 5, [0] * 5, [0] * 5,
+                                  [-1, 0, 0, 0, 0]])
+    a2 = ref.coords_of_matrix(g, [[0] * 5, [0, 0, 0, 0, 1], [0] * 5, [0] * 5,
+                                  [0, -1, 0, 0, 0]])
     br = g.realize(g.bracket(a1, a2))
     expect = [[0, -1, 0, 0, 0], [1, 0, 0, 0, 0], [0] * 5, [0] * 5, [0] * 5]
     assert br == tuple(vec(r) for r in expect)
@@ -324,7 +325,7 @@ def test_reductive_split_so5_so4():
         m = [[0] * 5 for _ in range(5)]
         m[i][4] = 1
         m[4][i] = -1
-        expected.append(g.coords_of_matrix(m))
+        expected.append(ref.coords_of_matrix(g, m))
     assert rank(list(emb.m_basis) + expected) == 4
     # Orthogonality and ad-invariance, exactly.
     for hi in emb.h_basis:
@@ -523,7 +524,7 @@ def test_sparse_bracket_and_coords_match_matrices(name, data):
                   for ra, rb in zip(matmul(mx, my), matmul(my, mx))]
     assert g.realize(g.bracket(x, y)) == mat(commutator)
     assert g.semisimple == (rank(g.killing) == g.dim)
-    # The flat solver behind coords_of_matrix: dense and sparse input agree,
+    # The flat solver behind ref.coords_of_matrix: dense and sparse input agree,
     # in the span and off it (a nonzero multiple of 1 is in none of these
     # trace-free algebras).
     solver = g._flat_solver
@@ -574,7 +575,7 @@ def test_public_values_are_fractions_over_the_sparse_rule(name, data):
     x = data.draw(sparse_vectors(g.dim))
     y = data.draw(sparse_vectors(g.dim))
     assert fractions_only(g.bracket(x, y)) and fractions_only(g.covector(x))
-    coords = g.coords_of_matrix(g.realize(x))
+    coords = ref.coords_of_matrix(g, g.realize(x))
     assert fractions_only(coords) and coords == x
     t = data.draw(NONZERO)
     hc = emb.h_coords(tuple(t * v for v in emb.h_basis[0]))
@@ -632,3 +633,73 @@ def test_sparse_kernels_drop_cancelled_entries():
     assert g.sparse_covector({2: Q(1), 3: Q(1)}) == {}
     x = {0: Q(1, 3), 2: Q(-2)}
     assert g.sparse_bracket(x, x) == {}
+
+
+# -- the read-off build against the all-pairs elimination reference -------------
+
+def _flat(m, n):
+    """The nonzero entries {r * n + c: value} of a matrix with n columns."""
+    return {r * n + c: x for r, row in enumerate(m) for c, x in enumerate(row) if x}
+
+
+FAMILIES = ([("so", (n,)) for n in range(2, 13)]
+            + [("so", (p, s - p)) for s in range(2, 13) for p in range(1, s)]
+            + [("su", (n,)) for n in (2, 3, 4)]
+            + [("u-in-so", (n,)) for n in (1, 2, 3, 4)])
+BASES = {"su": la._su_basis, "u-in-so": la._u_in_so_basis,
+         "so": lambda *p: (la._so_basis if len(p) == 1 else la._so_pq_basis)(*p)}
+
+
+@pytest.mark.parametrize("family, params", FAMILIES,
+                         ids=[f"{f}{','.join(map(str, p))}" for f, p in FAMILIES])
+def test_build_and_block_splits_match_the_all_pairs_reference(family, params):
+    # Structure constants (values and key order), the Killing rows and the
+    # sparse h and m rows of the block splits of so(n) and so(p, q), against
+    # every basis pair bracketed and solved through [rows | I].
+    g = la.build_algebra(family, params)
+    n = g.n
+    flats = [_flat(b, n) for b in BASES[family](*params)]
+    structure = ref.structure_all_pairs(flats, n)
+    assert [(k, list(v.items())) for k, v in g._structure.items()] == \
+        [(k, list(v.items())) for k, v in structure.items()]
+    killing = ref.killing_rows(structure, g.dim)
+    assert g._killing_rows == killing
+    assert all(list(row) == sorted(row) for row in g._killing_rows)
+    assert g.killing == tuple(dense_vec(row, g.dim) for row in killing)
+    if family != "so":
+        return
+    p = params[0] if len(params) == 2 else n - 1
+    solver = ref.Solver(flats)
+    blocks = [(la.so_block_embedding(g, p), [{i * n + j: 1, j * n + i: -1}
+                                             for i in range(p) for j in range(i + 1, p)])]
+    if p >= 2:
+        blocks.append((la.u_block_embedding(g, p // 2),
+                       [_flat(m, n) for m in la._u_in_so_basis(p // 2)]))
+    for emb, h_flats in blocks:
+        h = [dict(sorted(solver.sparse_coords(f).items())) for f in h_flats]
+        covectors = []
+        for hi in h:
+            kh = [Q(0)] * g.dim
+            for a, x in hi.items():
+                for b, k in killing[a].items():
+                    kh[b] += x * k
+            covectors.append(kh)
+        m = [{i: x for i, x in enumerate(v) if x}
+             for v in (ref.nullspace(covectors) if h else
+                       [unit_vec(g.dim, i) for i in range(g.dim)])]
+        assert [list(r.items()) for r in emb.h_sparse] == [list(r.items()) for r in h]
+        assert [list(r.items()) for r in emb.m_sparse] == [list(r.items()) for r in m]
+        assert emb.h_basis == tuple(dense_vec(r, g.dim) for r in h)
+        assert emb.m_basis == tuple(dense_vec(r, g.dim) for r in m)
+        assert all(type(x) is Q for r in emb.h_basis + emb.m_basis for x in r)
+
+
+def test_a_basis_that_does_not_close_names_the_reference_pair():
+    # E_01 and E_12 of so(3) without E_02: their commutator leaves the span,
+    # and the first pair found is the reference's first pair.
+    basis = [la._antisym(3, 0, 1), la._antisym(3, 1, 2),
+             [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]
+    with pytest.raises(ValueError) as want:
+        ref.structure_all_pairs([_flat(b, 3) for b in basis], 3)
+    with pytest.raises(ValueError, match=re.escape(f"open: {want.value}")):
+        la.matrix_algebra("open", basis)
