@@ -58,6 +58,7 @@ from .liealg import (
     so_block_embedding,
     so_pq,
     su,
+    torus_embedding,
     u_block_embedding,
     u_in_so,
 )

@@ -19,10 +19,9 @@ from .fatness import certify, sample_rational_vectors
 from .liealg import (
     LieAlgebra,
     SubalgebraEmbedding,
-    block_torus,
     build_algebra,
-    reductive_split,
     so_block_embedding,
+    torus_embedding,
     u_block_embedding,
 )
 from .rootdata import (
@@ -197,9 +196,7 @@ def make_pair(g_family: str, g_params: tuple, h_type: str, h_params: tuple
     elif h_type == "u":
         emb = u_block_embedding(g, h_params[0])
     elif h_type == "torus":
-        rows = block_torus(g, h_params[0])
-        emb = reductive_split(g, rows, torus_basis=rows,
-                              name=f"t{h_params[0]}<{g.name}")
+        emb = torus_embedding(g, h_params[0])
     else:
         raise FatBundleError(f"unsupported subalgebra type {h_type!r}")
     return g, emb

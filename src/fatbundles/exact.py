@@ -319,23 +319,26 @@ def inertia(a) -> tuple[int, int, int]:
 
 
 class CoordinateSolver:
-    """Expresses vectors in a fixed linearly independent spanning set of
-    dense or sparse {index: value} rows: ``sparse_coords(v)`` is c with
-    sum_j c_j rows_j == v, exactly, or None when v is outside the span.
-    On pairwise disjoint supports (unit vectors, the E_ij - E_ji of so(n))
-    c_j = v_p / rows_j[p] is read off at each row's first index p.  Else
-    one reduction of [rows | I] inverts the pivot block, in ints on int
-    rows.  Either way membership is checked against the rows."""
+    """Expresses vectors in a fixed linearly independent spanning set:
+    ``sparse_coords(v)`` is c with sum_j c_j rows_j == v, exactly, or None
+    when v is outside the span.  On pairwise disjoint supports (unit
+    vectors, the E_ij - E_ji of so(n)) c_j = v_p / rows_j[p] is read off at
+    each row's first index p.  Else one reduction of [rows | I] inverts the
+    pivot block, in ints on int rows.  Either way membership is checked
+    against the rows.  Callers in this package that hold the rows in
+    ``sparse_vec`` form already pass them with ``_sparse``, unchecked."""
 
-    def __init__(self, rows):
-        self.sparse_rows = rows = [r if type(r) is dict else sparse_vec(r)
-                                   for r in rows]
+    def __init__(self, rows, *, _sparse: bool = False):
+        self.sparse_rows = rows = (list(rows) if _sparse else
+                                   [sparse_vec(row) for row in rows])
         self._disjoint = all(rows) and sum(map(len, rows)) == len(set().union(*rows))
         if self._disjoint:  # (j, 1 / rows_j[p]) at each row's pivot p
             self._inv_rows = {min(r): [(j, rational(ONE / r[min(r)]))]
                               for j, r in enumerate(rows)}
-            sizes = [len(r) for r in rows]
-            self._size = sizes if max(sizes, default=1) > 1 else None
+            self._size = list(map(len, rows))
+            # The other entries (i, rows_j[i]) of each row with more than one.
+            self._off_pivot = {j: [(i, x) for i, x in r.items() if i != min(r)]
+                               for j, r in enumerate(rows) if len(r) > 1}
             return
         n = 1 + max((max(r) for r in rows if r), default=-1)
         # [rows | I] reduces to [E rows | E], E the inverse of the pivot block.
@@ -356,17 +359,16 @@ class CoordinateSolver:
         if self._disjoint:
             c = {j: rational(vp * x) for p, vp in v.items() if p in inv
                  for j, x in inv[p]}
-            # v == sum_j c_j rows_j iff it has their entries and no other:
-            # one per coordinate when each row has one entry.
-            if not self._size:
+            # v == sum_j c_j rows_j iff it has their entries and no other;
+            # c_j is chosen to match v at the pivot of rows_j, so with one
+            # entry per row that is one entry of v per coordinate.
+            off = self._off_pivot
+            if not off:
                 return c if len(c) == len(v) else None
             if len(v) != sum(map(self._size.__getitem__, c)):
                 return None
-            for j, cj in c.items():
-                for i, x in self.sparse_rows[j].items():
-                    if v.get(i) != cj * x:
-                        return None
-            return c
+            return c if all(v.get(i) == cj * x for j, cj in c.items()
+                            for i, x in off.get(j, ())) else None
         # A new key takes its first term as is, with no zero to add to.
         c = {}
         for p, vp in v.items():

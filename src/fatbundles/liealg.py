@@ -184,15 +184,10 @@ class LieAlgebra:
                 if br := {k: rational(v) for k, v in acc[j].items() if v}:
                     yield (i, j), br
 
-    def sparse_bracket(self, x: dict, y: dict) -> dict:
-        """[x, y] of sparse {index: value} vectors, nonzero entries only."""
-        return next((b for _, b in self.sparse_brackets([x], [y])), {})
-
     def bracket(self, x, y) -> Vec:
         """[x, y] in coordinates, via the structure constants."""
-        x = sparse_vec(self.check_vector(x))
-        y = sparse_vec(self.check_vector(y))
-        return dense_vec(self.sparse_bracket(x, y), self.dim)
+        x, y = ([sparse_vec(self.check_vector(v))] for v in (x, y))
+        return dense_vec(next((b for _, b in self.sparse_brackets(x, y)), {}), self.dim)
 
     def centralizer_in(self, x, rows) -> Mat:
         """Basis of the elements of span(rows) that commute with x: the
@@ -311,46 +306,69 @@ def _u_in_so_basis(n: int) -> list[list[list[int]]]:
     """u(n) realized in so(2n): skew-Hermitian z = a + ib mapped to 2x2
     blocks [[a, -b], [b, a]]; these are exactly the elements of so(2n)
     commuting with the block complex structure."""
-    def rotation(*terms):  # sum of s (E_rc - E_cr) over the terms (s, r, c)
-        m = [[0] * (2 * n) for _ in range(2 * n)]
-        for s, r, c in terms:
-            m[r][c], m[c][r] = s, -s
-        return m
+    N = 2 * n
     out = []
     for j in range(n):
         for k in range(j + 1, n):
-            out += [rotation((1, 2 * j, 2 * k), (1, 2 * j + 1, 2 * k + 1)),
-                    rotation((-1, 2 * j, 2 * k + 1), (1, 2 * j + 1, 2 * k))]
-    return out + [rotation((1, 2 * j + 1, 2 * j)) for j in range(n)]
+            re = [[0] * N for _ in range(N)]
+            re[2 * j][2 * k] = 1
+            re[2 * j + 1][2 * k + 1] = 1
+            re[2 * k][2 * j] = -1
+            re[2 * k + 1][2 * j + 1] = -1
+            out.append(re)
+            im = [[0] * N for _ in range(N)]
+            im[2 * j][2 * k + 1] = -1
+            im[2 * j + 1][2 * k] = 1
+            im[2 * k][2 * j + 1] = -1
+            im[2 * k + 1][2 * j] = 1
+            out.append(im)
+    for j in range(n):
+        d = [[0] * N for _ in range(N)]
+        d[2 * j][2 * j + 1] = -1
+        d[2 * j + 1][2 * j] = 1
+        out.append(d)
+    return out
 
 
 def _su_basis(n: int) -> list[list[list[int]]]:
     """su(n) realified inside so(2n): the u(n) basis with the diagonal
     replaced by traceless differences."""
+    N = 2 * n
     base = _u_in_so_basis(n)
+    off = base[: n * (n - 1)]
     diag = base[n * (n - 1):]
-    return base[:n * (n - 1)] + [
-        [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(x, y)]
-        for x, y in zip(diag, diag[1:])]
-
-
-# (family, number of params) -> (basis, least param, name); a name is
-# formatted with the params and then their doubles, for u(n) in so(2n).
-_FAMILIES = {("so", 1): (_so_basis, 2, "so({})"),
-             ("so", 2): (_so_pq_basis, 1, "so({},{})"),
-             ("su", 1): (_su_basis, 2, "su({})"),
-             ("u-in-so", 1): (_u_in_so_basis, 1, "u({})<so({})")}
+    out = list(off)
+    for j in range(n - 1):
+        m = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(diag[j], diag[j + 1])]
+        out.append(m)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
 def _build_cached(family: str, params: tuple) -> LieAlgebra:
-    if (family, len(params)) not in _FAMILIES:
-        raise ValueError(f"unsupported family {family!r} with params {params!r}")
-    basis, least, name = _FAMILIES[family, len(params)]
-    name = name.format(*params, *(2 * p for p in params))
-    if min(params) < least:
-        raise ValueError(f"{name} needs parameters >= {least}")
-    return LieAlgebra(name, basis(*params), family=family, params=params)
+    if family == "so" and len(params) == 1:
+        n = params[0]
+        if n < 2:
+            raise ValueError("so(n) needs n >= 2")
+        return LieAlgebra(f"so({n})", _so_basis(n), family="so", params=params)
+    if family == "so" and len(params) == 2:
+        p, q = params
+        if p < 1 or q < 1:
+            raise ValueError("so(p,q) needs p, q >= 1")
+        return LieAlgebra(f"so({p},{q})", _so_pq_basis(p, q),
+                          family="so", params=params)
+    if family == "su":
+        (n,) = params
+        if n < 2:
+            raise ValueError("su(n) needs n >= 2")
+        return LieAlgebra(f"su({n})", _su_basis(n), family="su", params=params)
+    if family == "u-in-so":
+        (n,) = params
+        if n < 1:
+            raise ValueError("u(n) in so(2n) needs n >= 1")
+        return LieAlgebra(f"u({n})<so({2*n})", _u_in_so_basis(n),
+                          family="u-in-so", params=params)
+    raise ValueError(f"unsupported family {family!r} with params {params!r}")
 
 
 def build_algebra(family: str, params) -> LieAlgebra:
@@ -384,27 +402,28 @@ class SubalgebraEmbedding:
 
     ``h_basis`` and ``m_basis`` are rows of coordinate vectors in g.
     ``torus_basis`` is an optional maximal abelian subalgebra of h,
-    expected in the block convention when root tests are used.  Each row
-    is given dense or as a sparse {index: value} dict, and kept both ways.
+    expected in the block convention when root tests are used.  They are
+    kept both ways: as sparse {index: value} rows (``h_sparse``,
+    ``m_sparse``, ``torus_sparse``), which ``_sparse`` passes in
+    ``sparse_vec`` form, unchecked, from this module, and as Fraction rows.
     """
 
-    def __init__(self, ambient: LieAlgebra, h_basis, m_basis, torus_basis,
-                 compact: bool, name: str = ""):
+    def __init__(self, ambient: LieAlgebra, h_basis: Mat, m_basis: Mat,
+                 torus_basis: Mat | None, compact: bool, name: str = "", *,
+                 _sparse: bool = False):
         self.ambient = ambient
         self.compact = compact
         self.name = name or f"h<{ambient.name}"
         self.dim_h = len(h_basis)
         self.dim_m = len(m_basis)
-        self._full_solver = CoordinateSolver([*h_basis, *m_basis])
-        # The nonzero {index: value} entries of the h, m and torus rows.
+        self._full_solver = CoordinateSolver([*h_basis, *m_basis], _sparse=_sparse)
         self.h_sparse = self._full_solver.sparse_rows[:self.dim_h]
         self.m_sparse = self._full_solver.sparse_rows[self.dim_h:]
-        self.torus_sparse = [t if type(t) is dict else sparse_vec(t)
-                             for t in torus_basis or ()]
-        self.h_basis, self.m_basis, torus = (
-            tuple(dense_vec(r, ambient.dim) for r in rows)
+        self.torus_sparse = None if torus_basis is None else (
+            list(torus_basis) if _sparse else [sparse_vec(t) for t in torus_basis])
+        self.h_basis, self.m_basis, self.torus_basis = (
+            None if rows is None else tuple(dense_vec(r, ambient.dim) for r in rows)
             for rows in (self.h_sparse, self.m_sparse, self.torus_sparse))
-        self.torus_basis = None if torus_basis is None else torus
         self._cache: dict = {}
 
     def split_coords(self, x) -> tuple[Vec, Vec]:
@@ -494,20 +513,21 @@ class SubalgebraEmbedding:
         """Coordinates of x in the torus basis, or None if x is not in t.
         They are solved from the shared h-coordinates of x, so they are None
         for every x when the torus is not in h (only with ``check=False``)."""
-        if self.torus_basis is None:
+        if self.torus_sparse is None:
             return None
         if "torus" not in self._cache:  # the torus rows in h-coordinates
             rows = [self.sparse_h_coords(t) for t in self.torus_sparse]
-            self._cache["torus"] = None if None in rows else CoordinateSolver(rows)
+            self._cache["torus"] = None if None in rows else CoordinateSolver(
+                rows, _sparse=True)
         c, solver = self.h_solve(x)[1], self._cache["torus"]
         return None if c is None or solver is None else solver.coords(c)
 
     def torus_vector(self, tau) -> Vec:
         """The element sum_i tau_i T_i of the torus, in g-coordinates."""
-        if self.torus_basis is None:
+        if self.torus_sparse is None:
             raise NotCompact("embedding carries no torus")
         tau = vec(tau)
-        if len(tau) != len(self.torus_basis):
+        if len(tau) != len(self.torus_sparse):
             raise DimensionMismatch("torus coordinate length mismatch")
         return dense_vec(sparse_combination(sparse_vec(tau), self.torus_sparse),
                          self.ambient.dim)
@@ -517,16 +537,17 @@ class SubalgebraEmbedding:
                 f"dim_m={self.dim_m})")
 
 
-def reductive_split(g: LieAlgebra, h_basis, *, torus_basis=None,
-                    name: str = "", check: bool = True) -> SubalgebraEmbedding:
+def reductive_split(g: LieAlgebra, h_basis, *, torus_basis=None, name: str = "",
+                    check: bool = True, _sparse: bool = False) -> SubalgebraEmbedding:
     """Split g = h + m with m the Killing-orthogonal complement of h.  The
-    h and torus rows are coordinate vectors, dense or sparse {index: value}.
+    h and torus rows are coordinate vectors of g; the block builders of
+    this module pass them in ``sparse_vec`` form with ``_sparse``.
 
     Raises DegenerateRestriction when B restricted to h is singular (no
     reductive complement exists in the Killing-orthogonal sense).
     """
-    h_sparse, torus = ([r if type(r) is dict else sparse_vec(g.check_vector(r))
-                        for r in rows] for rows in (h_basis, torus_basis or ()))
+    h_sparse, torus = (rows if _sparse else [sparse_vec(g.check_vector(r)) for r in rows]
+                       for rows in (h_basis, torus_basis or ()))
     bh_sparse = [g.sparse_covector(hi) for hi in h_sparse]
     _, neg, zero = inertia([[row.get(j, 0) for j in range(len(h_sparse))]
                             for row in sparse_congruence(h_sparse, g._killing_rows)])
@@ -535,7 +556,8 @@ def reductive_split(g: LieAlgebra, h_basis, *, torus_basis=None,
             f"Killing form of {g.name} is singular on the subalgebra")
     m_rows = g.orthocomplement([[k.get(j, 0) for j in range(g.dim)] for k in bh_sparse])
     compact = neg == len(h_sparse)
-    emb = SubalgebraEmbedding(g, h_sparse, m_rows, torus or None, compact, name=name)
+    emb = SubalgebraEmbedding(g, h_sparse, list(map(sparse_vec, m_rows)), torus or None,
+                              compact, name=name, _sparse=True)
     if check:
         _check_embedding(emb)
     return emb
@@ -552,7 +574,7 @@ def _check_embedding(emb: SubalgebraEmbedding) -> None:
     if any(sparse_combination(g.sparse_covector(hi), cols) for hi in emb.h_sparse):
         raise ValueError(f"{emb.name}: B(h, m) != 0")
     # Torus, when provided: abelian and inside h.
-    if emb.torus_basis is not None:
+    if emb.torus_sparse is not None:
         if None in map(emb.sparse_h_coords, emb.torus_sparse):
             raise ValueError(f"{emb.name}: torus is not contained in h")
         if next(g.sparse_brackets(emb.torus_sparse), None):
@@ -575,9 +597,7 @@ def maximal_torus(emb: SubalgebraEmbedding) -> Mat:
         coeffs = [Fraction(base ** i % 1009) for i in range(emb.dim_h)]
         xi = vec_mat(coeffs, emb.h_basis)
         t_rows = [primitive(t) for t in g.centralizer_in(xi, emb.h_basis)]
-        abelian = all(
-            not any(g.bracket(t_rows[i], t_rows[j]))
-            for i in range(len(t_rows)) for j in range(i + 1, len(t_rows)))
+        abelian = not next(g.sparse_brackets(list(map(sparse_vec, t_rows))), None)
         if abelian and t_rows:
             return mat(t_rows)
     raise NotCompact(f"{emb.name}: no generic element found for a torus")
@@ -585,31 +605,43 @@ def maximal_torus(emb: SubalgebraEmbedding) -> Mat:
 
 # -- block embeddings for the classical catalog -----------------------------
 
-def _coords_in(g: LieAlgebra, flats, what: str) -> list[dict]:
+def _coords_in(g: LieAlgebra, flats, error: str) -> list[dict]:
     """The sparse g-coordinates, keys ascending, of the n x n matrices
-    {r * n + c: value} in flats; ValueError naming the first not in g."""
+    {r * n + c: value} in flats; ValueError(error.format(i)) when the
+    first matrix not in g is the i-th."""
     rows = [g._flat_solver.sparse_coords(flat) for flat in flats]
     if None in rows:
-        raise ValueError(f"{what} element {rows.index(None)} is not in {g.name}")
+        raise ValueError(error.format(rows.index(None)))
     return [dict(sorted(c.items())) for c in rows]
+
+
+def _block_torus(g: LieAlgebra, r: int) -> list[dict]:
+    n = g.n
+    return _coords_in(g, ({(2 * i + 1) * n + 2 * i: 1, 2 * i * n + 2 * i + 1: -1}
+                          for i in range(r)),
+                      f"{g.name}: block torus element {{}} is not in g")
 
 
 def block_torus(g: LieAlgebra, r: int) -> Mat:
     """Coordinates of the block torus T_i spanned by 2x2 rotation blocks
     [[0, -t_i], [t_i, 0]] on the diagonal, for i = 0..r-1."""
-    n = g.n
-    return tuple(dense_vec(t, g.dim) for t in _coords_in(g, (
-        {(2 * i + 1) * n + 2 * i: 1, 2 * i * n + 2 * i + 1: -1} for i in range(r)),
-        "block torus"))
+    return tuple(dense_vec(t, g.dim) for t in _block_torus(g, r))
+
+
+def torus_embedding(g: LieAlgebra, r: int, *, name: str = "") -> SubalgebraEmbedding:
+    """The block torus of rank r as h, carrying itself as its torus."""
+    t = _block_torus(g, r)
+    return reductive_split(g, t, torus_basis=t, name=name or f"t{r}<{g.name}", _sparse=True)
 
 
 def so_block_embedding(g: LieAlgebra, k: int, *, name: str = "") -> SubalgebraEmbedding:
     """so(k) in the top-left block of g (g built from so(n) or so(p,q))."""
     n = g.n
     h_rows = _coords_in(g, ({i * n + j: 1, j * n + i: -1} for i in range(k)
-                            for j in range(i + 1, k)), f"so({k}) block")
-    return reductive_split(g, h_rows, torus_basis=block_torus(g, k // 2),
-                           name=name or f"so({k})<{g.name}")
+                            for j in range(i + 1, k)),
+                        f"so({k}) block does not embed in {g.name}")
+    return reductive_split(g, h_rows, torus_basis=_block_torus(g, k // 2),
+                           name=name or f"so({k})<{g.name}", _sparse=True)
 
 
 def u_block_embedding(g: LieAlgebra, n: int, *, name: str = "") -> SubalgebraEmbedding:
@@ -617,9 +649,10 @@ def u_block_embedding(g: LieAlgebra, n: int, *, name: str = "") -> SubalgebraEmb
     so(2n) top-left block of g."""
     h_rows = _coords_in(g, ({r * g.n + c: x for r, row in enumerate(m)
                              for c, x in enumerate(row) if x}
-                            for m in _u_in_so_basis(n)), f"u({n}) block")
-    return reductive_split(g, h_rows, torus_basis=block_torus(g, n),
-                           name=name or f"u({n})<{g.name}")
+                            for m in _u_in_so_basis(n)),
+                        f"u({n}) block does not embed in {g.name}")
+    return reductive_split(g, h_rows, torus_basis=_block_torus(g, n),
+                           name=name or f"u({n})<{g.name}", _sparse=True)
 
 
 def jacobi_residual(g: LieAlgebra) -> Fraction:

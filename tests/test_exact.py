@@ -379,17 +379,18 @@ def sparse_row_sets(draw):
 def test_read_off_solver_matches_the_elimination_reference(rows, data):
     # The same coordinates (None included, and in the same key order) and
     # the same error as the [rows | I] solver, on disjoint supports (read
-    # off) and on overlapping ones (eliminated).
+    # off) and on overlapping ones (eliminated); the rows are given dense.
+    width = 1 + max((max(r) for r in rows if r), default=1)
+    dense = [[r.get(i, 0) for i in range(width)] for r in rows]
     try:
         expected = ref.Solver(rows)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
-            ex.CoordinateSolver(rows)
+            ex.CoordinateSolver(dense)
         return
-    solver = ex.CoordinateSolver(rows)
+    solver = ex.CoordinateSolver(dense)
     disjoint = sum(map(len, rows)) == len(set().union(*rows))
     assert solver._disjoint == (disjoint and all(rows))
-    width = 1 + max((max(r) for r in rows if r), default=1)
     coeffs = [data.draw(st.sampled_from([0, 1, -1]) | SPARSE_ENTRY) for _ in rows]
     inside = {}
     for cj, row in zip(coeffs, rows):

@@ -410,6 +410,30 @@ def test_dimension_mismatch_errors():
         g.killing_form((1, 0, 0, 0), (0, 1, 0))
 
 
+
+def test_reductive_split_takes_coordinate_vectors_only():
+    # A sparse {index: value} dict is read as the sequence of its keys, so
+    # none of these becomes a row of h: a negative index, a zero value and
+    # a float value all fail the length check.
+    g = la.so(3)
+    for row in ({-1: 1}, {0: 0}, {0: 0.5}):
+        with pytest.raises(DimensionMismatch):
+            la.reductive_split(g, [row])
+        with pytest.raises(DimensionMismatch):
+            la.reductive_split(g, [unit_vec(3, 0)], torus_basis=[row])
+
+
+def test_torus_embedding_is_the_split_of_the_block_torus():
+    for g, r in ((la.so(5), 2), (la.so_pq(4, 1), 2), (la.so(3), 1)):
+        t = la.block_torus(g, r)
+        emb, want = la.torus_embedding(g, r), la.reductive_split(
+            g, t, torus_basis=t, name=f"t{r}<{g.name}")
+        assert (emb.h_sparse, emb.m_sparse, emb.torus_sparse) == (
+            want.h_sparse, want.m_sparse, want.torus_sparse)
+        assert (emb.h_basis, emb.m_basis, emb.torus_basis) == (t, want.m_basis, t)
+        assert (emb.name, emb.compact) == (want.name, want.compact)
+
+
 def scaled_so3():
     """The cyclic so(3) basis times the float sqrt(2)."""
     s = 2.0 ** 0.5
@@ -582,7 +606,7 @@ def test_public_values_are_fractions_over_the_sparse_rule(name, data):
     assert fractions_only(hc) and hc == (t,)
     assert all(fractions_only(part) for part in emb.split_coords(x))
     sx, sy = sparse_vec(x), sparse_vec(y)
-    assert sparse_rule(sx) and sparse_rule(g.sparse_bracket(sx, sy))
+    assert sparse_rule(sx) and all(sparse_rule(b) for _, b in g.sparse_brackets([sx], [sy]))
     assert sparse_rule(g.sparse_covector(sx))
     i, j = data.draw(st.integers(0, g.dim - 1)), data.draw(
         st.integers(0, g.dim - 1))
@@ -632,7 +656,7 @@ def test_sparse_kernels_drop_cancelled_entries():
     assert g.sparse_covector({2: Q(1)})
     assert g.sparse_covector({2: Q(1), 3: Q(1)}) == {}
     x = {0: Q(1, 3), 2: Q(-2)}
-    assert g.sparse_bracket(x, x) == {}
+    assert not any(g.sparse_brackets([x], [x]))
 
 
 # -- the read-off build against the all-pairs elimination reference -------------
