@@ -15,8 +15,11 @@ every public ``Vec`` and ``Mat`` holds ``Fraction``s only.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm, prod
+
+from .errors import DimensionMismatch
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -33,6 +36,9 @@ def frac(x) -> Fraction:
 
 
 def vec(xs) -> Vec:
+    """A coordinate sequence as Fractions; a str, bytes or mapping is none."""
+    if type(xs) is not tuple and isinstance(xs, (str, bytes, Mapping)):
+        raise DimensionMismatch(f"expected a coordinate vector, got {type(xs).__name__}")
     return tuple(frac(x) for x in xs)
 
 

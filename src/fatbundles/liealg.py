@@ -424,7 +424,10 @@ class SubalgebraEmbedding:
         self.h_basis, self.m_basis, self.torus_basis = (
             None if rows is None else tuple(dense_vec(r, ambient.dim) for r in rows)
             for rows in (self.h_sparse, self.m_sparse, self.torus_sparse))
-        self._cache: dict = {}
+        # The torus rows in h-coordinates, solved; None when one leaves h.
+        t_h = [self.sparse_h_coords(t) for t in self.torus_sparse or ()]
+        self._cache: dict = {"torus": CoordinateSolver(t_h, _sparse=True)
+                             if t_h and None not in t_h else None}
 
     def split_coords(self, x) -> tuple[Vec, Vec]:
         """Coefficients of x in the h-basis and the m-basis."""
@@ -456,15 +459,16 @@ class SubalgebraEmbedding:
         return all(c == 0 for c in ch)
 
     def h_solve(self, x) -> tuple:
-        """(x, c, ints, den): x checked, its sparse h-coordinates c (None
-        outside h) and c as ints / den.  The last solve is kept, keyed by
-        the identity of x, so one X_u is checked and solved once."""
+        """(x, c, ints, den, tau): x checked, its sparse h-coordinates c
+        (None outside h), c as ints / den, and its torus coordinates tau or
+        None.  The last solve is kept, keyed by the identity of x: an X_u
+        from ``torus_vector`` carries its solve, any other is solved here."""
         last = self._cache.get("h")
         if last is None or last[0] is not x:
             x = self.ambient.check_vector(x)
             c = self.sparse_h_coords(sparse_vec(x))
             last = self._cache["h"] = (
-                x, c, *_clear_denominators(c.values() if c else ()))
+                x, c, *_clear_denominators(c.values() if c else ()), None)
         return last
 
     def h_linear(self, build, x) -> tuple[list[list[int]], int]:
@@ -473,7 +477,7 @@ class SubalgebraEmbedding:
         k x k integer matrix formed from the nonzero c_a only.  ``build(emb)``
         lists, per h_a, the nonzero entries (i, j, v) of T_a; they are kept,
         keyed by ``build``, as integers over one common denominator."""
-        _, c, ints, den = self.h_solve(x)
+        _, c, ints, den, _ = self.h_solve(x)
         if c is None:
             raise DimensionMismatch("vector is not in h")
         if build not in self._cache:
@@ -510,27 +514,31 @@ class SubalgebraEmbedding:
         return self.h_linear(SubalgebraEmbedding._ad_entries, x)
 
     def torus_coords(self, x) -> Vec | None:
-        """Coordinates of x in the torus basis, or None if x is not in t.
-        They are solved from the shared h-coordinates of x, so they are None
-        for every x when the torus is not in h (only with ``check=False``)."""
+        """Coordinates of x in the torus basis, or None if x is not in t: the
+        tau an X_u from ``torus_vector`` carries, else solved from its shared
+        h-coordinates, so None for every x when the torus is not in h."""
         if self.torus_sparse is None:
             return None
-        if "torus" not in self._cache:  # the torus rows in h-coordinates
-            rows = [self.sparse_h_coords(t) for t in self.torus_sparse]
-            self._cache["torus"] = None if None in rows else CoordinateSolver(
-                rows, _sparse=True)
-        c, solver = self.h_solve(x)[1], self._cache["torus"]
-        return None if c is None or solver is None else solver.coords(c)
+        _, c, _, _, tau = self.h_solve(x)
+        if tau is None and c is not None and self._cache["torus"] is not None:
+            tau = self._cache["torus"].coords(c)
+        return tau
 
     def torus_vector(self, tau) -> Vec:
-        """The element sum_i tau_i T_i of the torus, in g-coordinates."""
+        """The element x = sum_i tau_i T_i of the torus, in g-coordinates.
+        With the torus in h, x carries its solve: tau and the h-coordinates
+        sum_i tau_i T_i fill the ``h_solve`` slot, so certify solves nothing."""
         if self.torus_sparse is None:
             raise NotCompact("embedding carries no torus")
         tau = vec(tau)
         if len(tau) != len(self.torus_sparse):
             raise DimensionMismatch("torus coordinate length mismatch")
-        return dense_vec(sparse_combination(sparse_vec(tau), self.torus_sparse),
-                         self.ambient.dim)
+        t = sparse_vec(tau)
+        x = dense_vec(sparse_combination(t, self.torus_sparse), self.ambient.dim)
+        if self._cache["torus"] is not None:
+            c = sparse_combination(t, self._cache["torus"].sparse_rows)
+            self._cache["h"] = (x, c, *_clear_denominators(c.values()), tau)
+        return x
 
     def __repr__(self):
         return (f"SubalgebraEmbedding({self.name!r}, dim_h={self.dim_h}, "
@@ -575,7 +583,7 @@ def _check_embedding(emb: SubalgebraEmbedding) -> None:
         raise ValueError(f"{emb.name}: B(h, m) != 0")
     # Torus, when provided: abelian and inside h.
     if emb.torus_sparse is not None:
-        if None in map(emb.sparse_h_coords, emb.torus_sparse):
+        if emb._cache["torus"] is None:
             raise ValueError(f"{emb.name}: torus is not contained in h")
         if next(g.sparse_brackets(emb.torus_sparse), None):
             raise ValueError(f"{emb.name}: torus is not abelian")

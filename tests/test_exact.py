@@ -21,12 +21,25 @@ def test_reduce_identity_pivots():
     assert ex.det(rows) == 1
 
 
-# p/q * 10^e over a wide exponent range, and plain ints as integer callers
-# pass them.
-ENTRY = st.one_of(
-    st.integers(-5, 5),
-    st.builds(lambda p, q, e: Q(p, q) * Q(10) ** e,
-              st.integers(-9, 9), st.integers(1, 9), st.integers(-40, 40)))
+def _scaled(numerators):
+    """p/q * 10^e over a wide exponent range."""
+    return st.builds(lambda p, q, e: Q(p, q) * Q(10) ** e,
+                     numerators, st.integers(1, 9), st.integers(-40, 40))
+
+
+def _nonzero_ints(k):
+    return st.sampled_from([*range(-k, 0), *range(1, k + 1)])
+
+
+# p/q * 10^e, and plain ints as integer callers pass them; NONZERO is the
+# same law without zero, drawn directly rather than filtered.
+ENTRY = st.one_of(st.integers(-5, 5), _scaled(st.integers(-9, 9)))
+NONZERO = st.one_of(_nonzero_ints(5), _scaled(_nonzero_ints(9)))
+
+
+def entries(n, strategy=ENTRY):
+    """n entries in one draw."""
+    return st.lists(strategy, min_size=n, max_size=n)
 
 
 @st.composite
@@ -47,7 +60,7 @@ def matrices(draw, square=False):
         elif kind == "zero":
             rows.append([0] * nc)
         else:
-            rows.append([draw(ENTRY) for _ in range(nc)])
+            rows.append(draw(entries(nc)))
     zero_cols = draw(st.sets(st.integers(0, nc - 1))) if nc else set()
     rows = [[0 if j in zero_cols else x for j, x in enumerate(row)]
             for row in rows]
@@ -71,7 +84,7 @@ def test_kernel_matches_fraction_reference(a, data):
     ns = ex.nullspace(a)
     assert ns == ref.nullspace(a)
     assert all(_all_fractions(v) for v in ns)
-    b = [data.draw(ENTRY) for _ in a]
+    b = data.draw(entries(len(a)))
     x = ex.solve(a, b)
     assert x == ref.solve(a, b)
     assert x is None or _all_fractions(x)
@@ -81,10 +94,10 @@ def test_kernel_matches_fraction_reference(a, data):
         return
     solver = ex.CoordinateSolver(a)
     nc = len(a[0]) if a else 0
-    c = [data.draw(ENTRY) for _ in a]
+    c = data.draw(entries(len(a)))
     inside = [sum((ci * row[j] for ci, row in zip(c, a)), Q(0))
               for j in range(nc)]
-    outside = [data.draw(ENTRY) for _ in range(nc)]
+    outside = data.draw(entries(nc))
     assert _sparse_rule(v for row in solver.sparse_rows for v in row.values())
     assert _sparse_rule(x for row in solver._inv_rows.values() for _, x in row)
     for v in (inside, outside):
@@ -113,9 +126,6 @@ def test_det_and_inverse_match_fraction_reference(a):
         assert all(_all_fractions(row) for row in inv)
 
 
-NONZERO = ENTRY.filter(bool)
-
-
 @st.composite
 def monomial_matrices(draw, near=False):
     """Matrices up to 6 x 6 with at most one nonzero in each row and in each
@@ -128,8 +138,8 @@ def monomial_matrices(draw, near=False):
     rows = draw(st.permutations(range(nr)))[:hits]
     cols = draw(st.permutations(range(nc)))[:hits]
     a = [[0] * nc for _ in range(nr)]
-    for i, j in zip(rows, cols):
-        a[i][j] = draw(NONZERO)
+    for i, j, x in zip(rows, cols, draw(entries(hits, NONZERO))):
+        a[i][j] = x
     if near:
         i, j = rows[0], cols[0]
         if draw(st.booleans()):
@@ -259,14 +269,14 @@ def symmetric_matrices(draw):
     kind = draw(st.sampled_from(["entries", "zero_diagonal", "low_rank"]))
     if kind == "low_rank":
         r = draw(st.integers(0, max(n - 1, 0)))
-        c = [[draw(ENTRY) for _ in range(r)] for _ in range(n)]
-        dg = [draw(ENTRY) for _ in range(r)]
+        c = [draw(entries(r)) for _ in range(n)]
+        dg = draw(entries(r))
         return [[sum((x * e * y for x, e, y in zip(ci, dg, cj)), Q(0))
                  for cj in c] for ci in c]
     a = [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i, n):
-            a[i][j] = a[j][i] = draw(ENTRY)
+        for j, x in enumerate(draw(entries(n - i)), i):
+            a[i][j] = a[j][i] = x
         if kind == "zero_diagonal":
             a[i][i] = 0
     return a
@@ -282,8 +292,8 @@ def test_inertia_matches_fraction_reference(a):
 @given(data=st.data())
 def test_sparse_congruence_and_common_denominator_match_dense(data):
     n, k = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 4))
-    m = [[data.draw(ENTRY) for _ in range(n)] for _ in range(n)]
-    r = [[data.draw(ENTRY) for _ in range(n)] for _ in range(k)]
+    m = [data.draw(entries(n)) for _ in range(n)]
+    r = [data.draw(entries(n)) for _ in range(k)]
     ints, den = ex.sparse_ints([ex.sparse_vec(x) for x in r])
     assert all(type(v) is int for row in ints for v in row.values())
     assert [ex.dense_vec({i: Q(v, den) for i, v in row.items()}, n)
@@ -322,16 +332,16 @@ def test_monomial_solver_matches_the_general_solve(data):
     # rows are: coordinates read off, the span test without recombination.
     n = data.draw(st.integers(1, 6))
     cols = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
-    nonzero = ENTRY.filter(bool)
     rows = [[0] * n for _ in cols]
-    for row, j in zip(rows, cols):
-        row[j] = data.draw(nonzero)
+    for row, j, x in zip(rows, cols, data.draw(entries(len(cols), NONZERO))):
+        row[j] = x
     solver = ex.CoordinateSolver(rows)
     general = ref.Solver(rows)
     assert solver._disjoint  # read off, with no elimination
-    inside = [sum((data.draw(ENTRY) * row[j] for row in rows), Q(0))
+    c = data.draw(entries(len(rows)))
+    inside = [sum((ci * row[j] for ci, row in zip(c, rows)), Q(0))
               for j in range(n)]
-    outside = [data.draw(ENTRY) for _ in range(n)]
+    outside = data.draw(entries(n))
     for v in (inside, outside, [0] * n):
         sparse = ex.sparse_vec(v)
         got = solver.sparse_coords(sparse)
@@ -357,12 +367,12 @@ def sparse_row_sets(draw):
     k = draw(st.integers(0, 6))
     if draw(st.booleans()):
         owner = draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n))
-        rows = [{c: draw(SPARSE_ENTRY) for c in range(n) if owner[c] == j}
-                for j in range(k)]
+        supports = [[c for c in range(n) if owner[c] == j] for j in range(k)]
     else:
-        rows = [{c: draw(SPARSE_ENTRY) for c in
-                 sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))}
-                for _ in range(k)]
+        supports = [sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+                    for _ in range(k)]
+    rows = [dict(zip(cols, draw(entries(len(cols), SPARSE_ENTRY))))
+            for cols in supports]
     extra = draw(st.sampled_from(["none", "zero", "combination"]))
     if extra == "zero":
         rows.append({})
@@ -391,7 +401,7 @@ def test_read_off_solver_matches_the_elimination_reference(rows, data):
     solver = ex.CoordinateSolver(dense)
     disjoint = sum(map(len, rows)) == len(set().union(*rows))
     assert solver._disjoint == (disjoint and all(rows))
-    coeffs = [data.draw(st.sampled_from([0, 1, -1]) | SPARSE_ENTRY) for _ in rows]
+    coeffs = data.draw(entries(len(rows), st.sampled_from([0, 1, -1]) | SPARSE_ENTRY))
     inside = {}
     for cj, row in zip(coeffs, rows):
         for i, x in row.items():

@@ -15,12 +15,13 @@ from fraction_oracles import rank as reference_rank
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from test_rootdata import BENCH
 
 from fatbundles import coupling as cp
 from fatbundles import fatness as ft
 from fatbundles import liealg as la
 from fatbundles import rootdata as rd
-from fatbundles.catalog import make_pair, make_subsystem
+from fatbundles.catalog import make_dual, make_pair, make_subsystem
 from fatbundles.errors import CriteriaDisagree, DimensionMismatch
 from fatbundles.exact import (
     dense_vec,
@@ -642,3 +643,77 @@ def test_torus_not_in_h_has_no_torus_coordinates():
             ft.certify(g, skew, t, subsystem=sub)
         cert = ft.certify(g, skew, emb.torus_basis[0], subsystem=sub)
         assert cert.x_u_torus is None and cert.verdict_roots == NOT_APPLICABLE
+
+
+# -- torus_vector carries the solve that certify would make -------------------
+
+def dual_case(n, side):
+    """(g, emb, sub) of one side of the builtin dual_so{2n}1 pair."""
+    g, emb = make_pair("so", (2 * n, 1), "so", (2 * n,))
+    pair, emb_nc, emb_c, subs = make_dual(emb, rd.root_system_for(g))
+    if side == "noncompact":
+        return pair.noncompact, emb_nc, subs[0]
+    return pair.compact_dual, emb_c, subs[1]
+
+
+# Every benchmark pair (the builtin catalogs' pairs among them) and both
+# sides of the builtin dual pairs, whose embeddings share coordinates.
+PRIME_CASES = {
+    **{p: functools.partial(builtin_pair, "so", *BENCH.PAIRS[p]) for p in BENCH.PAIRS},
+    **{f"dual_so{2 * n}1_{side}": functools.partial(dual_case, n, side)
+       for n in (2, 3) for side in ("noncompact", "compact")},
+}
+
+
+@functools.cache
+def prime_case(name):
+    return PRIME_CASES[name]()
+
+
+def draw_tau(data, r):
+    """Torus coordinates, the zero vector among them."""
+    return tuple(data.draw(st.just([Q(0)] * r) | st.lists(
+        NONZERO | st.just(Q(0)), min_size=r, max_size=r)))
+
+
+def cert_text(g, emb, x, sub):
+    return dumps_canonical(certificate_to_json(certify_any(g, emb, x, sub)))
+
+
+@pytest.mark.parametrize("name", sorted(PRIME_CASES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_torus_vector_carries_the_solve_certify_would_make(name, data):
+    g, emb, sub = prime_case(name)
+    r = len(emb.torus_basis)
+    tau, tau2 = draw_tau(data, r), draw_tau(data, r)
+    x = emb.torus_vector(tau)
+    # The slot holds x with tau, and certify reads it: the certificate is
+    # the one of a fresh copy of x, which takes the full solve.
+    assert emb.h_solve(x)[4] == vec(tau) == emb.torus_coords(x)
+    primed = cert_text(g, emb, x, sub)
+    fresh = vec(list(x))
+    assert fresh is not x and primed == cert_text(g, emb, fresh, sub)
+    assert emb.h_solve(fresh)[4] is None and emb.torus_coords(fresh) == vec(tau)
+    # An X_u built before another torus_vector call finds the slot stale.
+    y, x2 = emb.torus_vector(tau), emb.torus_vector(tau2)
+    assert cert_text(g, emb, y, sub) == primed
+    assert cert_text(g, emb, x2, sub) == cert_text(g, emb, vec(list(x2)), sub)
+
+
+def test_torus_vector_primes_only_its_own_embedding():
+    # Both sides of a dual pair, and so(2n+1) > so(2n) and so(2n+1) > u(n),
+    # share their tori's g-coordinates (the last two not their h-coordinates):
+    # an X_u primed on one embedding is solved afresh on the other.
+    for a, b in (("dual_so41_noncompact", "dual_so41_compact"),
+                 ("dual_so61_compact", "dual_so61_noncompact"),
+                 ("so5_so4", "so5_u2"), ("so7_u3", "so7_so6")):
+        (_, emb_a, _), (g, emb_b, sub) = prime_case(a), prime_case(b)
+        r = len(emb_a.torus_basis)
+        for tau in (tuple(range(1, r + 1)), (0,) * r):
+            want = cert_text(g, emb_b, emb_a.torus_vector(tau), sub)
+            assert want == cert_text(g, emb_b, emb_b.torus_vector(tau), sub)
+            x = emb_a.torus_vector(tau)
+            assert emb_b.torus_coords(x) == vec(tau)
+            assert emb_b.h_solve(x)[4] is None
+            assert cert_text(g, emb_b, x, sub) == want

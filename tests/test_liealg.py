@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatbundles import liealg as la
+from fatbundles.catalog import make_pair
 from fatbundles.errors import (
     DegenerateRestriction,
     DimensionMismatch,
@@ -33,6 +34,7 @@ from fatbundles.exact import (
     unit_vec,
     vec,
 )
+from fatbundles.fatness import certify
 
 
 def dense_covector(g, x):
@@ -412,15 +414,26 @@ def test_dimension_mismatch_errors():
 
 
 def test_reductive_split_takes_coordinate_vectors_only():
-    # A sparse {index: value} dict is read as the sequence of its keys, so
-    # none of these becomes a row of h: a negative index, a zero value and
-    # a float value all fail the length check.
+    # A str, bytes or mapping is not a coordinate vector, even at the right
+    # length, where a sparse {index: value} dict would be read as the
+    # sequence of its keys and a string as its characters.
     g = la.so(3)
-    for row in ({-1: 1}, {0: 0}, {0: 0.5}):
+    for row in ({-1: 1}, {0: 0}, {0: 0.5}, {0: 5, 1: 0, 2: 0}, "100", b"100"):
         with pytest.raises(DimensionMismatch):
             la.reductive_split(g, [row])
         with pytest.raises(DimensionMismatch):
             la.reductive_split(g, [unit_vec(3, 0)], torus_basis=[row])
+    with pytest.raises(DimensionMismatch, match="got str"):
+        g.killing_form("100", "100")
+    g, emb = make_pair("so", (5,), "so", (4,))
+    for bad in ("12", b"12", {0: 1, 1: 2}):
+        with pytest.raises(DimensionMismatch, match=f"got {type(bad).__name__}"):
+            emb.torus_vector(bad)
+    for bad in ("1" * g.dim, dict.fromkeys(range(g.dim), 1)):
+        with pytest.raises(DimensionMismatch, match=f"got {type(bad).__name__}"):
+            certify(g, emb, bad)
+        with pytest.raises(DimensionMismatch, match=f"got {type(bad).__name__}"):
+            g.killing_form(bad, emb.h_basis[0])
 
 
 def test_torus_embedding_is_the_split_of_the_block_torus():
@@ -647,6 +660,9 @@ def test_reductive_split_rejects_bad_torus():
     # E_01 and E_02 lie in h = g but do not commute.
     with pytest.raises(ValueError, match="torus is not abelian"):
         la.reductive_split(g, units, torus_basis=units[:2])
+    # Dependent rows are no basis: their h-coordinates have no solver.
+    with pytest.raises(ValueError, match="linearly dependent"):
+        la.reductive_split(g, units, torus_basis=[units[0], units[0]])
 
 
 def test_sparse_kernels_drop_cancelled_entries():
