@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm, prod
 
 from .errors import DimensionMismatch
@@ -77,6 +78,14 @@ def dense_vec(x: dict, n: int) -> Vec:
     for i, a in x.items():
         out[i] = a if type(a) is Fraction else Fraction(a)
     return tuple(out)
+
+
+def dense_mat(entries: dict, n: int) -> list[list]:
+    """The n x n rows of a sparse {(i, j): value} matrix."""
+    out = [[0] * n for _ in range(n)]
+    for (i, j), v in entries.items():
+        out[i][j] = v
+    return out
 
 
 def dot(x, y) -> Fraction:
@@ -214,30 +223,27 @@ def _reduce(rows, forward: bool = False
     return m, pivots, Fraction(num, den)
 
 
-def _monomial_columns(rows) -> set[int] | None:
-    """The columns hit when each row and column has at most one nonzero, as
-    in ad_x on m for x in a torus: their number is the rank, and the other
-    unit vectors span the kernel.  Else None, found at the first bad row."""
-    hit: set[int] = set()
-    for row in rows:
-        n = len(row) - row.count(0)
-        if n > 1 or n and (j := row.index(next(filter(None, row)))) in hit:
-            return None
-        if n:
-            hit.add(j)
-    return hit
+def monomial_columns(a) -> set[int] | None:
+    """The columns hit by the nonzero entries of a matrix, as a {(i, j): v}
+    of them or as dense rows, when no row or column holds two (ad_x on m
+    and the fatness Gram for x in a torus): their number is the rank, and
+    the other columns' unit vectors span the kernel.  Else None."""
+    ij = a if isinstance(a, dict) else {
+        (i, j) for i, row in enumerate(a) for j in compress(count(), row)}
+    cols = {j for _, j in ij}
+    return cols if len(cols) == len(ij) == len({i for i, _ in ij}) else None
 
 
 def rank(rows) -> int:
     """Rank of a rational matrix: its number of pivots."""
-    hit = _monomial_columns(rows)
+    hit = monomial_columns(rows)
     return len(_reduce(rows, forward=True)[1]) if hit is None else len(hit)
 
 
 def nullspace(rows) -> list[Vec]:
     """Basis of {x : A x = 0}, in primitive integer form."""
     nc = len(rows[0]) if rows else 0
-    if (hit := _monomial_columns(rows)) is not None:
+    if (hit := monomial_columns(rows)) is not None:
         return [unit_vec(nc, f) for f in range(nc) if f not in hit]
     red, pivots, _ = _reduce(rows)
     basis = []

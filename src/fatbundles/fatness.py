@@ -25,12 +25,14 @@ from .errors import CriteriaDisagree
 from .exact import (
     Mat,
     Vec,
-    _monomial_columns,
+    dense_mat,
     identity,
+    monomial_columns,
     nullspace,
     rank,
     sparse_columns,
     sparse_combination,
+    unit_vec,
     vec,
     vec_mat,
 )
@@ -59,29 +61,33 @@ def fatness_gram(emb: SubalgebraEmbedding, x_u) -> Mat:
     curvature pairing.  It is sum_a c_a G_a over the h-coordinates c of X_u.
     """
     gram, den = emb.h_linear(_gram_entries, x_u)
-    return tuple(tuple(Fraction(v, den) for v in row) for row in gram)
+    return tuple(tuple(Fraction(v, den) for v in row) for row in dense_mat(gram, emb.dim_m))
 
 
 def fat_by_oracle(emb: SubalgebraEmbedding, x_u, tol: float = 1e-9) -> Verdict:
     """Exact nondegeneracy test of the fatness Gram, with float margins.
 
     Fat iff the integer Gram has rank dim m (never for odd dim m); else
-    ``null_vector`` is its first exact kernel vector.  The margins smin,
-    smax are its extreme singular values, read off the entries of a
-    monomial Gram (every torus X_u), else numpy's SVD of the Gram over a
-    power of two above its entries, which then neither overflow nor
-    underflow; None past the float range.  When smin > tol * smax the Gram
-    is well conditioned, the float SVD calls it fat, and ``certify``
-    demands that the exact rank agrees.
+    ``null_vector`` is its first exact kernel vector.  A monomial Gram
+    (every torus X_u) is decided from its nonzero entries, with no
+    elimination and no dense matrix: their number is the rank, their
+    |values| and dim m - rank zeros the singular values, and the lowest
+    column they miss the kernel vector.  Else the margins smin, smax come
+    from numpy's SVD of the dense Gram over a power of two above its
+    entries, which then neither overflow nor underflow; None past the
+    float range.  When smin > tol * smax the Gram is well conditioned, the
+    float SVD calls it fat, and ``certify`` demands that the exact rank agrees.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    gram, den = emb.h_linear(_gram_entries, x_u)
-    hit = _monomial_columns(gram)
-    if hit is not None:  # the singular values are the |entries|; none if m = 0
-        sv = sorted(abs(sum(row)) for row in gram) or [inf]
+    entries, den = emb.h_linear(_gram_entries, x_u)
+    k = emb.dim_m
+    hit = monomial_columns(entries)
+    if hit is not None:  # the |entries| and a zero per column missed; none if m = 0
+        sv = [0] * (k - len(hit)) + sorted(map(abs, entries.values())) or [inf]
     else:
-        top = 1 << max(abs(v) for row in gram for v in row).bit_length()
+        gram = dense_mat(entries, k)
+        top = 1 << max(map(abs, entries.values())).bit_length()
         s = np.linalg.svd(np.array([[v / top for v in row] for row in gram]),
                           compute_uv=False)
         sv, den = [Fraction(s[-1]), Fraction(s[0])], Fraction(den, top)
@@ -91,11 +97,12 @@ def fat_by_oracle(emb: SubalgebraEmbedding, x_u, tol: float = 1e-9) -> Verdict:
         smin = smax = None
     margins = {"min_singular_value": smin, "max_singular_value": smax,
                "well_conditioned": bool(sv[-1]) and sv[0] / sv[-1] > tol}
-    if (len(hit) if hit is not None else rank(gram)) == emb.dim_m:
+    if (len(hit) if hit is not None else rank(gram)) == k:
         return Verdict(FAT, **margins,
-                       note="" if emb.dim_m else "trivial horizontal space")
-    return Verdict(NOT_FAT, null_vector=nullspace(gram)[0], **margins,
-                   note="odd dimension" if emb.dim_m % 2 else "")
+                       note="" if k else "trivial horizontal space")
+    null = nullspace(gram)[0] if hit is None else unit_vec(k, min(set(range(k)) - hit))
+    return Verdict(NOT_FAT, null_vector=null, **margins,
+                   note="odd dimension" if k % 2 else "")
 
 
 def isotropy_algebra(g: LieAlgebra, x_u) -> tuple[Vec, ...]:
@@ -105,11 +112,17 @@ def isotropy_algebra(g: LieAlgebra, x_u) -> tuple[Vec, ...]:
 
 def fat_by_centralizer(emb: SubalgebraEmbedding, x_u) -> Verdict:
     """Fat iff ad_{X_u}|_m has no kernel (X_u in h, else DimensionMismatch),
-    i.e. the isotropy algebra of the covector stays inside h."""
-    rows, _ = emb.ad_m_ints(x_u)
+    i.e. the isotropy algebra of the covector stays inside h.  Its sparse
+    integer entries decide a monomial one (every torus X_u), with no dense
+    matrix or elimination: the witness is m_f, f the lowest column missed."""
+    entries, _ = emb.ad_m_entries(x_u)
     if not emb.m_basis:
         return Verdict(FAT, note="trivial horizontal space")
-    kernel = nullspace(rows)
+    if (hit := monomial_columns(entries)) is not None:
+        if len(hit) == emb.dim_m:
+            return Verdict(FAT)
+        return Verdict(NOT_FAT, witness_vector=emb.m_basis[min(set(range(emb.dim_m)) - hit)])
+    kernel = nullspace(dense_mat(entries, emb.dim_m))
     if not kernel:
         return Verdict(FAT)
     return Verdict(NOT_FAT, witness_vector=vec_mat(kernel[0], emb.m_basis))

@@ -24,6 +24,7 @@ from .exact import (
     Mat,
     Vec,
     _clear_denominators,
+    dense_mat,
     dense_vec,
     dot,
     identity,
@@ -277,17 +278,7 @@ def matrix_algebra(name: str, basis) -> LieAlgebra:
 
 
 def _antisym(n: int, r: int, c: int) -> list[list[int]]:
-    m = [[0] * n for _ in range(n)]
-    m[r][c] = 1
-    m[c][r] = -1
-    return m
-
-
-def _sym_pair(n: int, r: int, c: int) -> list[list[int]]:
-    m = [[0] * n for _ in range(n)]
-    m[r][c] = 1
-    m[c][r] = 1
-    return m
+    return dense_mat({(r, c): 1, (c, r): -1}, n)
 
 
 def _so_basis(n: int) -> list[list[list[int]]]:
@@ -298,7 +289,7 @@ def _so_pq_basis(p: int, q: int) -> list[list[list[int]]]:
     n = p + q
     out = [_antisym(n, i, j) for i in range(p) for j in range(i + 1, p)]
     out += [_antisym(n, p + a, p + b) for a in range(q) for b in range(a + 1, q)]
-    out += [_sym_pair(n, i, p + a) for i in range(p) for a in range(q)]
+    out += [dense_mat({(i, p + a): 1, (p + a, i): 1}, n) for i in range(p) for a in range(q)]
     return out
 
 
@@ -306,28 +297,14 @@ def _u_in_so_basis(n: int) -> list[list[list[int]]]:
     """u(n) realized in so(2n): skew-Hermitian z = a + ib mapped to 2x2
     blocks [[a, -b], [b, a]]; these are exactly the elements of so(2n)
     commuting with the block complex structure."""
-    N = 2 * n
     out = []
     for j in range(n):
         for k in range(j + 1, n):
-            re = [[0] * N for _ in range(N)]
-            re[2 * j][2 * k] = 1
-            re[2 * j + 1][2 * k + 1] = 1
-            re[2 * k][2 * j] = -1
-            re[2 * k + 1][2 * j + 1] = -1
-            out.append(re)
-            im = [[0] * N for _ in range(N)]
-            im[2 * j][2 * k + 1] = -1
-            im[2 * j + 1][2 * k] = 1
-            im[2 * k][2 * j + 1] = -1
-            im[2 * k + 1][2 * j] = 1
-            out.append(im)
-    for j in range(n):
-        d = [[0] * N for _ in range(N)]
-        d[2 * j][2 * j + 1] = -1
-        d[2 * j + 1][2 * j] = 1
-        out.append(d)
-    return out
+            a, b, c, d = 2 * j, 2 * j + 1, 2 * k, 2 * k + 1
+            out.append(dense_mat({(a, c): 1, (b, d): 1, (c, a): -1, (d, b): -1}, 2 * n))
+            out.append(dense_mat({(a, d): -1, (b, c): 1, (c, b): -1, (d, a): 1}, 2 * n))
+    return out + [dense_mat({(2 * j, 2 * j + 1): -1, (2 * j + 1, 2 * j): 1}, 2 * n)
+                  for j in range(n)]
 
 
 def _su_basis(n: int) -> list[list[list[int]]]:
@@ -426,8 +403,11 @@ class SubalgebraEmbedding:
             for rows in (self.h_sparse, self.m_sparse, self.torus_sparse))
         # The torus rows in h-coordinates, solved; None when one leaves h.
         t_h = [self.sparse_h_coords(t) for t in self.torus_sparse or ()]
-        self._cache: dict = {"torus": CoordinateSolver(t_h, _sparse=True)
-                             if t_h and None not in t_h else None}
+        try:
+            torus = CoordinateSolver(t_h, _sparse=True) if t_h and None not in t_h else None
+        except ValueError:
+            raise ValueError(f"{self.name}: torus basis is linearly dependent") from None
+        self._cache: dict = {"torus": torus}
 
     def split_coords(self, x) -> tuple[Vec, Vec]:
         """Coefficients of x in the h-basis and the m-basis."""
@@ -471,12 +451,13 @@ class SubalgebraEmbedding:
                 x, c, *_clear_denominators(c.values() if c else ()), None)
         return last
 
-    def h_linear(self, build, x) -> tuple[list[list[int]], int]:
+    def h_linear(self, build, x) -> tuple[dict, int]:
         """(M, den) with M / den = sum_a c_a T_a over the h-coordinates c of
-        x (else DimensionMismatch), read off the shared ``h_solve``: M is a
-        k x k integer matrix formed from the nonzero c_a only.  ``build(emb)``
-        lists, per h_a, the nonzero entries (i, j, v) of T_a; they are kept,
-        keyed by ``build``, as integers over one common denominator."""
+        x (else DimensionMismatch), read off the shared ``h_solve``: M holds
+        the nonzero entries {(i, j): v} of a k x k integer matrix, formed
+        from the nonzero c_a only and never made dense.  ``build(emb)`` lists,
+        per h_a, the nonzero entries (i, j, v) of T_a; they are kept, keyed
+        by ``build``, as integers over one common denominator."""
         _, c, ints, den, _ = self.h_solve(x)
         if c is None:
             raise DimensionMismatch("vector is not in h")
@@ -486,13 +467,15 @@ class SubalgebraEmbedding:
                 [v for row in rows for *_, v in row])
             it = iter(flat)
             self._cache[build] = (
-                [[(i, j, next(it)) for i, j, _ in row] for row in rows],
+                [[((i, j), next(it)) for i, j, _ in row] for row in rows],
                 flat_den)
         table, table_den = self._cache[build]
-        out = [[0] * self.dim_m for _ in range(self.dim_m)]
+        out: dict = {}
         for a, ca in zip(c, ints):
-            for i, j, v in table[a]:
-                out[i][j] += ca * v
+            for ij, v in table[a]:
+                out[ij] = out[ij] + ca * v if ij in out else ca * v
+        if not all(out.values()):  # terms that cancel leave no entry
+            out = {ij: v for ij, v in out.items() if v}
         return out, den * table_den
 
     def _ad_entries(self) -> list[list[tuple[int, int, Fraction]]]:
@@ -508,10 +491,16 @@ class SubalgebraEmbedding:
             table[a] += [(i - self.dim_h, j, v) for i, v in c.items()]
         return table
 
-    def ad_m_ints(self, x) -> tuple[list[list[int]], int]:
+    def ad_m_entries(self, x) -> tuple[dict, int]:
         """ad_x on m for x in h (else DimensionMismatch) as (M, den), M / den
-        in m-coordinates: column j holds those of [x, m_j]."""
+        in m-coordinates: M holds the nonzero entries {(i, j): v}, column j
+        those of [x, m_j]."""
         return self.h_linear(SubalgebraEmbedding._ad_entries, x)
+
+    def ad_m_ints(self, x) -> tuple[list[list[int]], int]:
+        """``ad_m_entries`` with M as dense integer rows."""
+        m, den = self.ad_m_entries(x)
+        return dense_mat(m, self.dim_m), den
 
     def torus_coords(self, x) -> Vec | None:
         """Coordinates of x in the torus basis, or None if x is not in t: the
@@ -576,7 +565,7 @@ def _check_embedding(emb: SubalgebraEmbedding) -> None:
     for _, b in g.sparse_brackets(emb.h_sparse):
         if emb.sparse_h_coords(b) is None:
             raise ValueError(f"{emb.name}: h is not closed under brackets")
-    emb.ad_m_ints(zero_vec(g.dim))  # builds D_a; raises when [h, m] leaves m
+    emb.ad_m_entries(zero_vec(g.dim))  # builds D_a; raises when [h, m] leaves m
     # B(h, m) = 0: each K h_i summed over the columns of m.
     cols = sparse_columns(emb.m_sparse)
     if any(sparse_combination(g.sparse_covector(hi), cols) for hi in emb.h_sparse):

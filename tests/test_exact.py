@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import fraction_oracles as ref
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fatbundles import exact as ex
@@ -21,20 +21,36 @@ def test_reduce_identity_pivots():
     assert ex.det(rows) == 1
 
 
-def _scaled(numerators):
-    """p/q * 10^e over a wide exponent range."""
-    return st.builds(lambda p, q, e: Q(p, q) * Q(10) ** e,
-                     numerators, st.integers(1, 9), st.integers(-40, 40))
+def _signed(k, zero):
+    """0 (with ``zero``), 1, -1, 2, -2, ..., k, -k."""
+    return [0] * zero + [s * i for i in range(1, k + 1) for s in (1, -1)]
 
 
-def _nonzero_ints(k):
-    return st.sampled_from([*range(-k, 0), *range(1, k + 1)])
+def _entry_law(zero):
+    """Plain ints in -5..5 as integer callers pass them, and p/q * 10^e over a
+    wide exponent range (p in -9..9, q in 1..9, e in -40..40), both without
+    zero unless ``zero``: one bounded integer n per value, read as an int
+    when even and as the digits (p, q, e) of n // 2 when odd."""
+    ints, numerators = _signed(5, zero), _signed(9, zero)
+
+    def decode(n):
+        k, odd = divmod(n, 2)
+        if not odd:
+            return ints[k % len(ints)]
+        k, p = divmod(k, len(numerators))
+        e, q = divmod(k, 9)
+        return Q(numerators[p], q + 1) * Q(10) ** (e - 40)
+    return st.integers(0, 2 * len(numerators) * 9 * 81 - 1).map(decode)
 
 
-# p/q * 10^e, and plain ints as integer callers pass them; NONZERO is the
-# same law without zero, drawn directly rather than filtered.
-ENTRY = st.one_of(st.integers(-5, 5), _scaled(st.integers(-9, 9)))
-NONZERO = st.one_of(_nonzero_ints(5), _scaled(_nonzero_ints(9)))
+# NONZERO is the same law as ENTRY without zero, drawn directly rather
+# than filtered.
+ENTRY = _entry_law(zero=True)
+NONZERO = _entry_law(zero=False)
+# The values hypothesis's bias towards each component's bounds reached when
+# p, q and e were drawn apart, for the explicit examples.
+BIG, TINY = 9 * Q(10) ** 40, 9 * Q(10) ** -40
+BOUNDARY = [0, BIG, -BIG, TINY, -TINY, Q(1, 9) * Q(10) ** -40]
 
 
 def entries(n, strategy=ENTRY):
@@ -112,6 +128,8 @@ def test_kernel_matches_fraction_reference(a, data):
 
 @settings(max_examples=200, deadline=None)
 @given(a=matrices(square=True))
+@example(a=[BOUNDARY[:3], BOUNDARY[3:], BOUNDARY[1::2]])
+@example(a=[[BIG, TINY], [-TINY, BOUNDARY[-1]]])
 def test_det_and_inverse_match_fraction_reference(a):
     d = ex.det(a)
     assert type(d) is Q and d == ref.det(a)
@@ -154,12 +172,14 @@ def monomial_matrices(draw, near=False):
 
 @settings(max_examples=300, deadline=None)
 @given(a=st.one_of(monomial_matrices(), monomial_matrices(near=True)))
+@example(a=[[0, BIG, 0], [-TINY, 0, 0], [0, 0, BOUNDARY[-1]]])
+@example(a=[[0, -BIG, TINY], [TINY, 0, 0]])
 def test_monomial_rank_and_kernel_match_fraction_reference(a):
     nonzero = [[j for j, x in enumerate(row) if x] for row in a]
     cols = [j for row in nonzero for j in row]
     monomial = all(len(row) <= 1 for row in nonzero) and \
         len(cols) == len(set(cols))
-    hit = ex._monomial_columns(a)
+    hit = ex.monomial_columns(a)
     assert hit == (set(cols) if monomial else None)
     assert ex.rank(a) == ref.rank(a)
     ns = ex.nullspace(a)
@@ -284,6 +304,8 @@ def symmetric_matrices(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(a=symmetric_matrices())
+@example(a=[[BIG, TINY, 0], [TINY, -TINY, BOUNDARY[-1]], [0, BOUNDARY[-1], -BIG]])
+@example(a=[[0, BIG], [BIG, 0]])
 def test_inertia_matches_fraction_reference(a):
     assert ex.inertia(a) == ref.inertia(a)
 

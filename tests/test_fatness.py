@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from float_oracles import fatness_gram_float
 from fraction_oracles import ad_m, ad_on, coords
+from fraction_oracles import nullspace as reference_nullspace
 from fraction_oracles import rank as reference_rank
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from test_rootdata import BENCH
@@ -717,3 +718,60 @@ def test_torus_vector_primes_only_its_own_embedding():
             assert emb_b.torus_coords(x) == vec(tau)
             assert emb_b.h_solve(x)[4] is None
             assert cert_text(g, emb_b, x, sub) == want
+
+
+# -- the monomial read-off against the dense Gram ------------------------------
+
+def draw_read_off_input(data, emb, sub):
+    """X_u of one of three kinds: a torus point off every forbidden wall; one
+    on a wall (tau projected onto alpha(tau) = 0 for a forbidden alpha, or
+    tau = 0); or a rational X_u in h with every h-coordinate nonzero, whose
+    Gram and ad_m are not monomial, so the dense path runs."""
+    r = len(emb.torus_basis)
+    kind = data.draw(st.sampled_from(["off", "wall", "zero", "generic"]))
+    if kind == "generic":
+        return vec_mat(data.draw(st.lists(NONZERO, min_size=emb.dim_h,
+                                          max_size=emb.dim_h)), emb.h_basis)
+    tau = data.draw(st.lists(NONZERO, min_size=r, max_size=r))
+    if kind == "zero":
+        tau = [Q(0)] * r
+    elif kind == "wall":
+        a = data.draw(st.sampled_from(sub.forbidden))
+        s = rd.root_eval(a, tau) / sum(c * c for c in a)
+        tau = [t - s * c for t, c in zip(tau, a)]
+        assert rd.root_eval(a, tau) == 0
+    else:
+        assume(all(rd.root_eval(a, tau) for a in sub.forbidden))
+    return emb.torus_vector(tau)
+
+
+@pytest.mark.parametrize("name", sorted(BENCH.PAIRS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_read_off_matches_the_dense_gram(name, data):
+    g, emb, sub = prime_case(name)
+    x = draw_read_off_input(data, emb, sub)
+    gram = ft.fatness_gram(emb, x)
+    fat = reference_rank(gram) == emb.dim_m
+    verdict = ft.fat_by_oracle(emb, x)
+    assert verdict.status == (FAT if fat else NOT_FAT)
+    assert verdict.null_vector == (None if fat else reference_nullspace(gram)[0])
+    got = (verdict.min_singular_value, verdict.max_singular_value)
+    hits = [(i, j) for i, row in enumerate(gram) for j, v in enumerate(row) if v]
+    if len(hits) == len({i for i, _ in hits}) == len({j for _, j in hits}):
+        # Monomial: the singular values are each column's largest |entry|.
+        sv = sorted(max(map(abs, col)) for col in zip(*gram))
+        assert got == (float(sv[0]), float(sv[-1]))
+        assert verdict.well_conditioned == (sv[-1] != 0 and sv[0] / sv[-1] > 1e-9)
+    else:
+        s = np.linalg.svd(np.array([[float(v) for v in row] for row in gram]),
+                          compute_uv=False)
+        assert got == pytest.approx((s[-1], s[0]), rel=1e-12, abs=1e-12 * s[0])
+        assert verdict.well_conditioned == (s[-1] > 1e-9 * s[0]) or \
+            s[-1] == pytest.approx(1e-9 * s[0], rel=1e-9)
+    # The centralizer: the kernel of the dense ad_m from brackets.
+    central = ft.fat_by_centralizer(emb, x)
+    kernel = reference_nullspace(ad_m_reference(g, emb, x))
+    assert central.status == verdict.status
+    assert central.witness_vector == (
+        vec_mat(kernel[0], emb.m_basis) if kernel else None)

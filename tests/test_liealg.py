@@ -660,9 +660,17 @@ def test_reductive_split_rejects_bad_torus():
     # E_01 and E_02 lie in h = g but do not commute.
     with pytest.raises(ValueError, match="torus is not abelian"):
         la.reductive_split(g, units, torus_basis=units[:2])
-    # Dependent rows are no basis: their h-coordinates have no solver.
+    # Dependent rows are no basis: their h-coordinates have no solver, and
+    # the error names the embedding.
     with pytest.raises(ValueError, match="linearly dependent"):
         la.reductive_split(g, units, torus_basis=[units[0], units[0]])
+    so5 = la.so(5)
+    block = la.so_block_embedding(so5, 4)
+    t0 = block.torus_basis[0]
+    for torus in ([t0, t0], [t0, tuple(2 * x for x in t0)]):
+        with pytest.raises(ValueError, match=r"^so\(4\)<so\(5\): torus basis is "
+                                             "linearly dependent$"):
+            la.reductive_split(so5, block.h_basis, torus_basis=torus, name=block.name)
 
 
 def test_sparse_kernels_drop_cancelled_entries():
