@@ -48,7 +48,6 @@ from .fatness import (
 from .liealg import (
     LieAlgebra,
     SubalgebraEmbedding,
-    block_torus,
     build_algebra,
     killing_signature,
     matrix_algebra,
@@ -56,11 +55,8 @@ from .liealg import (
     reductive_split,
     so,
     so_block_embedding,
-    so_pq,
-    su,
     torus_embedding,
     u_block_embedding,
-    u_in_so,
 )
 from .rootdata import (
     RootSystem,

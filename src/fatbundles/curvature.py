@@ -9,6 +9,7 @@ pinching constant stays below 3/(2n+1).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -91,19 +92,15 @@ def _plane_terms(r: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
     return num, denom
 
 
+@functools.lru_cache(maxsize=None)
 def _mixed_mask(N: int) -> np.ndarray:
-    key = N
-    if key not in _mixed_mask_cache:
-        mask = np.zeros((N,) * 4, dtype=bool)
-        for idx in itertools.product(range(N), repeat=4):
-            if len(set(idx)) >= 3:
-                mask[idx] = True
-        mask.setflags(write=False)
-        _mixed_mask_cache[key] = mask
-    return _mixed_mask_cache[key]
-
-
-_mixed_mask_cache: dict[int, np.ndarray] = {}
+    """The read-only mask of the index quadruples with three distinct indices."""
+    mask = np.zeros((N,) * 4, dtype=bool)
+    for idx in itertools.product(range(N), repeat=4):
+        if len(set(idx)) >= 3:
+            mask[idx] = True
+    mask.setflags(write=False)
+    return mask
 
 
 def pinching_estimate(r, num_samples: int = 200, seed: int = 0

@@ -88,13 +88,9 @@ def dense_mat(entries: dict, n: int) -> list[list]:
     return out
 
 
-def dot(x, y) -> Fraction:
-    """Sum of x_i * y_i over the terms where both factors are nonzero."""
-    return sum((a * b for a, b in zip(x, y) if a and b), ZERO)
-
-
 def sparse_dot(x: dict, y: dict) -> int | Fraction:
-    """dot() of two sparse {index: value} vectors, over the smaller one."""
+    """sum_i x_i * y_i of two sparse {index: value} vectors, over the
+    smaller one."""
     if len(y) < len(x):
         x, y = y, x
     return sum(a * y[i] for i, a in x.items() if i in y)
@@ -144,10 +140,6 @@ def vec_mat(x, a) -> Vec:
                 if r:
                     out[j] += xi * r
     return tuple(out)
-
-
-def sub_vec(x, y) -> Vec:
-    return tuple(a - b for a, b in zip(x, y))
 
 
 def primitive(x) -> Vec:
@@ -257,25 +249,12 @@ def nullspace(rows) -> list[Vec]:
     return basis
 
 
-def solve(a_rows, b) -> Vec | None:
-    """One solution of A x = b, or None if inconsistent.  Free variables
-    are set to zero."""
-    nc = len(a_rows[0]) if a_rows else 0
-    red, pivots, _ = _reduce([[*row, bi] for row, bi in zip(a_rows, b)])
-    if nc in pivots:
-        return None
-    x = [ZERO] * nc
-    for row, p in zip(red, pivots):
-        x[p] = Fraction(row[nc], row[p])
-    return tuple(x)
-
-
 def inverse(a) -> Mat:
     """Row i of the inverse: the coordinates of e_i in the rows of a."""
     if any(len(row) != len(a) for row in a):
         raise ValueError("inverse needs a square matrix")
     try:
-        solver = CoordinateSolver(a)
+        solver = CoordinateSolver([sparse_vec(row) for row in a])
     except ValueError:
         raise ValueError("matrix is singular") from None
     return tuple(solver.coords({i: 1}) for i in range(len(a)))
@@ -331,18 +310,17 @@ def inertia(a) -> tuple[int, int, int]:
 
 
 class CoordinateSolver:
-    """Expresses vectors in a fixed linearly independent spanning set:
+    """Expresses vectors in a fixed linearly independent spanning set of
+    sparse {index: value} rows, as ``sparse_vec`` gives them:
     ``sparse_coords(v)`` is c with sum_j c_j rows_j == v, exactly, or None
     when v is outside the span.  On pairwise disjoint supports (unit
     vectors, the E_ij - E_ji of so(n)) c_j = v_p / rows_j[p] is read off at
     each row's first index p.  Else one reduction of [rows | I] inverts the
     pivot block, in ints on int rows.  Either way membership is checked
-    against the rows.  Callers in this package that hold the rows in
-    ``sparse_vec`` form already pass them with ``_sparse``, unchecked."""
+    against the rows."""
 
-    def __init__(self, rows, *, _sparse: bool = False):
-        self.sparse_rows = rows = (list(rows) if _sparse else
-                                   [sparse_vec(row) for row in rows])
+    def __init__(self, rows):
+        self.sparse_rows = rows = list(rows)
         self._disjoint = all(rows) and sum(map(len, rows)) == len(set().union(*rows))
         if self._disjoint:  # (j, 1 / rows_j[p]) at each row's pivot p
             self._inv_rows = {min(r): [(j, rational(ONE / r[min(r)]))]

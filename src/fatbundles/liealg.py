@@ -26,8 +26,6 @@ from .exact import (
     _clear_denominators,
     dense_mat,
     dense_vec,
-    dot,
-    identity,
     inertia,
     mat,
     nullspace,
@@ -39,7 +37,6 @@ from .exact import (
     sparse_dot,
     sparse_ints,
     sparse_vec,
-    sub_vec,
     vec,
     vec_mat,
     zero_vec,
@@ -69,7 +66,7 @@ class LieAlgebra:
                                  f"nonempty {n} x {n} matrix")
         try:  # the solver reads each entry once, as an int or a Fraction
             self._flat_solver = CoordinateSolver(
-                [[x for row in b for x in row] for b in basis])
+                [sparse_vec(x for row in b for x in row) for b in basis])
         except OverflowError as exc:  # an infinite float
             raise ValueError(f"{name}: basis entry not finite: {exc}") from None
         self._structure = self._structure_exact()
@@ -86,16 +83,6 @@ class LieAlgebra:
         flats = [dense_vec(row, self.n ** 2) for row in self._flat_solver.sparse_rows]
         return tuple(tuple(f[r:r + self.n] for r in range(0, len(f), self.n))
                      for f in flats)
-
-    @functools.cached_property
-    def killing(self) -> Mat:
-        """The Killing Gram K_ab = B(e_a, e_b), built on first read."""
-        return tuple(dense_vec(row, self.dim) for row in self._killing_rows)
-
-    @property
-    def semisimple(self) -> bool:
-        """Whether the Killing form is nondegenerate (Cartan's criterion)."""
-        return killing_signature(self)[2] == 0
 
     # -- construction helpers -------------------------------------------
 
@@ -209,14 +196,6 @@ class LieAlgebra:
         x = sparse_vec(self.check_vector(x))
         return dense_vec(self.sparse_covector(x), self.dim)
 
-    def orthocomplement(self, covectors) -> Mat:
-        """Common kernel of the given covectors (all of g when none)."""
-        return tuple(nullspace(covectors)) if covectors else identity(self.dim)
-
-    def killing_form(self, x, y) -> Fraction:
-        """B(x, y) = Tr(ad_x ad_y), evaluated through the cached Gram."""
-        return dot(self.check_vector(x), self.covector(y))
-
     def orbit_pairing(self, x) -> tuple[list[dict], int]:
         """(S, den) with S / den the orbit form S_ab = B(x, [e_a, e_b]) =
         sum_k c^k_ab (K x)_k of x, in sparse rows S_a = {b: value}."""
@@ -244,9 +223,6 @@ class LieAlgebra:
                         w = -w if a < c < b else w
                         totals[key] = totals[key] + w if key in totals else w
         return max(map(abs, totals.values()), default=0)
-
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        return Fraction(self._ad_of[i].get(j, {}).get(k, 0))
 
     def realize(self, x) -> Mat:
         """The matrix sum_i x_i b_i."""
@@ -360,18 +336,6 @@ def so(n: int) -> LieAlgebra:
     return build_algebra("so", n)
 
 
-def so_pq(p: int, q: int) -> LieAlgebra:
-    return build_algebra("so", (p, q))
-
-
-def su(n: int) -> LieAlgebra:
-    return build_algebra("su", n)
-
-
-def u_in_so(n: int) -> LieAlgebra:
-    return build_algebra("u-in-so", n)
-
-
 # -- reductive splittings ---------------------------------------------------
 
 class SubalgebraEmbedding:
@@ -380,31 +344,29 @@ class SubalgebraEmbedding:
     ``h_basis`` and ``m_basis`` are rows of coordinate vectors in g.
     ``torus_basis`` is an optional maximal abelian subalgebra of h,
     expected in the block convention when root tests are used.  They are
-    kept both ways: as sparse {index: value} rows (``h_sparse``,
-    ``m_sparse``, ``torus_sparse``), which ``_sparse`` passes in
-    ``sparse_vec`` form, unchecked, from this module, and as Fraction rows.
+    given as sparse {index: value} rows, in ``sparse_vec`` form, and kept
+    both ways: as those rows (``h_sparse``, ``m_sparse``, ``torus_sparse``)
+    and as Fraction rows.
     """
 
-    def __init__(self, ambient: LieAlgebra, h_basis: Mat, m_basis: Mat,
-                 torus_basis: Mat | None, compact: bool, name: str = "", *,
-                 _sparse: bool = False):
+    def __init__(self, ambient: LieAlgebra, h_basis: list[dict], m_basis: list[dict],
+                 torus_basis: list[dict] | None, compact: bool, name: str = ""):
         self.ambient = ambient
         self.compact = compact
         self.name = name or f"h<{ambient.name}"
         self.dim_h = len(h_basis)
         self.dim_m = len(m_basis)
-        self._full_solver = CoordinateSolver([*h_basis, *m_basis], _sparse=_sparse)
+        self._full_solver = CoordinateSolver([*h_basis, *m_basis])
         self.h_sparse = self._full_solver.sparse_rows[:self.dim_h]
         self.m_sparse = self._full_solver.sparse_rows[self.dim_h:]
-        self.torus_sparse = None if torus_basis is None else (
-            list(torus_basis) if _sparse else [sparse_vec(t) for t in torus_basis])
+        self.torus_sparse = None if torus_basis is None else list(torus_basis)
         self.h_basis, self.m_basis, self.torus_basis = (
             None if rows is None else tuple(dense_vec(r, ambient.dim) for r in rows)
             for rows in (self.h_sparse, self.m_sparse, self.torus_sparse))
         # The torus rows in h-coordinates, solved; None when one leaves h.
         t_h = [self.sparse_h_coords(t) for t in self.torus_sparse or ()]
         try:
-            torus = CoordinateSolver(t_h, _sparse=True) if t_h and None not in t_h else None
+            torus = CoordinateSolver(t_h) if t_h and None not in t_h else None
         except ValueError:
             raise ValueError(f"{self.name}: torus basis is linearly dependent") from None
         self._cache: dict = {"torus": torus}
@@ -416,13 +378,6 @@ class SubalgebraEmbedding:
             raise DimensionMismatch("vector is not in h + m")
         return c[:self.dim_h], c[self.dim_h:]
 
-    def project(self, x) -> tuple[Vec, Vec]:
-        """g-coordinate components (x_h, x_m) of the reductive splitting."""
-        x = self.ambient.check_vector(x)
-        ch, _ = self.split_coords(x)
-        xh = vec_mat(ch, self.h_basis) if ch else zero_vec(self.ambient.dim)
-        return xh, sub_vec(x, xh)
-
     def sparse_h_coords(self, v: dict) -> dict | None:
         """Nonzero h-coordinates {a: c_a} of a sparse {index: value} vector
         when it lies in h, else None: its h + m coordinates have no m part."""
@@ -433,10 +388,6 @@ class SubalgebraEmbedding:
         """Coefficients of x in the h-basis when x lies in h, else None."""
         c = self.h_solve(x)[1]
         return None if c is None else dense_vec(c, self.dim_h)
-
-    def in_m(self, x) -> bool:
-        ch, _ = self.split_coords(x)
-        return all(c == 0 for c in ch)
 
     def h_solve(self, x) -> tuple:
         """(x, c, ints, den, tau): x checked, its sparse h-coordinates c
@@ -497,11 +448,6 @@ class SubalgebraEmbedding:
         those of [x, m_j]."""
         return self.h_linear(SubalgebraEmbedding._ad_entries, x)
 
-    def ad_m_ints(self, x) -> tuple[list[list[int]], int]:
-        """``ad_m_entries`` with M as dense integer rows."""
-        m, den = self.ad_m_entries(x)
-        return dense_mat(m, self.dim_m), den
-
     def torus_coords(self, x) -> Vec | None:
         """Coordinates of x in the torus basis, or None if x is not in t: the
         tau an X_u from ``torus_vector`` carries, else solved from its shared
@@ -551,10 +497,12 @@ def reductive_split(g: LieAlgebra, h_basis, *, torus_basis=None, name: str = "",
     if zero:
         raise DegenerateRestriction(
             f"Killing form of {g.name} is singular on the subalgebra")
-    m_rows = g.orthocomplement([[k.get(j, 0) for j in range(g.dim)] for k in bh_sparse])
+    # m: the common kernel of the covectors B(h_i, .), all of g when h = 0.
+    m_rows = ([sparse_vec(r) for r in nullspace(
+        [[k.get(j, 0) for j in range(g.dim)] for k in bh_sparse])]
+        if h_sparse else [{i: 1} for i in range(g.dim)])
     compact = neg == len(h_sparse)
-    emb = SubalgebraEmbedding(g, h_sparse, list(map(sparse_vec, m_rows)), torus or None,
-                              compact, name=name, _sparse=True)
+    emb = SubalgebraEmbedding(g, h_sparse, m_rows, torus or None, compact, name=name)
     if check:
         _check_embedding(emb)
     return emb
@@ -613,16 +561,12 @@ def _coords_in(g: LieAlgebra, flats, error: str) -> list[dict]:
 
 
 def _block_torus(g: LieAlgebra, r: int) -> list[dict]:
+    """Sparse coordinates of the block torus T_i, the 2x2 rotation blocks
+    [[0, -t_i], [t_i, 0]] on the diagonal, for i = 0..r-1."""
     n = g.n
     return _coords_in(g, ({(2 * i + 1) * n + 2 * i: 1, 2 * i * n + 2 * i + 1: -1}
                           for i in range(r)),
                       f"{g.name}: block torus element {{}} is not in g")
-
-
-def block_torus(g: LieAlgebra, r: int) -> Mat:
-    """Coordinates of the block torus T_i spanned by 2x2 rotation blocks
-    [[0, -t_i], [t_i, 0]] on the diagonal, for i = 0..r-1."""
-    return tuple(dense_vec(t, g.dim) for t in _block_torus(g, r))
 
 
 def torus_embedding(g: LieAlgebra, r: int, *, name: str = "") -> SubalgebraEmbedding:

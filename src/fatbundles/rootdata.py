@@ -14,16 +14,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TorusMismatch
+from .errors import DimensionMismatch, TorusMismatch
 from .exact import (
-    ONE,
     ZERO,
     Vec,
     _clear_denominators,
+    dense_mat,
     frac,
-    mat,
+    inverse,
     rank,
-    solve,
     vec,
 )
 from .liealg import LieAlgebra, SubalgebraEmbedding, maximal_torus
@@ -163,7 +162,8 @@ def detect_subsystem(g: LieAlgebra, emb: SubalgebraEmbedding,
         return subsystem_from_members(rs, rs.roots)
     if emb.h_coords(xi) is None:
         raise TorusMismatch("torus is not contained in h")
-    d, den = emb.ad_m_ints(xi)
+    d_entries, den = emb.ad_m_entries(xi)
+    d = dense_mat(d_entries, k)
     d_sq = [[sum(a * b for a, b in zip(row, col)) for col in zip(*d)] for row in d]
     forbidden_pairs = []
     accounted = 0
@@ -204,41 +204,21 @@ def fat_by_roots(x, sub: SubSystem) -> Verdict:
 
 def fundamental_coweights(rs: RootSystem) -> tuple[Vec, ...]:
     """Vectors w_i with alpha_j(w_i) = delta_ij; for type A the trace-zero
-    representative is returned."""
-    rows = [vec(r) for r in rs.simple_roots]
-    if rs.type_label == "A":
-        rows = rows + [vec([1] * rs.coord_dim)]
-    out = []
-    for i in range(len(rs.simple_roots)):
-        rhs = [ONE if j == i else ZERO for j in range(len(rows))]
-        w = solve(mat(rows), rhs)
-        if w is None:
-            raise ValueError("simple roots are degenerate")
-        out.append(w)
-    return tuple(out)
+    representative is returned.  They are the first rows of the inverse of
+    the transposed simple roots (with the all-ones row for type A)."""
+    rows = [*rs.simple_roots] + ([(1,) * rs.coord_dim] if rs.type_label == "A" else [])
+    return inverse([*zip(*rows)])[:len(rs.simple_roots)]
 
 
 def span_subsystem(rs: RootSystem, subset) -> tuple[Root, ...]:
     """Roots lying in the integer span of a subset of simple roots (the
-    Levi sub-system generated by the subset)."""
+    Levi sub-system generated by the subset).  A root's coefficient on the
+    i-th simple root is its value at the i-th fundamental coweight."""
     subset = set(map(tuple, subset))
-    idx = [i for i, s in enumerate(rs.simple_roots) if s in subset]
-    members = []
-    for r in rs.roots:
-        c = _simple_coefficients(rs, r)
-        if all(c[i] == 0 for i in range(len(c)) if i not in idx):
-            members.append(r)
-    return _sorted_roots(members)
-
-
-def _simple_coefficients(rs: RootSystem, root: Root) -> Vec:
-    rows = [list(s) for s in rs.simple_roots]
-    cols = tuple(tuple(rows[i][j] for i in range(len(rows)))
-                 for j in range(rs.coord_dim))
-    c = solve(cols, vec(root))
-    if c is None:
-        raise ValueError(f"{root} is not in the span of the simple roots")
-    return c
+    outside = [w for s, w in zip(rs.simple_roots, fundamental_coweights(rs))
+               if s not in subset]
+    return _sorted_roots(r for r in rs.roots
+                         if not any(root_eval(r, w) for w in outside))
 
 
 def find_centralizing_vector(rs: RootSystem, subset) -> Vec:
@@ -267,11 +247,26 @@ def find_centralizing_vector(rs: RootSystem, subset) -> Vec:
 
 # -- moment-polytope shift search -------------------------------------------
 
+def _vertices(vertices, sub: SubSystem) -> list[Vec]:
+    """The vertices as Fractions; DimensionMismatch names the first one
+    whose length is not the root coordinates' (a root would be cut short)."""
+    vertices = [vec(v) for v in vertices]
+    n = sub.parent.coord_dim
+    for i, v in enumerate(vertices):
+        if len(v) != n:
+            raise DimensionMismatch(f"vertex {i} has {len(v)} coordinates, but the roots "
+                                    f"of {sub.parent.type_label}_{sub.parent.rank} have {n}")
+    return vertices
+
+
 def verify_shift(vertices, sub: SubSystem, a) -> bool:
     """Exact check that every forbidden root has a strict constant sign on
     all shifted vertices v + a."""
-    vertices = [vec(v) for v in vertices]
+    vertices = _vertices(vertices, sub)
     a = vec(a)
+    if len(a) != sub.parent.coord_dim:
+        raise DimensionMismatch(f"shift has {len(a)} coordinates, but the roots "
+                                f"have {sub.parent.coord_dim}")
     for root in _canonical_pairs(sub.forbidden):
         vals = [root_eval(root, tuple(x + y for x, y in zip(v, a)))
                 for v in vertices]
@@ -331,8 +326,8 @@ def find_fat_shift(vertices, sub: SubSystem) -> Vec | None:
     """
     if not vertices:
         raise ValueError("vertex list is empty")
-    vertices = [vec(v) for v in vertices]
-    nvars = len(vertices[0])
+    vertices = _vertices(vertices, sub)
+    nvars = sub.parent.coord_dim
     pairs = _canonical_pairs(sub.forbidden)
     if not pairs:
         return vec([0] * nvars)

@@ -23,7 +23,9 @@ def structure_array(g) -> np.ndarray:
 
 
 def killing_array(g) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in g.killing])
+    """K_ab = Tr(ad_a ad_b) = sum_jk c[a, j, k] c[b, k, j] as float64."""
+    c = structure_array(g)
+    return np.einsum("ajk,bkj->ab", c, c)
 
 
 def fatness_gram_float(emb, x_float) -> np.ndarray:

@@ -8,9 +8,10 @@ matrix commutators; the [rows | I] span solver (``Solver``), which
 eliminates whatever the rows' supports are, the structure constants of
 every basis pair through it (``structure_all_pairs``) and the Killing
 rows from them by one dense contraction (``killing_rows``).  ``ad_m`` is no
-reference: it reads the kernel's integer ad_m table as ``Fraction``s, for
-the tests that compare it with dense brackets, and ``coords_of_matrix``
-reads a matrix through the kernel's flat solver."""
+reference: it reads the kernel's integer ad_m entries as ``Fraction``s, for
+the tests that compare it with dense brackets; nor are ``coords_of_matrix``,
+which reads a matrix through the kernel's flat solver, or ``killing``, the
+Gram read off the kernel's covectors.  ``dot`` is the dense pairing."""
 
 from __future__ import annotations
 
@@ -132,10 +133,21 @@ def coords_of_matrix(g, m):
 
 
 def ad_m(emb, x):
-    """ad_x on m in m-coordinates as Fractions: the (M, den) of
-    ``ad_m_ints`` read as M / den."""
-    rows, den = emb.ad_m_ints(x)
-    return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
+    """ad_x on m in m-coordinates as Fractions: the entries (M, den) of
+    ``ad_m_entries`` read as M / den."""
+    entries, den = emb.ad_m_entries(x)
+    return tuple(tuple(Fraction(entries.get((i, j), 0), den) for j in range(emb.dim_m))
+                 for i in range(emb.dim_m))
+
+
+def dot(x, y) -> Fraction:
+    """sum_i x_i y_i, every term summed; B(x, y) is dot(x, g.covector(y))."""
+    return sum((Fraction(a) * b for a, b in zip(x, y)), Fraction(0))
+
+
+def killing(g):
+    """The Killing Gram of g: row i is the covector K e_i."""
+    return tuple(g.covector([int(i == j) for j in range(g.dim)]) for i in range(g.dim))
 
 
 def _matmul(a, b):

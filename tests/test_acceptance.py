@@ -179,10 +179,10 @@ def test_criterion_6_scaling_family_pfaffian():
 def test_criterion_7_duality_agreement_200_samples():
     ok = True
     for n in (2, 3):
-        g = la.so_pq(2 * n, 1)
+        g = la.build_algebra("so", (2 * n, 1))
         pair = du.dualize(g, du.standard_involution(g))
         h_rows = [unit_vec(g.dim, i) for i in range(n * (2 * n - 1))]
-        torus = la.block_torus(g, n)
+        torus = la.torus_embedding(g, n).torus_basis
         emb_nc, emb_c = du.pair_embeddings(pair, h_rows, torus)
         rep = du.compare_fat_sets(pair, emb_nc, emb_c,
                                   rd.root_system_for(g), samples=200,

@@ -799,6 +799,19 @@ def test_readme_key_table_is_the_contract():
             if default.startswith("required")} == set(REQUIRED)
 
 
+def test_readme_quick_start_prints_what_its_comments_say(capsys):
+    # Each print in the README's Python block is followed by the line it
+    # prints, as a comment; a trailing "(exact)" is a note, not output.
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    want = [re.sub(r" \(exact\)$", "", line.split("# ", 1)[1].strip())
+            for line in block.splitlines() if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == want
+    assert want == ["((-1, 0), (0, -1), (0, 1), (1, 0))", "True 6.0", "0",
+                    "(6.0, 864.0)", "fat"]
+
+
 RATIONALS = "(strings of <= 1000 characters with |exponent| <= 1000)"
 
 
@@ -860,3 +873,27 @@ def test_a_pair_needs_g_and_h_in_full(entry, message):
 def test_runs_missing_their_inputs_name_the_cause(entry, error):
     passed, payload = run_instance(InstanceSpec.from_json(entry))
     assert not passed and payload["error"] == error
+
+
+B3_NO_SHIFT = {"type": "B", "rank": 3, "member_roots": [], "expect_shift": False}
+
+
+@pytest.mark.parametrize("vertices, error", [
+    # The roots were cut to 2 coordinates: "no shift", and the run passed,
+    # although the segment lifted to 3 coordinates has one.
+    ([["0", "0"], ["1", "1"]], "vertex 0 has 2 coordinates"),
+    # "AssertionError: feasible pattern failed verification".
+    ([["0", "0", "0"], ["1", "1"]], "vertex 1 has 2 coordinates"),
+    # "IndexError: tuple index out of range".
+    ([["0", "0", "0", "0"], ["1", "1", "1", "1"]], "vertex 0 has 4 coordinates"),
+], ids=["short", "ragged", "long"])
+def test_shift_vertices_of_the_wrong_length_fail_with_the_cause(tmp_path, capsys,
+                                                               vertices, error):
+    entry = {"id": "s", "run": ["shift"], "shift": {**B3_NO_SHIFT, "vertices": vertices}}
+    error = f"DimensionMismatch: {error}, but the roots of B_3 have 3"
+    passed, payload = run_instance(InstanceSpec.from_json(entry))
+    assert not passed and payload["error"] == error
+    out = tmp_path / "certs"
+    assert run_cli(["run", _write_catalog(tmp_path, [entry]), "--out", str(out)]) == 1
+    assert "0/1 instances passed" in capsys.readouterr().out
+    assert json.loads((out / "s.json").read_text())["error"] == error

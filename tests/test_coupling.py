@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 from float_oracles import coupling_nondegenerate_float
+from fraction_oracles import dot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,7 @@ from fatbundles import fatness as ft
 from fatbundles import liealg as la
 from fatbundles.catalog import make_pair, make_subsystem
 from fatbundles.errors import DimensionMismatch, OddDimension
-from fatbundles.exact import CoordinateSolver, mat, unit_vec, vec
+from fatbundles.exact import CoordinateSolver, mat, sparse_vec, unit_vec, vec
 
 
 def cp3_instance():
@@ -65,7 +66,7 @@ def test_form_vanishes_against_isotropy_directions():
     for v in inst.v_basis:
         for _ in range(5):
             y = vec(rng.randint(-4, 4) for _ in range(g.dim))
-            assert g.killing_form(j, g.bracket(v, y)) == 0
+            assert dot(j, g.covector(g.bracket(v, y))) == 0
 
 
 def test_block_structure_report():
@@ -219,7 +220,7 @@ def test_instance_brackets_preserve_n():
     # [v, n] stays inside n: ad-invariance of the isotropy splitting.
     from fatbundles.exact import CoordinateSolver
     g, emb, j, inst = cp3_instance()
-    solver = CoordinateSolver(list(inst.n_basis))
+    solver = CoordinateSolver(map(sparse_vec, inst.n_basis))
     for v in inst.v_basis:
         for nrow in inst.n_basis:
             assert solver.coords(g.bracket(v, nrow)) is not None
@@ -265,7 +266,7 @@ def dense_ce_closedness(g, form):
     """max |d sigma| over basis triples the direct way: coordinates of every
     unit vector from a CoordinateSolver, and brackets of unit vectors, one
     per pair."""
-    solver = CoordinateSolver(list(form.v_basis) + list(form.n_basis))
+    solver = CoordinateSolver(map(sparse_vec, form.v_basis + form.n_basis))
     nv = len(form.v_basis)
     d = g.dim
     units = [unit_vec(d, a) for a in range(d)]
@@ -335,7 +336,7 @@ def test_orbit_gram_is_the_killing_pairing_of_brackets(name, data):
     rows = inst.n_basis + tuple(extra)
     gram = cp._orbit_gram(g, inst.x_u, rows)
     assert gram == tuple(
-        tuple(g.killing_form(inst.x_u, g.bracket(a, b)) for b in rows)
+        tuple(dot(inst.x_u, g.covector(g.bracket(a, b))) for b in rows)
         for a in rows)
 
 

@@ -14,37 +14,36 @@ from fatbundles.exact import dense_vec, inertia, mat, sparse_vec, unit_vec
 
 
 def test_dualize_so41_gives_compact_so5():
-    g = la.so_pq(4, 1)
+    g = la.build_algebra("so", (4, 1))
     pair = du.dualize(g, du.standard_involution(g))
     dual = pair.compact_dual
     assert dual.dim == 10 and pair.k_dim == 6
-    pos, neg, zero = inertia(dual.killing)
+    pos, neg, zero = inertia(ref.killing(dual))
     assert (pos, neg, zero) == (0, 10, 0)
-    assert dual.semisimple
+    assert la.killing_signature(dual)[2] == 0
     assert la.jacobi_residual(dual) == 0
 
 
 def test_dual_constants_match_builtin_so5():
     # Mixed generators map to the antisymmetric pairs of so(5); under that
     # index correspondence the dual constants equal the built-in ones.
-    g = la.so_pq(4, 1)
+    g = la.build_algebra("so", (4, 1))
     pair = du.dualize(g, du.standard_involution(g))
     g5 = la.so(5)
     perm = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     perm += [(a, 4) for a in range(4)]
     index_of = {p: k for k, p in enumerate(
         [(i, j) for i in range(5) for j in range(i + 1, 5)])}
+    units = [unit_vec(g.dim, i) for i in range(g.dim)]
     for i in range(g.dim):
         for j in range(g.dim):
-            for k in range(g.dim):
-                lhs = pair.compact_dual.structure_constant(i, j, k)
-                rhs = g5.structure_constant(
-                    index_of[perm[i]], index_of[perm[j]], index_of[perm[k]])
-                assert lhs == rhs
+            lhs = pair.compact_dual.bracket(units[i], units[j])
+            rhs = g5.bracket(units[index_of[perm[i]]], units[index_of[perm[j]]])
+            assert lhs == tuple(rhs[index_of[perm[k]]] for k in range(g.dim))
 
 
 def test_dual_flips_pp_and_keeps_k_brackets():
-    g = la.so_pq(4, 1)
+    g = la.build_algebra("so", (4, 1))
     pair = du.dualize(g, du.standard_involution(g))
     k = pair.k_dim
     for (i, j), ck in g._structure.items():
@@ -64,7 +63,7 @@ def test_dualize_identity_involution_on_compact_input():
 
 def test_double_dual_restores_original_exactly():
     for p, q in ((4, 1), (6, 1), (3, 2)):
-        g = la.so_pq(p, q)
+        g = la.build_algebra("so", (p, q))
         t = du.standard_involution(g)
         pair = du.dualize(g, t)
         back = du.dualize(pair.compact_dual, t)
@@ -74,7 +73,7 @@ def test_double_dual_restores_original_exactly():
 
 @pytest.mark.parametrize("p", range(2, 7))
 def test_theta_action_and_dual_basis_match_dense_products(p):
-    g = la.so_pq(p, 1)
+    g = la.build_algebra("so", (p, 1))
     t = du.standard_involution(g)
     theta = du._theta_matrix_action(
         g, sparse_vec([x for row in t for x in row]))
@@ -91,7 +90,7 @@ def test_theta_action_of_a_rational_conjugation():
     # T = diag(1, 1, -1) conjugated by a rational Q is T' with T'^2 = 1 and
     # an off-diagonal entry; on so(2, 1) written in the Q-conjugated basis,
     # with rational entries, it acts as T does on so(2, 1).
-    g = la.so_pq(2, 1)
+    g = la.build_algebra("so", (2, 1))
     q = mat([[1, 0, 1], [0, 1, 0], [0, 0, 2]])
     q_inv = mat([[1, 0, Q(-1, 2)], [0, 1, 0], [0, 0, Q(1, 2)]])
     conj = la.matrix_algebra(
@@ -106,7 +105,7 @@ def test_theta_action_of_a_rational_conjugation():
 
 
 def test_dualize_rejects_non_involution():
-    g = la.so_pq(4, 1)
+    g = la.build_algebra("so", (4, 1))
     bad = np.eye(5)
     bad[0, 0] = 2
     with pytest.raises(InvolutionInvalid):
@@ -116,7 +115,7 @@ def test_dualize_rejects_non_involution():
 def test_dualize_rejects_wrong_fixed_part():
     # Conjugating so(4,1) by diag(-1, 1, 1, 1, 1) is an involutive
     # automorphism, but its +1 eigenspace so(3, 1) is not compact.
-    g = la.so_pq(4, 1)
+    g = la.build_algebra("so", (4, 1))
     t = np.eye(5)
     t[0, 0] = -1
     with pytest.raises(InvolutionInvalid):
@@ -129,10 +128,10 @@ def test_standard_involution_requires_so_pq():
 
 
 def test_compare_fat_sets_agreement():
-    g = la.so_pq(4, 1)
+    g = la.build_algebra("so", (4, 1))
     pair = du.dualize(g, du.standard_involution(g))
     h_rows = [unit_vec(g.dim, i) for i in range(6)]
-    torus = la.block_torus(g, 2)
+    torus = la.torus_embedding(g, 2).torus_basis
     emb_nc, emb_c = du.pair_embeddings(pair, h_rows, torus)
     rep = du.compare_fat_sets(pair, emb_nc, emb_c, rd.root_system_for(g),
                               samples=60, seed=5)
@@ -149,10 +148,10 @@ def test_dual_gram_matrices_differ_only_by_m_sign_data():
     # Same X_u in the shared h: the two fatness Grams agree up to sign
     # blocks, so singular values coincide.
     from fatbundles import fatness as ft
-    g = la.so_pq(4, 1)
+    g = la.build_algebra("so", (4, 1))
     pair = du.dualize(g, du.standard_involution(g))
     h_rows = [unit_vec(g.dim, i) for i in range(6)]
-    torus = la.block_torus(g, 2)
+    torus = la.torus_embedding(g, 2).torus_basis
     emb_nc, emb_c = du.pair_embeddings(pair, h_rows, torus)
     for tau in ft.sample_rational_vectors(2, 25, seed=6):
         x = emb_nc.torus_vector(tau)
@@ -179,7 +178,7 @@ def test_dual_instances_of_one_pair_build_it_once():
     assert first[0] and again[0]
     assert again[1]["dual"] == first[1]["dual"]
     # The uncached path, detecting both sub-root-systems itself.
-    g = la.so_pq(4, 1)
+    g = la.build_algebra("so", (4, 1))
     pair = du.dualize(g, du.standard_involution(g))
     emb = la.so_block_embedding(g, 4)
     emb_nc, emb_c = du.pair_embeddings(pair, emb.h_basis, emb.torus_basis)

@@ -100,15 +100,11 @@ def test_kernel_matches_fraction_reference(a, data):
     ns = ex.nullspace(a)
     assert ns == ref.nullspace(a)
     assert all(_all_fractions(v) for v in ns)
-    b = data.draw(entries(len(a)))
-    x = ex.solve(a, b)
-    assert x == ref.solve(a, b)
-    assert x is None or _all_fractions(x)
     if a and ref.rank(a) < len(a):
         with pytest.raises(ValueError, match="spanning set is linearly"):
-            ex.CoordinateSolver(a)
+            ex.CoordinateSolver([ex.sparse_vec(row) for row in a])
         return
-    solver = ex.CoordinateSolver(a)
+    solver = ex.CoordinateSolver([ex.sparse_vec(row) for row in a])
     nc = len(a[0]) if a else 0
     c = data.draw(entries(len(a)))
     inside = [sum((ci * row[j] for ci, row in zip(c, a)), Q(0))
@@ -213,17 +209,18 @@ def test_nullspace_is_exact_kernel():
         ns = ex.nullspace(m)
         assert len(ns) == 6 - ex.rank(m)
         for v in ns:
-            assert all(ex.dot(row, v) == 0 for row in m)
+            assert all(ref.dot(row, v) == 0 for row in m)
 
 
 def test_solve_and_inverse():
     a = [[2, 1], [1, 3]]
-    x = ex.solve(ex.mat(a), ex.vec([5, 10]))
+    # A x = b: the coordinates of b in the columns of A.
+    x = ex.CoordinateSolver([ex.sparse_vec(c) for c in zip(*a)]).coords(ex.vec([5, 10]))
     assert x == (Q(1), Q(3))
     inv = ex.inverse(ex.mat(a))
     prod = ref.mat_mul(ex.mat(a), inv)
     assert prod == ex.identity(2)
-    assert ex.solve(ex.mat([[1, 1], [1, 1]]), ex.vec([0, 1])) is None
+    assert ex.CoordinateSolver([{0: 1, 1: 1}]).coords(ex.vec([0, 1])) is None
 
 
 def test_inverse_rejects_non_square_input():
@@ -334,7 +331,7 @@ def test_primitive_scaling():
 
 def test_coordinate_solver_round_trip():
     rows = [[1, 0, 2, 0], [0, 3, 0, 0], [1, 1, 1, 1]]
-    solver = ex.CoordinateSolver(rows)
+    solver = ex.CoordinateSolver(map(ex.sparse_vec, rows))
     target = ex.vec([2, 7, 3, 2])  # 1*r0 + 2*r1 + ... solve arbitrary combo
     combo = tuple(
         sum(Q(c) * Q(rows[i][j]) for i, c in enumerate((2, -1, 5)))
@@ -357,7 +354,7 @@ def test_monomial_solver_matches_the_general_solve(data):
     rows = [[0] * n for _ in cols]
     for row, j, x in zip(rows, cols, data.draw(entries(len(cols), NONZERO))):
         row[j] = x
-    solver = ex.CoordinateSolver(rows)
+    solver = ex.CoordinateSolver(map(ex.sparse_vec, rows))
     general = ref.Solver(rows)
     assert solver._disjoint  # read off, with no elimination
     c = data.draw(entries(len(rows)))
@@ -371,7 +368,7 @@ def test_monomial_solver_matches_the_general_solve(data):
         assert got is None or _sparse_rule(got.values())
         assert solver.coords(v) == ref.coords(rows, v)
     assert solver.coords(inside) is not None
-    assert not ex.CoordinateSolver([[1, 1], [0, 1]])._disjoint
+    assert not ex.CoordinateSolver([{0: 1, 1: 1}, {1: 1}])._disjoint
 
 
 # Nonzero p/q, drawn directly rather than filtered.
@@ -411,16 +408,17 @@ def sparse_row_sets(draw):
 def test_read_off_solver_matches_the_elimination_reference(rows, data):
     # The same coordinates (None included, and in the same key order) and
     # the same error as the [rows | I] solver, on disjoint supports (read
-    # off) and on overlapping ones (eliminated); the rows are given dense.
+    # off) and on overlapping ones (eliminated); the rows are given in
+    # ``sparse_vec`` form.
     width = 1 + max((max(r) for r in rows if r), default=1)
-    dense = [[r.get(i, 0) for i in range(width)] for r in rows]
+    sparse = [ex.sparse_vec(r.get(i, 0) for i in range(width)) for r in rows]
     try:
         expected = ref.Solver(rows)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
-            ex.CoordinateSolver(dense)
+            ex.CoordinateSolver(sparse)
         return
-    solver = ex.CoordinateSolver(dense)
+    solver = ex.CoordinateSolver(sparse)
     disjoint = sum(map(len, rows)) == len(set().union(*rows))
     assert solver._disjoint == (disjoint and all(rows))
     coeffs = data.draw(entries(len(rows), st.sampled_from([0, 1, -1]) | SPARSE_ENTRY))
@@ -445,4 +443,4 @@ def test_read_off_solver_matches_the_elimination_reference(rows, data):
 
 def test_coordinate_solver_rejects_dependent_rows():
     with pytest.raises(ValueError):
-        ex.CoordinateSolver([[1, 2], [2, 4]])
+        ex.CoordinateSolver([{0: 1, 1: 2}, {0: 2, 1: 4}])

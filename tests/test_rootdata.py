@@ -7,13 +7,14 @@ import pathlib
 import random
 from fractions import Fraction as Q
 
+import fraction_oracles as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatbundles import liealg as la
 from fatbundles import rootdata as rd
-from fatbundles.errors import TorusMismatch
+from fatbundles.errors import DimensionMismatch, TorusMismatch
 from fatbundles.exact import vec
 from fatbundles.verdicts import FAT, NOT_FAT
 
@@ -48,8 +49,9 @@ def test_simple_root_expansion_sign_coherent():
     # coefficients of one sign.
     for label, n in (("A", 2), ("B", 3), ("C", 2), ("D", 3)):
         rs = rd.build_root_system(label, n)
+        coweights = rd.fundamental_coweights(rs)
         for root in rs.roots:
-            c = rd._simple_coefficients(rs, root)
+            c = [rd.root_eval(root, w) for w in coweights]
             assert all(x.denominator == 1 for x in c)
             assert all(x >= 0 for x in c) or all(x <= 0 for x in c)
 
@@ -85,7 +87,7 @@ def test_detect_h_equals_g_has_no_forbidden_roots():
     from fatbundles.exact import unit_vec
     emb = la.reductive_split(
         g, [unit_vec(g.dim, i) for i in range(g.dim)],
-        torus_basis=la.block_torus(g, 2))
+        torus_basis=la.torus_embedding(g, 2).torus_basis)
     sub = rd.detect_subsystem(g, emb, rd.root_system_for(g))
     assert sub.forbidden == ()
     assert set(sub.member_roots) == set(rd.root_system_for(g).roots)
@@ -127,7 +129,7 @@ def test_detect_does_not_depend_on_the_scale_of_the_h_basis():
     g, emb, sub = detect("so", (7,), "u", (3,))
     third = [[x / 3 for x in row] for row in emb.h_basis]
     scaled = la.reductive_split(g, third, torus_basis=emb.torus_basis)
-    assert scaled.ad_m_ints(scaled.torus_basis[0])[1] == 3
+    assert scaled.ad_m_entries(scaled.torus_basis[0])[1] == 3
     assert rd.detect_subsystem(g, scaled, sub.parent) == sub
 
 
@@ -279,6 +281,32 @@ def test_centralizing_vector_b2_matches_j():
     assert x[0] == x[1] != 0
 
 
+LEVI_SYSTEMS = ([("A", n) for n in range(1, 5)] + [("B", n) for n in range(1, 5)]
+                + [("C", n) for n in range(1, 5)] + [("D", n) for n in range(2, 5)])
+
+
+@pytest.mark.parametrize("label, n", LEVI_SYSTEMS, ids=[f"{t}{n}" for t, n in LEVI_SYSTEMS])
+def test_coweights_levi_systems_and_centralizing_vectors_match_fraction_solves(label, n):
+    rs = rd.build_root_system(label, n)
+    simple = rs.simple_roots
+    # alpha_j(w_i) = delta_ij, and trace zero for type A: one solve per w_i.
+    rows = [list(r) for r in simple] + ([[1] * rs.coord_dim] if label == "A" else [])
+    coweights = tuple(ref.solve(rows, [int(i == j) for j in range(len(rows))])
+                      for i in range(len(simple)))
+    assert rd.fundamental_coweights(rs) == coweights
+    # Each root's simple-root coefficients, solved in the simple roots' columns.
+    cols = [[s[c] for s in simple] for c in range(rs.coord_dim)]
+    coeffs = {r: ref.solve(cols, list(r)) for r in rs.roots}
+    assert None not in coeffs.values()
+    for size in range(min(3, n) + 1):
+        for subset in itertools.combinations(simple, size):
+            outside = [i for i, s in enumerate(simple) if s not in subset]
+            assert rd.span_subsystem(rs, subset) == tuple(sorted(
+                r for r in rs.roots if not any(coeffs[r][i] for i in outside)))
+            assert rd.find_centralizing_vector(rs, subset) == tuple(
+                sum((coweights[i][c] for i in outside), Q(0)) for c in range(rs.coord_dim))
+
+
 def test_centralizing_vector_empty_subset_is_regular():
     rs = rd.build_root_system("D", 3)
     x = rd.find_centralizing_vector(rs, [])
@@ -291,10 +319,11 @@ def test_centralizing_vector_zero_nonzero_split():
         subset = rs.simple_roots[:subset_size]
         x = rd.find_centralizing_vector(rs, subset)
         inside = set(rd.span_subsystem(rs, subset))
+        coweights = rd.fundamental_coweights(rs)
         for r in rs.roots:
             assert (rd.root_eval(r, x) == 0) == (r in inside)
             # Exact positivity on positive roots outside the sub-system.
-            coeffs = rd._simple_coefficients(rs, r)
+            coeffs = [rd.root_eval(r, w) for w in coweights]
             if all(c >= 0 for c in coeffs) and r not in inside:
                 assert rd.root_eval(r, x) > 0
 
@@ -352,6 +381,34 @@ def test_find_fat_shift_empty_vertices_rejected():
     sub = rd.subsystem_from_members(rs, [])
     with pytest.raises(ValueError):
         rd.find_fat_shift([], sub)
+
+
+@pytest.mark.parametrize("vertices, index, length", [
+    ([(0, 0), (1, 1)], 0, 2),
+    ([(0, 0, 0), (1, 1)], 1, 2),
+    ([(0, 0, 0, 0), (1, 1, 1, 1)], 0, 4),
+], ids=["short", "ragged", "long"])
+def test_shift_search_rejects_vertices_of_the_wrong_length(vertices, index, length):
+    # Each root was zipped against each vertex and cut to the shorter one:
+    # "no shift" for the short segment, a failed re-verification for the
+    # ragged pair, an IndexError for the long one.
+    sub = rd.subsystem_from_members(rd.build_root_system("B", 3), [])
+    message = f"^vertex {index} has {length} coordinates, but the roots of B_3 have 3$"
+    with pytest.raises(DimensionMismatch, match=message):
+        rd.find_fat_shift(vertices, sub)
+    with pytest.raises(DimensionMismatch, match=message):
+        rd.verify_shift(vertices, sub, (1, 1, 1))
+    with pytest.raises(DimensionMismatch,
+                       match="^shift has 2 coordinates, but the roots have 3$"):
+        rd.verify_shift([(0, 0, 0)], sub, (1, 1))
+
+
+def test_the_short_segment_lifted_to_b3_has_a_shift():
+    # The segment that was certified to have no shift, given 3 coordinates.
+    sub = rd.subsystem_from_members(rd.build_root_system("B", 3), [])
+    seg = [(0, 0, 0), (1, 1, 0)]
+    a = rd.find_fat_shift(seg, sub)
+    assert a is not None and rd.verify_shift(seg, sub, a)
 
 
 def test_shift_search_is_deterministic():
