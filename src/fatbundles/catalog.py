@@ -63,7 +63,8 @@ PARAMS = ("a list of positive integers with sum <= 32",
 # The catalog entry contract: each object's closed key set, and each key's
 # rule (the error text) and check; null means absent.  The ranges are the
 # size budget: dim so(32) = 496, the pinch sweep holds every frame at once
-# and R has (2n)^4 entries, and the shift search enumerates sign patterns.
+# and R has (2n)^4 entries, and the shift is one Fourier-Motzkin solve
+# over a constraint per forbidden root pair (64 at B_8).
 ENTRY = {
     "id": ("a plain file name", lambda v: type(v) is str and v not in ("", ".", "..")
            and not any(c in v for c in "/\\\0")),
@@ -328,8 +329,7 @@ def _run_dual(spec, inst, payload) -> bool:
         raise FatBundleError(f"{spec.id}: dual needs g, h and a full-rank torus")
     samples = (spec.dual or {}).get("samples", 200)
     pair, emb_nc, emb_c, subs = make_dual(inst.emb, inst.rs)
-    rep = du.compare_fat_sets(pair, emb_nc, emb_c, inst.rs, samples,
-                              spec.seed, tol=spec.tol, subsystems=subs)
+    rep = du.compare_fat_sets(pair, emb_nc, emb_c, subs, samples, spec.seed, tol=spec.tol)
     payload["dual"] = sz.agreement_to_json(rep)
     return rep.agreement_fraction == 1.0
 

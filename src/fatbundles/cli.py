@@ -144,8 +144,7 @@ def cmd_run(args) -> int:
     return 1 if n_fail else 0
 
 
-def _print_certification(payload: dict) -> None:
-    spec = InstanceSpec.from_json(payload["spec"])
+def _print_certification(payload: dict, spec: InstanceSpec) -> None:
     inst = resolve(spec)
     cert = payload.get("certificate")
     print(f"instance {spec.id}: {inst.g.name}, h = {inst.emb.name}")
@@ -237,10 +236,16 @@ def cmd_explain(args) -> int:
     if not os.path.exists(path):
         raise SystemExit2(f"no certificate for {args.id!r} in {args.out} "
                           f"(run the catalog first)")
-    with open(path) as fh:
-        payload = json.load(fh)
+    try:  # a certificate is a JSON object whose spec is a catalog entry
+        with open(path) as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("certificate must be a JSON object")
+        spec = InstanceSpec.from_json(payload.get("spec"))
+    except ValueError as exc:  # JSONDecodeError included
+        raise SystemExit2(f"{path}: {exc}")
     if "certificate" in payload or "batch" in payload:
-        _print_certification(payload)
+        _print_certification(payload, spec)
     if "coupling" in payload:
         _print_coupling(payload)
     if "pinch" in payload:

@@ -24,7 +24,6 @@ from .exact import (
     Mat,
     Vec,
     _clear_denominators,
-    dense_mat,
     dense_vec,
     inertia,
     mat,
@@ -45,30 +44,22 @@ from .exact import (
 class LieAlgebra:
     """A finite-dimensional real Lie algebra given by a matrix basis.
 
+    The basis is given as the nonzero entries {r * n + c: value} of each
+    n x n matrix, keys ascending as ``sparse_vec`` gives them, and values
+    ints or Fractions; ``matrix_algebra`` builds one from dense matrices.
     All values are immutable after construction; every method is a pure
     function of the stored data.  Coordinates are with respect to the
     stored basis throughout.
     """
 
-    def __init__(self, name: str, basis, *,
+    def __init__(self, name: str, n: int, flats: list[dict], *,
                  family: str | None = None, params: tuple | None = None):
         self.name = name
-        basis = list(basis)
-        if not basis:
-            raise ValueError("empty basis")
-        self.n = n = len(basis[0])
-        self.dim = len(basis)
+        self.n = n
+        self.dim = len(flats)
         self.family = family
         self.params = params
-        for i, b in enumerate(basis):
-            if not n or len(b) != n or any(len(row) != n for row in b):
-                raise ValueError(f"{name}: basis element {i} is not a "
-                                 f"nonempty {n} x {n} matrix")
-        try:  # the solver reads each entry once, as an int or a Fraction
-            self._flat_solver = CoordinateSolver(
-                [sparse_vec(x for row in b for x in row) for b in basis])
-        except OverflowError as exc:  # an infinite float
-            raise ValueError(f"{name}: basis entry not finite: {exc}") from None
+        self._flat_solver = CoordinateSolver(flats)
         self._structure = self._structure_exact()
         # c^k_{aj} indexed as _ad_of[a][j] = {k: value}, both argument orders.
         self._ad_of: list[dict[int, dict]] = [dict() for _ in range(self.dim)]
@@ -250,51 +241,60 @@ def matrix_algebra(name: str, basis) -> LieAlgebra:
     matrices are not all n x n, an entry is not a finite number, or the
     basis does not close exactly under the commutator.
     """
-    return LieAlgebra(name, basis)
+    basis = list(basis)
+    if not basis:
+        raise ValueError("empty basis")
+    n = len(basis[0])
+    for i, b in enumerate(basis):
+        if not n or len(b) != n or any(len(row) != n for row in b):
+            raise ValueError(f"{name}: basis element {i} is not a "
+                             f"nonempty {n} x {n} matrix")
+    try:  # each entry is read once, as an int or a Fraction
+        flats = [sparse_vec(x for row in b for x in row) for b in basis]
+    except OverflowError as exc:  # an infinite float
+        raise ValueError(f"{name}: basis entry not finite: {exc}") from None
+    return LieAlgebra(name, n, flats)
 
 
-def _antisym(n: int, r: int, c: int) -> list[list[int]]:
-    return dense_mat({(r, c): 1, (c, r): -1}, n)
+def _antisym(n: int, r: int, c: int) -> dict:
+    """E_rc - E_cr for r < c, as {r * n + c: 1, c * n + r: -1}."""
+    return {r * n + c: 1, c * n + r: -1}
 
 
-def _so_basis(n: int) -> list[list[list[int]]]:
+def _so_basis(n: int) -> list[dict]:
     return [_antisym(n, i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _so_pq_basis(p: int, q: int) -> list[list[list[int]]]:
+def _so_pq_basis(p: int, q: int) -> list[dict]:
     n = p + q
     out = [_antisym(n, i, j) for i in range(p) for j in range(i + 1, p)]
     out += [_antisym(n, p + a, p + b) for a in range(q) for b in range(a + 1, q)]
-    out += [dense_mat({(i, p + a): 1, (p + a, i): 1}, n) for i in range(p) for a in range(q)]
-    return out
+    return out + [{i * n + p + a: 1, (p + a) * n + i: 1} for i in range(p) for a in range(q)]
 
 
-def _u_in_so_basis(n: int) -> list[list[list[int]]]:
-    """u(n) realized in so(2n): skew-Hermitian z = a + ib mapped to 2x2
-    blocks [[a, -b], [b, a]]; these are exactly the elements of so(2n)
-    commuting with the block complex structure."""
+def _u_in_so_basis(n: int, width: int) -> list[dict]:
+    """u(n) realized in so(2n), in the top-left block of width x width
+    matrices: skew-Hermitian z = a + ib mapped to 2x2 blocks [[a, -b],
+    [b, a]]; these are exactly the elements of so(2n) commuting with the
+    block complex structure."""
+    def e(r, c):  # the flat index of entry (r, c)
+        return r * width + c
     out = []
     for j in range(n):
         for k in range(j + 1, n):
             a, b, c, d = 2 * j, 2 * j + 1, 2 * k, 2 * k + 1
-            out.append(dense_mat({(a, c): 1, (b, d): 1, (c, a): -1, (d, b): -1}, 2 * n))
-            out.append(dense_mat({(a, d): -1, (b, c): 1, (c, b): -1, (d, a): 1}, 2 * n))
-    return out + [dense_mat({(2 * j, 2 * j + 1): -1, (2 * j + 1, 2 * j): 1}, 2 * n)
-                  for j in range(n)]
+            out.append({e(a, c): 1, e(b, d): 1, e(c, a): -1, e(d, b): -1})
+            out.append({e(a, d): -1, e(b, c): 1, e(c, b): -1, e(d, a): 1})
+    return out + [{e(2 * j, 2 * j + 1): -1, e(2 * j + 1, 2 * j): 1} for j in range(n)]
 
 
-def _su_basis(n: int) -> list[list[list[int]]]:
+def _su_basis(n: int) -> list[dict]:
     """su(n) realified inside so(2n): the u(n) basis with the diagonal
     replaced by traceless differences."""
-    N = 2 * n
-    base = _u_in_so_basis(n)
-    off = base[: n * (n - 1)]
+    base = _u_in_so_basis(n, 2 * n)
     diag = base[n * (n - 1):]
-    out = list(off)
-    for j in range(n - 1):
-        m = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(diag[j], diag[j + 1])]
-        out.append(m)
-    return out
+    return base[:n * (n - 1)] + [
+        {**diag[j], **{k: -v for k, v in diag[j + 1].items()}} for j in range(n - 1)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -303,23 +303,23 @@ def _build_cached(family: str, params: tuple) -> LieAlgebra:
         n = params[0]
         if n < 2:
             raise ValueError("so(n) needs n >= 2")
-        return LieAlgebra(f"so({n})", _so_basis(n), family="so", params=params)
+        return LieAlgebra(f"so({n})", n, _so_basis(n), family="so", params=params)
     if family == "so" and len(params) == 2:
         p, q = params
         if p < 1 or q < 1:
             raise ValueError("so(p,q) needs p, q >= 1")
-        return LieAlgebra(f"so({p},{q})", _so_pq_basis(p, q),
+        return LieAlgebra(f"so({p},{q})", p + q, _so_pq_basis(p, q),
                           family="so", params=params)
     if family == "su":
         (n,) = params
         if n < 2:
             raise ValueError("su(n) needs n >= 2")
-        return LieAlgebra(f"su({n})", _su_basis(n), family="su", params=params)
+        return LieAlgebra(f"su({n})", 2 * n, _su_basis(n), family="su", params=params)
     if family == "u-in-so":
         (n,) = params
         if n < 1:
             raise ValueError("u(n) in so(2n) needs n >= 1")
-        return LieAlgebra(f"u({n})<so({2*n})", _u_in_so_basis(n),
+        return LieAlgebra(f"u({n})<so({2*n})", 2 * n, _u_in_so_basis(n, 2 * n),
                           family="u-in-so", params=params)
     raise ValueError(f"unsupported family {family!r} with params {params!r}")
 
@@ -577,9 +577,7 @@ def torus_embedding(g: LieAlgebra, r: int, *, name: str = "") -> SubalgebraEmbed
 
 def so_block_embedding(g: LieAlgebra, k: int, *, name: str = "") -> SubalgebraEmbedding:
     """so(k) in the top-left block of g (g built from so(n) or so(p,q))."""
-    n = g.n
-    h_rows = _coords_in(g, ({i * n + j: 1, j * n + i: -1} for i in range(k)
-                            for j in range(i + 1, k)),
+    h_rows = _coords_in(g, (_antisym(g.n, i, j) for i in range(k) for j in range(i + 1, k)),
                         f"so({k}) block does not embed in {g.name}")
     return reductive_split(g, h_rows, torus_basis=_block_torus(g, k // 2),
                            name=name or f"so({k})<{g.name}", _sparse=True)
@@ -588,9 +586,7 @@ def so_block_embedding(g: LieAlgebra, k: int, *, name: str = "") -> SubalgebraEm
 def u_block_embedding(g: LieAlgebra, n: int, *, name: str = "") -> SubalgebraEmbedding:
     """u(n), the commutant of the block complex structure inside the
     so(2n) top-left block of g."""
-    h_rows = _coords_in(g, ({r * g.n + c: x for r, row in enumerate(m)
-                             for c, x in enumerate(row) if x}
-                            for m in _u_in_so_basis(n)),
+    h_rows = _coords_in(g, _u_in_so_basis(n, g.n),
                         f"u({n}) block does not embed in {g.name}")
     return reductive_split(g, h_rows, torus_basis=_block_torus(g, n),
                            name=name or f"u({n})<{g.name}", _sparse=True)

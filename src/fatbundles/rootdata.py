@@ -3,18 +3,17 @@
 Classical root systems in the block-torus coordinates t_i, detection of
 the sub-root-system of an embedded subalgebra, the forbidden-wall test
 for fatness, centralizing-vector construction from fundamental coweights,
-and the moment-polytope shift search.  Everything here is exact rational
+and the moment-polytope shift.  Everything here is exact rational
 arithmetic; a wall test never returns a float.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, TorusMismatch
+from .errors import DimensionMismatch, NotCompact, TorusMismatch
 from .exact import (
     ZERO,
     Vec,
@@ -25,7 +24,7 @@ from .exact import (
     rank,
     vec,
 )
-from .liealg import LieAlgebra, SubalgebraEmbedding, maximal_torus
+from .liealg import LieAlgebra, SubalgebraEmbedding
 from .verdicts import FAT, NOT_FAT, Verdict
 
 Root = tuple[int, ...]
@@ -150,10 +149,11 @@ def detect_subsystem(g: LieAlgebra, emb: SubalgebraEmbedding,
     on m: the pair {alpha, -alpha} is forbidden exactly when
     ad_xi^2 + alpha(xi)^2 is singular on m for a generic torus element xi.
     """
-    torus = emb.torus_basis if emb.torus_basis is not None else maximal_torus(emb)
-    if len(torus) != rs.rank or rs.coord_dim != rs.rank:
+    if emb.torus_basis is None:
+        raise NotCompact(f"{emb.name}: embedding carries no torus")
+    if len(emb.torus_basis) != rs.rank or rs.coord_dim != rs.rank:
         raise TorusMismatch(
-            f"torus rank {len(torus)} does not match {rs.type_label}_{rs.rank}")
+            f"torus rank {len(emb.torus_basis)} does not match {rs.type_label}_{rs.rank}")
     pairs = _canonical_pairs(rs.roots)
     lam = _generic_torus_combination(pairs, rs.rank)
     xi = emb.torus_vector(lam)
@@ -245,7 +245,7 @@ def find_centralizing_vector(rs: RootSystem, subset) -> Vec:
     return x
 
 
-# -- moment-polytope shift search -------------------------------------------
+# -- moment-polytope shift --------------------------------------------------
 
 def _vertices(vertices, sub: SubSystem) -> list[Vec]:
     """The vertices as Fractions; DimensionMismatch names the first one
@@ -316,43 +316,21 @@ def _strict_feasible(constraints, nvars: int) -> Vec | None:
 
 def find_fat_shift(vertices, sub: SubSystem) -> Vec | None:
     """A shift a such that the translated vertex polytope misses every
-    forbidden wall, found by exact sign-pattern enumeration.
+    forbidden wall: a witness of the strict system alpha(a) > -min_v alpha(v)
+    over one representative alpha per {alpha, -alpha} pair, by one exact
+    Fourier-Motzkin solve, re-verified by verify_shift.
 
-    For each {alpha, -alpha} pair, a sign s is chosen and the strict system
-    s * alpha(v + a) > 0 over all vertices is reduced to exact rational
-    feasibility in a; patterns are enumerated in a fixed order and the
-    first witness, re-verified by verify_shift, is returned.  Returns None
-    when every pattern is infeasible.
+    The representatives are lexicographically positive, so they are
+    positive on a = (M^(r-1), ..., M, 1) for a large M, and a large
+    multiple of that a clears every bound: the system is feasible unless
+    a forbidden vector is zero, and only then is None returned.
     """
     if not vertices:
         raise ValueError("vertex list is empty")
     vertices = _vertices(vertices, sub)
-    nvars = sub.parent.coord_dim
-    pairs = _canonical_pairs(sub.forbidden)
-    if not pairs:
-        return vec([0] * nvars)
-    ranges = []
-    for root in pairs:
-        vals = [root_eval(root, v) for v in vertices]
-        ranges.append((min(vals), max(vals)))
-    for pattern in itertools.product((1, -1), repeat=len(pairs)):
-        constraints = []
-        feasible_pair = True
-        for s, root, (lo, hi) in zip(pattern, pairs, ranges):
-            if all(c == 0 for c in root):
-                feasible_pair = False
-                break
-            if s > 0:
-                # alpha(a) > -min alpha(v)
-                constraints.append((vec(root), -lo))
-            else:
-                constraints.append((vec(-c for c in root), hi))
-        if not feasible_pair:
-            continue
-        witness = _strict_feasible(constraints, nvars)
-        if witness is not None:
-            if not verify_shift(vertices, sub, witness):
-                raise AssertionError("feasible pattern failed verification")
-            return witness
-    return None
-
+    constraints = [(vec(root), -min(root_eval(root, v) for v in vertices))
+                   for root in _canonical_pairs(sub.forbidden)]
+    witness = _strict_feasible(constraints, sub.parent.coord_dim)
+    if witness is not None and not verify_shift(vertices, sub, witness):
+        raise AssertionError("feasible shift system failed verification")
+    return witness

@@ -11,10 +11,15 @@ rows from them by one dense contraction (``killing_rows``).  ``ad_m`` is no
 reference: it reads the kernel's integer ad_m entries as ``Fraction``s, for
 the tests that compare it with dense brackets; nor are ``coords_of_matrix``,
 which reads a matrix through the kernel's flat solver, or ``killing``, the
-Gram read off the kernel's covectors.  ``dot`` is the dense pairing."""
+Gram read off the kernel's covectors.  ``dot`` is the dense pairing.
+The so(n), so(p, q), u(n) and su(n) bases are written out as dense
+matrices from their definitions (``so_basis``, ``so_pq_basis``,
+``u_basis``, ``su_basis``), and ``shift_by_sign_patterns`` is the
+moment-polytope shift found by enumerating sign patterns."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -340,3 +345,94 @@ def killing_rows(structure: dict, dim: int) -> list[dict]:
     gram = np.einsum("akj,bjk->ab", ad, ad)
     return [{b: int(x) if ints else x for b, x in enumerate(row) if x}
             for row in gram]
+
+
+# -- the classical bases as dense matrices, from their definitions ----------
+
+def _matrix(n: int, entries: dict) -> list[list]:
+    """The n x n matrix with the given {(r, c): value} entries, else 0."""
+    return [[entries.get((r, c), 0) for c in range(n)] for r in range(n)]
+
+
+def antisym(n: int, r: int, c: int) -> list[list]:
+    """E_rc - E_cr."""
+    return _matrix(n, {(r, c): 1, (c, r): -1})
+
+
+def so_basis(n: int) -> list[list[list]]:
+    """so(n) = {X : X^T = -X}: the E_ij - E_ji for i < j, in (i, j) order."""
+    return [antisym(n, i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def so_pq_basis(p: int, q: int) -> list[list[list]]:
+    """so(p, q) = {X : X^T J + J X = 0}, J = diag(1_p, -1_q): the so(p) and
+    so(q) blocks, then E_ia + E_ai for i < p <= a, each in (i, a) order."""
+    n = p + q
+    return ([antisym(n, i, j) for i in range(p) for j in range(i + 1, p)]
+            + [antisym(n, a, b) for a in range(p, n) for b in range(a + 1, n)]
+            + [_matrix(n, {(i, a): 1, (a, i): 1}) for i in range(p) for a in range(p, n)])
+
+
+def _realified(n: int, z: dict) -> list[list]:
+    """The 2n x 2n real form of the complex n x n matrix with entries
+    {(j, k): z_jk}: z_jk = a + ib becomes the block [[a, -b], [b, a]]."""
+    entries = {}
+    for (j, k), w in z.items():
+        a, b = int(w.real), int(w.imag)
+        entries.update({(2 * j, 2 * k): a, (2 * j, 2 * k + 1): -b,
+                        (2 * j + 1, 2 * k): b, (2 * j + 1, 2 * k + 1): a})
+    return _matrix(2 * n, entries)
+
+
+def _skew_hermitian_off_diagonal(n: int) -> list[list[list]]:
+    """E_jk - E_kj, then i(E_jk + E_kj), for each j < k, realified."""
+    out = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            out.append(_realified(n, {(j, k): 1, (k, j): -1}))
+            out.append(_realified(n, {(j, k): 1j, (k, j): 1j}))
+    return out
+
+
+def u_basis(n: int) -> list[list[list]]:
+    """u(n) = {Z : Z^* = -Z} inside so(2n): the off-diagonal pairs, then
+    i E_jj, realified."""
+    return _skew_hermitian_off_diagonal(n) + [_realified(n, {(j, j): 1j}) for j in range(n)]
+
+
+def su_basis(n: int) -> list[list[list]]:
+    """su(n), the traceless u(n): the off-diagonal pairs, then
+    i (E_jj - E_j+1,j+1), realified."""
+    return _skew_hermitian_off_diagonal(n) + [
+        _realified(n, {(j, j): 1j, (j + 1, j + 1): -1j}) for j in range(n - 1)]
+
+
+# -- the moment-polytope shift by sign-pattern enumeration ------------------
+
+def shift_by_sign_patterns(vertices, forbidden, nvars: int, feasible):
+    """The first witness of a search over every sign pattern s of the
+    forbidden {alpha, -alpha} pairs (one representative each, the larger
+    of the two, in sorted order), in itertools.product((1, -1)) order: the
+    strict system s alpha(v + a) > 0 over all vertices v, that is
+    alpha(a) > -min alpha(v) for s = 1 and -alpha(a) > max alpha(v) for
+    s = -1, solved by ``feasible(constraints, nvars)``.  A zero pair makes
+    every pattern infeasible; None when no pattern is feasible.  The
+    enumeration is the reference; ``feasible`` is the kernel's
+    Fourier-Motzkin solve, shared with it."""
+    pairs = sorted({max(r, tuple(-c for c in r)) for r in forbidden})
+    if not pairs:
+        return (Fraction(0),) * nvars
+    ranges = []
+    for root in pairs:
+        vals = [sum((Fraction(a) * b for a, b in zip(root, v)), ZERO) for v in vertices]
+        ranges.append((min(vals), max(vals)))
+    for pattern in itertools.product((1, -1), repeat=len(pairs)):
+        if any(not any(root) for root in pairs):
+            continue
+        constraints = [(tuple(Fraction(c) for c in root), -lo) if s > 0 else
+                       (tuple(Fraction(-c) for c in root), hi)
+                       for s, root, (lo, hi) in zip(pattern, pairs, ranges)]
+        witness = feasible(constraints, nvars)
+        if witness is not None:
+            return witness
+    return None

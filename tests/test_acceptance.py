@@ -184,8 +184,8 @@ def test_criterion_7_duality_agreement_200_samples():
         h_rows = [unit_vec(g.dim, i) for i in range(n * (2 * n - 1))]
         torus = la.torus_embedding(g, n).torus_basis
         emb_nc, emb_c = du.pair_embeddings(pair, h_rows, torus)
-        rep = du.compare_fat_sets(pair, emb_nc, emb_c,
-                                  rd.root_system_for(g), samples=200,
+        subs = du.dual_subsystems(pair, emb_nc, emb_c, rd.root_system_for(g))
+        rep = du.compare_fat_sets(pair, emb_nc, emb_c, subs, samples=200,
                                   seed=105 + n)
         ok &= rep.total == 200 and rep.agreement_fraction == 1.0
     report(ok, "criterion 7: so(2n,1)/so(2n) vs so(2n+1)/so(2n), n in {2,3}, "

@@ -425,6 +425,22 @@ def test_explain_does_not_read_outside_out(tmp_path, capsys):
     assert "id must be a plain file name, got '../outside'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "Expecting property name enclosed in double quotes: "
+                  "line 1 column 2 (char 1)"),
+    ("[1, 2]", "certificate must be a JSON object"),
+    ('{"spec": {"id": "bad", "bogus": 1}, "passed": true}', "unknown key bogus = 1"),
+], ids=["not_json", "array", "unknown_spec_key"])
+def test_explain_of_a_file_that_is_no_certificate_exits_two(tmp_path, capsys, text,
+                                                           message):
+    # Checked before anything is printed, as a malformed catalog is.
+    (tmp_path / "bad.json").write_text(text)
+    assert run_cli(["explain", "bad", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / 'bad.json'}: {message}\n"
+
+
 @pytest.mark.parametrize("bad, error", [
     # A pinch sweep over no frames, which the parser cannot see: ValueError.
     pytest.param({"id": "bad", "run": ["pinch"], "pinch": {"n": 2, "frames": 0}},

@@ -133,8 +133,8 @@ def test_compare_fat_sets_agreement():
     h_rows = [unit_vec(g.dim, i) for i in range(6)]
     torus = la.torus_embedding(g, 2).torus_basis
     emb_nc, emb_c = du.pair_embeddings(pair, h_rows, torus)
-    rep = du.compare_fat_sets(pair, emb_nc, emb_c, rd.root_system_for(g),
-                              samples=60, seed=5)
+    subs = du.dual_subsystems(pair, emb_nc, emb_c, rd.root_system_for(g))
+    rep = du.compare_fat_sets(pair, emb_nc, emb_c, subs, samples=60, seed=5)
     assert rep.total == 60
     assert rep.agreed == 60
     assert rep.agreement_fraction == 1.0
@@ -177,11 +177,11 @@ def test_dual_instances_of_one_pair_build_it_once():
         == (1, 1)
     assert first[0] and again[0]
     assert again[1]["dual"] == first[1]["dual"]
-    # The uncached path, detecting both sub-root-systems itself.
+    # The uncached path, detecting both sub-root-systems afresh.
     g = la.build_algebra("so", (4, 1))
     pair = du.dualize(g, du.standard_involution(g))
     emb = la.so_block_embedding(g, 4)
     emb_nc, emb_c = du.pair_embeddings(pair, emb.h_basis, emb.torus_basis)
-    rep = du.compare_fat_sets(pair, emb_nc, emb_c, rd.root_system_for(g),
-                              30, spec.seed)
+    subs = du.dual_subsystems(pair, emb_nc, emb_c, rd.root_system_for(g))
+    rep = du.compare_fat_sets(pair, emb_nc, emb_c, subs, 30, spec.seed)
     assert first[1]["dual"] == sz.agreement_to_json(rep)

@@ -706,8 +706,8 @@ FAMILIES = ([("so", (n,)) for n in range(2, 13)]
             + [("so", (p, s - p)) for s in range(2, 13) for p in range(1, s)]
             + [("su", (n,)) for n in (2, 3, 4)]
             + [("u-in-so", (n,)) for n in (1, 2, 3, 4)])
-BASES = {"su": la._su_basis, "u-in-so": la._u_in_so_basis,
-         "so": lambda *p: (la._so_basis if len(p) == 1 else la._so_pq_basis)(*p)}
+BASES = {"su": ref.su_basis, "u-in-so": ref.u_basis,
+         "so": lambda *p: (ref.so_basis if len(p) == 1 else ref.so_pq_basis)(*p)}
 
 
 @pytest.mark.parametrize("family, params", FAMILIES,
@@ -734,7 +734,7 @@ def test_build_and_block_splits_match_the_all_pairs_reference(family, params):
                                              for i in range(p) for j in range(i + 1, p)])]
     if p >= 2:
         blocks.append((la.u_block_embedding(g, p // 2),
-                       [_flat(m, n) for m in la._u_in_so_basis(p // 2)]))
+                       [_flat(m, n) for m in ref.u_basis(p // 2)]))
     for emb, h_flats in blocks:
         h = [dict(sorted(solver.sparse_coords(f).items())) for f in h_flats]
         covectors = []
@@ -757,7 +757,7 @@ def test_build_and_block_splits_match_the_all_pairs_reference(family, params):
 def test_a_basis_that_does_not_close_names_the_reference_pair():
     # E_01 and E_12 of so(3) without E_02: their commutator leaves the span,
     # and the first pair found is the reference's first pair.
-    basis = [la._antisym(3, 0, 1), la._antisym(3, 1, 2),
+    basis = [ref.antisym(3, 0, 1), ref.antisym(3, 1, 2),
              [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]
     with pytest.raises(ValueError) as want:
         ref.structure_all_pairs([_flat(b, 3) for b in basis], 3)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fatbundles import liealg as la
 from fatbundles import rootdata as rd
-from fatbundles.errors import DimensionMismatch, TorusMismatch
+from fatbundles.errors import DimensionMismatch, NotCompact, TorusMismatch
 from fatbundles.exact import vec
 from fatbundles.verdicts import FAT, NOT_FAT
 
@@ -138,6 +138,17 @@ def test_detect_rank_mismatch_raises():
     emb = la.so_block_embedding(g, 3)  # rank-1 torus in a rank-2 algebra
     with pytest.raises(TorusMismatch):
         rd.detect_subsystem(g, emb, rd.root_system_for(g))
+
+
+@pytest.mark.parametrize("n", [11, 4])
+def test_detect_without_a_torus_raises_not_compact(n):
+    # No torus is searched for: the root test needs the block torus.
+    g = la.so(n)
+    emb = la.so_block_embedding(g, n - 1)
+    bare = la.reductive_split(g, emb.h_basis, name=emb.name)
+    message = rf"^so\({n - 1}\)<so\({n}\): embedding carries no torus$"
+    with pytest.raises(NotCompact, match=message):
+        rd.detect_subsystem(g, bare, rd.root_system_for(g))
 
 
 def test_detect_torus_outside_h_raises():
@@ -374,6 +385,48 @@ def test_find_fat_shift_infeasible_returns_none():
     rs = rd.build_root_system("B", 2)
     bad = rd.SubSystem(rs, rs.roots, ((0, 0),))
     assert rd.find_fat_shift([(0, 0), (1, 0)], bad) is None
+
+
+# Rationals p/q with small numerators and denominators, zero included.
+SHIFT_ENTRIES = st.builds(Q, st.integers(-20, 20), st.integers(1, 6))
+SHIFT_SYSTEMS = [(t, r) for t in "ABCD" for r in range(1, 6) if (t, r) != ("D", 1)]
+
+
+def assert_one_solve_matches_the_sign_patterns(vertices, sub):
+    """find_fat_shift against the sign-pattern search: the same witness,
+    and None exactly when a forbidden vector is zero."""
+    got = rd.find_fat_shift(vertices, sub)
+    want = ref.shift_by_sign_patterns([vec(v) for v in vertices], sub.forbidden,
+                                      sub.parent.coord_dim, rd._strict_feasible)
+    assert got == want
+    assert (got is None) == any(not any(r) for r in sub.forbidden)
+    assert got is None or rd.verify_shift(vertices, sub, got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_find_fat_shift_is_the_first_sign_pattern_witness(data):
+    label, r = data.draw(st.sampled_from(SHIFT_SYSTEMS))
+    rs = rd.build_root_system(label, r)
+    simple = data.draw(st.lists(st.sampled_from(rs.simple_roots), unique=True))
+    sub = rd.subsystem_from_members(rs, rd.span_subsystem(rs, simple))
+    n = rs.coord_dim
+    vertices = data.draw(st.lists(st.lists(SHIFT_ENTRIES, min_size=n, max_size=n),
+                                  min_size=1, max_size=5))
+    if data.draw(st.booleans()):
+        # A hand-built forbidden set: the zero vector and a few roots (the
+        # sign-pattern search visits 2^pairs patterns).
+        roots = data.draw(st.lists(st.sampled_from(rs.roots), max_size=3))
+        sub = rd.SubSystem(rs, sub.member_roots, ((0,) * n, *roots))
+    assert_one_solve_matches_the_sign_patterns(vertices, sub)
+
+
+def test_find_fat_shift_on_b8_is_the_first_sign_pattern_witness():
+    # 64 forbidden pairs: one Fourier-Motzkin solve at the rank cap.
+    sub = rd.subsystem_from_members(rd.build_root_system("B", 8), [])
+    vertices = [tuple(Q((3 * i + 5 * j) % 7 - 3, 1 + (i + j) % 4) for j in range(8))
+                for i in range(4)]
+    assert_one_solve_matches_the_sign_patterns(vertices, sub)
 
 
 def test_find_fat_shift_empty_vertices_rejected():
