@@ -28,8 +28,9 @@ from .exact import (
     mat,
     nullspace,
     rank,
+    sparse_columns,
+    sparse_combination,
     sparse_congruence,
-    sparse_dot,
     sparse_ints,
     sparse_vec,
     vec_mat,
@@ -73,7 +74,7 @@ class InvariantTwoForm:
 
     @functools.cached_property
     def gram_det(self) -> Fraction:  # computed once per form
-        return det(self.gram)
+        return det([sparse_vec(row) for row in self.gram])
 
 
 @dataclass(frozen=True)
@@ -118,11 +119,12 @@ def bundle_instance(g: LieAlgebra, emb: SubalgebraEmbedding, x_u) -> Homogeneous
     v_rows = g.centralizer_in(x_u, emb.h_basis)
     if v_rows:
         vs = [sparse_vec(r) for r in v_rows]
-        kv = [g.sparse_covector(v) for v in vs]
-        if rank([[sparse_dot(v, k) for k in kv] for v in vs]) != len(vs):
+        if rank(sparse_congruence(vs, g._killing_rows)) != len(vs):
             raise DegenerateRestriction("Killing form singular on v")
-        # h cap n: elements of h Killing-orthogonal to v.
-        fiber_coeffs = nullspace([[sparse_dot(k, h) for h in emb.h_sparse] for k in kv])
+        # h cap n: elements of h Killing-orthogonal to v, B(v, h_j) = (K v) . h_j.
+        h_cols = sparse_columns(emb.h_sparse)
+        fiber_coeffs = nullspace([sparse_combination(g.sparse_covector(v), h_cols)
+                                  for v in vs], emb.dim_h)
     else:
         fiber_coeffs = identity(emb.dim_h)
     fiber_rows = tuple(vec_mat(c, emb.h_basis) for c in fiber_coeffs)

@@ -100,8 +100,8 @@ def dualize(g: LieAlgebra, involution) -> DualPair:
         raise InvolutionInvalid("theta eigenvalues are not +-1")
     if k_idx != list(range(len(k_idx))):
         raise InvolutionInvalid("basis must list the compact part first")
-    gram_k = [[g._killing_rows[i].get(j, 0) for j in k_idx] for i in k_idx]
-    pos, neg, zero = inertia(gram_k) if k_idx else (0, 0, 0)
+    gram_k = [{j: x for j, x in g._killing_rows[i].items() if j < len(k_idx)} for i in k_idx]
+    pos, neg, zero = inertia(gram_k)
     if neg != len(k_idx):
         raise InvolutionInvalid("the +1 eigenspace of theta is not compact")
     if not p_idx:

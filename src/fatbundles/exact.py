@@ -14,10 +14,10 @@ every public ``Vec`` and ``Mat`` holds ``Fraction``s only.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import compress, count
 from math import gcd, lcm, prod
 
 from .errors import DimensionMismatch
@@ -80,12 +80,17 @@ def dense_vec(x: dict, n: int) -> Vec:
     return tuple(out)
 
 
+def entry_rows(entries: dict, n: int) -> list[dict]:
+    """The n sparse rows {j: value} of a sparse {(i, j): value} matrix."""
+    rows: list[dict] = [{} for _ in range(n)]
+    for (i, j), v in entries.items():
+        rows[i][j] = v
+    return rows
+
+
 def dense_mat(entries: dict, n: int) -> list[list]:
     """The n x n rows of a sparse {(i, j): value} matrix."""
-    out = [[0] * n for _ in range(n)]
-    for (i, j), v in entries.items():
-        out[i][j] = v
-    return out
+    return [[row.get(j, 0) for j in range(n)] for row in entry_rows(entries, n)]
 
 
 def sparse_dot(x: dict, y: dict) -> int | Fraction:
@@ -167,86 +172,94 @@ def _clear_denominators(row) -> tuple[list[int], int]:
     return [a.numerator * (denom // a.denominator) for a in row], denom
 
 
-def _reduce(rows, forward: bool = False
-            ) -> tuple[list[list[int]], list[int], Fraction]:
-    """Fraction-free Gauss-Jordan elimination: the one row reduction.
+def _reduce(rows, forward: bool = False) -> tuple[list[dict], list[int], Fraction]:
+    """Fraction-free Gauss-Jordan elimination on sparse {column: value}
+    rows: the one row reduction.
 
-    Returns (red, pivots, scale).  Row i of the reduced row echelon form
-    is red[i] / red[i][pivots[i]]; the rows past len(pivots) are zero.
-    ``forward`` stops at a row echelon form, eliminating below each pivot
-    only: enough for the pivots and the determinant.  For
-    a square matrix det(red) = scale * det(rows).  Each row is cleared of
-    denominators; a step touches only the rows with a nonzero in the pivot
-    column, each becoming p * row - f * pivot_row divided by its content,
-    so the entries stay as small as the row allows.
+    Returns (red, pivots, scale), pivots ascending: red[i] / red[i][pivots[i]]
+    are the nonzero rows of the reduced row echelon form, or with
+    ``forward`` of a row echelon form (each row cleared only at the pivots
+    before its own).  For a square matrix of full rank det(red) = scale *
+    det(rows).  Each row in turn is cleared of denominators and reduced
+    against the pivot rows held; a step p * row - f * pivot_row over its
+    content touches only the two rows' nonzeros, so a monomial or
+    block-diagonal matrix costs no pass over its zeros.
     """
-    cleared = [_clear_denominators(row) for row in rows]
-    m = [ints for ints, _ in cleared]
-    num, den = prod(d for _, d in cleared), 1
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            num = -num
-        row_r = m[r]
-        p = row_r[c]
-        for i in range(r + 1 if forward else 0, nr):
-            f = m[i][c]
-            if i == r or not f:
-                continue
-            g = gcd(p, f)
-            pi, fi = p // g, f // g
-            row = [pi * a - fi * b for a, b in zip(m[i], row_r)]
-            # A row that cancels to zero has content 0 and stays as it is.
-            g = gcd(*row) or 1
-            m[i] = [a // g for a in row] if g != 1 else row
-            num *= pi
-            den *= g
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return m, pivots, Fraction(num, den)
+    held: dict[int, dict] = {}  # pivot column: row
+    pivots: list[int] = []  # ascending
+    num = den = 1
+
+    def eliminate(row, piv, c):  # row <- (p row - f piv) / content, zero at c
+        nonlocal num, den
+        g = gcd(piv[c], row[c])
+        p, f = piv[c] // g, row[c] // g
+        if p != 1:
+            for j in row:
+                row[j] *= p
+        for j, x in piv.items():
+            if y := row.get(j, 0) - f * x:
+                row[j] = y
+            else:
+                del row[j]
+        g = gcd(*row.values()) or 1
+        if g != 1:
+            for j in row:
+                row[j] //= g
+        num, den = num * p, den * g
+
+    for row in rows:
+        d = lcm(*(x.denominator for x in row.values() if type(x) is not int))
+        row = {j: x * d if type(x) is int else x.numerator * (d // x.denominator)
+               for j, x in row.items() if x}
+        num *= d
+        if not forward:
+            for c in [c for c in row if c in held]:
+                eliminate(row, held[c], c)
+        while row and (c := min(row)) in held:
+            eliminate(row, held[c], c)
+        if row:
+            if not forward:
+                for other in held.values():
+                    if c in other:
+                        eliminate(other, row, c)
+            held[c] = row
+            # Put in pivot order, the row passes the pivot rows after it.
+            i = bisect(pivots, c)
+            num *= (-1) ** (len(pivots) - i)
+            pivots.insert(i, c)
+    return [held[c] for c in pivots], pivots, Fraction(num, den)
 
 
-def monomial_columns(a) -> set[int] | None:
-    """The columns hit by the nonzero entries of a matrix, as a {(i, j): v}
-    of them or as dense rows, when no row or column holds two (ad_x on m
-    and the fatness Gram for x in a torus): their number is the rank, and
-    the other columns' unit vectors span the kernel.  Else None."""
-    ij = a if isinstance(a, dict) else {
-        (i, j) for i, row in enumerate(a) for j in compress(count(), row)}
-    cols = {j for _, j in ij}
-    return cols if len(cols) == len(ij) == len({i for i, _ in ij}) else None
+def monomial_columns(entries: dict) -> set[int] | None:
+    """The columns hit by a sparse {(i, j): value} matrix when no row or
+    column holds two entries (ad_x on m and the fatness Gram for x in a
+    torus): their number is the rank, and the other columns' unit vectors
+    span the kernel.  Else None."""
+    cols = {j for _, j in entries}
+    return cols if len(cols) == len(entries) == len({i for i, _ in entries}) else None
 
 
 def rank(rows) -> int:
-    """Rank of a rational matrix: its number of pivots."""
-    hit = monomial_columns(rows)
-    return len(_reduce(rows, forward=True)[1]) if hit is None else len(hit)
+    """Rank of a rational matrix given as sparse {column: value} rows."""
+    return len(_reduce(rows, forward=True)[1])
 
 
-def nullspace(rows) -> list[Vec]:
-    """Basis of {x : A x = 0}, in primitive integer form."""
-    nc = len(rows[0]) if rows else 0
-    if (hit := monomial_columns(rows)) is not None:
-        return [unit_vec(nc, f) for f in range(nc) if f not in hit]
+def nullspace(rows, ncols: int) -> list[Vec]:
+    """Basis of {x : A x = 0} for A the sparse {column: value} rows over
+    ncols columns: one primitive integer vector per free column."""
     red, pivots, _ = _reduce(rows)
-    basis = []
-    for f in sorted(set(range(nc)).difference(pivots)):
-        x = [ZERO] * nc
-        x[f] = ONE
-        for row, p in zip(red, pivots):
-            if row[f]:
-                x[p] = Fraction(-row[f], row[p])
-        basis.append(primitive(x))
-    return basis
+    # x_f = e_f - sum_p (row_p[f] / row_p[p]) e_p, then scaled as ``primitive``.
+    basis = {f: {f: 1} for f in sorted(set(range(ncols)).difference(pivots))}
+    for row, p in zip(red, pivots):
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = Fraction(-x, row[p])
+    out = []
+    for x in basis.values():
+        (ints,), _ = sparse_ints([x])
+        g = gcd(*ints.values()) * (1 if ints[min(ints)] > 0 else -1)
+        out.append(dense_vec({j: v // g for j, v in ints.items()}, ncols))
+    return out
 
 
 def inverse(a) -> Mat:
@@ -260,53 +273,49 @@ def inverse(a) -> Mat:
     return tuple(solver.coords({i: 1}) for i in range(len(a)))
 
 
-def det(a) -> Fraction:
-    """Determinant of a square rational matrix: the product of the reduced
-    pivots over the scale the reduction applied, or zero below full rank."""
-    if any(len(row) != len(a) for row in a):
+def det(rows) -> Fraction:
+    """Determinant of a square rational matrix given as sparse {column:
+    value} rows: the product of the reduced pivots over the scale the
+    reduction applied, or zero below full rank."""
+    if any(c >= len(rows) for row in rows for c in row):
         raise ValueError("det needs a square matrix")
-    red, pivots, scale = _reduce(a, forward=True)
-    if len(pivots) < len(a):
+    red, pivots, scale = _reduce(rows, forward=True)
+    if len(pivots) < len(rows):
         return ZERO
     return prod(row[p] for row, p in zip(red, pivots)) / scale
 
 
-def inertia(a) -> tuple[int, int, int]:
-    """Signature (n_pos, n_neg, n_zero) of an exact symmetric matrix, by
-    fraction-free symmetric elimination: each pivot d on the diagonal is
-    counted and removed, and the rest becomes |d| A - sign(d) a a^T over
-    its content, a positive multiple of the Schur complement."""
-    n = len(a)
-    flat, _ = _clear_denominators([x for row in a for x in row])
-    m = [flat[i * n:(i + 1) * n] for i in range(n)]
+def inertia(rows) -> tuple[int, int, int]:
+    """Signature (n_pos, n_neg, n_zero) of an exact symmetric matrix given
+    as sparse {column: value} rows, by symmetric elimination: each pivot d
+    on the diagonal is counted and removed, and the entries a_ij between
+    the indices its row a meets become a_ij - a_i a_j / d, the Schur
+    complement; no other entry changes."""
+    # Symmetric updates keep row i's keys and column i's alike; a zero an
+    # update leaves stays as an entry and is never taken as a pivot.
+    m = {i: {j: x for j, x in row.items() if x} for i, row in enumerate(rows)}
     pos = neg = 0
     while m:
-        # The last pivot found is the cheapest to pop.
-        k = next((i for i in reversed(range(len(m))) if m[i][i]), None)
+        k = next((i for i, row in m.items() if row.get(i)), None)
         if k is None:
-            off = next(((i, j) for i, row in enumerate(m)
-                        for j in range(i + 1, len(m)) if row[j]), None)
-            if off is None:
+            i, j = next(((i, j) for i, row in m.items() for j, x in row.items() if x), (0, 0))
+            if i == j:
                 break
-            i, j = off
             # e_i <- e_i + e_j turns the zero diagonal entry into 2 m_ij.
-            m[i] = [x + y for x, y in zip(m[i], m[j])]
-            for row in m:
-                row[i] += row[j]
+            m[i] = {c: m[i].get(c, 0) + m[j].get(c, 0) for c in m[i].keys() | m[j].keys()}
+            m[i][i] = 2 * m[j][i]
+            for c, x in m[i].items():
+                m[c][i] = x
             k = i
         piv = m.pop(k)
         d = piv.pop(k)
-        col = [row.pop(k) for row in m]
         pos += d > 0
         neg += d < 0
-        if any(col):  # else the rest is the Schur complement as it is
-            s = 1 if d > 0 else -1
-            m = [[abs(d) * x - s * f * p for x, p in zip(row, piv)]
-                 for row, f in zip(m, col)]
-            g = gcd(*(x for row in m for x in row))
-            if g > 1:
-                m = [[x // g for x in row] for row in m]
-    return pos, neg, n - pos - neg
+        for i, a in piv.items():
+            del m[i][k]
+            for j, b in piv.items():
+                m[i][j] = m[i].get(j, 0) - Fraction(a * b, d)
+    return pos, neg, len(rows) - pos - neg
 
 
 class CoordinateSolver:
@@ -332,14 +341,13 @@ class CoordinateSolver:
             return
         n = 1 + max((max(r) for r in rows if r), default=-1)
         # [rows | I] reduces to [E rows | E], E the inverse of the pivot block.
-        red, pivots, _ = _reduce([[r.get(j, 0) for j in range(n)] + [
-            int(i == j) for j in range(len(rows))] for i, r in enumerate(rows)])
+        red, pivots, _ = _reduce({**r, n + i: 1} for i, r in enumerate(rows))
         if any(p >= n for p in pivots):
             raise ValueError("spanning set is linearly dependent")
         # Nonzero (j, x) of each row of E, keyed by pivot.
         self._inv_rows: dict[int, list[tuple[int, int | Fraction]]] = {
-            p: [(j, rational(Fraction(x, row[p])))
-                for j, x in enumerate(row[n:]) if x]
+            p: sorted((j - n, rational(Fraction(x, row[p])))
+                      for j, x in row.items() if j >= n)
             for row, p in zip(red, pivots)}
 
     def sparse_coords(self, v: dict) -> dict | None:

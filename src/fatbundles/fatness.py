@@ -26,6 +26,7 @@ from .exact import (
     Mat,
     Vec,
     dense_mat,
+    entry_rows,
     identity,
     monomial_columns,
     nullspace,
@@ -86,9 +87,9 @@ def fat_by_oracle(emb: SubalgebraEmbedding, x_u, tol: float = 1e-9) -> Verdict:
     if hit is not None:  # the |entries| and a zero per column missed; none if m = 0
         sv = [0] * (k - len(hit)) + sorted(map(abs, entries.values())) or [inf]
     else:
-        gram = dense_mat(entries, k)
+        rows = entry_rows(entries, k)
         top = 1 << max(map(abs, entries.values())).bit_length()
-        s = np.linalg.svd(np.array([[v / top for v in row] for row in gram]),
+        s = np.linalg.svd(np.array([[row.get(j, 0) / top for j in range(k)] for row in rows]),
                           compute_uv=False)
         sv, den = [Fraction(s[-1]), Fraction(s[0])], Fraction(den, top)
     try:  # int / int and float(Fraction) are correctly rounded
@@ -97,10 +98,10 @@ def fat_by_oracle(emb: SubalgebraEmbedding, x_u, tol: float = 1e-9) -> Verdict:
         smin = smax = None
     margins = {"min_singular_value": smin, "max_singular_value": smax,
                "well_conditioned": bool(sv[-1]) and sv[0] / sv[-1] > tol}
-    if (len(hit) if hit is not None else rank(gram)) == k:
+    if (len(hit) if hit is not None else rank(rows)) == k:
         return Verdict(FAT, **margins,
                        note="" if k else "trivial horizontal space")
-    null = nullspace(gram)[0] if hit is None else unit_vec(k, min(set(range(k)) - hit))
+    null = nullspace(rows, k)[0] if hit is None else unit_vec(k, min(set(range(k)) - hit))
     return Verdict(NOT_FAT, null_vector=null, **margins,
                    note="odd dimension" if k % 2 else "")
 
@@ -122,7 +123,7 @@ def fat_by_centralizer(emb: SubalgebraEmbedding, x_u) -> Verdict:
         if len(hit) == emb.dim_m:
             return Verdict(FAT)
         return Verdict(NOT_FAT, witness_vector=emb.m_basis[min(set(range(emb.dim_m)) - hit)])
-    kernel = nullspace(dense_mat(entries, emb.dim_m))
+    kernel = nullspace(entry_rows(entries, emb.dim_m), emb.dim_m)
     if not kernel:
         return Verdict(FAT)
     return Verdict(NOT_FAT, witness_vector=vec_mat(kernel[0], emb.m_basis))

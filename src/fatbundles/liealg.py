@@ -173,9 +173,8 @@ class LieAlgebra:
         kernel of ad_x on the rows, whose column j is [x, rows_j]."""
         cols = dict(self.sparse_brackets([sparse_vec(self.check_vector(x))],
                                          [sparse_vec(r) for r in rows]))
-        ad = [[cols.get((0, j), {}).get(i, 0) for j in range(len(rows))]
-              for i in range(self.dim)]
-        return tuple(vec_mat(c, rows) for c in nullspace(ad))
+        ad = sparse_columns([cols.get((0, j), {}) for j in range(len(rows))])
+        return tuple(vec_mat(c, rows) for c in nullspace(list(ad.values()), len(rows)))
 
     def sparse_covector(self, x: dict) -> dict:
         """K x for a sparse {index: value} x, nonzero entries only; K is
@@ -228,8 +227,7 @@ class LieAlgebra:
 
 def killing_signature(g: LieAlgebra) -> tuple[int, int, int]:
     """(n_neg, n_pos, n_zero) of the Killing form."""
-    pos, neg, zero = inertia([[row.get(j, 0) for j in range(g.dim)]
-                              for row in g._killing_rows])
+    pos, neg, zero = inertia(g._killing_rows)
     return neg, pos, zero
 
 
@@ -492,15 +490,13 @@ def reductive_split(g: LieAlgebra, h_basis, *, torus_basis=None, name: str = "",
     h_sparse, torus = (rows if _sparse else [sparse_vec(g.check_vector(r)) for r in rows]
                        for rows in (h_basis, torus_basis or ()))
     bh_sparse = [g.sparse_covector(hi) for hi in h_sparse]
-    _, neg, zero = inertia([[row.get(j, 0) for j in range(len(h_sparse))]
-                            for row in sparse_congruence(h_sparse, g._killing_rows)])
+    _, neg, zero = inertia(sparse_congruence(h_sparse, g._killing_rows))
     if zero:
         raise DegenerateRestriction(
             f"Killing form of {g.name} is singular on the subalgebra")
     # m: the common kernel of the covectors B(h_i, .), all of g when h = 0.
-    m_rows = ([sparse_vec(r) for r in nullspace(
-        [[k.get(j, 0) for j in range(g.dim)] for k in bh_sparse])]
-        if h_sparse else [{i: 1} for i in range(g.dim)])
+    m_rows = ([sparse_vec(r) for r in nullspace(bh_sparse, g.dim)]
+              if h_sparse else [{i: 1} for i in range(g.dim)])
     compact = neg == len(h_sparse)
     emb = SubalgebraEmbedding(g, h_sparse, m_rows, torus or None, compact, name=name)
     if check:

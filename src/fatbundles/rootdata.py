@@ -18,10 +18,12 @@ from .exact import (
     ZERO,
     Vec,
     _clear_denominators,
-    dense_mat,
+    entry_rows,
     frac,
     inverse,
     rank,
+    rational,
+    sparse_combination,
     vec,
 )
 from .liealg import LieAlgebra, SubalgebraEmbedding
@@ -163,16 +165,14 @@ def detect_subsystem(g: LieAlgebra, emb: SubalgebraEmbedding,
     if emb.h_coords(xi) is None:
         raise TorusMismatch("torus is not contained in h")
     d_entries, den = emb.ad_m_entries(xi)
-    d = dense_mat(d_entries, k)
-    d_sq = [[sum(a * b for a, b in zip(row, col)) for col in zip(*d)] for row in d]
+    d = entry_rows(d_entries, k)
+    d_sq = [sparse_combination(row, d) for row in d]
     forbidden_pairs = []
     accounted = 0
     for rep in pairs:
-        # val = p/q: q^2 D^2 + (p den)^2 I is (q den)^2 ((D/den)^2 + val^2 I).
-        val = root_eval(rep, lam)
-        p2, q2 = (val.numerator * den) ** 2, val.denominator ** 2
-        shifted = [[q2 * x + (p2 if i == j else 0) for j, x in enumerate(row)]
-                   for i, row in enumerate(d_sq)]
+        # D^2 + (val den)^2 I is den^2 ((D/den)^2 + val^2 I).
+        v2 = rational((root_eval(rep, lam) * den) ** 2)
+        shifted = [{**row, i: row.get(i, 0) + v2} for i, row in enumerate(d_sq)]
         defect = k - rank(shifted)
         if defect:
             forbidden_pairs.append(rep)

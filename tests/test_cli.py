@@ -891,6 +891,28 @@ def test_runs_missing_their_inputs_name_the_cause(entry, error):
     assert not passed and payload["error"] == error
 
 
+def test_a_shift_that_exists_but_is_not_expected_fails(tmp_path, capsys):
+    # Every forbidden root keeps one strict sign on the shifted vertices, as
+    # the certificate's evaluations show; expect_shift false fails the entry.
+    entry = {"id": "s", "run": ["shift"], "shift": {**SHIFT, "expect_shift": False}}
+    out = tmp_path / "certs"
+    assert run_cli(["run", _write_catalog(tmp_path, [entry]), "--out", str(out)]) == 1
+    assert "0/1 instances passed" in capsys.readouterr().out
+    cert = json.loads((out / "s.json").read_text())
+    assert cert["passed"] is False and "error" not in cert
+    search = cert["shift_search"]
+    assert search["verified"] is True
+    shift = parse_vec(search["shift"])
+    vertices = [parse_vec(v) for v in SHIFT["vertices"]]
+    assert sorted(search["evaluations"]) == sorted(
+        ",".join(map(str, r)) for r in search["forbidden"])
+    for key, values in search["evaluations"].items():
+        root = [int(c) for c in key.split(",")]
+        expected = [sum(a * (x + s) for a, x, s in zip(root, v, shift)) for v in vertices]
+        assert parse_vec(values) == tuple(expected)
+        assert all(x > 0 for x in expected) or all(x < 0 for x in expected)
+
+
 B3_NO_SHIFT = {"type": "B", "rank": 3, "member_roots": [], "expect_shift": False}
 
 

@@ -18,7 +18,7 @@ def test_dualize_so41_gives_compact_so5():
     pair = du.dualize(g, du.standard_involution(g))
     dual = pair.compact_dual
     assert dual.dim == 10 and pair.k_dim == 6
-    pos, neg, zero = inertia(ref.killing(dual))
+    pos, neg, zero = inertia([sparse_vec(r) for r in ref.killing(dual)])
     assert (pos, neg, zero) == (0, 10, 0)
     assert la.killing_signature(dual)[2] == 0
     assert la.jacobi_residual(dual) == 0

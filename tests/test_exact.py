@@ -12,13 +12,18 @@ from hypothesis import strategies as st
 from fatbundles import exact as ex
 
 
+def sp(a):
+    """The sparse {column: value} rows the kernel takes, of dense rows."""
+    return [ex.sparse_vec(row) for row in a]
+
+
 def test_reduce_identity_pivots():
     rows = [[1, 2, 3], [0, 1, 4], [5, 6, 0]]
-    red, pivots, _ = ex._reduce(rows)
+    red, pivots, _ = ex._reduce(sp(rows))
     assert pivots == [0, 1, 2]
-    assert [[Q(x, row[p]) for x in row] for row, p in zip(red, pivots)] == [
+    assert [[Q(row.get(j, 0), row[p]) for j in range(3)] for row, p in zip(red, pivots)] == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert ex.det(rows) == 1
+    assert ex.det(sp(rows)) == 1
 
 
 def _signed(k, zero):
@@ -96,8 +101,9 @@ def _sparse_rule(xs) -> bool:
 @settings(max_examples=200, deadline=None)
 @given(a=matrices(), data=st.data())
 def test_kernel_matches_fraction_reference(a, data):
-    assert ex.rank(a) == ref.rank(a)
-    ns = ex.nullspace(a)
+    nc = len(a[0]) if a else 0
+    assert ex.rank(sp(a)) == ref.rank(a)
+    ns = ex.nullspace(sp(a), nc)
     assert ns == ref.nullspace(a)
     assert all(_all_fractions(v) for v in ns)
     if a and ref.rank(a) < len(a):
@@ -105,7 +111,6 @@ def test_kernel_matches_fraction_reference(a, data):
             ex.CoordinateSolver([ex.sparse_vec(row) for row in a])
         return
     solver = ex.CoordinateSolver([ex.sparse_vec(row) for row in a])
-    nc = len(a[0]) if a else 0
     c = data.draw(entries(len(a)))
     inside = [sum((ci * row[j] for ci, row in zip(c, a)), Q(0))
               for j in range(nc)]
@@ -127,7 +132,7 @@ def test_kernel_matches_fraction_reference(a, data):
 @example(a=[BOUNDARY[:3], BOUNDARY[3:], BOUNDARY[1::2]])
 @example(a=[[BIG, TINY], [-TINY, BOUNDARY[-1]]])
 def test_det_and_inverse_match_fraction_reference(a):
-    d = ex.det(a)
+    d = ex.det(sp(a))
     assert type(d) is Q and d == ref.det(a)
     expected = ref.inverse(a)
     if expected is None:
@@ -166,6 +171,37 @@ def monomial_matrices(draw, near=False):
     return a
 
 
+@st.composite
+def block_diagonal_matrices(draw):
+    """Block-diagonal matrices of up to three 2 x 2 or 4 x 4 blocks, the
+    shapes ad_xi on m and its square take for a torus xi: ENTRY entries,
+    so some blocks are singular, and the rows possibly permuted, which the
+    determinant's sign must follow."""
+    b = draw(st.sampled_from([2, 4]))
+    n = b * draw(st.integers(0, 3))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        start = i - i % b
+        a[i][start:start + b] = draw(entries(b))
+    return draw(st.permutations(a)) if draw(st.booleans()) else a
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.one_of(block_diagonal_matrices(), monomial_matrices()))
+@example(a=[[0, 0, 5, 0], [0, 0, 0, 0], [BIG, 0, 0, 0], [0, -TINY, 0, 0]])
+def test_sparse_kernel_on_structured_matrices(a):
+    # Monomial and block-diagonal rows, zero rows given as {} or not at all.
+    nc = len(a[0]) if a else 0
+    for rows in (sp(a), sp(a) + [{}]):
+        assert ex.rank(rows) == ref.rank(a)
+        assert ex.nullspace(rows, nc) == ref.nullspace(a)
+    if len(a) == nc:
+        d = ex.det(sp(a))
+        assert type(d) is Q and d == ref.det(a)
+        sym = [[x + y for x, y in zip(row, col)] for row, col in zip(a, zip(*a))]
+        assert ex.inertia(sp(sym)) == ref.inertia(sym)
+
+
 @settings(max_examples=300, deadline=None)
 @given(a=st.one_of(monomial_matrices(), monomial_matrices(near=True)))
 @example(a=[[0, BIG, 0], [-TINY, 0, 0], [0, 0, BOUNDARY[-1]]])
@@ -175,14 +211,15 @@ def test_monomial_rank_and_kernel_match_fraction_reference(a):
     cols = [j for row in nonzero for j in row]
     monomial = all(len(row) <= 1 for row in nonzero) and \
         len(cols) == len(set(cols))
-    hit = ex.monomial_columns(a)
+    hit = ex.monomial_columns({(i, j): x for i, row in enumerate(a)
+                               for j, x in enumerate(row) if x})
     assert hit == (set(cols) if monomial else None)
-    assert ex.rank(a) == ref.rank(a)
-    ns = ex.nullspace(a)
+    assert ex.rank(sp(a)) == ref.rank(a)
+    ns = ex.nullspace(sp(a), len(a[0]) if a else 0)
     assert ns == ref.nullspace(a)
     assert all(_all_fractions(v) for v in ns)
     if all(len(row) == len(a) for row in a):
-        d = ex.det(a)
+        d = ex.det(sp(a))
         assert type(d) is Q and d == ref.det(a)
 
 
@@ -190,24 +227,27 @@ def test_rank_matches_numpy_on_random_integer_matrices():
     rng = np.random.default_rng(0)
     for _ in range(25):
         m = rng.integers(-4, 5, size=(5, 7))
-        assert ex.rank(m.tolist()) == np.linalg.matrix_rank(m)
+        assert ex.rank(sp(m.tolist())) == np.linalg.matrix_rank(m)
         # Rational rows: scaling rows by nonzero rationals keeps the rank.
         scaled = [[Q(int(x), i + 2) for x in row] for i, row in enumerate(m)]
-        assert ex.rank(scaled) == np.linalg.matrix_rank(m)
+        assert ex.rank(sp(scaled)) == np.linalg.matrix_rank(m)
 
 
 def test_rank_of_empty_and_zero_matrices():
     assert ex.rank([]) == 0
-    assert ex.rank([[0, 0], [0, 0]]) == 0
-    assert ex.rank([[0, 0], [Q(1, 3), 0]]) == 1
+    assert ex.rank(sp([[0, 0], [0, 0]])) == 0
+    assert ex.rank(sp([[0, 0], [Q(1, 3), 0]])) == 1
+    # Empty rows, and explicit zero entries, are zero rows.
+    assert ex.rank([{}, {}]) == 0
+    assert ex.rank([{0: 0, 1: Q(0)}, {1: Q(1, 3)}]) == 1
 
 
 def test_nullspace_is_exact_kernel():
     rng = np.random.default_rng(1)
     for _ in range(20):
         m = rng.integers(-3, 4, size=(4, 6)).tolist()
-        ns = ex.nullspace(m)
-        assert len(ns) == 6 - ex.rank(m)
+        ns = ex.nullspace(sp(m), 6)
+        assert len(ns) == 6 - ex.rank(sp(m))
         for v in ns:
             assert all(ref.dot(row, v) == 0 for row in m)
 
@@ -234,36 +274,42 @@ def test_det_matches_numpy():
     rng = np.random.default_rng(2)
     for _ in range(20):
         m = rng.integers(-5, 6, size=(4, 4))
-        assert float(ex.det(m.tolist())) == pytest.approx(np.linalg.det(m))
+        assert float(ex.det(sp(m.tolist()))) == pytest.approx(np.linalg.det(m))
 
 
 def test_det_row_swaps_rationals_and_singular():
     # The first pivot needs a row swap, which flips the sign.
-    assert ex.det([[0, 1], [1, 0]]) == -1
-    assert ex.det([[0, 2, 1], [3, 0, 0], [0, 0, 5]]) == -30
-    assert ex.det([[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1, 5)]]) == Q(1, 60)
+    assert ex.det(sp([[0, 1], [1, 0]])) == -1
+    assert ex.det(sp([[0, 2, 1], [3, 0, 0], [0, 0, 5]])) == -30
+    assert ex.det(sp([[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1, 5)]])) == Q(1, 60)
+    # Rows met out of pivot order: an even and an odd permutation of columns.
+    assert ex.det(sp([[0, 0, 1, 0], [0, 0, 0, 2], [3, 0, 0, 0], [0, 4, 0, 0]])) == 24
+    assert ex.det(sp([[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]])) == -24
     # Singular: dependent rows and a zero row.
-    assert ex.det([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 0
-    assert ex.det([[1, 2], [0, 0]]) == 0
+    assert ex.det(sp([[1, 2, 3], [2, 4, 6], [0, 1, 1]])) == 0
+    assert ex.det(sp([[1, 2], [0, 0]])) == 0
     assert ex.det([]) == 1
 
 
 def test_det_rejects_non_square_input():
     with pytest.raises(ValueError):
-        ex.det([[1, 2, 3], [4, 5, 6]])
+        ex.det(sp([[1, 2, 3], [4, 5, 6]]))
     with pytest.raises(ValueError):
-        ex.det([[1, 2], [3, 4], [5, 6]])
+        ex.det([{0: 1}, {1: 1}, {3: 1}])
+    # Sparse rows carry no width: three rows over columns 0 and 1 are a
+    # 3 x 3 matrix with a zero last column.
+    assert ex.det(sp([[1, 2], [3, 4], [5, 6]])) == 0
 
 
 def test_inertia_on_known_forms():
-    assert ex.inertia([[2, 0], [0, -3]]) == (1, 1, 0)
-    assert ex.inertia([[0, 1], [1, 0]]) == (1, 1, 0)
-    assert ex.inertia([[0, 0], [0, 0]]) == (0, 0, 2)
-    assert ex.inertia([[-1, 0, 0], [0, -2, 0], [0, 0, 0]]) == (0, 2, 1)
+    assert ex.inertia(sp([[2, 0], [0, -3]])) == (1, 1, 0)
+    assert ex.inertia(sp([[0, 1], [1, 0]])) == (1, 1, 0)
+    assert ex.inertia(sp([[0, 0], [0, 0]])) == (0, 0, 2)
+    assert ex.inertia(sp([[-1, 0, 0], [0, -2, 0], [0, 0, 0]])) == (0, 2, 1)
     # Every diagonal entry zero: only the e_i + e_j step finds a pivot.
-    assert ex.inertia([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == (1, 2, 0)
-    assert ex.inertia([[0, 2, 0], [2, 0, 0], [0, 0, 0]]) == (1, 1, 1)
-    assert ex.inertia([[Q(1, 2), Q(1, 3)], [Q(1, 3), Q(2, 9)]]) == (1, 0, 1)
+    assert ex.inertia(sp([[0, 1, 1], [1, 0, 1], [1, 1, 0]])) == (1, 2, 0)
+    assert ex.inertia(sp([[0, 2, 0], [2, 0, 0], [0, 0, 0]])) == (1, 1, 1)
+    assert ex.inertia(sp([[Q(1, 2), Q(1, 3)], [Q(1, 3), Q(2, 9)]])) == (1, 0, 1)
     assert ex.inertia([]) == (0, 0, 0)
 
 
@@ -272,7 +318,7 @@ def test_inertia_matches_numpy_eigenvalues():
     for _ in range(20):
         a = rng.integers(-3, 4, size=(5, 5))
         sym = (a + a.T).tolist()
-        pos, neg, zero = ex.inertia(sym)
+        pos, neg, zero = ex.inertia(sp(sym))
         ev = np.linalg.eigvalsh(np.array(sym, dtype=float))
         assert pos == int((ev > 1e-9).sum())
         assert neg == int((ev < -1e-9).sum())
@@ -304,7 +350,7 @@ def symmetric_matrices(draw):
 @example(a=[[BIG, TINY, 0], [TINY, -TINY, BOUNDARY[-1]], [0, BOUNDARY[-1], -BIG]])
 @example(a=[[0, BIG], [BIG, 0]])
 def test_inertia_matches_fraction_reference(a):
-    assert ex.inertia(a) == ref.inertia(a)
+    assert ex.inertia(sp(a)) == ref.inertia(a)
 
 
 @settings(max_examples=100, deadline=None)

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from float_oracles import fatness_gram_float
-from fraction_oracles import ad_m, ad_on, coords, dot
+from fraction_oracles import ad_m, ad_on, coords, dot, mat_mul
 from fraction_oracles import nullspace as reference_nullspace
 from fraction_oracles import rank as reference_rank
 from hypothesis import assume, given, settings
@@ -28,6 +28,7 @@ from fatbundles.exact import (
     dense_mat,
     dense_vec,
     mat,
+    monomial_columns,
     nullspace,
     rank,
     sparse_vec,
@@ -377,10 +378,10 @@ def ad_m_reference(g, emb, x):
 
 def centralizer_reference(g, emb, x):
     """(status, witness) from the kernel of the (dim g) x k bracket matrix."""
-    rows = ad_on(g, x, emb.m_basis)
+    rows = [sparse_vec(r) for r in ad_on(g, x, emb.m_basis)]
     if rank(rows) == emb.dim_m:
         return FAT, None
-    return NOT_FAT, vec_mat(nullspace(rows)[0], emb.m_basis)
+    return NOT_FAT, vec_mat(nullspace(rows, emb.dim_m)[0], emb.m_basis)
 
 
 @pytest.mark.parametrize("name", sorted(AD_M_PAIRS))
@@ -782,3 +783,62 @@ def test_read_off_matches_the_dense_gram(name, data):
     assert central.status == verdict.status
     assert central.witness_vector == (
         vec_mat(kernel[0], emb.m_basis) if kernel else None)
+
+
+# -- torus embeddings: ad_xi on m and the Gram are not monomial ---------------
+
+TORUS_EMBEDDINGS = {"so5_t2": (5, 2), "so8_t4": (8, 4), "so9_t4": (9, 4), "so12_t6": (12, 6)}
+
+
+@functools.cache
+def torus_embedding_case(name):
+    n, r = TORUS_EMBEDDINGS[name]
+    return *make_pair("so", (n,), "torus", (r,)), make_subsystem("so", (n,), "torus", (r,))
+
+
+def dense_detection_reference(g, emb, rs):
+    """The forbidden roots from the dense Fraction D = ad_xi on m at the
+    generic xi detection uses: {alpha, -alpha} when D^2 + alpha(xi)^2 I
+    loses rank."""
+    pairs = rd._canonical_pairs(rs.roots)
+    lam = rd._generic_torus_combination(pairs, rs.rank)
+    d = ad_m_reference(g, emb, emb.torus_vector(lam))
+    d_sq = mat_mul(d, d)
+    forbidden = set()
+    for a in pairs:
+        v = rd.root_eval(a, lam)
+        shifted = [[x + (v * v if i == j else 0) for j, x in enumerate(row)]
+                   for i, row in enumerate(d_sq)]
+        if reference_rank(shifted) < emb.dim_m:
+            forbidden |= {a, tuple(-c for c in a)}
+    return forbidden
+
+
+@pytest.mark.parametrize("name", sorted(TORUS_EMBEDDINGS))
+def test_torus_embedding_detection_matches_the_dense_square(name):
+    g, emb, sub = torus_embedding_case(name)
+    rs = rd.root_system_for(g)
+    # h is the torus: every root lies on m, one dimension each.
+    assert set(sub.forbidden) == set(rs.roots) == dense_detection_reference(g, emb, rs)
+    assert len(sub.forbidden) == emb.dim_m and not sub.member_roots
+    xi = emb.torus_vector([1] * len(emb.torus_basis))
+    assert monomial_columns(emb.ad_m_entries(xi)[0]) is None
+
+
+@pytest.mark.parametrize("name", sorted(TORUS_EMBEDDINGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_torus_embedding_criteria_match_fraction_references(name, data):
+    g, emb, sub = torus_embedding_case(name)
+    x = draw_read_off_input(data, emb, sub)
+    tau = emb.torus_coords(x)
+    gram = ft.fatness_gram(emb, x)
+    fat = reference_rank(gram) == emb.dim_m
+    assert fat == all(rd.root_eval(a, tau) for a in sub.forbidden)
+    verdict = ft.fat_by_oracle(emb, x)
+    assert verdict.status == (FAT if fat else NOT_FAT)
+    assert verdict.null_vector == (None if fat else reference_nullspace(gram)[0])
+    central = ft.fat_by_centralizer(emb, x)
+    kernel = reference_nullspace(ad_m_reference(g, emb, x))
+    assert central.status == verdict.status
+    assert central.witness_vector == (vec_mat(kernel[0], emb.m_basis) if kernel else None)
