@@ -74,7 +74,9 @@ class InvariantTwoForm:
 
     @functools.cached_property
     def gram_det(self) -> Fraction:  # computed once per form
-        return det([sparse_vec(row) for row in self.gram])
+        if any(len(row) != len(self.gram) for row in self.gram):
+            raise ValueError("det needs a square matrix")
+        return det([sparse_vec(row) for row in self.gram], len(self.gram))
 
 
 @dataclass(frozen=True)

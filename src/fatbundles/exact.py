@@ -150,14 +150,17 @@ def vec_mat(x, a) -> Vec:
 def primitive(x) -> Vec:
     """Scale a rational vector to coprime integers, first nonzero positive."""
     x = vec(x)
-    ints, _ = _clear_denominators(x)
-    g = gcd(*ints)
-    if g == 0:
+    return dense_vec(sparse_primitive(sparse_vec(x)), len(x))
+
+
+def sparse_primitive(x: dict) -> dict:
+    """A sparse {index: value} vector scaled to coprime integers, its
+    lowest-index entry positive."""
+    if not x:
         return x
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        g = -g
-    return tuple(Fraction(v // g) for v in ints)
+    (ints,), _ = sparse_ints([x])
+    g = gcd(*ints.values()) * (1 if ints[min(ints)] > 0 else -1)
+    return {j: v // g for j, v in ints.items()}
 
 
 def _clear_denominators(row) -> tuple[list[int], int]:
@@ -248,18 +251,13 @@ def nullspace(rows, ncols: int) -> list[Vec]:
     """Basis of {x : A x = 0} for A the sparse {column: value} rows over
     ncols columns: one primitive integer vector per free column."""
     red, pivots, _ = _reduce(rows)
-    # x_f = e_f - sum_p (row_p[f] / row_p[p]) e_p, then scaled as ``primitive``.
+    # x_f = e_f - sum_p (row_p[f] / row_p[p]) e_p.
     basis = {f: {f: 1} for f in sorted(set(range(ncols)).difference(pivots))}
     for row, p in zip(red, pivots):
         for f, x in row.items():
             if f != p:
                 basis[f][p] = Fraction(-x, row[p])
-    out = []
-    for x in basis.values():
-        (ints,), _ = sparse_ints([x])
-        g = gcd(*ints.values()) * (1 if ints[min(ints)] > 0 else -1)
-        out.append(dense_vec({j: v // g for j, v in ints.items()}, ncols))
-    return out
+    return [dense_vec(sparse_primitive(x), ncols) for x in basis.values()]
 
 
 def inverse(a) -> Mat:
@@ -273,11 +271,11 @@ def inverse(a) -> Mat:
     return tuple(solver.coords({i: 1}) for i in range(len(a)))
 
 
-def det(rows) -> Fraction:
+def det(rows, ncols: int) -> Fraction:
     """Determinant of a square rational matrix given as sparse {column:
-    value} rows: the product of the reduced pivots over the scale the
-    reduction applied, or zero below full rank."""
-    if any(c >= len(rows) for row in rows for c in row):
+    value} rows over ncols columns: the product of the reduced pivots over
+    the scale the reduction applied, or zero below full rank."""
+    if len(rows) != ncols or any(c >= ncols for row in rows for c in row):
         raise ValueError("det needs a square matrix")
     red, pivots, scale = _reduce(rows, forward=True)
     if len(pivots) < len(rows):

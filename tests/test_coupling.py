@@ -160,6 +160,17 @@ def test_nondegenerate_and_top_power():
     assert cp.nondegenerate_and_top_power(zero, 3) == (0.0, 0.0)
 
 
+def test_gram_det_rejects_non_square_gram():
+    g, emb, j, inst = cp3_instance()
+    form = cp.instance_form(inst)
+    tall = [row[:-1] for row in form.gram]
+    wide = [row[:-1] + (0,) for row in form.gram[:-1]]  # a zero last column
+    for gram in (tall, wide):
+        bad = cp.InvariantTwoForm(g, j, form.v_basis, form.n_basis, mat(gram))
+        with pytest.raises(ValueError, match="square"):
+            bad.gram_det
+
+
 def test_pfaffian_scales_with_half_dim_power():
     g, emb, j, inst = cp3_instance()
     form = cp.instance_form(inst)

@@ -23,7 +23,7 @@ def test_reduce_identity_pivots():
     assert pivots == [0, 1, 2]
     assert [[Q(row.get(j, 0), row[p]) for j in range(3)] for row, p in zip(red, pivots)] == [
         [1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert ex.det(sp(rows)) == 1
+    assert ex.det(sp(rows), 3) == 1
 
 
 def _signed(k, zero):
@@ -132,7 +132,7 @@ def test_kernel_matches_fraction_reference(a, data):
 @example(a=[BOUNDARY[:3], BOUNDARY[3:], BOUNDARY[1::2]])
 @example(a=[[BIG, TINY], [-TINY, BOUNDARY[-1]]])
 def test_det_and_inverse_match_fraction_reference(a):
-    d = ex.det(sp(a))
+    d = ex.det(sp(a), len(a))
     assert type(d) is Q and d == ref.det(a)
     expected = ref.inverse(a)
     if expected is None:
@@ -196,7 +196,7 @@ def test_sparse_kernel_on_structured_matrices(a):
         assert ex.rank(rows) == ref.rank(a)
         assert ex.nullspace(rows, nc) == ref.nullspace(a)
     if len(a) == nc:
-        d = ex.det(sp(a))
+        d = ex.det(sp(a), len(a))
         assert type(d) is Q and d == ref.det(a)
         sym = [[x + y for x, y in zip(row, col)] for row, col in zip(a, zip(*a))]
         assert ex.inertia(sp(sym)) == ref.inertia(sym)
@@ -219,7 +219,7 @@ def test_monomial_rank_and_kernel_match_fraction_reference(a):
     assert ns == ref.nullspace(a)
     assert all(_all_fractions(v) for v in ns)
     if all(len(row) == len(a) for row in a):
-        d = ex.det(sp(a))
+        d = ex.det(sp(a), len(a))
         assert type(d) is Q and d == ref.det(a)
 
 
@@ -274,31 +274,33 @@ def test_det_matches_numpy():
     rng = np.random.default_rng(2)
     for _ in range(20):
         m = rng.integers(-5, 6, size=(4, 4))
-        assert float(ex.det(sp(m.tolist()))) == pytest.approx(np.linalg.det(m))
+        assert float(ex.det(sp(m.tolist()), 4)) == pytest.approx(np.linalg.det(m))
 
 
 def test_det_row_swaps_rationals_and_singular():
     # The first pivot needs a row swap, which flips the sign.
-    assert ex.det(sp([[0, 1], [1, 0]])) == -1
-    assert ex.det(sp([[0, 2, 1], [3, 0, 0], [0, 0, 5]])) == -30
-    assert ex.det(sp([[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1, 5)]])) == Q(1, 60)
+    assert ex.det(sp([[0, 1], [1, 0]]), 2) == -1
+    assert ex.det(sp([[0, 2, 1], [3, 0, 0], [0, 0, 5]]), 3) == -30
+    assert ex.det(sp([[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1, 5)]]), 2) == Q(1, 60)
     # Rows met out of pivot order: an even and an odd permutation of columns.
-    assert ex.det(sp([[0, 0, 1, 0], [0, 0, 0, 2], [3, 0, 0, 0], [0, 4, 0, 0]])) == 24
-    assert ex.det(sp([[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]])) == -24
+    assert ex.det(sp([[0, 0, 1, 0], [0, 0, 0, 2], [3, 0, 0, 0], [0, 4, 0, 0]]), 4) == 24
+    assert ex.det(sp([[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]]), 4) == -24
     # Singular: dependent rows and a zero row.
-    assert ex.det(sp([[1, 2, 3], [2, 4, 6], [0, 1, 1]])) == 0
-    assert ex.det(sp([[1, 2], [0, 0]])) == 0
-    assert ex.det([]) == 1
+    assert ex.det(sp([[1, 2, 3], [2, 4, 6], [0, 1, 1]]), 3) == 0
+    assert ex.det(sp([[1, 2], [0, 0]]), 2) == 0
+    assert ex.det([], 0) == 1
 
 
 def test_det_rejects_non_square_input():
     with pytest.raises(ValueError):
-        ex.det(sp([[1, 2, 3], [4, 5, 6]]))
+        ex.det(sp([[1, 2, 3], [4, 5, 6]]), 3)
     with pytest.raises(ValueError):
-        ex.det([{0: 1}, {1: 1}, {3: 1}])
-    # Sparse rows carry no width: three rows over columns 0 and 1 are a
-    # 3 x 3 matrix with a zero last column.
-    assert ex.det(sp([[1, 2], [3, 4], [5, 6]])) == 0
+        ex.det(sp([[1, 2], [3, 4], [5, 6]]), 2)
+    # A zero last column leaves no entry to show the width: ncols does.
+    with pytest.raises(ValueError):
+        ex.det(sp([[1, 0, 0], [0, 1, 0]]), 3)
+    with pytest.raises(ValueError):
+        ex.det([{0: 1}, {1: 1}, {3: 1}], 3)
 
 
 def test_inertia_on_known_forms():
