@@ -360,21 +360,21 @@ def _run_shift(spec, payload) -> bool:
     members = [tuple(r) for r in params.get("member_roots", [])]
     sub = subsystem_from_members(rs, members)
     vertices = [sz.parse_vec(v) for v in params["vertices"]]
-    # A shift always exists, and find_fat_shift verifies the one it returns
-    # (it raises otherwise); the values it leaves on the vertices are written.
+    # A shift always exists; the values it leaves on the vertices are
+    # written, and the entry passes when each root keeps one strict sign.
     shift = find_fat_shift(vertices, sub)
     values = {root: [root_eval(root, tuple(x + s for x, s in zip(v, shift))) for v in vertices]
               for root in sub.forbidden}
+    verified = all(all(vals) and len({x > 0 for x in vals}) == 1 for vals in values.values())
     payload["shift_search"] = {
         "forbidden": [list(r) for r in sub.forbidden],
         "vertices": [sz.vec_to_json(v) for v in vertices],
         "shift": sz.vec_to_json(shift),
-        "verified": all(all(vals) and len({x > 0 for x in vals}) == 1
-                        for vals in values.values()),
+        "verified": verified,
         "evaluations": {",".join(map(str, root)): [sz.frac_str(x) for x in vals]
                         for root, vals in values.items()},
     }
-    return params.get("expect_shift", True)
+    return verified and params.get("expect_shift", True)
 
 
 # -- builtin catalogs --------------------------------------------------------

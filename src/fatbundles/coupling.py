@@ -21,9 +21,10 @@ from .errors import DegenerateRestriction, OddDimension
 from .exact import (
     Mat,
     Vec,
+    dense_vec,
     det,
     frac,
-    identity,
+    int_combination,
     inverse,
     mat,
     nullspace,
@@ -33,7 +34,6 @@ from .exact import (
     sparse_congruence,
     sparse_ints,
     sparse_vec,
-    vec_mat,
 )
 from .fatness import fat_by_centralizer, fatness_gram
 from .liealg import LieAlgebra, SubalgebraEmbedding
@@ -125,11 +125,11 @@ def bundle_instance(g: LieAlgebra, emb: SubalgebraEmbedding, x_u) -> Homogeneous
             raise DegenerateRestriction("Killing form singular on v")
         # h cap n: elements of h Killing-orthogonal to v, B(v, h_j) = (K v) . h_j.
         h_cols = sparse_columns(emb.h_sparse)
-        fiber_coeffs = nullspace([sparse_combination(g.sparse_covector(v), h_cols)
-                                  for v in vs], emb.dim_h)
+        fiber_rows = tuple(dense_vec(int_combination(c, emb.h_sparse), g.dim) for c in
+                           nullspace([sparse_combination(g.sparse_covector(v), h_cols)
+                                      for v in vs], emb.dim_h))
     else:
-        fiber_coeffs = identity(emb.dim_h)
-    fiber_rows = tuple(vec_mat(c, emb.h_basis) for c in fiber_coeffs)
+        fiber_rows = emb.h_basis
     return HomogeneousBundleInstance(
         g=g, emb=emb, x_u=x_u, v_basis=v_rows, fiber_basis=fiber_rows,
         m_basis=emb.m_basis, isotropy_in_h=in_h)

@@ -103,11 +103,17 @@ def sparse_dot(x: dict, y: dict) -> int | Fraction:
 
 def sparse_combination(c: dict, rows) -> dict:
     """sum_j c_j rows_j for sparse {index: value} c and rows, nonzero only."""
+    return {i: rational(x) for i, x in int_combination(c, rows).items()}
+
+
+def int_combination(c: dict, rows) -> dict:
+    """sum_j c_j rows_j for sparse {index: value} c and rows, nonzero only,
+    its values as the arithmetic leaves them: ints on int data."""
     out: dict = {}
     for j, cj in c.items():
         for i, x in rows[j].items():
             out[i] = out[i] + cj * x if i in out else cj * x
-    return {i: rational(x) for i, x in out.items() if x}
+    return out if all(out.values()) else {i: x for i, x in out.items() if x}
 
 
 def sparse_columns(rows) -> defaultdict:
@@ -129,8 +135,7 @@ def sparse_congruence(rows, m) -> list[dict]:
 def sparse_ints(rows) -> tuple[list[dict], int]:
     """(M, den) with M / den the sparse {index: value} rows and every value
     of M an int: the rows over their one least common denominator."""
-    den = lcm(*(x.denominator for row in rows for x in row.values()
-                if type(x) is not int))
+    den = lcm(*[x.denominator for row in rows for x in row.values() if type(x) is not int])
     return [{i: x * den if type(x) is int else x.numerator * (den // x.denominator)
              for i, x in row.items()} for row in rows], den
 
@@ -161,18 +166,6 @@ def sparse_primitive(x: dict) -> dict:
     (ints,), _ = sparse_ints([x])
     g = gcd(*ints.values()) * (1 if ints[min(ints)] > 0 else -1)
     return {j: v // g for j, v in ints.items()}
-
-
-def _clear_denominators(row) -> tuple[list[int], int]:
-    """(row * denom as integers, denom) for denom the lcm of the row's
-    denominators; a row of ints is used as it is."""
-    if all(type(a) is int for a in row):
-        return list(row), 1
-    row = [a if isinstance(a, (int, Fraction)) else Fraction(a) for a in row]
-    denom = lcm(*(a.denominator for a in row))
-    if denom == 1:
-        return [a.numerator for a in row], 1
-    return [a.numerator * (denom // a.denominator) for a in row], denom
 
 
 def _reduce(rows, forward: bool = False) -> tuple[list[dict], list[int], Fraction]:
@@ -247,17 +240,17 @@ def rank(rows) -> int:
     return len(_reduce(rows, forward=True)[1])
 
 
-def nullspace(rows, ncols: int) -> list[Vec]:
+def nullspace(rows, ncols: int) -> list[dict]:
     """Basis of {x : A x = 0} for A the sparse {column: value} rows over
-    ncols columns: one primitive integer vector per free column."""
+    ncols columns: one primitive {column: int} per free column, keys ascending."""
     red, pivots, _ = _reduce(rows)
-    # x_f = e_f - sum_p (row_p[f] / row_p[p]) e_p.
-    basis = {f: {f: 1} for f in sorted(set(range(ncols)).difference(pivots))}
+    # x_f = e_f - sum_p (row_p[f] / row_p[p]) e_p, where every such p < f.
+    basis: dict = {f: {} for f in sorted(set(range(ncols)).difference(pivots))}
     for row, p in zip(red, pivots):
         for f, x in row.items():
             if f != p:
                 basis[f][p] = Fraction(-x, row[p])
-    return [dense_vec(sparse_primitive(x), ncols) for x in basis.values()]
+    return [sparse_primitive({**x, f: 1}) for f, x in basis.items()]
 
 
 def inverse(a) -> Mat:

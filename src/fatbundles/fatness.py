@@ -26,31 +26,30 @@ from .exact import (
     Mat,
     Vec,
     dense_mat,
+    dense_vec,
     entry_rows,
     identity,
+    int_combination,
     monomial_columns,
     nullspace,
     rank,
     sparse_columns,
-    sparse_combination,
-    unit_vec,
     vec,
-    vec_mat,
 )
 from .liealg import LieAlgebra, SubalgebraEmbedding
 from .rootdata import SubSystem, fat_by_roots
-from .verdicts import FAT, NOT_APPLICABLE, NOT_FAT, Verdict
+from .verdicts import FAT, FAT_VERDICT, NOT_APPLICABLE, NOT_FAT, Verdict
 
 
-def _gram_entries(emb: SubalgebraEmbedding) -> list[list[tuple]]:
-    """Per h_a, the nonzero entries (i, j, B(h_a, [m_i, m_j])) of G_a, paired
-    through the Killing covectors u_ij = K [m_i, m_j]."""
+def _gram_entries(emb: SubalgebraEmbedding) -> list[dict]:
+    """Per h_a, the nonzero entries {(i, j): B(h_a, [m_i, m_j])} of G_a,
+    paired through the Killing covectors u_ij = K [m_i, m_j]."""
     g = emb.ambient
     h_cols = sparse_columns(emb.h_sparse)  # {a: (h_a)_l} for each index l
-    table: list[list] = [[] for _ in emb.h_sparse]
+    table: list[dict] = [{} for _ in emb.h_sparse]
     for (i, j), b in g.sparse_brackets(emb.m_sparse):
-        for a, x in sparse_combination(g.sparse_covector(b), h_cols).items():
-            table[a] += [(i, j, x), (j, i, -x)]
+        for a, x in int_combination(g.sparse_covector(b), h_cols).items():
+            table[a][i, j], table[a][j, i] = x, -x
     return table
 
 
@@ -101,7 +100,7 @@ def fat_by_oracle(emb: SubalgebraEmbedding, x_u, tol: float = 1e-9) -> Verdict:
     if (len(hit) if hit is not None else rank(rows)) == k:
         return Verdict(FAT, **margins,
                        note="" if k else "trivial horizontal space")
-    null = nullspace(rows, k)[0] if hit is None else unit_vec(k, min(set(range(k)) - hit))
+    null = dense_vec(nullspace(rows, k)[0] if hit is None else {min({*range(k)} - hit): 1}, k)
     return Verdict(NOT_FAT, null_vector=null, **margins,
                    note="odd dimension" if k % 2 else "")
 
@@ -121,12 +120,13 @@ def fat_by_centralizer(emb: SubalgebraEmbedding, x_u) -> Verdict:
         return Verdict(FAT, note="trivial horizontal space")
     if (hit := monomial_columns(entries)) is not None:
         if len(hit) == emb.dim_m:
-            return Verdict(FAT)
+            return FAT_VERDICT
         return Verdict(NOT_FAT, witness_vector=emb.m_basis[min(set(range(emb.dim_m)) - hit)])
     kernel = nullspace(entry_rows(entries, emb.dim_m), emb.dim_m)
     if not kernel:
-        return Verdict(FAT)
-    return Verdict(NOT_FAT, witness_vector=vec_mat(kernel[0], emb.m_basis))
+        return FAT_VERDICT
+    return Verdict(NOT_FAT, witness_vector=dense_vec(
+        int_combination(kernel[0], emb.m_sparse), emb.ambient.dim))
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,12 +170,11 @@ def certify(g: LieAlgebra, emb: SubalgebraEmbedding, x_u, *,
     Gram (fat by the float SVD) that is not fat by its exact rank, raises
     CriteriaDisagree with the full certificate (all witnesses) attached.
     """
-    x_u = emb.h_solve(x_u)[0]  # checked, and solved once for every criterion
-    tau = emb.torus_coords(x_u)
-    if subsystem is not None and tau is not None:
-        roots_v = fat_by_roots(tau, subsystem)
-    else:
-        roots_v = Verdict(NOT_APPLICABLE)
+    x_u, _, _, tau, t_ints = emb.h_solve(x_u)  # checked, solved once for all
+    if tau is None:
+        tau = t_ints = emb.torus_coords(x_u)
+    roots_v = (fat_by_roots(t_ints, subsystem) if subsystem is not None and tau is not None
+               else Verdict(NOT_APPLICABLE))
     oracle_v = fat_by_oracle(emb, x_u, tol)
     central_v = fat_by_centralizer(emb, x_u)
     statuses = {v.status for v in (roots_v, oracle_v, central_v)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterator
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DegenerateRestriction,
@@ -20,12 +21,13 @@ from .errors import (
     NotCompact,
 )
 from .exact import (
+    ZERO,
     CoordinateSolver,
     Mat,
     Vec,
-    _clear_denominators,
     dense_vec,
     inertia,
+    int_combination,
     mat,
     nullspace,
     primitive,
@@ -171,10 +173,11 @@ class LieAlgebra:
     def centralizer_in(self, x, rows) -> Mat:
         """Basis of the elements of span(rows) that commute with x: the
         kernel of ad_x on the rows, whose column j is [x, rows_j]."""
-        cols = dict(self.sparse_brackets([sparse_vec(self.check_vector(x))],
-                                         [sparse_vec(r) for r in rows]))
+        rows = [sparse_vec(r) for r in rows]
+        cols = dict(self.sparse_brackets([sparse_vec(self.check_vector(x))], rows))
         ad = sparse_columns([cols.get((0, j), {}) for j in range(len(rows))])
-        return tuple(vec_mat(c, rows) for c in nullspace(list(ad.values()), len(rows)))
+        return tuple(dense_vec(int_combination(c, rows), self.dim)
+                     for c in nullspace(list(ad.values()), len(rows)))
 
     def sparse_covector(self, x: dict) -> dict:
         """K x for a sparse {index: value} x, nonzero entries only; K is
@@ -367,6 +370,9 @@ class SubalgebraEmbedding:
             torus = CoordinateSolver(t_h) if t_h and None not in t_h else None
         except ValueError:
             raise ValueError(f"{self.name}: torus basis is linearly dependent") from None
+        # The torus rows as ints over one denominator, in g and (torus in h) h.
+        self._torus_ints = [sparse_ints(rows) for rows in
+                            (self.torus_sparse or (), t_h if torus else ())]
         self._cache: dict = {"torus": torus}
 
     def split_coords(self, x) -> tuple[Vec, Vec]:
@@ -384,60 +390,49 @@ class SubalgebraEmbedding:
 
     def h_coords(self, x) -> Vec | None:
         """Coefficients of x in the h-basis when x lies in h, else None."""
-        c = self.h_solve(x)[1]
-        return None if c is None else dense_vec(c, self.dim_h)
+        _, c, den, *_ = self.h_solve(x)
+        return None if c is None else tuple(v / den for v in dense_vec(c, self.dim_h))
 
     def h_solve(self, x) -> tuple:
-        """(x, c, ints, den, tau): x checked, its sparse h-coordinates c
-        (None outside h), c as ints / den, and its torus coordinates tau or
-        None.  The last solve is kept, keyed by the identity of x: an X_u
-        from ``torus_vector`` carries its solve, any other is solved here."""
+        """(x, c, den, tau, t_ints): x checked; its h-coordinates c = {a: int}
+        over den in lowest terms (None outside h); tau and its ints for an X_u
+        from ``torus_vector``, else None.  The last solve is kept, keyed by the
+        identity of x: such an X_u carries its solve, any other is solved here."""
         last = self._cache.get("h")
         if last is None or last[0] is not x:
             x = self.ambient.check_vector(x)
             c = self.sparse_h_coords(sparse_vec(x))
-            last = self._cache["h"] = (
-                x, c, *_clear_denominators(c.values() if c else ()), None)
+            (ints,), den = sparse_ints([c or {}])
+            last = self._cache["h"] = (x, None if c is None else ints, den, None, None)
         return last
 
     def h_linear(self, build, x) -> tuple[dict, int]:
         """(M, den) with M / den = sum_a c_a T_a over the h-coordinates c of
         x (else DimensionMismatch), read off the shared ``h_solve``: M holds
         the nonzero entries {(i, j): v} of a k x k integer matrix, formed
-        from the nonzero c_a only and never made dense.  ``build(emb)`` lists,
-        per h_a, the nonzero entries (i, j, v) of T_a; they are kept, keyed
+        from the nonzero c_a only and never made dense.  ``build(emb)`` gives,
+        per h_a, the nonzero entries {(i, j): v} of T_a; they are kept, keyed
         by ``build``, as integers over one common denominator."""
-        _, c, ints, den, _ = self.h_solve(x)
+        _, c, den, *_ = self.h_solve(x)
         if c is None:
             raise DimensionMismatch("vector is not in h")
         if build not in self._cache:
-            rows = build(self)
-            flat, flat_den = _clear_denominators(
-                [v for row in rows for *_, v in row])
-            it = iter(flat)
-            self._cache[build] = (
-                [[((i, j), next(it)) for i, j, _ in row] for row in rows],
-                flat_den)
+            self._cache[build] = sparse_ints(build(self))
         table, table_den = self._cache[build]
-        out: dict = {}
-        for a, ca in zip(c, ints):
-            for ij, v in table[a]:
-                out[ij] = out[ij] + ca * v if ij in out else ca * v
-        if not all(out.values()):  # terms that cancel leave no entry
-            out = {ij: v for ij, v in out.items() if v}
-        return out, den * table_den
+        return int_combination(c, table), den * table_den
 
-    def _ad_entries(self) -> list[list[tuple[int, int, Fraction]]]:
-        """Per h_a, the nonzero entries (i, j, v) of D_a = ad_{h_a}|_m;
+    def _ad_entries(self) -> list[dict]:
+        """Per h_a, the nonzero entries {(i, j): v} of D_a = ad_{h_a}|_m;
         raises ValueError when some [h_a, m_j] leaves m."""
-        table: list[list] = [[] for _ in self.h_sparse]
+        table: list[dict] = [{} for _ in self.h_sparse]
         for (a, j), b in self.ambient.sparse_brackets(self.h_sparse, self.m_sparse):
             c = self._full_solver.sparse_coords(b)
             if c is None:
                 raise DimensionMismatch("vector is not in h + m")
             if any(i < self.dim_h for i in c):
                 raise ValueError(f"{self.name}: [h, m] leaves m")
-            table[a] += [(i - self.dim_h, j, v) for i, v in c.items()]
+            for i, v in c.items():
+                table[a][i - self.dim_h, j] = v
         return table
 
     def ad_m_entries(self, x) -> tuple[dict, int]:
@@ -452,25 +447,32 @@ class SubalgebraEmbedding:
         h-coordinates, so None for every x when the torus is not in h."""
         if self.torus_sparse is None:
             return None
-        _, c, _, _, tau = self.h_solve(x)
+        _, c, den, tau, _ = self.h_solve(x)
         if tau is None and c is not None and self._cache["torus"] is not None:
-            tau = self._cache["torus"].coords(c)
+            tau = self._cache["torus"].coords({a: Fraction(v, den) for a, v in c.items()})
         return tau
 
     def torus_vector(self, tau) -> Vec:
-        """The element x = sum_i tau_i T_i of the torus, in g-coordinates.
-        With the torus in h, x carries its solve: tau and the h-coordinates
-        sum_i tau_i T_i fill the ``h_solve`` slot, so certify solves nothing."""
+        """The element x = sum_i tau_i T_i of the torus, in g-coordinates:
+        tau cleared once into ints t_ints over t_den, x and (torus in h) its
+        h-coordinates are int combinations of the int torus rows; the latter
+        fill the ``h_solve`` slot with tau and t_ints, so certify solves nothing."""
         if self.torus_sparse is None:
             raise NotCompact("embedding carries no torus")
         tau = vec(tau)
         if len(tau) != len(self.torus_sparse):
             raise DimensionMismatch("torus coordinate length mismatch")
-        t = sparse_vec(tau)
-        x = dense_vec(sparse_combination(t, self.torus_sparse), self.ambient.dim)
+        (t,), t_den = sparse_ints([dict(enumerate(tau))])
+        (g_rows, g_den), (h_rows, h_den) = self._torus_ints
+        x = [ZERO] * self.ambient.dim
+        for i, v in int_combination(t, g_rows).items():
+            x[i] = Fraction(v, t_den * g_den)
+        x = tuple(x)
         if self._cache["torus"] is not None:
-            c = sparse_combination(t, self._cache["torus"].sparse_rows)
-            self._cache["h"] = (x, c, *_clear_denominators(c.values()), tau)
+            c, den = int_combination(t, h_rows), t_den * h_den
+            g = gcd(den, *c.values())
+            c = {a: v // g for a, v in c.items()}
+            self._cache["h"] = (x, c, den // g, tau, list(t.values()))
         return x
 
     def __repr__(self):
@@ -495,8 +497,7 @@ def reductive_split(g: LieAlgebra, h_basis, *, torus_basis=None, name: str = "",
         raise DegenerateRestriction(
             f"Killing form of {g.name} is singular on the subalgebra")
     # m: the common kernel of the covectors B(h_i, .), all of g when h = 0.
-    m_rows = ([sparse_vec(r) for r in nullspace(bh_sparse, g.dim)]
-              if h_sparse else [{i: 1} for i in range(g.dim)])
+    m_rows = nullspace(bh_sparse, g.dim) if h_sparse else [{i: 1} for i in range(g.dim)]
     compact = neg == len(h_sparse)
     emb = SubalgebraEmbedding(g, h_sparse, m_rows, torus or None, compact, name=name)
     if check:

@@ -12,22 +12,23 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionMismatch, NotCompact, TorusMismatch
 from .exact import (
     ZERO,
     Vec,
-    _clear_denominators,
     entry_rows,
     frac,
     inverse,
     rank,
     rational,
     sparse_combination,
+    sparse_ints,
     vec,
 )
 from .liealg import LieAlgebra, SubalgebraEmbedding
-from .verdicts import FAT, NOT_FAT, Verdict
+from .verdicts import FAT_VERDICT, NOT_FAT, Verdict
 
 Root = tuple[int, ...]
 
@@ -103,6 +104,13 @@ class SubSystem:
     parent: RootSystem
     member_roots: tuple[Root, ...]
     forbidden: tuple[Root, ...]
+
+    @functools.cached_property
+    def walls(self) -> tuple[Root, ...]:
+        """The first of each {alpha, -alpha} in ``forbidden``, in its order."""
+        at = {r: i for i, r in enumerate(self.forbidden)}
+        return tuple(r for i, r in enumerate(self.forbidden)
+                     if at.get(tuple(-c for c in r), i) >= i)
 
 
 def subsystem_from_members(parent: RootSystem, members) -> SubSystem:
@@ -191,13 +199,14 @@ def detect_subsystem(g: LieAlgebra, emb: SubalgebraEmbedding,
 
 def fat_by_roots(x, sub: SubSystem) -> Verdict:
     """Forbidden-wall test: fat iff alpha(x) != 0 for every forbidden root
-    alpha, else the first root on a wall is the witness.  The torus
-    coordinates x are cleared of denominators once, by their positive lcm."""
-    ints, _ = _clear_denominators(x)
-    for root in sub.forbidden:
-        if not sum(a * b for a, b in zip(root, ints) if a):
+    alpha, else the first root on a wall is the witness.  x is cleared of
+    denominators once (ints are kept), and each {alpha, -alpha} read once."""
+    if not all(type(a) is int for a in x):
+        x = sparse_ints([dict(enumerate(vec(x)))])[0][0].values()
+    for root in sub.walls:
+        if not sum(map(mul, root, x)):
             return Verdict(NOT_FAT, witness_root=root)
-    return Verdict(FAT)
+    return FAT_VERDICT
 
 
 # -- centralizing vectors (Levi subsets of simple roots) --------------------

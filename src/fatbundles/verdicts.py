@@ -30,3 +30,6 @@ class Verdict:
     max_singular_value: float | None = None
     well_conditioned: bool | None = None
     note: str = ""
+
+
+FAT_VERDICT = Verdict(FAT)  # witness-free, so one frozen instance serves

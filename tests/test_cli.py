@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -911,6 +913,22 @@ def test_a_shift_that_exists_but_is_not_expected_fails(tmp_path, capsys):
         expected = [sum(a * (x + s) for a, x, s in zip(root, v, shift)) for v in vertices]
         assert parse_vec(values) == tuple(expected)
         assert all(x > 0 for x in expected) or all(x < 0 for x in expected)
+
+
+def test_a_shift_on_a_wall_fails_the_entry(tmp_path, capsys):
+    # The verdict is the written check: a shift that leaves the vertex 0 on
+    # every wall fails the entry that expects a shift.
+    entry = {"id": "s", "run": ["shift"], "shift": SHIFT}
+    with mock.patch("fatbundles.catalog.find_fat_shift", return_value=(Fraction(0),) * 2):
+        passed, payload = run_instance(InstanceSpec.from_json(entry))
+        out = tmp_path / "certs"
+        assert run_cli(["run", _write_catalog(tmp_path, [entry]), "--out", str(out)]) == 1
+    assert not passed and payload["passed"] is False and "error" not in payload
+    search = payload["shift_search"]
+    assert search["shift"] == ["0", "0"] and search["verified"] is False
+    assert all(values[0] == "0" for values in search["evaluations"].values())
+    assert "0/1 instances passed" in capsys.readouterr().out
+    assert json.loads((out / "s.json").read_text()) == json.loads(dumps_canonical(payload))
 
 
 B3_NO_SHIFT = {"type": "B", "rank": 3, "member_roots": [], "expect_shift": False}

@@ -5,6 +5,7 @@ import functools
 import json
 import random
 from fractions import Fraction as Q
+from math import gcd, lcm
 from unittest import mock
 
 import numpy as np
@@ -203,7 +204,7 @@ def test_certify_disagreement_raises_with_certificate():
     entries = ft._gram_entries
 
     def one_block_zeroed(e):
-        return [[] if a == a0 else row for a, row in enumerate(entries(e))]
+        return [{} if a == a0 else row for a, row in enumerate(entries(e))]
     with mock.patch.object(ft, "_gram_entries", one_block_zeroed):
         with pytest.raises(CriteriaDisagree) as err:
             ft.certify(g, emb, j, subsystem=sub)
@@ -381,7 +382,7 @@ def centralizer_reference(g, emb, x):
     rows = [sparse_vec(r) for r in ad_on(g, x, emb.m_basis)]
     if rank(rows) == emb.dim_m:
         return FAT, None
-    return NOT_FAT, vec_mat(nullspace(rows, emb.dim_m)[0], emb.m_basis)
+    return NOT_FAT, vec_mat(dense_vec(nullspace(rows, emb.dim_m)[0], emb.dim_m), emb.m_basis)
 
 
 @pytest.mark.parametrize("name", sorted(AD_M_PAIRS))
@@ -665,12 +666,18 @@ def dual_case(n, side):
     return pair.compact_dual, emb_c, subs[1]
 
 
-# Every benchmark pair (the builtin catalogs' pairs among them) and both
-# sides of the builtin dual pairs, whose embeddings share coordinates.
+# Every benchmark pair (the builtin catalogs' pairs among them), both sides
+# of the builtin dual pairs, whose embeddings share coordinates, the rank-6
+# u-block, a torus embedding, whose Gram and ad_m are not monomial, and the
+# scaled u-block, whose torus rows are 3 h_a: there the h-coordinates of a
+# torus_vector take the gcd to reach lowest terms.
 PRIME_CASES = {
     **{p: functools.partial(builtin_pair, "so", *BENCH.PAIRS[p]) for p in BENCH.PAIRS},
     **{f"dual_so{2 * n}1_{side}": functools.partial(dual_case, n, side)
        for n in (2, 3) for side in ("noncompact", "compact")},
+    "so12_u6": functools.partial(builtin_pair, "so", (12,), "u", (6,)),
+    "so8_t4": functools.partial(builtin_pair, "so", (8,), "torus", (4,)),
+    "so7_u3_scaled_h": scaled_h_pair,
 }
 
 
@@ -697,13 +704,24 @@ def test_torus_vector_carries_the_solve_certify_would_make(name, data):
     r = len(emb.torus_basis)
     tau, tau2 = draw_tau(data, r), draw_tau(data, r)
     x = emb.torus_vector(tau)
-    # The slot holds x with tau, and certify reads it: the certificate is
-    # the one of a fresh copy of x, which takes the full solve.
-    assert emb.h_solve(x)[4] == vec(tau) == emb.torus_coords(x)
+    # The slot holds x with tau and its ints, and certify reads it: the
+    # certificate is the one of a fresh copy of x, which takes the full solve.
+    _, c, den, slot_tau, t_ints = emb.h_solve(x)
+    assert slot_tau == vec(tau) == emb.torus_coords(x)
     primed = cert_text(g, emb, x, sub)
     fresh = vec(list(x))
     assert fresh is not x and primed == cert_text(g, emb, fresh, sub)
-    assert emb.h_solve(fresh)[4] is None and emb.torus_coords(fresh) == vec(tau)
+    assert emb.h_solve(fresh)[3] is None and emb.torus_coords(fresh) == vec(tau)
+    # Both fill the slot in one form: the h-coordinates as ints over den in
+    # lowest terms, and tau's ints over tau's least common denominator,
+    # which the fresh X_u's solved tau clears to.
+    _, c_fresh, den_fresh, _, fresh_ints = emb.h_solve(fresh)
+    assert fresh_ints is None and (c_fresh, den_fresh) == (c, den)
+    assert all(type(v) is int and v for v in c.values()) and gcd(den, *c.values()) == 1
+    assert emb.h_coords(x) == emb.h_coords(fresh) == coords(emb.h_basis, x)
+    t_den = lcm(*(t.denominator for t in vec(tau)))
+    assert t_ints == [t * t_den for t in vec(tau)] and all(type(t) is int for t in t_ints)
+    assert [t * t_den for t in emb.torus_coords(fresh)] == t_ints
     # An X_u built before another torus_vector call finds the slot stale.
     y, x2 = emb.torus_vector(tau), emb.torus_vector(tau2)
     assert cert_text(g, emb, y, sub) == primed
@@ -724,7 +742,7 @@ def test_torus_vector_primes_only_its_own_embedding():
             assert want == cert_text(g, emb_b, emb_b.torus_vector(tau), sub)
             x = emb_a.torus_vector(tau)
             assert emb_b.torus_coords(x) == vec(tau)
-            assert emb_b.h_solve(x)[4] is None
+            assert emb_b.h_solve(x)[3] is None
             assert cert_text(g, emb_b, x, sub) == want
 
 
@@ -735,11 +753,15 @@ def draw_read_off_input(data, emb, sub):
     on a wall (tau projected onto alpha(tau) = 0 for a forbidden alpha, or
     tau = 0); or a rational X_u in h with every h-coordinate nonzero, whose
     Gram and ad_m are not monomial, so the dense path runs."""
-    r = len(emb.torus_basis)
     kind = data.draw(st.sampled_from(["off", "wall", "zero", "generic"]))
     if kind == "generic":
         return vec_mat(data.draw(st.lists(NONZERO, min_size=emb.dim_h,
                                           max_size=emb.dim_h)), emb.h_basis)
+    return emb.torus_vector(draw_torus_tau(data, sub, len(emb.torus_basis), kind))
+
+
+def draw_torus_tau(data, sub, r, kind):
+    """Torus coordinates of a kind draw_read_off_input names."""
     tau = data.draw(st.lists(NONZERO, min_size=r, max_size=r))
     if kind == "zero":
         tau = [Q(0)] * r
@@ -750,7 +772,26 @@ def draw_read_off_input(data, emb, sub):
         assert rd.root_eval(a, tau) == 0
     else:
         assume(all(rd.root_eval(a, tau) for a in sub.forbidden))
-    return emb.torus_vector(tau)
+    return tau
+
+
+@pytest.mark.parametrize("name", sorted(BENCH.PAIRS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fat_by_roots_on_tau_and_on_its_ints(name, data):
+    # certify passes the ints torus_vector cleared tau to: the verdict, and
+    # the witness, the first forbidden root on a wall, are tau's own.
+    g, emb, sub = prime_case(name)
+    kind = data.draw(st.sampled_from(["off", "wall", "zero"]))
+    tau = draw_torus_tau(data, sub, len(emb.torus_basis), kind)
+    _, _, _, slot_tau, t_ints = emb.h_solve(emb.torus_vector(tau))
+    assert slot_tau == tuple(tau) and all(type(t) is int for t in t_ints)
+    verdict = rd.fat_by_roots(t_ints, sub)
+    assert verdict == rd.fat_by_roots(slot_tau, sub)
+    witness = next((a for a in sub.forbidden if not rd.root_eval(a, tau)), None)
+    assert verdict.witness_root == witness
+    assert verdict.status == (NOT_FAT if witness else FAT)
+    assert verdict.status == (FAT if kind == "off" else NOT_FAT)
 
 
 @pytest.mark.parametrize("name", sorted(BENCH.PAIRS))
