@@ -7,6 +7,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from . import __version__
 from . import coupling as cp
@@ -30,8 +31,8 @@ from .rootdata import (
     build_root_system,
     detect_subsystem,
     find_fat_shift,
-    root_eval,
     root_system_for,
+    shift_values,
     subsystem_from_members,
 )
 
@@ -363,15 +364,14 @@ def _run_shift(spec, payload) -> bool:
     # A shift always exists; the values it leaves on the vertices are
     # written, and the entry passes when each root keeps one strict sign.
     shift = find_fat_shift(vertices, sub)
-    values = {root: [root_eval(root, tuple(x + s for x, s in zip(v, shift))) for v in vertices]
-              for root in sub.forbidden}
+    values, den = shift_values(vertices, sub, shift)
     verified = all(all(vals) and len({x > 0 for x in vals}) == 1 for vals in values.values())
     payload["shift_search"] = {
         "forbidden": [list(r) for r in sub.forbidden],
         "vertices": [sz.vec_to_json(v) for v in vertices],
         "shift": sz.vec_to_json(shift),
         "verified": verified,
-        "evaluations": {",".join(map(str, root)): [sz.frac_str(x) for x in vals]
+        "evaluations": {",".join(map(str, root)): [sz.frac_str(Fraction(x, den)) for x in vals]
                         for root, vals in values.items()},
     }
     return verified and params.get("expect_shift", True)

@@ -3,30 +3,23 @@
 Classical root systems in the block-torus coordinates t_i, detection of
 the sub-root-system of an embedded subalgebra, the forbidden-wall test
 for fatness, centralizing-vector construction from fundamental coweights,
-and the moment-polytope shift.  Everything here is exact rational
-arithmetic; a wall test never returns a float.
+and the moment-polytope shift.  Everything here is exact: roots are
+evaluated as int dot products on points cleared to ints over one common
+denominator, so a wall test never returns a float and never pays for
+``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .errors import DimensionMismatch, NotCompact, TorusMismatch
-from .exact import (
-    ZERO,
-    Vec,
-    entry_rows,
-    frac,
-    inverse,
-    rank,
-    rational,
-    sparse_combination,
-    sparse_ints,
-    vec,
-)
+from .exact import ZERO, Vec, entry_rows, int_combination, inverse, rank, sparse_ints, vec
 from .liealg import LieAlgebra, SubalgebraEmbedding
 from .verdicts import FAT_VERDICT, NOT_FAT, Verdict
 
@@ -42,7 +35,7 @@ class RootSystem:
     roots: tuple[Root, ...]
     simple_roots: tuple[Root, ...]
 
-    @property
+    @functools.cached_property
     def coord_dim(self) -> int:
         # Type A uses the trace-zero model in rank+1 coordinates.
         return self.rank + 1 if self.type_label == "A" else self.rank
@@ -124,9 +117,25 @@ def subsystem_from_members(parent: RootSystem, members) -> SubSystem:
     return SubSystem(parent, members, forbidden)
 
 
+def _cleared(points) -> tuple[list[list[int]], int]:
+    """The one root evaluator: the points as int rows over their one least
+    common denominator den, so alpha(p) is the int alpha . row over den."""
+    rows, den = sparse_ints([dict(enumerate(vec(p))) for p in points])
+    return [list(row.values()) for row in rows], den
+
+
+def _length_error(what: str, x, n: int, rs: RootSystem | None = None) -> DimensionMismatch:
+    """The mismatch a root zipped against x would hide by cutting it short."""
+    roots = "the roots" if rs is None else f"the roots of {rs.type_label}_{rs.rank}"
+    return DimensionMismatch(f"{what} has {len(x)} coordinates, but {roots} have {n}")
+
+
 def root_eval(root, x) -> Fraction:
-    """alpha(x), exactly, over the nonzero integer entries of alpha."""
-    return sum((frac(b) * a for a, b in zip(root, x) if a), ZERO)
+    """alpha(x), exactly: an int dot product over x's one denominator."""
+    (ints,), den = _cleared([x])
+    if len(ints) != len(root):
+        raise _length_error("x", ints, len(root))
+    return Fraction(sum(map(mul, root, ints)), den)
 
 
 def _canonical_pairs(roots) -> list[Root]:
@@ -138,14 +147,14 @@ def _canonical_pairs(roots) -> list[Root]:
     return sorted(reps)
 
 
-def _generic_torus_combination(pairs, rank: int) -> Vec:
-    """A rational lambda with alpha(lambda) nonzero and |alpha(lambda)|
-    pairwise distinct across root pairs (exactly verified)."""
+def _generic_torus_combination(pairs, rank: int) -> tuple[tuple[int, ...], list[int]]:
+    """An int lambda with alpha(lambda) nonzero and |alpha(lambda)| pairwise
+    distinct across root pairs (exactly verified), and those |alpha(lambda)|."""
     for base in (3, 5, 7, 11, 13, 17, 19, 23):
-        lam = vec(Fraction(base) ** i for i in range(rank))
-        vals = [abs(root_eval(r, lam)) for r in pairs]
+        lam = tuple(base ** i for i in range(rank))
+        vals = [abs(sum(map(mul, r, lam))) for r in pairs]
         if all(vals) and len(set(vals)) == len(vals):
-            return lam
+            return lam, vals
     raise TorusMismatch("could not separate the candidate roots")
 
 
@@ -158,6 +167,9 @@ def detect_subsystem(g: LieAlgebra, emb: SubalgebraEmbedding,
     the 2-dimensional isotypic blocks of ad restricted to the torus acting
     on m: the pair {alpha, -alpha} is forbidden exactly when
     ad_xi^2 + alpha(xi)^2 is singular on m for a generic torus element xi.
+    On a block or u-block torus ad_xi^2 is diagonal, and the defect is read
+    off as the number of diagonal entries -alpha(xi)^2; any other square
+    is ranked.
     """
     if emb.torus_basis is None:
         raise NotCompact(f"{emb.name}: embedding carries no torus")
@@ -165,7 +177,7 @@ def detect_subsystem(g: LieAlgebra, emb: SubalgebraEmbedding,
         raise TorusMismatch(
             f"torus rank {len(emb.torus_basis)} does not match {rs.type_label}_{rs.rank}")
     pairs = _canonical_pairs(rs.roots)
-    lam = _generic_torus_combination(pairs, rs.rank)
+    lam, vals = _generic_torus_combination(pairs, rs.rank)
     xi = emb.torus_vector(lam)
     k = emb.dim_m
     if k == 0:
@@ -174,14 +186,16 @@ def detect_subsystem(g: LieAlgebra, emb: SubalgebraEmbedding,
         raise TorusMismatch("torus is not contained in h")
     d_entries, den = emb.ad_m_entries(xi)
     d = entry_rows(d_entries, k)
-    d_sq = [sparse_combination(row, d) for row in d]
+    d_sq = [int_combination(row, d) for row in d]
+    diag = (Counter(row.get(i, 0) for i, row in enumerate(d_sq))
+            if all(row.keys() <= {i} for i, row in enumerate(d_sq)) else None)
     forbidden_pairs = []
     accounted = 0
-    for rep in pairs:
+    for rep, val in zip(pairs, vals):
         # D^2 + (val den)^2 I is den^2 ((D/den)^2 + val^2 I).
-        v2 = rational((root_eval(rep, lam) * den) ** 2)
-        shifted = [{**row, i: row.get(i, 0) + v2} for i, row in enumerate(d_sq)]
-        defect = k - rank(shifted)
+        v2 = (val * den) ** 2
+        defect = (diag[-v2] if diag is not None else
+                  k - rank([{**row, i: row.get(i, 0) + v2} for i, row in enumerate(d_sq)]))
         if defect:
             forbidden_pairs.append(rep)
             accounted += defect
@@ -200,9 +214,12 @@ def detect_subsystem(g: LieAlgebra, emb: SubalgebraEmbedding,
 def fat_by_roots(x, sub: SubSystem) -> Verdict:
     """Forbidden-wall test: fat iff alpha(x) != 0 for every forbidden root
     alpha, else the first root on a wall is the witness.  x is cleared of
-    denominators once (ints are kept), and each {alpha, -alpha} read once."""
+    denominators once (ints are kept), and each {alpha, -alpha} read once.
+    An x whose length is not the roots' raises DimensionMismatch."""
     if not all(type(a) is int for a in x):
-        x = sparse_ints([dict(enumerate(vec(x)))])[0][0].values()
+        (x,), _ = _cleared([x])
+    if len(x) != sub.parent.coord_dim:
+        raise _length_error("x", x, sub.parent.coord_dim, sub.parent)
     for root in sub.walls:
         if not sum(map(mul, root, x)):
             return Verdict(NOT_FAT, witness_root=root)
@@ -224,10 +241,10 @@ def span_subsystem(rs: RootSystem, subset) -> tuple[Root, ...]:
     Levi sub-system generated by the subset).  A root's coefficient on the
     i-th simple root is its value at the i-th fundamental coweight."""
     subset = set(map(tuple, subset))
-    outside = [w for s, w in zip(rs.simple_roots, fundamental_coweights(rs))
-               if s not in subset]
+    outside, _ = _cleared(w for s, w in zip(rs.simple_roots, fundamental_coweights(rs))
+                          if s not in subset)
     return _sorted_roots(r for r in rs.roots
-                         if not any(root_eval(r, w) for w in outside))
+                         if not any(sum(map(mul, r, w)) for w in outside))
 
 
 def find_centralizing_vector(rs: RootSystem, subset) -> Vec:
@@ -246,9 +263,9 @@ def find_centralizing_vector(rs: RootSystem, subset) -> Vec:
                 x[k] += v
     x = tuple(x)
     inside = set(span_subsystem(rs, subset))
+    (ints,), _ = _cleared([x])
     for r in rs.roots:
-        v = root_eval(r, x)
-        if (v == 0) != (r in inside):
+        if (not sum(map(mul, r, ints))) != (r in inside):
             raise AssertionError(
                 f"coweight construction failed on root {r}")
     return x
@@ -256,62 +273,60 @@ def find_centralizing_vector(rs: RootSystem, subset) -> Vec:
 
 # -- moment-polytope shift --------------------------------------------------
 
-def _vertices(vertices, sub: SubSystem) -> list[Vec]:
-    """The vertices as Fractions; DimensionMismatch names the first one
-    whose length is not the root coordinates' (a root would be cut short)."""
-    vertices = [vec(v) for v in vertices]
+def _vertex_ints(vertices, sub: SubSystem, *shift) -> tuple[list[list[int]], int]:
+    """The vertices, then the shift if given, cleared by the root evaluator;
+    DimensionMismatch names the first of them whose length is not the root
+    coordinates' (a root would be cut short)."""
+    vertices = list(vertices)
+    rows, den = _cleared([*vertices, *shift])
     n = sub.parent.coord_dim
-    for i, v in enumerate(vertices):
+    for i, v in enumerate(rows):
         if len(v) != n:
-            raise DimensionMismatch(f"vertex {i} has {len(v)} coordinates, but the roots "
-                                    f"of {sub.parent.type_label}_{sub.parent.rank} have {n}")
-    return vertices
+            raise (_length_error(f"vertex {i}", v, n, sub.parent) if i < len(vertices)
+                   else _length_error("shift", v, n))
+    return rows, den
+
+
+def shift_values(vertices, sub: SubSystem, a) -> tuple[dict[Root, list[int]], int]:
+    """The one integer evaluation of a shift: ({alpha: [ints]}, den) with
+    alpha(v + a) = int / den for each forbidden root alpha and vertex v."""
+    (*rows, a), den = _vertex_ints(vertices, sub, a)
+    shifted = [[x + y for x, y in zip(v, a)] for v in rows]
+    return {root: [sum(map(mul, root, v)) for v in shifted] for root in sub.forbidden}, den
 
 
 def verify_shift(vertices, sub: SubSystem, a) -> bool:
     """Exact check that every forbidden root has a strict constant sign on
-    all shifted vertices v + a."""
-    vertices = _vertices(vertices, sub)
-    a = vec(a)
-    if len(a) != sub.parent.coord_dim:
-        raise DimensionMismatch(f"shift has {len(a)} coordinates, but the roots "
-                                f"have {sub.parent.coord_dim}")
-    for root in _canonical_pairs(sub.forbidden):
-        vals = [root_eval(root, tuple(x + y for x, y in zip(v, a)))
-                for v in vertices]
-        if any(v == 0 for v in vals):
-            return False
-        if any(v > 0 for v in vals) and any(v < 0 for v in vals):
-            return False
-    return True
+    all shifted vertices v + a, read off ``shift_values``."""
+    values, _ = shift_values(vertices, sub, a)
+    return all(all(x > 0 for x in vals) or all(x < 0 for x in vals)
+               for vals in values.values())
 
 
-def _strict_feasible(constraints, nvars: int) -> Vec | None:
-    """A rational witness of the strict system {c . a > rhs}, by
-    Fourier-Motzkin elimination, or None when infeasible."""
+def _strict_feasible(rows, nvars: int) -> Vec | None:
+    """A rational witness a of the strict system {c . a > r} over int rows
+    (c_0, ..., c_{nvars-1}, r), by Fourier-Motzkin elimination, or None when
+    infeasible.  A row with c_v > 0 bounds a_v from below and one with
+    c_v < 0 from above; each such pair combines by positive int multipliers
+    into a row free of a_v, a positive multiple of "upper - lower > 0"."""
     if nvars == 0:
-        return () if all(rhs < 0 for _, rhs in constraints) else None
+        return () if all(row[-1] < 0 for row in rows) else None
     v = nvars - 1
-    lowers, uppers, rest = [], [], []
-    for coeffs, rhs in constraints:
-        cv = coeffs[v]
-        if cv > 0:
-            lowers.append((tuple(-c / cv for c in coeffs[:v]), rhs / cv))
-        elif cv < 0:
-            uppers.append((tuple(-c / cv for c in coeffs[:v]), rhs / cv))
-        else:
-            rest.append((coeffs[:v], rhs))
-    # a_v > lo(a') and a_v < up(a')  =>  up - lo > 0.
-    for lo_c, lo_r in lowers:
-        for up_c, up_r in uppers:
-            rest.append((tuple(u - l for u, l in zip(up_c, lo_c)), lo_r - up_r))
+    lowers = [row for row in rows if row[v] > 0]
+    uppers = [row for row in rows if row[v] < 0]
+    rest = [row for row in rows if not row[v]]
+    for lo in lowers:
+        for up in uppers:
+            g = gcd(lo[v], up[v])
+            p, q = lo[v] // g, -up[v] // g
+            rest.append(tuple(q * x + p * y for x, y in zip(lo, up)))
     tail = _strict_feasible(rest, v)
     if tail is None:
         return None
-    lo_vals = [r + sum((c * t for c, t in zip(cs, tail)), ZERO)
-               for cs, r in lowers]
-    up_vals = [r + sum((c * t for c, t in zip(cs, tail)), ZERO)
-               for cs, r in uppers]
+    # With tail = ints / den, each row bounds a_v by (r den - c . ints) / (c_v den).
+    (ints,), den = _cleared([tail])
+    lo_vals = [Fraction(row[-1] * den - sum(map(mul, row, ints)), row[v] * den) for row in lowers]
+    up_vals = [Fraction(row[-1] * den - sum(map(mul, row, ints)), row[v] * den) for row in uppers]
     if lo_vals and up_vals:
         val = (max(lo_vals) + min(up_vals)) / 2
     elif lo_vals:
@@ -327,7 +342,8 @@ def find_fat_shift(vertices, sub: SubSystem) -> Vec | None:
     """A shift a such that the translated vertex polytope misses every
     forbidden wall: a witness of the strict system alpha(a) > -min_v alpha(v)
     over one representative alpha per {alpha, -alpha} pair, by one exact
-    Fourier-Motzkin solve, re-verified by verify_shift.
+    Fourier-Motzkin solve, re-verified by verify_shift.  The vertices are
+    cleared once to ints over den, and each row is the system's row times den.
 
     The representatives are lexicographically positive, so they are
     positive on a = (M^(r-1), ..., M, 1) for a large M, and a large
@@ -336,10 +352,10 @@ def find_fat_shift(vertices, sub: SubSystem) -> Vec | None:
     """
     if not vertices:
         raise ValueError("vertex list is empty")
-    vertices = _vertices(vertices, sub)
-    constraints = [(vec(root), -min(root_eval(root, v) for v in vertices))
-                   for root in _canonical_pairs(sub.forbidden)]
-    witness = _strict_feasible(constraints, sub.parent.coord_dim)
+    rows, den = _vertex_ints(vertices, sub)
+    system = [(*(den * c for c in root), -min(sum(map(mul, root, v)) for v in rows))
+              for root in _canonical_pairs(sub.forbidden)]
+    witness = _strict_feasible(system, sub.parent.coord_dim)
     if witness is not None and not verify_shift(vertices, sub, witness):
         raise AssertionError("feasible shift system failed verification")
     return witness

@@ -14,8 +14,10 @@ which reads a matrix through the kernel's flat solver, or ``killing``, the
 Gram read off the kernel's covectors.  ``dot`` is the dense pairing.
 The so(n), so(p, q), u(n) and su(n) bases are written out as dense
 matrices from their definitions (``so_basis``, ``so_pq_basis``,
-``u_basis``, ``su_basis``), and ``shift_by_sign_patterns`` is the
-moment-polytope shift found by enumerating sign patterns."""
+``u_basis``, ``su_basis``), ``shift_by_sign_patterns`` is the
+moment-polytope shift found by enumerating sign patterns, and
+``strict_feasible`` the Fourier-Motzkin solve of a strict system on
+``Fraction`` rows, dividing each bound by its coefficient."""
 
 from __future__ import annotations
 
@@ -417,8 +419,8 @@ def shift_by_sign_patterns(vertices, forbidden, nvars: int, feasible):
     alpha(a) > -min alpha(v) for s = 1 and -alpha(a) > max alpha(v) for
     s = -1, solved by ``feasible(constraints, nvars)``.  A zero pair makes
     every pattern infeasible; None when no pattern is feasible.  The
-    enumeration is the reference; ``feasible`` is the kernel's
-    Fourier-Motzkin solve, shared with it."""
+    enumeration is the reference; ``feasible`` is a Fourier-Motzkin solve
+    on those ``Fraction`` constraints, such as ``strict_feasible``."""
     pairs = sorted({max(r, tuple(-c for c in r)) for r in forbidden})
     if not pairs:
         return (Fraction(0),) * nvars
@@ -436,3 +438,41 @@ def shift_by_sign_patterns(vertices, forbidden, nvars: int, feasible):
         if witness is not None:
             return witness
     return None
+
+
+def strict_feasible(constraints, nvars: int):
+    """A rational witness of the strict system {c . a > rhs} over
+    (coeffs, rhs) pairs of Fractions, by Fourier-Motzkin elimination, or
+    None when infeasible: a_v is bounded below by each row with c_v > 0 and
+    above by each with c_v < 0, and a_v is the midpoint of the tightest
+    bounds, one past the only one, or zero."""
+    if nvars == 0:
+        return () if all(rhs < 0 for _, rhs in constraints) else None
+    v = nvars - 1
+    lowers, uppers, rest = [], [], []
+    for coeffs, rhs in constraints:
+        cv = coeffs[v]
+        if cv > 0:
+            lowers.append((tuple(-c / cv for c in coeffs[:v]), rhs / cv))
+        elif cv < 0:
+            uppers.append((tuple(-c / cv for c in coeffs[:v]), rhs / cv))
+        else:
+            rest.append((coeffs[:v], rhs))
+    # a_v > lo(a') and a_v < up(a')  =>  up - lo > 0.
+    for lo_c, lo_r in lowers:
+        for up_c, up_r in uppers:
+            rest.append((tuple(u - l for u, l in zip(up_c, lo_c)), lo_r - up_r))
+    tail = strict_feasible(rest, v)
+    if tail is None:
+        return None
+    lo_vals = [r + sum((c * t for c, t in zip(cs, tail)), ZERO) for cs, r in lowers]
+    up_vals = [r + sum((c * t for c, t in zip(cs, tail)), ZERO) for cs, r in uppers]
+    if lo_vals and up_vals:
+        val = (max(lo_vals) + min(up_vals)) / 2
+    elif lo_vals:
+        val = max(lo_vals) + 1
+    elif up_vals:
+        val = min(up_vals) - 1
+    else:
+        val = ZERO
+    return tail + (val,)

@@ -840,9 +840,11 @@ def torus_embedding_case(name):
 def dense_detection_reference(g, emb, rs):
     """The forbidden roots from the dense Fraction D = ad_xi on m at the
     generic xi detection uses: {alpha, -alpha} when D^2 + alpha(xi)^2 I
-    loses rank."""
+    loses rank; and whether D^2 is diagonal."""
     pairs = rd._canonical_pairs(rs.roots)
-    lam = rd._generic_torus_combination(pairs, rs.rank)
+    lam, vals = rd._generic_torus_combination(pairs, rs.rank)
+    assert all(type(c) is int for c in lam)
+    assert vals == [abs(rd.root_eval(a, lam)) for a in pairs]
     d = ad_m_reference(g, emb, emb.torus_vector(lam))
     d_sq = mat_mul(d, d)
     forbidden = set()
@@ -852,18 +854,37 @@ def dense_detection_reference(g, emb, rs):
                    for i, row in enumerate(d_sq)]
         if reference_rank(shifted) < emb.dim_m:
             forbidden |= {a, tuple(-c for c in a)}
-    return forbidden
+    diagonal = all(not x for i, row in enumerate(d_sq) for j, x in enumerate(row) if i != j)
+    return forbidden, diagonal
 
 
-@pytest.mark.parametrize("name", sorted(TORUS_EMBEDDINGS))
+# The torus embeddings, whose D^2 is not diagonal, and u-blocks, whose is.
+DETECTION_CASES = {**{name: ("torus", n, r) for name, (n, r) in TORUS_EMBEDDINGS.items()},
+                   "so5_u2": ("u", 5, 2), "so7_u3": ("u", 7, 3), "so12_u6": ("u", 12, 6)}
+
+
+@pytest.mark.parametrize("name", sorted(DETECTION_CASES))
 def test_torus_embedding_detection_matches_the_dense_square(name):
-    g, emb, sub = torus_embedding_case(name)
+    h_type, n, r = DETECTION_CASES[name]
+    g, emb = make_pair("so", (n,), h_type, (r,))
+    sub = make_subsystem("so", (n,), h_type, (r,))
     rs = rd.root_system_for(g)
-    # h is the torus: every root lies on m, one dimension each.
-    assert set(sub.forbidden) == set(rs.roots) == dense_detection_reference(g, emb, rs)
-    assert len(sub.forbidden) == emb.dim_m and not sub.member_roots
+    forbidden, diagonal = dense_detection_reference(g, emb, rs)
+    assert set(sub.forbidden) == forbidden
+    assert len(sub.forbidden) == emb.dim_m
     xi = emb.torus_vector([1] * len(emb.torus_basis))
-    assert monomial_columns(emb.ad_m_entries(xi)[0]) is None
+    if h_type == "torus":
+        # h is the torus: every root lies on m, one dimension each, and
+        # detection ranks the shifted squares.
+        assert set(sub.forbidden) == set(rs.roots)
+        assert not sub.member_roots
+        assert monomial_columns(emb.ad_m_entries(xi)[0]) is None
+        assert not diagonal
+    else:
+        # A u-block: detection reads the defects off the diagonal of D^2.
+        assert sub.member_roots
+        assert monomial_columns(emb.ad_m_entries(xi)[0]) is not None
+        assert diagonal
 
 
 @pytest.mark.parametrize("name", sorted(TORUS_EMBEDDINGS))

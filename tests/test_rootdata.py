@@ -179,6 +179,20 @@ def test_fat_by_roots_examples():
     assert rd.fat_by_roots((2, 1), torus_sub).status == FAT
 
 
+@pytest.mark.parametrize("x, length", [((1,), 1), ((1, 1, 0), 3)], ids=["short", "long"])
+def test_wall_tests_reject_x_of_the_wrong_length(x, length):
+    # zip cut the roots to x: (1,) read as not fat with witness (0, -1),
+    # and (1, 1, 0) as fat.
+    sub = rd.subsystem_from_members(rd.build_root_system("B", 2), [])
+    message = f"^x has {length} coordinates, but the roots of B_2 have 2$"
+    for x_in in (x, tuple(Q(c, 2) for c in x)):
+        with pytest.raises(DimensionMismatch, match=message):
+            rd.fat_by_roots(x_in, sub)
+    with pytest.raises(DimensionMismatch,
+                       match=f"^x has {length} coordinates, but the roots have 2$"):
+        rd.root_eval((1, -1), x)
+
+
 def test_fat_by_roots_scaling_invariance():
     _, _, sub = detect("so", (5,), "so", (4,))
     rng = random.Random(11)
@@ -397,7 +411,7 @@ def assert_one_solve_matches_the_sign_patterns(vertices, sub):
     and None exactly when a forbidden vector is zero."""
     got = rd.find_fat_shift(vertices, sub)
     want = ref.shift_by_sign_patterns([vec(v) for v in vertices], sub.forbidden,
-                                      sub.parent.coord_dim, rd._strict_feasible)
+                                      sub.parent.coord_dim, ref.strict_feasible)
     assert got == want
     assert (got is None) == any(not any(r) for r in sub.forbidden)
     assert got is None or rd.verify_shift(vertices, sub, got)
@@ -427,6 +441,51 @@ def test_find_fat_shift_on_b8_is_the_first_sign_pattern_witness():
     vertices = [tuple(Q((3 * i + 5 * j) % 7 - 3, 1 + (i + j) % 4) for j in range(8))
                 for i in range(4)]
     assert_one_solve_matches_the_sign_patterns(vertices, sub)
+
+
+def int_row(coeffs, rhs, scale=1):
+    """The strict row c . a > rhs on int c and rational rhs, cleared: the
+    int row (c_0 q, ..., c_{n-1} q, p) for rhs = p / q, times scale > 0."""
+    rhs = Q(rhs)
+    return tuple(scale * c * rhs.denominator for c in coeffs) + (scale * rhs.numerator,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_integer_elimination_matches_the_fraction_solve(data):
+    # Random strict systems with rational right-hand sides, each int row
+    # scaled by a positive multiplier: the bounds, and so the witness, are
+    # the same rationals as the Fraction solve's, or both are None.
+    n = data.draw(st.integers(1, 4))
+    system = data.draw(st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                                          SHIFT_ENTRIES), min_size=1, max_size=7))
+    if data.draw(st.booleans()):
+        # c . a > r and -c . a > -r together: infeasible whatever c is.
+        coeffs, rhs = data.draw(st.sampled_from(system))
+        system.append(([-c for c in coeffs], -rhs))
+    rows = [int_row(c, r, data.draw(st.integers(1, 5))) for c, r in system]
+    want = ref.strict_feasible([(vec(c), Q(r)) for c, r in system], n)
+    assert rd._strict_feasible(rows, n) == want
+    if want is not None:
+        assert all(sum((Q(x) * t for x, t in zip(c, want)), Q(0)) > r for c, r in system)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_find_fat_shift_is_the_fraction_solve_up_to_rank_8(data):
+    # The shift system alpha(a) > -min_v alpha(v) of a B, C or D subsystem,
+    # built in Fractions, against the one find_fat_shift clears to ints.
+    label = data.draw(st.sampled_from("BCD"))
+    rs = rd.build_root_system(label, data.draw(st.integers(2, 8)))
+    simple = data.draw(st.lists(st.sampled_from(rs.simple_roots), unique=True))
+    sub = rd.subsystem_from_members(rs, rd.span_subsystem(rs, simple))
+    n = rs.coord_dim
+    vertices = data.draw(st.lists(st.lists(SHIFT_ENTRIES, min_size=n, max_size=n),
+                                  min_size=1, max_size=4))
+    pairs = sorted({max(r, tuple(-c for c in r)) for r in sub.forbidden})
+    system = [(vec(r), -min(sum((a * x for a, x in zip(r, v)), Q(0)) for v in vertices))
+              for r in pairs]
+    assert rd.find_fat_shift(vertices, sub) == ref.strict_feasible(system, n)
 
 
 def test_find_fat_shift_empty_vertices_rejected():
