@@ -33,6 +33,7 @@ from .rootdata import (
     find_fat_shift,
     root_system_for,
     shift_values,
+    strict_signs,
     subsystem_from_members,
 )
 
@@ -212,12 +213,14 @@ def make_subsystem(g_family: str, g_params: tuple, h_type: str,
 
 
 @functools.lru_cache(maxsize=None)
-def make_dual(emb: SubalgebraEmbedding, rs: RootSystem | None) -> tuple:
+def make_dual(emb: SubalgebraEmbedding, sub: SubSystem) -> tuple:
     """Construct (and cache) the dual pair of a ``make_pair`` embedding,
-    with h and its sub-root-systems in both algebras."""
+    with h and its sub-root-systems in both algebras; only the side that is
+    not emb's algebra (keeping emb and its make_subsystem sub) is built."""
     pair = du.dualize(emb.ambient, du.standard_involution(emb.ambient))
-    embs = du.pair_embeddings(pair, emb.h_basis, emb.torus_basis)
-    return pair, *embs, du.dual_subsystems(pair, *embs, rs)
+    embs = du.pair_embeddings(pair, emb.h_basis, emb.torus_basis, emb)
+    return pair, *embs, du.dual_subsystems(pair, *embs, sub.parent,
+                                           [sub if e is emb else None for e in embs])
 
 
 def resolve(spec: InstanceSpec) -> ResolvedInstance:
@@ -328,7 +331,7 @@ def _run_dual(spec, inst, payload) -> bool:
     if inst.rs is None:
         raise FatBundleError(f"{spec.id}: dual needs g, h and a full-rank torus")
     samples = (spec.dual or {}).get("samples", 200)
-    pair, emb_nc, emb_c, subs = make_dual(inst.emb, inst.rs)
+    pair, emb_nc, emb_c, subs = make_dual(inst.emb, inst.subsystem)
     rep = du.compare_fat_sets(pair, emb_nc, emb_c, subs, samples, spec.seed, tol=spec.tol)
     payload["dual"] = sz.agreement_to_json(rep)
     return rep.agreement_fraction == 1.0
@@ -363,9 +366,9 @@ def _run_shift(spec, payload) -> bool:
     vertices = [sz.parse_vec(v) for v in params["vertices"]]
     # A shift always exists; the values it leaves on the vertices are
     # written, and the entry passes when each root keeps one strict sign.
-    shift = find_fat_shift(vertices, sub)
+    shift = find_fat_shift(vertices, sub, verify=False)
     values, den = shift_values(vertices, sub, shift)
-    verified = all(all(vals) and len({x > 0 for x in vals}) == 1 for vals in values.values())
+    verified = strict_signs(values)
     payload["shift_search"] = {
         "forbidden": [list(r) for r in sub.forbidden],
         "vertices": [sz.vec_to_json(v) for v in vertices],

@@ -183,23 +183,23 @@ class AgreementReport:
         return tuple(s for s in self.samples if not s.agree)
 
 
-def pair_embeddings(pair: DualPair, h_rows, torus_rows
+def pair_embeddings(pair: DualPair, h_rows, torus_rows, known=None
                     ) -> tuple[SubalgebraEmbedding, SubalgebraEmbedding]:
     """The shared subalgebra h (coordinates valid in both algebras) as an
-    embedding in the noncompact algebra and in its compact dual."""
-    emb_nc = reductive_split(pair.noncompact, h_rows, torus_basis=torus_rows,
-                             name=f"h<{pair.noncompact.name}")
-    emb_c = reductive_split(pair.compact_dual, h_rows, torus_basis=torus_rows,
-                            name=f"h<{pair.compact_dual.name}")
-    return emb_nc, emb_c
+    embedding in the noncompact algebra and in its compact dual; ``known``,
+    an embedding of these rows, is kept on the side that is its algebra."""
+    return tuple(known if known is not None and known.ambient is g else
+                 reductive_split(g, h_rows, torus_basis=torus_rows, name=f"h<{g.name}")
+                 for g in (pair.noncompact, pair.compact_dual))
 
 
 def dual_subsystems(pair: DualPair, emb_nc: SubalgebraEmbedding,
-                    emb_c: SubalgebraEmbedding, rs: RootSystem) -> tuple:
+                    emb_c: SubalgebraEmbedding, rs: RootSystem, known=(None, None)) -> tuple:
     """The sub-root-systems of h in both algebras of a dual pair, whose
-    forbidden sets must coincide: the root criterion is literally shared."""
-    sub_nc = detect_subsystem(pair.noncompact, emb_nc, rs)
-    sub_c = detect_subsystem(pair.compact_dual, emb_c, rs)
+    forbidden sets must coincide: the root criterion is literally shared.
+    A side whose sub-root-system is ``known`` is not detected again."""
+    sub_nc, sub_c = (sub or detect_subsystem(g, e, rs) for sub, g, e in zip(
+        known, (pair.noncompact, pair.compact_dual), (emb_nc, emb_c)))
     if sub_nc.forbidden != sub_c.forbidden:
         raise InvolutionInvalid("dual pair disagrees on the forbidden set")
     return sub_nc, sub_c

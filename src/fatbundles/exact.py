@@ -111,6 +111,8 @@ def int_combination(c: dict, rows) -> dict:
     its values as the arithmetic leaves them: ints on int data."""
     out: dict = {}
     for j, cj in c.items():
+        if not cj:
+            continue
         for i, x in rows[j].items():
             out[i] = out[i] + cj * x if i in out else cj * x
     return out if all(out.values()) else {i: x for i, x in out.items() if x}
@@ -226,13 +228,46 @@ def _reduce(rows, forward: bool = False) -> tuple[list[dict], list[int], Fractio
     return [held[c] for c in pivots], pivots, Fraction(num, den)
 
 
-def monomial_columns(entries: dict) -> set[int] | None:
-    """The columns hit by a sparse {(i, j): value} matrix when no row or
-    column holds two entries (ad_x on m and the fatness Gram for x in a
-    torus): their number is the rank, and the other columns' unit vectors
-    span the kernel.  Else None."""
-    cols = {j for _, j in entries}
-    return cols if len(cols) == len(entries) == len({i for i, _ in entries}) else None
+def split_table(table, n: int) -> list[tuple[list[int], bool, list[dict]]]:
+    """A table of sparse {(i, j): value} n x n matrices split along the
+    connected components of its union support: parts (indices ascending,
+    monomial, the table there renumbered 0, 1, ...), the components with at
+    most one entry per row and column merged into one monomial part."""
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+    for t in table:
+        for i, j in t:
+            root[find(i)] = find(j)
+    comps: dict[int, list] = {}
+    for i in range(n):
+        comps.setdefault(find(i), []).append(i)
+    support: dict[int, set] = {c: set() for c in comps}
+    for t in table:
+        for key in t:
+            support[find(key[0])].add(key)
+    mono = {c for c, s in support.items() if len({i for i, _ in s}) == len(s) == len({j for _, j in s})}
+    parts = [(sorted(i for c in mono for i in comps[c]), True)] * bool(mono) + [
+        (comps[c], False) for c in comps if c not in mono]
+    at = {i: (p, q) for p, (idx, _) in enumerate(parts) for q, i in enumerate(idx)}
+    rows = [[{} for _ in table] for _ in parts]
+    for a, t in enumerate(table):
+        for (i, j), v in t.items():
+            rows[at[i][0]][a][at[i][1], at[j][1]] = v
+    return [(idx, mono, r) for (idx, mono), r in zip(parts, rows)]
+
+
+def pfaffian4(entries: dict) -> tuple[int, int] | None:
+    """(N, Pf) of an antisymmetric 4 x 4 matrix of sparse {(i, j): value}
+    entries, else None: its squared singular values, each twice, are the
+    roots of y^2 - N y + Pf^2, for Pf its Pfaffian."""
+    if any(entries.get((j, i)) != -v for (i, j), v in entries.items()):
+        return None
+    x = [entries.get(key, 0) for key in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+    return sum(v * v for v in x), x[0] * x[5] - x[1] * x[4] + x[2] * x[3]
 
 
 def rank(rows) -> int:

@@ -8,7 +8,8 @@ run and must agree: the exact forbidden-wall evaluation (root criterion),
 the exact rank of the Gram (oracle, with float singular-value margins
 cross-checked where the Gram is well conditioned), and the exact
 check that ker(ad_{X_u}) meets m trivially, read off ad_{X_u}|_m for X_u
-in h (centralizer criterion).
+in h (centralizer criterion); the Gram and ad_{X_u}|_m are decided one
+connected component of their support at a time.
 Disagreement raises, it is never voted away.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, isqrt
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from .exact import (
     entry_rows,
     identity,
     int_combination,
-    monomial_columns,
     nullspace,
+    pfaffian4,
     rank,
     sparse_columns,
     vec,
@@ -41,14 +42,14 @@ from .rootdata import SubSystem, fat_by_roots
 from .verdicts import FAT, FAT_VERDICT, NOT_APPLICABLE, NOT_FAT, Verdict
 
 
-def _gram_entries(emb: SubalgebraEmbedding) -> list[dict]:
-    """Per h_a, the nonzero entries {(i, j): B(h_a, [m_i, m_j])} of G_a,
-    paired through the Killing covectors u_ij = K [m_i, m_j]."""
+def _gram_entries(emb: SubalgebraEmbedding, rows) -> list[dict]:
+    """Per row y (an h_a or a torus T_i), the nonzero entries {(i, j): B(y,
+    [m_i, m_j])} of its Gram, the brackets paired with the covectors K y."""
     g = emb.ambient
-    h_cols = sparse_columns(emb.h_sparse)  # {a: (h_a)_l} for each index l
-    table: list[dict] = [{} for _ in emb.h_sparse]
+    cols = sparse_columns([g.sparse_covector(y) for y in rows])
+    table: list[dict] = [{} for _ in rows]
     for (i, j), b in g.sparse_brackets(emb.m_sparse):
-        for a, x in int_combination(g.sparse_covector(b), h_cols).items():
+        for a, x in int_combination(b, cols).items():
             table[a][i, j], table[a][j, i] = x, -x
     return table
 
@@ -64,44 +65,71 @@ def fatness_gram(emb: SubalgebraEmbedding, x_u) -> Mat:
     return tuple(tuple(Fraction(v, den) for v in row) for row in dense_mat(gram, emb.dim_m))
 
 
+def _decide(parts, sv: list | None = None) -> tuple[int, dict | None]:
+    """(rank, nullspace's first vector {column: int} or None, that of the
+    lowest free column) of ``linear`` parts, each decided alone: a monomial
+    part by its entries and the columns they miss, an antisymmetric 4-row
+    one by its Pfaffian, any other by elimination.  Each adds to ``sv`` its
+    extreme singular values: its |entries|; sqrt(y) and |Pf| / sqrt(y) to
+    2^-64, y the larger root of y^2 - N y + Pf^2; or numpy's SVD."""
+    total, kernels = 0, []
+    for idx, mono, e in parts:
+        k = len(idx)
+        if mono:
+            r = len(e)
+            if sv is not None:
+                sv += map(abs, e.values())
+        elif k == 4 and (npf := pfaffian4(e)):
+            n, pf = npf
+            r = 4 if pf else 2 if e else 0
+            if sv is not None and e:
+                s = isqrt(((n << 128) + isqrt((n * n - 4 * pf * pf) << 256)) >> 1)
+                sv += [Fraction(s, 1 << 64), Fraction(abs(pf) << 64, s)]
+        else:
+            r = rank(rows := entry_rows(e, k))
+            if sv is not None and e:
+                top = 1 << max(map(abs, e.values())).bit_length()
+                s = np.linalg.svd(np.array([[row.get(j, 0) / top for j in range(k)]
+                                            for row in rows]), compute_uv=False)
+                sv += [Fraction(s[-1]) * top, Fraction(s[0]) * top]
+        if r < k and mono:
+            f = idx[min({*range(k)} - {j for _, j in e})]
+            kernels.append((f, {f: 1}))
+        elif r < k:
+            null = nullspace(entry_rows(e, k), k)[0]
+            kernels.append((idx[max(null)], {idx[c]: v for c, v in null.items()}))
+        total += r
+    return total, min(kernels)[1] if kernels else None
+
+
 def fat_by_oracle(emb: SubalgebraEmbedding, x_u, tol: float = 1e-9) -> Verdict:
     """Exact nondegeneracy test of the fatness Gram, with float margins.
 
     Fat iff the integer Gram has rank dim m (never for odd dim m); else
-    ``null_vector`` is its first exact kernel vector.  A monomial Gram
-    (every torus X_u) is decided from its nonzero entries, with no
-    elimination and no dense matrix: their number is the rank, their
-    |values| and dim m - rank zeros the singular values, and the lowest
-    column they miss the kernel vector.  Else the margins smin, smax come
-    from numpy's SVD of the dense Gram over a power of two above its
-    entries, which then neither overflow nor underflow; None past the
-    float range.  When smin > tol * smax the Gram is well conditioned, the
-    float SVD calls it fat, and ``certify`` demands that the exact rank agrees.
+    ``null_vector`` is its first exact kernel vector.  The Gram is decided
+    per component of its support (``_decide``), never as a whole: on a
+    torus X_u each one is read off or decided by its Pfaffian.  The margins
+    smin, smax are the components' extreme singular values, a zero per
+    missing pivot, over the Gram's denominator; None past the float range.
+    When smin > tol * smax the Gram is well conditioned, the float SVD calls
+    it fat, and ``certify`` demands that the exact rank agrees.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    entries, den = emb.h_linear(_gram_entries, x_u)
-    k = emb.dim_m
-    hit = monomial_columns(entries)
-    if hit is not None:  # the |entries| and a zero per column missed; none if m = 0
-        sv = [0] * (k - len(hit)) + sorted(map(abs, entries.values())) or [inf]
-    else:
-        rows = entry_rows(entries, k)
-        top = 1 << max(map(abs, entries.values())).bit_length()
-        s = np.linalg.svd(np.array([[row.get(j, 0) / top for j in range(k)] for row in rows]),
-                          compute_uv=False)
-        sv, den = [Fraction(s[-1]), Fraction(s[0])], Fraction(den, top)
+    parts, den = emb.linear(_gram_entries, x_u)
+    k, sv = emb.dim_m, []
+    r, null = _decide(parts, sv)
+    lo, hi = (0 if r < k else min(sv), max(sv, default=0)) if k else (inf, inf)
     try:  # int / int and float(Fraction) are correctly rounded
-        smin, smax = float(sv[0] / den), float(sv[-1] / den)
+        smin, smax = float(lo / den), float(hi / den)
     except OverflowError:
         smin = smax = None
     margins = {"min_singular_value": smin, "max_singular_value": smax,
-               "well_conditioned": bool(sv[-1]) and sv[0] / sv[-1] > tol}
-    if (len(hit) if hit is not None else rank(rows)) == k:
+               "well_conditioned": bool(hi) and lo / hi > tol}
+    if r == k:
         return Verdict(FAT, **margins,
                        note="" if k else "trivial horizontal space")
-    null = dense_vec(nullspace(rows, k)[0] if hit is None else {min({*range(k)} - hit): 1}, k)
-    return Verdict(NOT_FAT, null_vector=null, **margins,
+    return Verdict(NOT_FAT, null_vector=dense_vec(null, k), **margins,
                    note="odd dimension" if k % 2 else "")
 
 
@@ -112,21 +140,16 @@ def isotropy_algebra(g: LieAlgebra, x_u) -> tuple[Vec, ...]:
 
 def fat_by_centralizer(emb: SubalgebraEmbedding, x_u) -> Verdict:
     """Fat iff ad_{X_u}|_m has no kernel (X_u in h, else DimensionMismatch),
-    i.e. the isotropy algebra of the covector stays inside h.  Its sparse
-    integer entries decide a monomial one (every torus X_u), with no dense
-    matrix or elimination: the witness is m_f, f the lowest column missed."""
-    entries, _ = emb.ad_m_entries(x_u)
+    i.e. the isotropy algebra of the covector stays inside h, decided per
+    component (``_decide``); the witness is its first kernel vector in g."""
+    parts, _ = emb.linear(SubalgebraEmbedding._ad_entries, x_u)
     if not emb.m_basis:
         return Verdict(FAT, note="trivial horizontal space")
-    if (hit := monomial_columns(entries)) is not None:
-        if len(hit) == emb.dim_m:
-            return FAT_VERDICT
-        return Verdict(NOT_FAT, witness_vector=emb.m_basis[min(set(range(emb.dim_m)) - hit)])
-    kernel = nullspace(entry_rows(entries, emb.dim_m), emb.dim_m)
-    if not kernel:
+    _, kernel = _decide(parts)
+    if kernel is None:
         return FAT_VERDICT
-    return Verdict(NOT_FAT, witness_vector=dense_vec(
-        int_combination(kernel[0], emb.m_sparse), emb.ambient.dim))
+    return Verdict(NOT_FAT, witness_vector=emb.m_basis[min(kernel)] if len(kernel) == 1 else
+                   dense_vec(int_combination(kernel, emb.m_sparse), emb.ambient.dim))
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,7 +193,7 @@ def certify(g: LieAlgebra, emb: SubalgebraEmbedding, x_u, *,
     Gram (fat by the float SVD) that is not fat by its exact rank, raises
     CriteriaDisagree with the full certificate (all witnesses) attached.
     """
-    x_u, _, _, tau, t_ints = emb.h_solve(x_u)  # checked, solved once for all
+    x_u, _, _, tau, t_ints, _, _ = emb.solve(x_u)  # checked, solved once for all
     if tau is None:
         tau = t_ints = emb.torus_coords(x_u)
     roots_v = (fat_by_roots(t_ints, subsystem) if subsystem is not None and tau is not None

@@ -38,6 +38,7 @@ from .exact import (
     sparse_dot,
     sparse_ints,
     sparse_vec,
+    split_table,
     vec,
     vec_mat,
     zero_vec,
@@ -374,6 +375,7 @@ class SubalgebraEmbedding:
         self._torus_ints = [sparse_ints(rows) for rows in
                             (self.torus_sparse or (), t_h if torus else ())]
         self._cache: dict = {"torus": torus}
+        self._tables: tuple[dict, dict] = ({}, {})  # build: its _table, on h and torus rows
 
     def split_coords(self, x) -> tuple[Vec, Vec]:
         """Coefficients of x in the h-basis and the m-basis."""
@@ -393,39 +395,68 @@ class SubalgebraEmbedding:
         _, c, den, *_ = self.h_solve(x)
         return None if c is None else tuple(v / den for v in dense_vec(c, self.dim_h))
 
-    def h_solve(self, x) -> tuple:
-        """(x, c, den, tau, t_ints): x checked; its h-coordinates c = {a: int}
-        over den in lowest terms (None outside h); tau and its ints for an X_u
-        from ``torus_vector``, else None.  The last solve is kept, keyed by the
-        identity of x: such an X_u carries its solve, any other is solved here."""
+    def solve(self, x) -> tuple:
+        """(x, c, den, tau, t_ints, t, t_den): x checked; its h-coordinates
+        c = {a: int} over den in lowest terms (None outside h, and for an X_u
+        from ``torus_vector`` until ``h_solve``); such an X_u's tau, with its
+        ints over t_den as a list and a dict.  Kept, keyed by x's identity."""
         last = self._cache.get("h")
         if last is None or last[0] is not x:
             x = self.ambient.check_vector(x)
             c = self.sparse_h_coords(sparse_vec(x))
             (ints,), den = sparse_ints([c or {}])
-            last = self._cache["h"] = (x, None if c is None else ints, den, None, None)
+            last = self._cache["h"] = (x, None if c is None else ints, den, None, None, None, None)
         return last
 
+    def h_solve(self, x) -> tuple:
+        """(x, c, den, tau, t_ints) of ``solve``, with c formed and kept."""
+        x, c, den, tau, t_ints, t, t_den = self.solve(x)
+        if c is None and tau is not None:
+            rows, h_den = self._torus_ints[1]
+            c, den = int_combination(t, rows), t_den * h_den
+            g = gcd(den, *c.values())
+            c, den = {a: v // g for a, v in c.items()}, den // g
+            self._cache["h"] = (x, c, den, tau, t_ints, t, t_den)
+        return x, c, den, tau, t_ints
+
+    def _table(self, build, torus: bool = False) -> list:
+        """[table, den, parts]: build(self, rows) on the torus or h rows, as
+        ints over one den, and its ``split_table`` once asked; built once."""
+        if build not in self._tables[torus]:
+            rows = self.torus_sparse if torus else self.h_sparse
+            self._tables[torus][build] = [*sparse_ints(build(self, rows)), None]
+        return self._tables[torus][build]
+
     def h_linear(self, build, x) -> tuple[dict, int]:
-        """(M, den) with M / den = sum_a c_a T_a over the h-coordinates c of
-        x (else DimensionMismatch), read off the shared ``h_solve``: M holds
-        the nonzero entries {(i, j): v} of a k x k integer matrix, formed
-        from the nonzero c_a only and never made dense.  ``build(emb)`` gives,
-        per h_a, the nonzero entries {(i, j): v} of T_a; they are kept, keyed
-        by ``build``, as integers over one common denominator."""
+        """(M, den): the nonzero entries {(i, j): int} of sum_a c_a T_a over
+        x's h-coordinates (else DimensionMismatch) and the h rows' table."""
         _, c, den, *_ = self.h_solve(x)
         if c is None:
             raise DimensionMismatch("vector is not in h")
-        if build not in self._cache:
-            self._cache[build] = sparse_ints(build(self))
-        table, table_den = self._cache[build]
+        table, table_den, _ = self._table(build)
         return int_combination(c, table), den * table_den
 
-    def _ad_entries(self) -> list[dict]:
-        """Per h_a, the nonzero entries {(i, j): v} of D_a = ad_{h_a}|_m;
-        raises ValueError when some [h_a, m_j] leaves m."""
-        table: list[dict] = [{} for _ in self.h_sparse]
-        for (a, j), b in self.ambient.sparse_brackets(self.h_sparse, self.m_sparse):
+    def linear(self, build, x) -> tuple[list, int]:
+        """(parts, den): ``h_linear``'s matrix per ``split_table`` part, as
+        (indices, monomial, entries), but sum_i tau_i T_i over the torus rows'
+        table for x in the torus, from tau's ints and no h-coordinates."""
+        x, c, den, tau, _, t, t_den = self.solve(x)
+        if tau is not None:
+            c, den = t, t_den
+        elif c is None:
+            raise DimensionMismatch("vector is not in h")
+        elif (tau := self.torus_coords(x)) is not None:
+            (c,), den = sparse_ints([dict(enumerate(tau))])
+        table = self._tables[tau is not None].get(build) or self._table(build, tau is not None)
+        if table[2] is None:
+            table[2] = split_table(table[0], self.dim_m)
+        return [(idx, mono, int_combination(c, rows)) for idx, mono, rows in table[2]], den * table[1]
+
+    def _ad_entries(self, rows) -> list[dict]:
+        """Per row y (an h_a or a torus T_i), the nonzero entries {(i, j): v}
+        of ad_y|_m; raises ValueError when some [y, m_j] leaves m."""
+        table: list[dict] = [{} for _ in rows]
+        for (a, j), b in self.ambient.sparse_brackets(rows, self.m_sparse):
             c = self._full_solver.sparse_coords(b)
             if c is None:
                 raise DimensionMismatch("vector is not in h + m")
@@ -447,32 +478,29 @@ class SubalgebraEmbedding:
         h-coordinates, so None for every x when the torus is not in h."""
         if self.torus_sparse is None:
             return None
-        _, c, den, tau, _ = self.h_solve(x)
+        _, c, den, tau, *_ = self.solve(x)
         if tau is None and c is not None and self._cache["torus"] is not None:
             tau = self._cache["torus"].coords({a: Fraction(v, den) for a, v in c.items()})
         return tau
 
     def torus_vector(self, tau) -> Vec:
-        """The element x = sum_i tau_i T_i of the torus, in g-coordinates:
-        tau cleared once into ints t_ints over t_den, x and (torus in h) its
-        h-coordinates are int combinations of the int torus rows; the latter
-        fill the ``h_solve`` slot with tau and t_ints, so certify solves nothing."""
+        """The element x = sum_i tau_i T_i of the torus, in g-coordinates, an
+        int combination of the int torus rows; with the torus in h, x fills
+        the ``solve`` slot with tau and its ints, so certify solves nothing."""
         if self.torus_sparse is None:
             raise NotCompact("embedding carries no torus")
-        tau = vec(tau)
+        if type(tau) is not tuple or not all(type(a) is Fraction for a in tau):
+            tau = vec(tau)
         if len(tau) != len(self.torus_sparse):
             raise DimensionMismatch("torus coordinate length mismatch")
         (t,), t_den = sparse_ints([dict(enumerate(tau))])
-        (g_rows, g_den), (h_rows, h_den) = self._torus_ints
-        x = [ZERO] * self.ambient.dim
+        g_rows, g_den = self._torus_ints[0]
+        x, den = [ZERO] * self.ambient.dim, t_den * g_den
         for i, v in int_combination(t, g_rows).items():
-            x[i] = Fraction(v, t_den * g_den)
+            x[i] = Fraction(v, den)
         x = tuple(x)
         if self._cache["torus"] is not None:
-            c, den = int_combination(t, h_rows), t_den * h_den
-            g = gcd(den, *c.values())
-            c = {a: v // g for a, v in c.items()}
-            self._cache["h"] = (x, c, den // g, tau, list(t.values()))
+            self._cache["h"] = (x, None, None, tau, list(t.values()), t, t_den)
         return x
 
     def __repr__(self):

@@ -1,7 +1,8 @@
 """Exact root-system combinatorics.
 
 Classical root systems in the block-torus coordinates t_i, detection of
-the sub-root-system of an embedded subalgebra, the forbidden-wall test
+the sub-root-system of an embedded subalgebra from the squared weights of
+each component of ad on m, the forbidden-wall test
 for fatness, centralizing-vector construction from fundamental coweights,
 and the moment-polytope shift.  Everything here is exact: roots are
 evaluated as int dot products on points cleared to ints over one common
@@ -15,11 +16,11 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
 
 from .errors import DimensionMismatch, NotCompact, TorusMismatch
-from .exact import ZERO, Vec, entry_rows, int_combination, inverse, rank, sparse_ints, vec
+from .exact import ZERO, Vec, entry_rows, int_combination, inverse, pfaffian4, rank, sparse_ints, vec
 from .liealg import LieAlgebra, SubalgebraEmbedding
 from .verdicts import FAT_VERDICT, NOT_FAT, Verdict
 
@@ -163,13 +164,12 @@ def detect_subsystem(g: LieAlgebra, emb: SubalgebraEmbedding,
     """Split the parent roots into those of h and the forbidden set.
 
     The torus of the embedding must follow the block convention of ``rs``
-    (same rank, matching coordinates).  The forbidden roots are found from
-    the 2-dimensional isotypic blocks of ad restricted to the torus acting
-    on m: the pair {alpha, -alpha} is forbidden exactly when
-    ad_xi^2 + alpha(xi)^2 is singular on m for a generic torus element xi.
-    On a block or u-block torus ad_xi^2 is diagonal, and the defect is read
-    off as the number of diagonal entries -alpha(xi)^2; any other square
-    is ranked.
+    (same rank, matching coordinates).  {alpha, -alpha} is forbidden when
+    alpha(xi)^2 is a squared weight of D = ad_xi|_m, xi a generic torus
+    element, read per component (``SubalgebraEmbedding.linear``): -D_ij D_ji
+    on each row of a 2-row one (so-blocks, u-blocks), the roots of
+    y^2 - N y + Pf^2 of a 4-row antisymmetric one (torus embeddings); any
+    other D^2 + alpha(xi)^2 is ranked.
     """
     if emb.torus_basis is None:
         raise NotCompact(f"{emb.name}: embedding carries no torus")
@@ -182,31 +182,37 @@ def detect_subsystem(g: LieAlgebra, emb: SubalgebraEmbedding,
     k = emb.dim_m
     if k == 0:
         return subsystem_from_members(rs, rs.roots)
-    if emb.h_coords(xi) is None:
+    if emb.torus_coords(xi) is None:
         raise TorusMismatch("torus is not contained in h")
-    d_entries, den = emb.ad_m_entries(xi)
-    d = entry_rows(d_entries, k)
-    d_sq = [int_combination(row, d) for row in d]
-    diag = (Counter(row.get(i, 0) for i, row in enumerate(d_sq))
-            if all(row.keys() <= {i} for i, row in enumerate(d_sq)) else None)
-    forbidden_pairs = []
+    parts, den = emb.linear(SubalgebraEmbedding._ad_entries, xi)
+    weights: Counter = Counter()  # twice a squared weight, times den^2: its rows
+    squares = []  # the other components' D^2
+    for idx, mono, e in parts:
+        n, pf = len(idx) == 4 and pfaffian4(e) or (0, 1)  # (0, 1): no square root
+        s = isqrt(max(n * n - 4 * pf * pf, 0))
+        if mono and all((j, i) in e for i, j in e):
+            weights.update(-2 * v * e[j, i] for (i, j), v in e.items())
+        elif s * s == n * n - 4 * pf * pf:  # 4 rows, antisymmetric, squared weights ints
+            weights[n + s] += 2
+            weights[n - s] += 2
+        else:
+            d = entry_rows(e, len(idx))
+            squares.append([int_combination(row, d) for row in d])
+    forbidden = set()
     accounted = 0
     for rep, val in zip(pairs, vals):
         # D^2 + (val den)^2 I is den^2 ((D/den)^2 + val^2 I).
         v2 = (val * den) ** 2
-        defect = (diag[-v2] if diag is not None else
-                  k - rank([{**row, i: row.get(i, 0) + v2} for i, row in enumerate(d_sq)]))
+        defect = weights[2 * v2] + sum(
+            len(d) - rank([{**row, i: row.get(i, 0) + v2} for i, row in enumerate(d)])
+            for d in squares)
         if defect:
-            forbidden_pairs.append(rep)
+            forbidden |= {rep, tuple(-c for c in rep)}
             accounted += defect
     if accounted != k:
         raise TorusMismatch(
             f"torus eigenvalues on m cover {accounted} of {k} dimensions; "
             "the joint eigenvalues do not match the given root system")
-    forbidden = set()
-    for rep in forbidden_pairs:
-        forbidden.add(rep)
-        forbidden.add(tuple(-c for c in rep))
     members = [r for r in rs.roots if r not in forbidden]
     return SubSystem(rs, _sorted_roots(members), _sorted_roots(forbidden))
 
@@ -295,12 +301,17 @@ def shift_values(vertices, sub: SubSystem, a) -> tuple[dict[Root, list[int]], in
     return {root: [sum(map(mul, root, v)) for v in shifted] for root in sub.forbidden}, den
 
 
-def verify_shift(vertices, sub: SubSystem, a) -> bool:
-    """Exact check that every forbidden root has a strict constant sign on
-    all shifted vertices v + a, read off ``shift_values``."""
-    values, _ = shift_values(vertices, sub, a)
+def strict_signs(values: dict) -> bool:
+    """The strict-sign rule on a ``shift_values`` result: every forbidden
+    root is positive on all shifted vertices, or negative on all."""
     return all(all(x > 0 for x in vals) or all(x < 0 for x in vals)
                for vals in values.values())
+
+
+def verify_shift(vertices, sub: SubSystem, a) -> bool:
+    """Exact check that every forbidden root has a strict constant sign on
+    all shifted vertices v + a: ``strict_signs`` of ``shift_values``."""
+    return strict_signs(shift_values(vertices, sub, a)[0])
 
 
 def _strict_feasible(rows, nvars: int) -> Vec | None:
@@ -338,12 +349,13 @@ def _strict_feasible(rows, nvars: int) -> Vec | None:
     return tail + (val,)
 
 
-def find_fat_shift(vertices, sub: SubSystem) -> Vec | None:
+def find_fat_shift(vertices, sub: SubSystem, *, verify: bool = True) -> Vec | None:
     """A shift a such that the translated vertex polytope misses every
     forbidden wall: a witness of the strict system alpha(a) > -min_v alpha(v)
     over one representative alpha per {alpha, -alpha} pair, by one exact
-    Fourier-Motzkin solve, re-verified by verify_shift.  The vertices are
-    cleared once to ints over den, and each row is the system's row times den.
+    Fourier-Motzkin solve, re-verified by verify_shift unless ``verify`` is
+    false (the caller reads ``strict_signs`` off its own ``shift_values``).
+    The vertices are cleared once to ints over den; a row is one times den.
 
     The representatives are lexicographically positive, so they are
     positive on a = (M^(r-1), ..., M, 1) for a large M, and a large
@@ -356,6 +368,6 @@ def find_fat_shift(vertices, sub: SubSystem) -> Vec | None:
     system = [(*(den * c for c in root), -min(sum(map(mul, root, v)) for v in rows))
               for root in _canonical_pairs(sub.forbidden)]
     witness = _strict_feasible(system, sub.parent.coord_dim)
-    if witness is not None and not verify_shift(vertices, sub, witness):
+    if verify and witness is not None and not verify_shift(vertices, sub, witness):
         raise AssertionError("feasible shift system failed verification")
     return witness

@@ -931,6 +931,19 @@ def test_a_shift_on_a_wall_fails_the_entry(tmp_path, capsys):
     assert json.loads((out / "s.json").read_text()) == json.loads(dumps_canonical(payload))
 
 
+def test_a_shift_instance_evaluates_its_vertices_once():
+    # One shift_values result: the certificate's evaluations, read by the
+    # one strict-sign rule, strict_signs, for both the search and verified.
+    from fatbundles import rootdata
+    entry = {"id": "s", "run": ["shift"], "shift": {**SHIFT, "vertices": [["0", "0"], ["1", "0"]]}}
+    count = mock.Mock(wraps=rootdata.shift_values)
+    with mock.patch("fatbundles.rootdata.shift_values", count), \
+            mock.patch("fatbundles.catalog.shift_values", count):
+        passed, payload = run_instance(InstanceSpec.from_json(entry))
+    assert passed and payload["shift_search"]["verified"] is True
+    assert count.call_count == 1
+
+
 B3_NO_SHIFT = {"type": "B", "rank": 3, "member_roots": [], "expect_shift": False}
 
 

@@ -185,3 +185,18 @@ def test_dual_instances_of_one_pair_build_it_once():
     subs = du.dual_subsystems(pair, emb_nc, emb_c, rd.root_system_for(g))
     rep = du.compare_fat_sets(pair, emb_nc, emb_c, subs, 30, spec.seed)
     assert first[1]["dual"] == sz.agreement_to_json(rep)
+
+
+def test_make_dual_keeps_the_pair_and_subsystem_of_its_own_side():
+    # so(p, q) is the noncompact side of its dual pair: make_dual keeps its
+    # make_pair embedding and make_subsystem sub-root-system, and splits and
+    # detects only the compact dual, which must forbid the same roots.
+    from fatbundles import catalog as ct
+    for n in (2, 3):
+        args = ("so", (2 * n, 1), "so", (2 * n,))
+        g, emb = ct.make_pair(*args)
+        sub = ct.make_subsystem(*args)
+        pair, emb_nc, emb_c, (sub_nc, sub_c) = ct.make_dual(emb, sub)
+        assert pair.noncompact is g and emb_nc is emb and sub_nc is sub
+        assert emb_c.ambient is pair.compact_dual and emb_c.m_sparse == emb.m_sparse
+        assert sub_c is not sub and sub_c.forbidden == sub.forbidden

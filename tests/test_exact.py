@@ -221,9 +221,13 @@ def test_monomial_rank_and_kernel_match_fraction_reference(a):
     cols = [j for row in nonzero for j in row]
     monomial = all(len(row) <= 1 for row in nonzero) and \
         len(cols) == len(set(cols))
-    hit = ex.monomial_columns({(i, j): x for i, row in enumerate(a)
-                               for j, x in enumerate(row) if x})
-    assert hit == (set(cols) if monomial else None)
+    # Split as one table of a square matrix: one monomial part, hitting cols.
+    n = max(len(a), len(a[0]) if a else 0)
+    parts = ex.split_table([{(i, j): x for i, row in enumerate(a)
+                             for j, x in enumerate(row) if x}], n)
+    assert all(mono for _, mono, _ in parts) == monomial
+    if monomial and parts:
+        assert {parts[0][0][j] for _, j in parts[0][2][0]} == set(cols)
     assert ex.rank(sp(a)) == ref.rank(a)
     ns = kernel(sp(a), len(a[0]) if a else 0)
     assert ns == ref.nullspace(a)
@@ -231,6 +235,58 @@ def test_monomial_rank_and_kernel_match_fraction_reference(a):
     if all(len(row) == len(a) for row in a):
         d = ex.det(sp(a), len(a))
         assert type(d) is Q and d == ref.det(a)
+
+
+NONZERO_INT = st.integers(1, 10**20).flatmap(lambda v: st.sampled_from([v, -v, v % 7 + 1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_split_table_parts_and_pfaffians(data):
+    # A table of 1-3 matrices on blocks of 1 or 2 indices (one entry per row
+    # and column), 4 (antisymmetric, every entry nonzero in the first
+    # matrix) and 3 (every entry nonzero) at shuffled indices: the monomial
+    # blocks make one part, and each other block its own; pfaffian4 reads
+    # the antisymmetric ones and refuses the others.
+    sizes = data.draw(st.lists(st.sampled_from([1, 2, 3, 4]), max_size=5))
+    n = sum(sizes)
+    perm = data.draw(st.permutations(range(n)))
+    table = [{} for _ in range(data.draw(st.integers(1, 3)))]
+    blocks, start = [], 0
+    for size in sizes:
+        idx = sorted(perm[start:start + size])
+        start += size
+        blocks.append((idx, size < 3))
+        for a, t in enumerate(table):
+            if size == 2:
+                t[idx[0], idx[1]], t[idx[1], idx[0]] = data.draw(NONZERO_INT), data.draw(NONZERO_INT)
+            elif size == 3:
+                t.update({(i, j): data.draw(NONZERO_INT) for i in idx for j in idx})
+            elif size == 4:
+                for p, i in enumerate(idx):
+                    for j in idx[p + 1:]:
+                        if v := data.draw(NONZERO_INT if a == 0 else st.integers(-9, 9)):
+                            t[i, j], t[j, i] = v, -v
+    parts = ex.split_table(table, n)
+    mono = sorted(i for idx, m in blocks if m for i in idx)
+    want = ([(mono, True)] if mono else []) + [(idx, m) for idx, m in blocks if not m]
+    assert sorted((idx, m) for idx, m, _ in parts) == sorted(want)
+    for idx, m, rows in parts:  # the table on idx, renumbered 0, 1, ...
+        assert rows == [{(idx.index(i), idx.index(j)): v for (i, j), v in t.items() if i in idx}
+                        for t in table]
+        if m or len(idx) == 3:
+            continue
+        # Pf^2 = det, N = |A|^2 / 2, and the roots of y^2 - N y + Pf^2 are
+        # the squared singular values, each twice.
+        a = [[table[0].get((i, j), 0) for j in idx] for i in idx]
+        assert rows[0] == {(p, q): v for p, row in enumerate(a) for q, v in enumerate(row) if v}
+        norm, pf = ex.pfaffian4(rows[0])
+        assert pf * pf == ref.det(a) and 2 * norm == sum(x * x for row in a for x in row)
+        y = sorted(np.roots([1.0, -float(norm), float(pf) ** 2]).real)
+        s = np.linalg.svd(np.array(a, dtype=float), compute_uv=False)
+        assert np.sqrt(np.maximum(y, 0)) == pytest.approx(sorted(s)[::2], rel=1e-6, abs=1e-6 * s[0])
+    assert ex.pfaffian4({(0, 1): 2, (1, 0): -2}) == (4, 0)
+    assert ex.pfaffian4({(0, 1): 2}) is None and ex.pfaffian4({(0, 0): 1}) is None
 
 
 def test_rank_matches_numpy_on_random_integer_matrices():

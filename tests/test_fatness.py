@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from float_oracles import fatness_gram_float
-from fraction_oracles import ad_m, ad_on, coords, dot, mat_mul
+from fraction_oracles import ad_m, ad_on, coords, dot
 from fraction_oracles import nullspace as reference_nullspace
 from fraction_oracles import rank as reference_rank
 from hypothesis import assume, given, settings
@@ -29,8 +29,8 @@ from fatbundles.exact import (
     dense_mat,
     dense_vec,
     mat,
-    monomial_columns,
     nullspace,
+    pfaffian4,
     rank,
     sparse_vec,
     unit_vec,
@@ -194,17 +194,16 @@ def test_certify_roots_not_applicable_off_torus():
 
 def test_certify_disagreement_raises_with_certificate():
     # A criterion that goes wrong must surface as CriteriaDisagree, never a
-    # vote: with the Gram table of one h basis element zeroed, the oracle
+    # vote: with the Gram table of one torus element zeroed, the oracle
     # calls the fat J singular while the roots and the centralizer say fat.
     g = so5_so4()[0]
     emb = la.so_block_embedding(g, 4)  # its own table cache
     sub = make_subsystem("so", (5,), "so", (4,))
     j = emb.torus_vector((1, 1))
-    a0 = min(emb.h_solve(j)[1])
     entries = ft._gram_entries
 
-    def one_block_zeroed(e):
-        return [{} if a == a0 else row for a, row in enumerate(entries(e))]
+    def one_block_zeroed(e, rows):  # the Gram of the first torus row
+        return [{} if a == 0 else row for a, row in enumerate(entries(e, rows))]
     with mock.patch.object(ft, "_gram_entries", one_block_zeroed):
         with pytest.raises(CriteriaDisagree) as err:
             ft.certify(g, emb, j, subsystem=sub)
@@ -660,7 +659,7 @@ def test_torus_not_in_h_has_no_torus_coordinates():
 def dual_case(n, side):
     """(g, emb, sub) of one side of the builtin dual_so{2n}1 pair."""
     g, emb = make_pair("so", (2 * n, 1), "so", (2 * n,))
-    pair, emb_nc, emb_c, subs = make_dual(emb, rd.root_system_for(g))
+    pair, emb_nc, emb_c, subs = make_dual(emb, make_subsystem("so", (2 * n, 1), "so", (2 * n,)))
     if side == "noncompact":
         return pair.noncompact, emb_nc, subs[0]
     return pair.compact_dual, emb_c, subs[1]
@@ -837,25 +836,86 @@ def torus_embedding_case(name):
     return *make_pair("so", (n,), "torus", (r,)), make_subsystem("so", (n,), "torus", (r,))
 
 
-def dense_detection_reference(g, emb, rs):
+def support_blocks(mats, k):
+    """The index sets, each sorted, that the nonzero entries of the k x k
+    matrices connect: every combination of them is block-diagonal on these."""
+    block = {i: frozenset([i]) for i in range(k)}
+    for m in mats:
+        for i, row in enumerate(m):
+            for j, v in enumerate(row):
+                if v and block[i] is not block[j]:
+                    merged = block[i] | block[j]
+                    block.update(dict.fromkeys(merged, merged))
+    return sorted({tuple(sorted(b)) for b in block.values()})
+
+
+def reference_decision(mat, blocks, within=None):
+    """(rank, nullspace(mat)[0] or None) of a Fraction matrix that is
+    block-diagonal on the blocks (checked), by the Fraction reference on each
+    block, or on those inside the indices ``within``.  The reduced row
+    echelon form of such a matrix is its blocks', so its kernel basis, one
+    vector per free column, is theirs, and the first vector is the one of
+    the lowest free column over the blocks."""
+    at = {i: b for b in blocks for i in b}
+    assert all(not v or at[i] is at[j] for i, row in enumerate(mat) for j, v in enumerate(row))
+    total, first = 0, None
+    for b in blocks:
+        if within is not None and b[0] not in within:
+            continue
+        kernel = reference_nullspace([[mat[i][j] for j in b] for i in b])
+        total += len(b) - len(kernel)
+        for v in kernel[:1]:
+            f = b[max(p for p, x in enumerate(v) if x)]  # the free column
+            if first is None or f < first[0]:
+                first = f, tuple(v[b.index(i)] if i in b else Q(0) for i in range(len(mat)))
+    return total, None if first is None else first[1]
+
+
+def combine(mats, c):
+    """sum_a c_a mats_a over dense Fraction matrices."""
+    k = len(mats[0]) if mats else 0
+    out = [[Q(0)] * k for _ in range(k)]
+    for ca, m in zip(c, mats):
+        if ca:
+            for i, row in enumerate(m):
+                for j, v in enumerate(row):
+                    if v:
+                        out[i][j] += ca * v
+    return out
+
+
+@functools.cache
+def dense_detection_reference(name):
     """The forbidden roots from the dense Fraction D = ad_xi on m at the
     generic xi detection uses: {alpha, -alpha} when D^2 + alpha(xi)^2 I
-    loses rank; and whether D^2 is diagonal."""
+    loses rank (ranked on the blocks of D); and whether D^2 is diagonal."""
+    h_type, n, r = DETECTION_CASES[name]
+    g, emb = make_pair("so", (n,), h_type, (r,))
+    rs = rd.root_system_for(g)
     pairs = rd._canonical_pairs(rs.roots)
     lam, vals = rd._generic_torus_combination(pairs, rs.rank)
     assert all(type(c) is int for c in lam)
     assert vals == [abs(rd.root_eval(a, lam)) for a in pairs]
     d = ad_m_reference(g, emb, emb.torus_vector(lam))
-    d_sq = mat_mul(d, d)
+    blocks = support_blocks([d], emb.dim_m)
+    # D is block-diagonal on the blocks, so D^2 is, summed over each block.
+    at = {i: b for b in blocks for i in b}
+    d_sq = [[sum((d[i][l] * d[l][j] for l in at[i]), Q(0)) for j in range(emb.dim_m)]
+            for i in range(emb.dim_m)]
     forbidden = set()
     for a in pairs:
         v = rd.root_eval(a, lam)
         shifted = [[x + (v * v if i == j else 0) for j, x in enumerate(row)]
                    for i, row in enumerate(d_sq)]
-        if reference_rank(shifted) < emb.dim_m:
+        if reference_decision(shifted, blocks)[0] < emb.dim_m:
             forbidden |= {a, tuple(-c for c in a)}
     diagonal = all(not x for i, row in enumerate(d_sq) for j, x in enumerate(row) if i != j)
     return forbidden, diagonal
+
+
+def monomial(entries):
+    """No row or column of a sparse {(i, j): value} matrix holds two entries."""
+    return len(entries) == len({i for i, _ in entries}) == len({j for _, j in entries})
 
 
 # The torus embeddings, whose D^2 is not diagonal, and u-blocks, whose is.
@@ -869,22 +929,154 @@ def test_torus_embedding_detection_matches_the_dense_square(name):
     g, emb = make_pair("so", (n,), h_type, (r,))
     sub = make_subsystem("so", (n,), h_type, (r,))
     rs = rd.root_system_for(g)
-    forbidden, diagonal = dense_detection_reference(g, emb, rs)
+    forbidden, diagonal = dense_detection_reference(name)
     assert set(sub.forbidden) == forbidden
     assert len(sub.forbidden) == emb.dim_m
     xi = emb.torus_vector([1] * len(emb.torus_basis))
+    parts, _ = emb.linear(la.SubalgebraEmbedding._ad_entries, xi)
     if h_type == "torus":
         # h is the torus: every root lies on m, one dimension each, and
-        # detection ranks the shifted squares.
+        # detection reads the 4-row components by their Pfaffians.
         assert set(sub.forbidden) == set(rs.roots)
         assert not sub.member_roots
-        assert monomial_columns(emb.ad_m_entries(xi)[0]) is None
+        assert not monomial(emb.ad_m_entries(xi)[0])
         assert not diagonal
+        others = [e for idx, mono, e in parts if not mono]
+        assert others and all(pfaffian4(e) for e in others)
     else:
-        # A u-block: detection reads the defects off the diagonal of D^2.
+        # A u-block: detection reads the squared weights off 2-row components.
         assert sub.member_roots
-        assert monomial_columns(emb.ad_m_entries(xi)[0]) is not None
+        assert monomial(emb.ad_m_entries(xi)[0])
         assert diagonal
+        assert all(mono for _, mono, _ in parts)
+
+
+# Every benchmark pair, the torus embeddings of the CI catalog, and the rank-6
+# u-block: their tables as dense Fraction references, built once per module.
+COMPONENT_CASES = {
+    **{p: ("so", *BENCH.PAIRS[p]) for p in BENCH.PAIRS},
+    **{name: ("so", (n,), "torus", (r,)) for name, (n, r) in TORUS_EMBEDDINGS.items()},
+    "so12_u6": ("so", (12,), "u", (6,)),
+}
+
+
+@functools.cache
+def component_case(name):
+    """(g, emb, sub, references): the dense Fraction Gram and ad_m of each h
+    basis element, from brackets, covectors and split_coords; the torus
+    rows in h-coordinates; and the blocks that the h tables and the torus
+    tables connect."""
+    args = COMPONENT_CASES[name]
+    g, emb = make_pair(*args)
+    k = emb.dim_m
+    pairing = {(i, j): g.covector(g.bracket(emb.m_basis[i], emb.m_basis[j]))
+               for i in range(k) for j in range(i + 1, k)}
+    grams = []
+    for h in emb.h_basis:
+        nonzero = [(l, a) for l, a in enumerate(h) if a]
+        rows = [[Q(0)] * k for _ in range(k)]
+        for (i, j), u in pairing.items():
+            rows[i][j] = sum((a * u[l] for l, a in nonzero), Q(0))
+            rows[j][i] = -rows[i][j]
+        grams.append(rows)
+    ads = [ad_m_reference(g, emb, h) for h in emb.h_basis]
+    t_h = [coords(emb.h_basis, t) for t in emb.torus_basis]
+    torus_mats = [combine(tables, c) for c in t_h for tables in (grams, ads)]
+    refs = {"grams": grams, "ads": ads, "t_h": t_h,
+            "blocks": {False: support_blocks(grams + ads, k), True: support_blocks(torus_mats, k)}}
+    return g, emb, make_subsystem(*args), refs
+
+
+def draw_component_input(data, emb, sub, refs):
+    """(x, its h-coordinates, whether x is in the torus) for an X_u of a
+    kind draw_read_off_input names: a torus one from torus_vector, or a
+    generic one in h, built from its coordinates, so solved afresh (on a
+    torus embedding, where h is the torus, it is in the torus)."""
+    kind = data.draw(st.sampled_from(["off", "wall", "zero", "generic"]))
+    if kind == "generic":  # sparse h-coordinates, as draw_h_vector draws them
+        c = data.draw(st.dictionaries(st.integers(0, emb.dim_h - 1), NONZERO, min_size=1,
+                                      max_size=emb.dim_h))
+        c = [c.get(a, Q(0)) for a in range(emb.dim_h)]
+        return vec_mat(c, emb.h_basis), c, coords(refs["t_h"], c) is not None
+    tau = draw_torus_tau(data, sub, len(emb.torus_basis), kind)
+    return emb.torus_vector(tau), vec_mat(tau, refs["t_h"]), True
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENT_CASES))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_components_match_the_fraction_references_and_numpy(name, data):
+    g, emb, sub, refs = component_case(name)
+    k = emb.dim_m
+    x, c, in_torus = draw_component_input(data, emb, sub, refs)
+    blocks = refs["blocks"][in_torus]
+    decided = {}
+    for tables, build in ((refs["grams"], ft._gram_entries),
+                          (refs["ads"], la.SubalgebraEmbedding._ad_entries)):
+        mat = combine(tables, c)
+        parts, den = emb.linear(build, x)
+        # The parts split m into unions of the reference blocks, and each
+        # holds the matrix's entries on its indices idx (renumbered), over den.
+        assert sorted(i for idx, _, _ in parts for i in idx) == list(range(k))
+        assert all(set(idx) == {i for b in blocks if b[0] in idx for i in b} for idx, _, _ in parts)
+        assert {(idx[i], idx[j]): Q(v, den) for idx, _, e in parts for (i, j), v in e.items()} == {
+            (i, j): v for i, row in enumerate(mat) for j, v in enumerate(row) if v}
+        assert all(mono or len(idx) > 1 for idx, mono, _ in parts)
+        # Each part's rank and first kernel vector, and the whole's.
+        for part in parts:
+            assert ft._decide([part]) == (
+                lambda r, v: (r, None if v is None else sparse_vec(v)))(
+                    *reference_decision(mat, blocks, set(part[0])))
+        rank, null = ft._decide(parts)
+        decided[build] = reference_decision(mat, blocks)
+        assert (rank, None if null is None else dense_vec(null, k)) == decided[build]
+    # The criteria, on the same references, and the margins against numpy.
+    gram = combine(refs["grams"], c)
+    verdict = ft.fat_by_oracle(emb, x)
+    ref_rank, ref_null = decided[ft._gram_entries]
+    assert verdict.status == (FAT if ref_rank == k else NOT_FAT)
+    assert verdict.null_vector == ref_null
+    s = np.linalg.svd(np.array([[float(v) for v in row] for row in gram]), compute_uv=False)
+    got = (verdict.min_singular_value, verdict.max_singular_value)
+    if ref_rank < k:
+        assert got[0] == 0
+    assert got == pytest.approx((s[-1], s[0]), rel=1e-12, abs=1e-12 * s[0])
+    assert verdict.well_conditioned == (s[-1] > 1e-9 * s[0]) or \
+        s[-1] == pytest.approx(1e-9 * s[0], rel=1e-9)
+    central = ft.fat_by_centralizer(emb, x)
+    _, ref_kernel = decided[la.SubalgebraEmbedding._ad_entries]
+    assert central.status == verdict.status
+    assert central.witness_vector == (None if ref_kernel is None else vec_mat(ref_kernel, emb.m_basis))
+    # Detection: on the torus, X_u is fat exactly off the forbidden walls.
+    if in_torus:
+        tau = emb.torus_coords(x)
+        assert verdict.status == (FAT if all(rd.root_eval(a, tau) for a in sub.forbidden)
+                                  else NOT_FAT)
+    if name in DETECTION_CASES:
+        assert set(sub.forbidden) == dense_detection_reference(name)[0]
+    else:
+        assert set(sub.forbidden) == BENCH.forbidden_walls(name)
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENT_CASES))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_lazy_torus_vector_certifies_and_solves_as_a_fresh_copy(name, data):
+    # A torus_vector X_u carries tau's ints only: certify reads them, and
+    # h_coords, h_solve and h_linear form its h-coordinates when asked.  Each
+    # gives what the fresh copy of X_u, which takes the full solve, gives.
+    g, emb, sub, _ = component_case(name)
+    tau = draw_tau(data, len(emb.torus_basis))
+    x = emb.torus_vector(tau)
+    fresh = vec(list(x))
+    assert emb.solve(x)[1:3] == (None, None)
+    assert certify_any(g, emb, x, sub) == certify_any(g, emb, fresh, sub)
+    x = emb.torus_vector(tau)
+    lazy = (emb.h_coords(x), emb.h_linear(ft._gram_entries, x), emb.ad_m_entries(x))
+    assert emb.solve(x)[1] is not None  # formed once, then kept
+    assert lazy == (emb.h_coords(fresh), emb.h_linear(ft._gram_entries, fresh),
+                    emb.ad_m_entries(fresh))
+    assert emb.h_solve(emb.torus_vector(tau))[1:3] == emb.h_solve(fresh)[1:3]
 
 
 @pytest.mark.parametrize("name", sorted(TORUS_EMBEDDINGS))
@@ -892,15 +1084,40 @@ def test_torus_embedding_detection_matches_the_dense_square(name):
 @given(data=st.data())
 def test_torus_embedding_criteria_match_fraction_references(name, data):
     g, emb, sub = torus_embedding_case(name)
+    _, _, _, refs = component_case(name)
     x = draw_read_off_input(data, emb, sub)
     tau = emb.torus_coords(x)
-    gram = ft.fatness_gram(emb, x)
-    fat = reference_rank(gram) == emb.dim_m
+    # h is the torus: the h-coordinates of x are tau.
+    gram, ad = combine(refs["grams"], tau), combine(refs["ads"], tau)
+    assert ft.fatness_gram(emb, x) == tuple(map(tuple, gram))
+    rank, null = reference_decision(gram, refs["blocks"][True])
+    fat = rank == emb.dim_m
     assert fat == all(rd.root_eval(a, tau) for a in sub.forbidden)
     verdict = ft.fat_by_oracle(emb, x)
     assert verdict.status == (FAT if fat else NOT_FAT)
-    assert verdict.null_vector == (None if fat else reference_nullspace(gram)[0])
+    assert verdict.null_vector == (None if fat else null)
     central = ft.fat_by_centralizer(emb, x)
-    kernel = reference_nullspace(ad_m_reference(g, emb, x))
+    _, kernel = reference_decision(ad, refs["blocks"][True])
     assert central.status == verdict.status
-    assert central.witness_vector == (vec_mat(kernel[0], emb.m_basis) if kernel else None)
+    assert central.witness_vector == (vec_mat(kernel, emb.m_basis) if kernel else None)
+
+
+def test_detection_and_criteria_in_a_skewed_m_basis():
+    # m_0 + m_1 in place of m_0: ad_xi on m is neither monomial nor
+    # antisymmetric on that component, so detection ranks its shifted square
+    # and the centralizer eliminates it, while the Gram stays antisymmetric.
+    g, emb = make_pair("so", (5,), "so", (4,))
+    sub = make_subsystem("so", (5,), "so", (4,))
+    m = [dict(r) for r in emb.m_sparse]
+    m[0] = {**m[0], **m[1]}
+    skew = la.SubalgebraEmbedding(g, emb.h_sparse, m, emb.torus_sparse, True, "skewed")
+    parts, _ = skew.linear(la.SubalgebraEmbedding._ad_entries, skew.torus_vector((1, 2)))
+    assert not all(mono for _, mono, _ in parts)
+    assert rd.detect_subsystem(g, skew, rd.root_system_for(g)).forbidden == sub.forbidden
+    for tau in ((1, 1), (1, 0), (0, 3), (0, 0), (Q(2, 3), -5)):
+        want = ft.certify(g, emb, emb.torus_vector(tau), subsystem=sub)
+        got = ft.certify(g, skew, skew.torus_vector(tau), subsystem=sub)
+        assert got.agreed and got.fat == want.fat
+        assert got.verdict_centralizer == want.verdict_centralizer
+        if got.centralizer_witness is not None:
+            assert not any(g.bracket(got.x_u, got.centralizer_witness))

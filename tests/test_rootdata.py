@@ -488,6 +488,18 @@ def test_find_fat_shift_is_the_fraction_solve_up_to_rank_8(data):
     assert rd.find_fat_shift(vertices, sub) == ref.strict_feasible(system, n)
 
 
+def test_strict_signs_is_the_rule_verify_shift_reads():
+    sub = rd.subsystem_from_members(rd.build_root_system("B", 2), [])
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    for a, strict in (((3, 1), True), ((1, 1), False), ((Q(5, 2), Q(1, 2)), True), ((0, 0), False)):
+        values, _ = rd.shift_values(square, sub, a)
+        assert rd.strict_signs(values) == rd.verify_shift(square, sub, a) == strict
+    assert rd.strict_signs({(1, 0): [1, 2], (0, 1): [-1, -3]})
+    assert not rd.strict_signs({(1, 0): [1, 0]}) and not rd.strict_signs({(1, 0): [1, -1]})
+    # Without its own check, the search returns the same witness.
+    assert rd.find_fat_shift(square, sub, verify=False) == rd.find_fat_shift(square, sub)
+
+
 def test_find_fat_shift_empty_vertices_rejected():
     rs = rd.build_root_system("B", 2)
     sub = rd.subsystem_from_members(rs, [])
