@@ -228,30 +228,37 @@ def _reduce(rows, forward: bool = False) -> tuple[list[dict], list[int], Fractio
     return [held[c] for c in pivots], pivots, Fraction(num, den)
 
 
-def split_table(table, n: int) -> list[tuple[list[int], bool, list[dict]]]:
-    """A table of sparse {(i, j): value} n x n matrices split along the
-    connected components of its union support: parts (indices ascending,
-    monomial, the table there renumbered 0, 1, ...), the components with at
-    most one entry per row and column merged into one monomial part."""
+def components(n: int, edges) -> list[list[int]]:
+    """The connected components of the graph on 0..n-1 with the given
+    (i, j) edges, each ascending, in the order of their least members."""
     root = list(range(n))
 
     def find(i):
         while root[i] != i:
             root[i] = i = root[root[i]]
         return i
-    for t in table:
-        for i, j in t:
-            root[find(i)] = find(j)
+    for i, j in edges:
+        root[find(i)] = find(j)
     comps: dict[int, list] = {}
     for i in range(n):
         comps.setdefault(find(i), []).append(i)
-    support: dict[int, set] = {c: set() for c in comps}
+    return list(comps.values())
+
+
+def split_table(table, n: int) -> list[tuple[list[int], bool, list[dict]]]:
+    """A table of sparse {(i, j): value} n x n matrices split along the
+    connected components of its union support: parts (indices ascending,
+    monomial, the table there renumbered 0, 1, ...), the components with at
+    most one entry per row and column merged into one monomial part."""
+    comps = components(n, (key for t in table for key in t))
+    at = {i: c for c, idx in enumerate(comps) for i in idx}
+    support: list[set] = [set() for _ in comps]
     for t in table:
         for key in t:
-            support[find(key[0])].add(key)
-    mono = {c for c, s in support.items() if len({i for i, _ in s}) == len(s) == len({j for _, j in s})}
+            support[at[key[0]]].add(key)
+    mono = {c for c, s in enumerate(support) if len({i for i, _ in s}) == len(s) == len({j for _, j in s})}
     parts = [(sorted(i for c in mono for i in comps[c]), True)] * bool(mono) + [
-        (comps[c], False) for c in comps if c not in mono]
+        (idx, False) for c, idx in enumerate(comps) if c not in mono]
     at = {i: (p, q) for p, (idx, _) in enumerate(parts) for q, i in enumerate(idx)}
     rows = [[{} for _ in table] for _ in parts]
     for a, t in enumerate(table):
@@ -349,58 +356,70 @@ class CoordinateSolver:
     sparse {index: value} rows, as ``sparse_vec`` gives them:
     ``sparse_coords(v)`` is c with sum_j c_j rows_j == v, exactly, or None
     when v is outside the span.  On pairwise disjoint supports (unit
-    vectors, the E_ij - E_ji of so(n)) c_j = v_p / rows_j[p] is read off at
-    each row's first index p.  Else one reduction of [rows | I] inverts the
-    pivot block, in ints on int rows.  Either way membership is checked
-    against the rows."""
+    vectors, the E_ij - E_ji of so(n)) c_j is read off v's entries on rows_j.
+    Else each overlap component of the rows (the 2 x 2 blocks of a u(n)
+    split) reduces its own [rows | I], the inverse kept in ints over one
+    denominator as the rows are: a solve and its check run in ints."""
 
     def __init__(self, rows):
         self.sparse_rows = rows = list(rows)
         self._disjoint = all(rows) and sum(map(len, rows)) == len(set().union(*rows))
-        if self._disjoint:  # (j, 1 / rows_j[p]) at each row's pivot p
-            self._inv_rows = {min(r): [(j, rational(ONE / r[min(r)]))]
-                              for j, r in enumerate(rows)}
+        if self._disjoint:  # (j, 1 / rows_j[i]) at each index i of rows_j
+            self._owner = {i: (j, x if x == 1 or x == -1 else rational(ONE / x))
+                           for j, r in enumerate(rows) for i, x in r.items()}
+            self._inv_rows = {min(r): [self._owner[min(r)]] for r in rows}
             self._size = list(map(len, rows))
-            # The other entries (i, rows_j[i]) of each row with more than one.
-            self._off_pivot = {j: [(i, x) for i, x in r.items() if i != min(r)]
-                               for j, r in enumerate(rows) if len(r) > 1}
             return
-        n = 1 + max((max(r) for r in rows if r), default=-1)
-        # [rows | I] reduces to [E rows | E], E the inverse of the pivot block.
-        red, pivots, _ = _reduce({**r, n + i: 1} for i, r in enumerate(rows))
-        if any(p >= n for p in pivots):
-            raise ValueError("spanning set is linearly dependent")
-        # Nonzero (j, x) of each row of E, keyed by pivot.
-        self._inv_rows: dict[int, list[tuple[int, int | Fraction]]] = {
-            p: sorted((j - n, rational(Fraction(x, row[p])))
-                      for j, x in row.items() if j >= n)
-            for row, p in zip(red, pivots)}
+        # Per component [R | I] reduces to [E R | E], for R = rows * row_den
+        # in ints and E the inverse of its pivot block.
+        self._int_rows, self._row_den = sparse_ints(rows)
+        n, first, inv = 1 + max((max(r) for r in rows if r), default=-1), {}, {}
+        for comp in components(len(rows), [(j, first.setdefault(i, j))
+                                            for j, r in enumerate(rows) for i in r]):
+            red, pivots, _ = _reduce({**self._int_rows[j], n + j: 1} for j in comp)
+            if any(p >= n for p in pivots):
+                raise ValueError("spanning set is linearly dependent")
+            for row, p in zip(red, pivots):
+                inv[p] = sorted((j - n, Fraction(x, row[p])) for j, x in row.items() if j >= n)
+        # Nonzero (j, den * E_pj) of each row of E, keyed by pivot p.
+        self._den = lcm(*[x.denominator for r in inv.values() for _, x in r])
+        self._inv_rows = {p: [(j, int(x * self._den)) for j, x in r] for p, r in inv.items()}
 
     def sparse_coords(self, v: dict) -> dict | None:
         """Nonzero coordinates {j: c_j} of a sparse {index: value} vector,
         or None when it is outside the span."""
         inv = self._inv_rows
         if self._disjoint:
-            c = {j: rational(vp * x) for p, vp in v.items() if p in inv
-                 for j, x in inv[p]}
-            # v == sum_j c_j rows_j iff it has their entries and no other;
-            # c_j is chosen to match v at the pivot of rows_j, so with one
-            # entry per row that is one entry of v per coordinate.
-            off = self._off_pivot
-            if not off:
-                return c if len(c) == len(v) else None
-            if len(v) != sum(map(self._size.__getitem__, c)):
-                return None
-            return c if all(v.get(i) == cj * x for j, cj in c.items()
-                            for i, x in off.get(j, ())) else None
-        # A new key takes its first term as is, with no zero to add to.
-        c = {}
+            # v is in the span iff each of its entries lies on some rows_j and
+            # gives one c_j over rows_j, and v holds all of each rows_j it meets.
+            c, missing = {}, 0
+            for i, vi in v.items():
+                if (jy := self._owner.get(i)) is None:
+                    return None
+                j, y = jy
+                cj = vi * y if type(vi) is int is type(y) else rational(vi * y)
+                if j not in c:
+                    c[j] = cj
+                    missing += self._size[j] - 1
+                elif c[j] == cj:
+                    missing -= 1
+                else:
+                    return None
+            # Keyed in the order of the rows' pivots in v.
+            return None if missing else c if len(c) < 2 else {
+                j: c[j] for i in v if i in inv for j, _ in inv[i]}
+        # s = den * v E; a new key takes its first term as is.
+        s = {}
         for p, vp in v.items():
             for j, x in inv.get(p, ()):
-                c[j] = c[j] + vp * x if j in c else vp * x
-        c = {j: rational(cj) for j, cj in c.items() if cj}
-        # Verify membership in the span.
-        return c if sparse_combination(c, self.sparse_rows) == v else None
+                s[j] = s[j] + vp * x if j in s else vp * x
+        s = {j: x for j, x in s.items() if x}
+        # v is in the span iff den * v == s R; then c = s * row_den / den.
+        num, den = self._row_den, self._den
+        if int_combination(s, self._int_rows) != {i: den * x for i, x in v.items()}:
+            return None
+        return {j: Fraction(x * num, den) if r else q
+                for j, x in s.items() for q, r in (divmod(x * num, den),)}
 
     def coords(self, v) -> Vec | None:
         """Coordinates of a dense vector or a sparse {index: value} dict."""

@@ -11,6 +11,8 @@ with unnormalized integer bases so that downstream wall tests stay exact.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
+from collections import defaultdict
 from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
@@ -63,13 +65,11 @@ class LieAlgebra:
         self.family = family
         self.params = params
         self._flat_solver = CoordinateSolver(flats)
-        self._structure = self._structure_exact()
         # c^k_{aj} indexed as _ad_of[a][j] = {k: value}, both argument orders.
-        self._ad_of: list[dict[int, dict]] = [dict() for _ in range(self.dim)]
-        for (i, j), ck in self._structure.items():
-            self._ad_of[i][j] = ck
-            self._ad_of[j][i] = {k: -v for k, v in ck.items()}
-        self._killing_rows = self._killing_gram()
+        self._ad_of: list[dict[int, dict]] = [{} for _ in range(self.dim)]
+        self._structure, by_entry = self._structure_exact()
+        self._killing_rows = self._killing_gram(by_entry)
+        self._inertia = inertia(self._killing_rows)  # (n_pos, n_neg, n_zero) of B
 
     @functools.cached_property
     def basis(self) -> tuple[Mat, ...]:
@@ -80,59 +80,60 @@ class LieAlgebra:
 
     # -- construction helpers -------------------------------------------
 
-    def _structure_exact(self) -> dict[tuple[int, int], dict]:
-        """c^k_ij for i < j with [e_i, e_j] != 0, in that order.  Only basis
-        matrices that share a row or column index are multiplied: a_rc and
-        b_st meet in (ab)_rt when c == s and in (ba)_sc when t == r."""
-        n = self.n
-        ents = [[(*divmod(k, n), x) for k, x in row.items()]
-                for row in self._flat_solver.sparse_rows]
-        touch: dict[int, set] = {}  # the elements with an entry in row or column s
-        for j, ent in enumerate(ents):
-            for s, t, _ in ent:
-                touch.setdefault(s, set()).add(j)
-                touch.setdefault(t, set()).add(j)
-        structure = {}
-        for i, a in enumerate(ents):
-            meet = set().union(*(touch[r] | touch[c] for r, c, _ in a))
-            for j in sorted(m for m in meet if m > i):
-                comm: dict = {}
-                for r, c, u in a:
-                    for s, t, v in ents[j]:
-                        if c == s:
-                            p, k = u * v, r * n + t
-                            comm[k] = comm[k] + p if k in comm else p
-                        if t == r:
-                            p, k = u * v, s * n + c
-                            comm[k] = comm[k] - p if k in comm else -p
-                comm = {k: x for k, x in comm.items() if x}
-                if not comm:
+    def _structure_exact(self) -> tuple[dict[tuple[int, int], dict], dict]:
+        """c^k_ij for i < j with [e_i, e_j] != 0, in that order, with ``_ad_of``
+        and the ad_a entries {k * dim + j: [(a, (ad_a)_kj)]}.  e_i is swept once
+        over the entries of each e_j, j > i, that meet it (a_rc meets b_ct in
+        (ab)_rt and b_sr in (ba)_sc) in the order of an entrywise product."""
+        n, dim, ad_of, solver = self.n, self.dim, self._ad_of, self._flat_solver
+        # (j, k, b_k) for the entries b_k of each e_j, by the row and the column of k
+        by_row, by_col = [[] for _ in range(n)], [[] for _ in range(n)]
+        for j, row in enumerate(solver.sparse_rows):
+            for k, v in row.items():
+                by_row[k // n].append((j, k, v))
+                by_col[k % n].append((j, k, v))
+        structure, by_entry = {}, defaultdict(list)
+        for i, a in enumerate(solver.sparse_rows):
+            comms: dict[int, dict] = {}
+            for k, u in a.items():
+                r, c = divmod(k, n)
+                row, col = by_row[c], by_col[r]
+                meets = sorted([(j, kb, 0, r * n + kb % n, u * v)
+                                for j, kb, v in row[bisect_left(row, (i + 1,)):]]
+                               + [(j, kb, 1, kb - r + c, -u * v)
+                                  for j, kb, v in col[bisect_left(col, (i + 1,)):]])
+                for j, _, _, key, p in meets:
+                    if (comm := comms.get(j)) is None:
+                        comms[j] = {key: p}
+                    else:
+                        comm[key] = comm[key] + p if key in comm else p
+            for j, comm in sorted(comms.items()):  # cancelled entries dropped
+                if not all(comm.values()) and not (comm := {k: x for k, x in comm.items() if x}):
                     continue
-                ck = self._flat_solver.sparse_coords(comm)
+                ck = solver.sparse_coords(comm)
                 if ck is None:
                     raise ValueError(
                         f"{self.name}: basis does not close under the "
                         f"commutator (elements {i}, {j})")
-                structure[(i, j)] = ck
-        return structure
+                structure[(i, j)] = ad_of[i][j] = ck
+                ad_of[j][i] = {k: -v for k, v in ck.items()}
+                for k, v in ck.items():
+                    by_entry[k * dim + j].append((i, v))
+                    by_entry[k * dim + i].append((j, -v))
+        return structure, by_entry
 
-    def _killing_gram(self) -> list[dict]:
+    def _killing_gram(self, by_entry: dict) -> list[dict]:
         """The sparse rows of K_ab = Tr(ad_a ad_b), summed over the entries
-        (ad_a)_kj that meet an entry (ad_b)_jk."""
-        # (row, col, value) of the nonzero entries of each ad_a.
-        entries = [[(k, j, v) for j, ck in row.items() for k, v in ck.items()]
-                   for row in self._ad_of]
-        by_entry: dict[tuple[int, int], list[tuple[int, int | Fraction]]] = {}
-        for b, ent in enumerate(entries):
-            for k, j, v in ent:
-                by_entry.setdefault((k, j), []).append((b, v))
-        rows: list[dict] = [{} for _ in range(self.dim)]
-        for row, ent in zip(rows, entries):
-            for k, j, v in ent:
-                for b, w in by_entry.get((j, k), ()):
-                    row[b] = row[b] + v * w if b in row else v * w
-        return [{b: rational(x) for b, x in sorted(row.items()) if x}
-                for row in rows]
+        (ad_a)_kj that meet an entry (ad_b)_jk in ``by_entry``."""
+        dim, rows = self.dim, []
+        for row in self._ad_of:
+            acc: dict = {}
+            for j, ck in row.items():
+                for k, v in ck.items():
+                    for b, w in by_entry.get(j * dim + k, ()):
+                        acc[b] = acc[b] + v * w if b in acc else v * w
+            rows.append({b: rational(x) for b, x in sorted(acc.items()) if x})
+        return rows
 
     # -- basic operations ------------------------------------------------
 
@@ -231,7 +232,7 @@ class LieAlgebra:
 
 def killing_signature(g: LieAlgebra) -> tuple[int, int, int]:
     """(n_neg, n_pos, n_zero) of the Killing form."""
-    pos, neg, zero = inertia(g._killing_rows)
+    pos, neg, zero = g._inertia
     return neg, pos, zero
 
 
@@ -399,7 +400,7 @@ class SubalgebraEmbedding:
         """(x, c, den, tau, t_ints, t, t_den): x checked; its h-coordinates
         c = {a: int} over den in lowest terms (None outside h, and for an X_u
         from ``torus_vector`` until ``h_solve``); such an X_u's tau, with its
-        ints over t_den as a list and a dict.  Kept, keyed by x's identity."""
+        ints over t_den as a list and a dict (else t, t_den from torus_coords)."""
         last = self._cache.get("h")
         if last is None or last[0] is not x:
             x = self.ambient.check_vector(x)
@@ -440,14 +441,14 @@ class SubalgebraEmbedding:
         """(parts, den): ``h_linear``'s matrix per ``split_table`` part, as
         (indices, monomial, entries), but sum_i tau_i T_i over the torus rows'
         table for x in the torus, from tau's ints and no h-coordinates."""
-        x, c, den, tau, _, t, t_den = self.solve(x)
-        if tau is not None:
-            c, den = t, t_den
-        elif c is None:
+        x, c, den, _, _, t, t_den = self.solve(x)
+        if t is None and c is None:
             raise DimensionMismatch("vector is not in h")
-        elif (tau := self.torus_coords(x)) is not None:
-            (c,), den = sparse_ints([dict(enumerate(tau))])
-        table = self._tables[tau is not None].get(build) or self._table(build, tau is not None)
+        if t is None and self.torus_coords(x) is not None:
+            x, c, den, _, _, t, t_den = self._cache["h"]
+        if t is not None:
+            c, den = t, t_den
+        table = self._tables[t is not None].get(build) or self._table(build, t is not None)
         if table[2] is None:
             table[2] = split_table(table[0], self.dim_m)
         return [(idx, mono, int_combination(c, rows)) for idx, mono, rows in table[2]], den * table[1]
@@ -475,12 +476,15 @@ class SubalgebraEmbedding:
     def torus_coords(self, x) -> Vec | None:
         """Coordinates of x in the torus basis, or None if x is not in t: the
         tau an X_u from ``torus_vector`` carries, else solved from its shared
-        h-coordinates, so None for every x when the torus is not in h."""
+        h-coordinates into the ``solve`` slot: None when the torus is not in h."""
         if self.torus_sparse is None:
             return None
-        _, c, den, tau, *_ = self.solve(x)
+        x, c, den, tau, *_ = self.solve(x)
         if tau is None and c is not None and self._cache["torus"] is not None:
             tau = self._cache["torus"].coords({a: Fraction(v, den) for a, v in c.items()})
+            if tau is not None:
+                (t,), t_den = sparse_ints([dict(enumerate(tau))])
+                self._cache["h"] = (x, c, den, None, None, t, t_den)
         return tau
 
     def torus_vector(self, tau) -> Vec:
@@ -509,16 +513,23 @@ class SubalgebraEmbedding:
 
 
 def reductive_split(g: LieAlgebra, h_basis, *, torus_basis=None, name: str = "",
-                    check: bool = True, _sparse: bool = False) -> SubalgebraEmbedding:
+                    check: bool = True) -> SubalgebraEmbedding:
     """Split g = h + m with m the Killing-orthogonal complement of h.  The
-    h and torus rows are coordinate vectors of g; the block builders of
-    this module pass them in ``sparse_vec`` form with ``_sparse``.
+    h and torus rows are coordinate vectors of g, or sparse {index: value}
+    rows of g in ``sparse_vec`` form (as the block builders of this module
+    pass them), told apart by their type.
 
     Raises DegenerateRestriction when B restricted to h is singular (no
     reductive complement exists in the Killing-orthogonal sense).
     """
-    h_sparse, torus = (rows if _sparse else [sparse_vec(g.check_vector(r)) for r in rows]
-                       for rows in (h_basis, torus_basis or ()))
+    def sparse(r):
+        """r, keys sorted, if a sparse row of g (nonzero ints and non-integral
+        Fractions at indices below g.dim), else the checked vector r made sparse."""
+        if type(r) is dict and all(type(i) is int and 0 <= i < g.dim and (type(x) is int and x or (
+                type(x) is Fraction and x.denominator != 1)) for i, x in r.items()):
+            return dict(sorted(r.items()))
+        return sparse_vec(g.check_vector(r))
+    h_sparse, torus = ([sparse(r) for r in rows] for rows in (h_basis, torus_basis or ()))
     bh_sparse = [g.sparse_covector(hi) for hi in h_sparse]
     _, neg, zero = inertia(sparse_congruence(h_sparse, g._killing_rows))
     if zero:
@@ -534,14 +545,23 @@ def reductive_split(g: LieAlgebra, h_basis, *, torus_basis=None, name: str = "",
 
 
 def _check_embedding(emb: SubalgebraEmbedding) -> None:
+    """[h, h] in h, [h, m] in m, B(h, m) = 0, and the torus.  With the last
+    two, B nondegenerate and dim h + dim m = dim g, B([h_a, h_b], m) =
+    -B(h_b, [h_a, m]) = 0 puts [h, h] in m^perp = h, and as m = h^perp a
+    leave from m means h is not closed; elsewhere h's brackets are solved."""
     g = emb.ambient
-    for _, b in g.sparse_brackets(emb.h_sparse):
-        if emb.sparse_h_coords(b) is None:
-            raise ValueError(f"{emb.name}: h is not closed under brackets")
-    emb.ad_m_entries(zero_vec(g.dim))  # builds D_a; raises when [h, m] leaves m
     # B(h, m) = 0: each K h_i summed over the columns of m.
     cols = sparse_columns(emb.m_sparse)
-    if any(sparse_combination(g.sparse_covector(hi), cols) for hi in emb.h_sparse):
+    orthogonal = not any(sparse_combination(g.sparse_covector(hi), cols) for hi in emb.h_sparse)
+    proved = orthogonal and not g._inertia[2] and emb.dim_h + emb.dim_m == g.dim
+    for _, b in () if proved else g.sparse_brackets(emb.h_sparse):
+        if emb.sparse_h_coords(b) is None:
+            raise ValueError(f"{emb.name}: h is not closed under brackets")
+    try:
+        emb.ad_m_entries(zero_vec(g.dim))  # builds D_a; raises when [h, m] leaves m
+    except ValueError as exc:
+        raise ValueError(f"{emb.name}: h is not closed under brackets") if proved else exc from None
+    if not orthogonal:
         raise ValueError(f"{emb.name}: B(h, m) != 0")
     # Torus, when provided: abelian and inside h.
     if emb.torus_sparse is not None:
@@ -576,13 +596,13 @@ def maximal_torus(emb: SubalgebraEmbedding) -> Mat:
 # -- block embeddings for the classical catalog -----------------------------
 
 def _coords_in(g: LieAlgebra, flats, error: str) -> list[dict]:
-    """The sparse g-coordinates, keys ascending, of the n x n matrices
-    {r * n + c: value} in flats; ValueError(error.format(i)) when the
-    first matrix not in g is the i-th."""
+    """The sparse g-coordinates of the n x n matrices {r * n + c: value} in
+    flats; ValueError(error.format(i)) when the first matrix not in g is
+    the i-th."""
     rows = [g._flat_solver.sparse_coords(flat) for flat in flats]
     if None in rows:
         raise ValueError(error.format(rows.index(None)))
-    return [dict(sorted(c.items())) for c in rows]
+    return rows
 
 
 def _block_torus(g: LieAlgebra, r: int) -> list[dict]:
@@ -597,7 +617,7 @@ def _block_torus(g: LieAlgebra, r: int) -> list[dict]:
 def torus_embedding(g: LieAlgebra, r: int, *, name: str = "") -> SubalgebraEmbedding:
     """The block torus of rank r as h, carrying itself as its torus."""
     t = _block_torus(g, r)
-    return reductive_split(g, t, torus_basis=t, name=name or f"t{r}<{g.name}", _sparse=True)
+    return reductive_split(g, t, torus_basis=t, name=name or f"t{r}<{g.name}")
 
 
 def so_block_embedding(g: LieAlgebra, k: int, *, name: str = "") -> SubalgebraEmbedding:
@@ -605,7 +625,7 @@ def so_block_embedding(g: LieAlgebra, k: int, *, name: str = "") -> SubalgebraEm
     h_rows = _coords_in(g, (_antisym(g.n, i, j) for i in range(k) for j in range(i + 1, k)),
                         f"so({k}) block does not embed in {g.name}")
     return reductive_split(g, h_rows, torus_basis=_block_torus(g, k // 2),
-                           name=name or f"so({k})<{g.name}", _sparse=True)
+                           name=name or f"so({k})<{g.name}")
 
 
 def u_block_embedding(g: LieAlgebra, n: int, *, name: str = "") -> SubalgebraEmbedding:
@@ -614,7 +634,7 @@ def u_block_embedding(g: LieAlgebra, n: int, *, name: str = "") -> SubalgebraEmb
     h_rows = _coords_in(g, _u_in_so_basis(n, g.n),
                         f"u({n}) block does not embed in {g.name}")
     return reductive_split(g, h_rows, torus_basis=_block_torus(g, n),
-                           name=name or f"u({n})<{g.name}", _sparse=True)
+                           name=name or f"u({n})<{g.name}")
 
 
 def jacobi_residual(g: LieAlgebra) -> Fraction:

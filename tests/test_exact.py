@@ -494,13 +494,20 @@ SPARSE_ENTRY = st.builds(lambda p, q, s: s * Q(p, q), st.integers(1, 9),
 def sparse_row_sets(draw):
     """Up to 6 sparse rational rows of width up to 8: pairwise disjoint
     supports (each column owned by at most one row, so a row may be zero),
-    or random overlapping supports; then possibly a zero row or a
-    combination of earlier rows, both dependent, and a shuffle."""
+    block-diagonal ones (each row inside one of three column blocks, so
+    the rows overlap only within a block), or random overlapping supports;
+    then possibly a zero row or a combination of earlier rows, both
+    dependent, and a shuffle."""
     n = draw(st.integers(1, 8))
     k = draw(st.integers(0, 6))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["disjoint", "blocks", "random"]))
+    if kind == "disjoint":
         owner = draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n))
         supports = [[c for c in range(n) if owner[c] == j] for j in range(k)]
+    elif kind == "blocks":
+        block = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        supports = [sorted(draw(st.sets(st.sampled_from([c for c in range(n) if block[c] == b]))))
+                    for b in draw(st.lists(st.sampled_from(block), min_size=k, max_size=k))]
     else:
         supports = [sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
                     for _ in range(k)]
@@ -522,8 +529,8 @@ def sparse_row_sets(draw):
 def test_read_off_solver_matches_the_elimination_reference(rows, data):
     # The same coordinates (None included, and in the same key order) and
     # the same error as the [rows | I] solver, on disjoint supports (read
-    # off) and on overlapping ones (eliminated); the rows are given in
-    # ``sparse_vec`` form.
+    # off) and on overlapping ones (each overlap component eliminated on its
+    # own, its inverse kept as ints); the rows are given in ``sparse_vec`` form.
     width = 1 + max((max(r) for r in rows if r), default=1)
     sparse = [ex.sparse_vec(r.get(i, 0) for i in range(width)) for r in rows]
     try:
@@ -535,6 +542,7 @@ def test_read_off_solver_matches_the_elimination_reference(rows, data):
     solver = ex.CoordinateSolver(sparse)
     disjoint = sum(map(len, rows)) == len(set().union(*rows))
     assert solver._disjoint == (disjoint and all(rows))
+    assert solver._disjoint or all(type(x) is int for r in solver._inv_rows.values() for _, x in r)
     coeffs = data.draw(entries(len(rows), st.sampled_from([0, 1, -1]) | SPARSE_ENTRY))
     inside = {}
     for cj, row in zip(coeffs, rows):

@@ -727,6 +727,23 @@ def test_torus_vector_carries_the_solve_certify_would_make(name, data):
     assert cert_text(g, emb, x2, sub) == cert_text(g, emb, vec(list(x2)), sub)
 
 
+@pytest.mark.parametrize("name", sorted(PRIME_CASES))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_a_fresh_torus_x_u_solves_tau_once_per_certify(name, data):
+    # An X_u in the torus that torus_vector did not make: one certify solves
+    # its tau once (the oracle and the centralizer read it from the solve
+    # slot), and gives the certificate of the torus_vector X_u of that tau.
+    g, emb, sub = prime_case(name)
+    tau = draw_tau(data, len(emb.torus_basis))
+    want = cert_text(g, emb, emb.torus_vector(tau), sub)
+    fresh = vec(list(emb.torus_vector(tau)))
+    solver = emb._cache["torus"]
+    with mock.patch.object(solver, "coords", wraps=solver.coords) as solve:
+        assert cert_text(g, emb, fresh, sub) == want
+    assert solve.call_count == 1
+
+
 def test_torus_vector_primes_only_its_own_embedding():
     # Both sides of a dual pair, and so(2n+1) > so(2n) and so(2n+1) > u(n),
     # share their tori's g-coordinates (the last two not their h-coordinates):

@@ -753,6 +753,108 @@ def test_build_and_block_splits_match_the_all_pairs_reference(family, params):
         assert emb.h_basis == tuple(dense_vec(r, g.dim) for r in h)
         assert emb.m_basis == tuple(dense_vec(r, g.dim) for r in m)
         assert all(type(x) is Q for r in emb.h_basis + emb.m_basis for x in r)
+        if n > 8:
+            continue
+        # The h + m solvers (read off on the so block, one overlap component
+        # at a time in ints on the u block): the [h, m] brackets get the
+        # reference's coordinates, values and key order.
+        full = ref.Solver(h + m)
+        for _, b in g.sparse_brackets(emb.h_sparse, emb.m_sparse):
+            got = emb._full_solver.sparse_coords(b)
+            assert [*got.items()] == [*full.sparse_coords(b).items()]
+
+
+MIXED = [("so", (4,)), ("so", (5,)), ("so", (2, 2)), ("so", (3, 1)), ("su", (2,)),
+         ("su", (3,)), ("u-in-so", (2,)), ("gl", (3,))]
+# gl(n) in its matrix units: [E_rc, E_cr] = E_rr - E_cc has two coordinates,
+# so the order of (ab) and (ba) within one pair of entries shows in ck.
+GL = {"gl": lambda n: [[[int((r, c) == (i, j)) for c in range(n)] for r in range(n)]
+                       for i in range(n) for j in range(n)]}
+
+
+@pytest.mark.parametrize("family, params", MIXED,
+                         ids=[f"{f}{','.join(map(str, p))}" for f, p in MIXED])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_a_recombined_basis_matches_the_all_pairs_reference(family, params, data):
+    # A classical basis, or gl(3)'s, shuffled, recombined by a unitriangular
+    # matrix with entries in {-1, 0, 1} and scaled by rationals: the supports
+    # overlap, so the sweep meets several elements at each index and the
+    # flat read-off solves per component, with Fraction constants.  Structure
+    # constants (values and key order) and Killing rows are the reference's.
+    base = data.draw(st.permutations({**BASES, **GL}[family](*params)))
+    n, d = len(base[0]), len(base)
+    scale = st.sampled_from([Q(1), Q(-1), Q(2), Q(1, 2), Q(-3, 2)])
+    basis = []
+    for i in range(d):
+        coeffs = {i: data.draw(scale), **{j: c for j in range(i + 1, d)
+                                          if (c := data.draw(st.sampled_from([0, 0, 1, -1])))}}
+        basis.append([[sum((c * base[j][r][col] for j, c in coeffs.items()), Q(0))
+                       for col in range(n)] for r in range(n)])
+    g = la.matrix_algebra("mixed", basis)
+    structure = ref.structure_all_pairs([_flat(b, n) for b in basis], n)
+    assert [(k, list(v.items())) for k, v in g._structure.items()] == \
+        [(k, list(v.items())) for k, v in structure.items()]
+    assert g._killing_rows == ref.killing_rows(structure, g.dim)
+
+
+def _explicit_check(emb):
+    """The embedding check that solves every bracket of h, whatever the
+    Killing form: the reference for the check that proves [h, h] in h by
+    invariance where it can."""
+    g = emb.ambient
+    for _, b in g.sparse_brackets(emb.h_sparse):
+        if emb.sparse_h_coords(b) is None:
+            raise ValueError(f"{emb.name}: h is not closed under brackets")
+    emb.ad_m_entries(tuple([Q(0)] * g.dim))  # raises when [h, m] leaves m
+    if any(dot(g.covector(hi), mj) for hi in emb.h_basis for mj in emb.m_basis):
+        raise ValueError(f"{emb.name}: B(h, m) != 0")
+
+
+def _outcome(check):
+    try:
+        check()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+SPLITS = ([("so", (n,)) for n in range(4, 8)] + [("so", (p, 1)) for p in range(2, 7)]
+          + [("u-in-so", (n,)) for n in (2, 3)])
+
+
+@pytest.mark.parametrize("family, params", SPLITS,
+                         ids=[f"{f}{','.join(map(str, p))}" for f, p in SPLITS])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_closure_by_invariance_decides_as_the_bracket_loop(family, params, data):
+    # h spanned by 1-4 small int combinations of 1-4 basis elements: the
+    # split accepts or rejects it as the check that solves every bracket of
+    # h does, with its message; so does the complement with h_0 added to
+    # one m_j, which is not Killing-orthogonal, so the bracket loop runs.
+    g = la.build_algebra(family, params)
+    picks = data.draw(st.lists(st.integers(0, g.dim - 1), min_size=1, max_size=4, unique=True))
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(picks), max_size=len(picks))
+    rows = [vec(sum(c for c, i in zip(cs, picks) if i == t) for t in range(g.dim))
+            for cs in data.draw(st.lists(coeffs, min_size=1, max_size=len(picks)))]
+    try:
+        emb = la.reductive_split(g, rows, check=False)
+    except DegenerateRestriction:
+        with pytest.raises(DegenerateRestriction):
+            la.reductive_split(g, rows)
+        return
+    assert _outcome(lambda: la.reductive_split(g, rows)) == _outcome(
+        lambda: _explicit_check(la.reductive_split(g, rows, check=False)))
+    if not emb.dim_m:
+        return
+    j = data.draw(st.integers(0, emb.dim_m - 1))
+    m = [*emb.m_sparse]
+    m[j] = {i: x for i in sorted(m[j].keys() | emb.h_sparse[0].keys())
+            if (x := m[j].get(i, 0) + emb.h_sparse[0].get(i, 0))}
+
+    def skew():
+        return la.SubalgebraEmbedding(g, emb.h_sparse, m, None, True, "skew")
+    assert _outcome(lambda: la._check_embedding(skew())) == _outcome(lambda: _explicit_check(skew()))
 
 
 def test_a_basis_that_does_not_close_names_the_reference_pair():
