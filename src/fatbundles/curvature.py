@@ -136,13 +136,15 @@ def pinching_estimate(r, num_samples: int = 200, seed: int = 0
 def random_pinched(n: int, epsilon: float, sign, seed: int) -> CurvatureTensor:
     """A random algebraic curvature tensor with |K| in [1 - epsilon, 1].
 
-    A constant-curvature base at 1 - epsilon/2 is perturbed by a random
-    algebraic curvature tensor whose Frobenius norm is capped at
-    0.45 * epsilon.  The cap bounds every frame contraction, so both the
-    pinching bracket and the Berger mixed-entry bound 2/3 epsilon hold on
-    the whole plane Grassmannian, not only on sampled planes; the sampled
-    estimate is still verified post hoc and the perturbation is halved on
-    failure (ScaleFailure after 50 halvings).
+    A constant-curvature base kappa0 = 1 - epsilon/2 is perturbed by a
+    random algebraic curvature tensor of Frobenius norm 0.45 * epsilon.
+    Every sectional value of a unit-Frobenius perturbation lies in [-1, 1]
+    (Cauchy-Schwarz against the plane tensor), and so does every frame
+    contraction: dividing by kappa0 + 0.45 * epsilon pins |K| <= 1, and
+    both the pinching bracket and the Berger mixed-entry bound 2/3 epsilon
+    hold on the whole plane Grassmannian, not only on sampled planes.  The
+    sampled estimate, the mixed entries and the bracket are still verified
+    post hoc: ScaleFailure when one of them fails.
     """
     sign = -1 if sign in (-1, "-", "neg") else 1
     if not 0 <= epsilon < 1:
@@ -158,23 +160,17 @@ def random_pinched(n: int, epsilon: float, sign, seed: int) -> CurvatureTensor:
     mask = _mixed_mask(N)
     bound = 2.0 / 3.0 * epsilon
     scale = 0.45 * epsilon
-    for _ in range(50):
-        # Any sectional value of the unit-Frobenius perturbation lies in
-        # [-1, 1] (Cauchy-Schwarz against the plane tensor), so dividing by
-        # kappa0 + scale pins |K| <= 1 on the whole Grassmannian.
-        cand = (base + scale * pert) / (kappa0 + scale)
-        kmin, kmax, eps_est = pinching_estimate(cand, 200, seed=seed + 1)
-        mixed = float(np.abs(cand[mask]).max()) if mask.any() else 0.0
-        global_kmin = (kappa0 - scale) / (kappa0 + scale)
-        if eps_est <= epsilon + 1e-12 and mixed <= bound + 1e-12 \
-                and kmax <= 1.0 + 1e-12 and global_kmin >= 1.0 - epsilon - 1e-12:
-            return CurvatureTensor(
-                n=n, R=sign * cand, epsilon=float(epsilon), sign=sign,
-                seed=seed, achieved_epsilon=float(eps_est),
-                berger_max=mixed)
-        scale /= 2.0
-    raise ScaleFailure(
-        f"could not fit the perturbation into the bracket for epsilon={epsilon}")
+    cand = (base + scale * pert) / (kappa0 + scale)
+    kmin, kmax, eps_est = pinching_estimate(cand, 200, seed=seed + 1)
+    mixed = float(np.abs(cand[mask]).max()) if mask.any() else 0.0
+    global_kmin = (kappa0 - scale) / (kappa0 + scale)
+    if not (eps_est <= epsilon + 1e-12 and mixed <= bound + 1e-12
+            and kmax <= 1.0 + 1e-12 and global_kmin >= 1.0 - epsilon - 1e-12):
+        raise ScaleFailure(
+            f"could not fit the perturbation into the bracket for epsilon={epsilon}")
+    return CurvatureTensor(
+        n=n, R=sign * cand, epsilon=float(epsilon), sign=sign,
+        seed=seed, achieved_epsilon=float(eps_est), berger_max=mixed)
 
 
 @dataclass(frozen=True)

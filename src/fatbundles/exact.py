@@ -47,10 +47,6 @@ def mat(rows) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def zero_vec(n: int) -> Vec:
-    return (ZERO,) * n
-
-
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 

@@ -59,9 +59,10 @@ def fatness_gram(emb: SubalgebraEmbedding, x_u) -> Mat:
 
     X_u must lie in h; then B(X_u, [X, Y]_h) = B(X_u, [X, Y]) by
     Killing-orthogonality of h and m, so this Gram carries the full
-    curvature pairing.  It is sum_a c_a G_a over the h-coordinates c of X_u.
+    curvature pairing.  It is ``linear``'s parts of the Gram put together.
     """
-    gram, den = emb.h_linear(_gram_entries, x_u)
+    parts, den = emb.linear(_gram_entries, x_u)
+    gram = {(idx[i], idx[j]): v for idx, _, e in parts for (i, j), v in e.items()}
     return tuple(tuple(Fraction(v, den) for v in row) for row in dense_mat(gram, emb.dim_m))
 
 
@@ -188,16 +189,16 @@ def certify(g: LieAlgebra, emb: SubalgebraEmbedding, x_u, *,
             instance: str = "", seed: int | None = None) -> FatnessCertificate:
     """Run every applicable criterion on X_u and demand consensus.
 
-    The root criterion participates only when a sub-root-system is given
-    and X_u lies in the stored torus.  Disagreement, or a well-conditioned
-    Gram (fat by the float SVD) that is not fat by its exact rank, raises
-    CriteriaDisagree with the full certificate (all witnesses) attached.
+    X_u is solved once, into the embedding's ``solve`` record that the
+    criteria read.  The root criterion participates only when a
+    sub-root-system is given and X_u lies in the stored torus, and reads
+    tau's ints.  Disagreement, or a well-conditioned Gram (fat by the float
+    SVD) that is not fat by its exact rank, raises CriteriaDisagree with the
+    full certificate (all witnesses) attached.
     """
-    x_u, _, _, tau, t_ints, _, _ = emb.solve(x_u)  # checked, solved once for all
-    if tau is None:
-        tau = t_ints = emb.torus_coords(x_u)
-    roots_v = (fat_by_roots(t_ints, subsystem) if subsystem is not None and tau is not None
-               else Verdict(NOT_APPLICABLE))
+    x_u, _, _, tau, t, _ = emb.solve(x_u)  # checked, solved once for all
+    roots_v = (fat_by_roots(list(t.values()), subsystem)
+               if subsystem is not None and tau is not None else Verdict(NOT_APPLICABLE))
     oracle_v = fat_by_oracle(emb, x_u, tol)
     central_v = fat_by_centralizer(emb, x_u)
     statuses = {v.status for v in (roots_v, oracle_v, central_v)

@@ -15,7 +15,6 @@ from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Iterator
 from fractions import Fraction
-from math import gcd
 
 from .errors import (
     DegenerateRestriction,
@@ -43,7 +42,6 @@ from .exact import (
     split_table,
     vec,
     vec_mat,
-    zero_vec,
 )
 
 class LieAlgebra:
@@ -369,14 +367,12 @@ class SubalgebraEmbedding:
         # The torus rows in h-coordinates, solved; None when one leaves h.
         t_h = [self.sparse_h_coords(t) for t in self.torus_sparse or ()]
         try:
-            torus = CoordinateSolver(t_h) if t_h and None not in t_h else None
+            self._torus = CoordinateSolver(t_h) if t_h and None not in t_h else None
         except ValueError:
             raise ValueError(f"{self.name}: torus basis is linearly dependent") from None
-        # The torus rows as ints over one denominator, in g and (torus in h) h.
-        self._torus_ints = [sparse_ints(rows) for rows in
-                            (self.torus_sparse or (), t_h if torus else ())]
-        self._cache: dict = {"torus": torus}
-        self._tables: tuple[dict, dict] = ({}, {})  # build: its _table, on h and torus rows
+        self._torus_ints = sparse_ints(self.torus_sparse or ())  # the torus rows over one den
+        self._solved: tuple | None = None  # the last X_u's record, see ``solve``
+        self._tables: dict = {}  # (build, torus): its _table
 
     def split_coords(self, x) -> tuple[Vec, Vec]:
         """Coefficients of x in the h-basis and the m-basis."""
@@ -393,62 +389,47 @@ class SubalgebraEmbedding:
 
     def h_coords(self, x) -> Vec | None:
         """Coefficients of x in the h-basis when x lies in h, else None."""
-        _, c, den, *_ = self.h_solve(x)
-        return None if c is None else tuple(v / den for v in dense_vec(c, self.dim_h))
+        c = self.sparse_h_coords(sparse_vec(self.ambient.check_vector(x)))
+        return None if c is None else dense_vec(c, self.dim_h)
 
     def solve(self, x) -> tuple:
-        """(x, c, den, tau, t_ints, t, t_den): x checked; its h-coordinates
-        c = {a: int} over den in lowest terms (None outside h, and for an X_u
-        from ``torus_vector`` until ``h_solve``); such an X_u's tau, with its
-        ints over t_den as a list and a dict (else t, t_den from torus_coords)."""
-        last = self._cache.get("h")
+        """(x, c, den, tau, t, t_den), the record of the last X_u, filled the
+        first time x is seen: x checked; its h-coordinates c = {a: int} over
+        den in lowest terms (None outside h, and for an X_u from
+        ``torus_vector``); its torus coordinates tau (None outside the torus,
+        or with the torus not in h) with their ints t = {i: int} over t_den."""
+        last = self._solved
         if last is None or last[0] is not x:
             x = self.ambient.check_vector(x)
             c = self.sparse_h_coords(sparse_vec(x))
+            tau = t = t_den = None
+            if c is not None and self._torus is not None:
+                tau = self._torus.coords(c)
+            if tau is not None:
+                (t,), t_den = sparse_ints([dict(enumerate(tau))])
             (ints,), den = sparse_ints([c or {}])
-            last = self._cache["h"] = (x, None if c is None else ints, den, None, None, None, None)
+            last = self._solved = (x, None if c is None else ints, den, tau, t, t_den)
         return last
-
-    def h_solve(self, x) -> tuple:
-        """(x, c, den, tau, t_ints) of ``solve``, with c formed and kept."""
-        x, c, den, tau, t_ints, t, t_den = self.solve(x)
-        if c is None and tau is not None:
-            rows, h_den = self._torus_ints[1]
-            c, den = int_combination(t, rows), t_den * h_den
-            g = gcd(den, *c.values())
-            c, den = {a: v // g for a, v in c.items()}, den // g
-            self._cache["h"] = (x, c, den, tau, t_ints, t, t_den)
-        return x, c, den, tau, t_ints
 
     def _table(self, build, torus: bool = False) -> list:
         """[table, den, parts]: build(self, rows) on the torus or h rows, as
         ints over one den, and its ``split_table`` once asked; built once."""
-        if build not in self._tables[torus]:
+        if (build, torus) not in self._tables:
             rows = self.torus_sparse if torus else self.h_sparse
-            self._tables[torus][build] = [*sparse_ints(build(self, rows)), None]
-        return self._tables[torus][build]
-
-    def h_linear(self, build, x) -> tuple[dict, int]:
-        """(M, den): the nonzero entries {(i, j): int} of sum_a c_a T_a over
-        x's h-coordinates (else DimensionMismatch) and the h rows' table."""
-        _, c, den, *_ = self.h_solve(x)
-        if c is None:
-            raise DimensionMismatch("vector is not in h")
-        table, table_den, _ = self._table(build)
-        return int_combination(c, table), den * table_den
+            self._tables[build, torus] = [*sparse_ints(build(self, rows)), None]
+        return self._tables[build, torus]
 
     def linear(self, build, x) -> tuple[list, int]:
-        """(parts, den): ``h_linear``'s matrix per ``split_table`` part, as
-        (indices, monomial, entries), but sum_i tau_i T_i over the torus rows'
-        table for x in the torus, from tau's ints and no h-coordinates."""
-        x, c, den, _, _, t, t_den = self.solve(x)
-        if t is None and c is None:
-            raise DimensionMismatch("vector is not in h")
-        if t is None and self.torus_coords(x) is not None:
-            x, c, den, _, _, t, t_den = self._cache["h"]
-        if t is not None:
+        """(parts, den): the matrix of x over a table, per ``split_table``
+        part as (indices, monomial, entries): sum_i t_i T_i over the torus
+        rows' table when x has a tau, else sum_a c_a T_a over the h rows'
+        table on its h-coordinates (DimensionMismatch outside h)."""
+        _, c, den, tau, t, t_den = self.solve(x)
+        if tau is not None:
             c, den = t, t_den
-        table = self._tables[t is not None].get(build) or self._table(build, t is not None)
+        elif c is None:
+            raise DimensionMismatch("vector is not in h")
+        table = self._tables.get((build, tau is not None)) or self._table(build, tau is not None)
         if table[2] is None:
             table[2] = split_table(table[0], self.dim_m)
         return [(idx, mono, int_combination(c, rows)) for idx, mono, rows in table[2]], den * table[1]
@@ -470,27 +451,19 @@ class SubalgebraEmbedding:
     def ad_m_entries(self, x) -> tuple[dict, int]:
         """ad_x on m for x in h (else DimensionMismatch) as (M, den), M / den
         in m-coordinates: M holds the nonzero entries {(i, j): v}, column j
-        those of [x, m_j]."""
-        return self.h_linear(SubalgebraEmbedding._ad_entries, x)
+        those of [x, m_j], gathered from ``linear``'s parts."""
+        parts, den = self.linear(SubalgebraEmbedding._ad_entries, x)
+        return {(idx[i], idx[j]): v for idx, _, e in parts for (i, j), v in e.items()}, den
 
     def torus_coords(self, x) -> Vec | None:
-        """Coordinates of x in the torus basis, or None if x is not in t: the
-        tau an X_u from ``torus_vector`` carries, else solved from its shared
-        h-coordinates into the ``solve`` slot: None when the torus is not in h."""
-        if self.torus_sparse is None:
-            return None
-        x, c, den, tau, *_ = self.solve(x)
-        if tau is None and c is not None and self._cache["torus"] is not None:
-            tau = self._cache["torus"].coords({a: Fraction(v, den) for a, v in c.items()})
-            if tau is not None:
-                (t,), t_den = sparse_ints([dict(enumerate(tau))])
-                self._cache["h"] = (x, c, den, None, None, t, t_den)
-        return tau
+        """Coordinates of x in the torus basis: ``solve``'s tau, None when x
+        is not in the torus or the torus is not in h."""
+        return self.solve(x)[3]
 
     def torus_vector(self, tau) -> Vec:
         """The element x = sum_i tau_i T_i of the torus, in g-coordinates, an
         int combination of the int torus rows; with the torus in h, x fills
-        the ``solve`` slot with tau and its ints, so certify solves nothing."""
+        the ``solve`` record with tau and its ints, so certify solves nothing."""
         if self.torus_sparse is None:
             raise NotCompact("embedding carries no torus")
         if type(tau) is not tuple or not all(type(a) is Fraction for a in tau):
@@ -498,13 +471,13 @@ class SubalgebraEmbedding:
         if len(tau) != len(self.torus_sparse):
             raise DimensionMismatch("torus coordinate length mismatch")
         (t,), t_den = sparse_ints([dict(enumerate(tau))])
-        g_rows, g_den = self._torus_ints[0]
+        g_rows, g_den = self._torus_ints
         x, den = [ZERO] * self.ambient.dim, t_den * g_den
         for i, v in int_combination(t, g_rows).items():
             x[i] = Fraction(v, den)
         x = tuple(x)
-        if self._cache["torus"] is not None:
-            self._cache["h"] = (x, None, None, tau, list(t.values()), t, t_den)
+        if self._torus is not None:
+            self._solved = (x, None, None, tau, t, t_den)
         return x
 
     def __repr__(self):
@@ -558,14 +531,14 @@ def _check_embedding(emb: SubalgebraEmbedding) -> None:
         if emb.sparse_h_coords(b) is None:
             raise ValueError(f"{emb.name}: h is not closed under brackets")
     try:
-        emb.ad_m_entries(zero_vec(g.dim))  # builds D_a; raises when [h, m] leaves m
+        emb._table(SubalgebraEmbedding._ad_entries)  # builds D_a; raises when [h, m] leaves m
     except ValueError as exc:
         raise ValueError(f"{emb.name}: h is not closed under brackets") if proved else exc from None
     if not orthogonal:
         raise ValueError(f"{emb.name}: B(h, m) != 0")
     # Torus, when provided: abelian and inside h.
     if emb.torus_sparse is not None:
-        if emb._cache["torus"] is None:
+        if emb._torus is None:
             raise ValueError(f"{emb.name}: torus is not contained in h")
         if next(g.sparse_brackets(emb.torus_sparse), None):
             raise ValueError(f"{emb.name}: torus is not abelian")

@@ -1,11 +1,14 @@
 """Curvature tensors, pinching, Berger bound and the twistor form."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatbundles import curvature as cv
+from fatbundles.errors import ScaleFailure
 from float_oracles import (
     pinching_estimate_reference,
     random_frames_reference,
@@ -68,6 +71,16 @@ def test_random_pinched_deterministic_in_seed():
     a = cv.random_pinched(2, 0.5, "+", 11)
     b = cv.random_pinched(2, 0.5, "+", 11)
     assert np.array_equal(a.R, b.R)
+
+
+@pytest.mark.parametrize("estimate", [(0.5, 1.0, 0.5 + 1e-6), (0.6, 1.0 + 1e-6, 0.4)])
+def test_random_pinched_raises_when_the_sampled_check_fails(estimate):
+    # One candidate is built and checked: a sampled pinching past epsilon,
+    # or a |K| past 1, raises at once instead of shrinking the perturbation.
+    with mock.patch.object(cv, "pinching_estimate", return_value=estimate) as est:
+        with pytest.raises(ScaleFailure, match="epsilon=0.5"):
+            cv.random_pinched(2, 0.5, "+", 11)
+    assert est.call_count == 1
 
 
 def test_random_pinched_validates_epsilon():

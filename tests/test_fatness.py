@@ -703,25 +703,27 @@ def test_torus_vector_carries_the_solve_certify_would_make(name, data):
     r = len(emb.torus_basis)
     tau, tau2 = draw_tau(data, r), draw_tau(data, r)
     x = emb.torus_vector(tau)
-    # The slot holds x with tau and its ints, and certify reads it: the
+    # The record holds x with tau and its ints, and certify reads it: the
     # certificate is the one of a fresh copy of x, which takes the full solve.
-    _, c, den, slot_tau, t_ints = emb.h_solve(x)
-    assert slot_tau == vec(tau) == emb.torus_coords(x)
+    rec_x, c, den, rec_tau, t, t_den = emb.solve(x)
+    assert rec_x is x and (c, den) == (None, None)
+    assert rec_tau == vec(tau) == emb.torus_coords(x)
     primed = cert_text(g, emb, x, sub)
     fresh = vec(list(x))
     assert fresh is not x and primed == cert_text(g, emb, fresh, sub)
-    assert emb.h_solve(fresh)[3] is None and emb.torus_coords(fresh) == vec(tau)
-    # Both fill the slot in one form: the h-coordinates as ints over den in
-    # lowest terms, and tau's ints over tau's least common denominator,
-    # which the fresh X_u's solved tau clears to.
-    _, c_fresh, den_fresh, _, fresh_ints = emb.h_solve(fresh)
-    assert fresh_ints is None and (c_fresh, den_fresh) == (c, den)
-    assert all(type(v) is int and v for v in c.values()) and gcd(den, *c.values()) == 1
-    assert emb.h_coords(x) == emb.h_coords(fresh) == coords(emb.h_basis, x)
-    t_den = lcm(*(t.denominator for t in vec(tau)))
-    assert t_ints == [t * t_den for t in vec(tau)] and all(type(t) is int for t in t_ints)
-    assert [t * t_den for t in emb.torus_coords(fresh)] == t_ints
-    # An X_u built before another torus_vector call finds the slot stale.
+    # The fresh copy's solve fills the whole record: its h-coordinates as
+    # ints over den in lowest terms, and the same tau with the same ints
+    # over tau's least common denominator.
+    _, c_fresh, den_fresh, *fresh_tau = emb.solve(fresh)
+    assert fresh_tau == [rec_tau, t, t_den] and emb.torus_coords(fresh) == vec(tau)
+    assert all(type(v) is int and v for v in c_fresh.values())
+    assert gcd(den_fresh, *c_fresh.values()) == 1
+    assert tuple(v / den_fresh for v in dense_vec(c_fresh, emb.dim_h)) == \
+        emb.h_coords(x) == emb.h_coords(fresh) == coords(emb.h_basis, x)
+    t_ints = list(t.values())
+    assert t_den == lcm(*(v.denominator for v in vec(tau)))
+    assert t_ints == [v * t_den for v in vec(tau)] and all(type(v) is int for v in t_ints)
+    # An X_u built before another torus_vector call finds the record stale.
     y, x2 = emb.torus_vector(tau), emb.torus_vector(tau2)
     assert cert_text(g, emb, y, sub) == primed
     assert cert_text(g, emb, x2, sub) == cert_text(g, emb, vec(list(x2)), sub)
@@ -733,15 +735,25 @@ def test_torus_vector_carries_the_solve_certify_would_make(name, data):
 def test_a_fresh_torus_x_u_solves_tau_once_per_certify(name, data):
     # An X_u in the torus that torus_vector did not make: one certify solves
     # its tau once (the oracle and the centralizer read it from the solve
-    # slot), and gives the certificate of the torus_vector X_u of that tau.
+    # record), and gives the certificate of the torus_vector X_u of that tau.
+    # A generic X_u in h, off the torus unless h is the torus, also runs its
+    # torus solve once, and a failed one leaves the root criterion out.
     g, emb, sub = prime_case(name)
     tau = draw_tau(data, len(emb.torus_basis))
     want = cert_text(g, emb, emb.torus_vector(tau), sub)
     fresh = vec(list(emb.torus_vector(tau)))
-    solver = emb._cache["torus"]
+    solver = emb._torus
     with mock.patch.object(solver, "coords", wraps=solver.coords) as solve:
         assert cert_text(g, emb, fresh, sub) == want
     assert solve.call_count == 1
+    generic = vec_mat(data.draw(st.lists(NONZERO, min_size=emb.dim_h, max_size=emb.dim_h)),
+                      emb.h_basis)
+    with mock.patch.object(solver, "coords", wraps=solver.coords) as solve:
+        cert = certify_any(g, emb, generic, sub)
+    assert solve.call_count == 1
+    assert cert.x_u_torus == coords(emb.torus_basis, generic)
+    if emb.dim_h > len(emb.torus_basis):
+        assert cert.x_u_torus is None and cert.verdict_roots == NOT_APPLICABLE
 
 
 def test_torus_vector_primes_only_its_own_embedding():
@@ -758,7 +770,9 @@ def test_torus_vector_primes_only_its_own_embedding():
             assert want == cert_text(g, emb_b, emb_b.torus_vector(tau), sub)
             x = emb_a.torus_vector(tau)
             assert emb_b.torus_coords(x) == vec(tau)
-            assert emb_b.h_solve(x)[3] is None
+            # x is solved afresh on emb_b (with h-coordinates), not read
+            # from emb_a's record, which keeps tau's ints only.
+            assert emb_b.solve(x)[1] is not None and emb_a.solve(x)[1] is None
             assert cert_text(g, emb_b, x, sub) == want
 
 
@@ -800,10 +814,11 @@ def test_fat_by_roots_on_tau_and_on_its_ints(name, data):
     g, emb, sub = prime_case(name)
     kind = data.draw(st.sampled_from(["off", "wall", "zero"]))
     tau = draw_torus_tau(data, sub, len(emb.torus_basis), kind)
-    _, _, _, slot_tau, t_ints = emb.h_solve(emb.torus_vector(tau))
-    assert slot_tau == tuple(tau) and all(type(t) is int for t in t_ints)
+    _, _, _, rec_tau, t, _ = emb.solve(emb.torus_vector(tau))
+    t_ints = list(t.values())
+    assert rec_tau == tuple(tau) and all(type(v) is int for v in t_ints)
     verdict = rd.fat_by_roots(t_ints, sub)
-    assert verdict == rd.fat_by_roots(slot_tau, sub)
+    assert verdict == rd.fat_by_roots(rec_tau, sub)
     witness = next((a for a in sub.forbidden if not rd.root_eval(a, tau)), None)
     assert verdict.witness_root == witness
     assert verdict.status == (NOT_FAT if witness else FAT)
@@ -1079,9 +1094,10 @@ def test_components_match_the_fraction_references_and_numpy(name, data):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_lazy_torus_vector_certifies_and_solves_as_a_fresh_copy(name, data):
-    # A torus_vector X_u carries tau's ints only: certify reads them, and
-    # h_coords, h_solve and h_linear form its h-coordinates when asked.  Each
-    # gives what the fresh copy of X_u, which takes the full solve, gives.
+    # A torus_vector X_u carries tau's ints only: certify reads them,
+    # h_coords solves x directly, and linear, fatness_gram and ad_m_entries
+    # read the torus tables.  Each gives what the fresh copy of X_u, which
+    # takes the full solve, gives.
     g, emb, sub, _ = component_case(name)
     tau = draw_tau(data, len(emb.torus_basis))
     x = emb.torus_vector(tau)
@@ -1089,11 +1105,14 @@ def test_lazy_torus_vector_certifies_and_solves_as_a_fresh_copy(name, data):
     assert emb.solve(x)[1:3] == (None, None)
     assert certify_any(g, emb, x, sub) == certify_any(g, emb, fresh, sub)
     x = emb.torus_vector(tau)
-    lazy = (emb.h_coords(x), emb.h_linear(ft._gram_entries, x), emb.ad_m_entries(x))
-    assert emb.solve(x)[1] is not None  # formed once, then kept
-    assert lazy == (emb.h_coords(fresh), emb.h_linear(ft._gram_entries, fresh),
-                    emb.ad_m_entries(fresh))
-    assert emb.h_solve(emb.torus_vector(tau))[1:3] == emb.h_solve(fresh)[1:3]
+
+    def read(y):
+        return (emb.h_coords(y), emb.linear(ft._gram_entries, y),
+                ft.fatness_gram(emb, y), emb.ad_m_entries(y))
+    primed = read(x)
+    assert emb.solve(x)[1:3] == (None, None)  # the record never forms them
+    assert primed == read(fresh)
+    assert emb.solve(fresh)[3:] == emb.solve(emb.torus_vector(tau))[3:]
 
 
 @pytest.mark.parametrize("name", sorted(TORUS_EMBEDDINGS))

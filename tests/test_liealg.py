@@ -806,7 +806,7 @@ def _explicit_check(emb):
     for _, b in g.sparse_brackets(emb.h_sparse):
         if emb.sparse_h_coords(b) is None:
             raise ValueError(f"{emb.name}: h is not closed under brackets")
-    emb.ad_m_entries(tuple([Q(0)] * g.dim))  # raises when [h, m] leaves m
+    emb._table(la.SubalgebraEmbedding._ad_entries)  # raises when [h, m] leaves m
     if any(dot(g.covector(hi), mj) for hi in emb.h_basis for mj in emb.m_basis):
         raise ValueError(f"{emb.name}: B(h, m) != 0")
 

@@ -125,11 +125,14 @@ def test_detect_matches_the_walls_written_out(pair):
 
 def test_detect_does_not_depend_on_the_scale_of_the_h_basis():
     # h rows scaled by 1/3 give ad_m tables over the denominator 3, which
-    # the integer shifted squares must carry.
+    # the integer shifted squares must carry.  A generic X_u in h, off the
+    # torus, reads the h table: the sum of the h rows, h-coordinates all 1.
     g, emb, sub = detect("so", (7,), "u", (3,))
     third = [[x / 3 for x in row] for row in emb.h_basis]
     scaled = la.reductive_split(g, third, torus_basis=emb.torus_basis)
-    assert scaled.ad_m_entries(scaled.torus_basis[0])[1] == 3
+    generic = tuple(map(sum, zip(*scaled.h_basis)))
+    assert scaled.torus_coords(generic) is None
+    assert scaled.ad_m_entries(generic)[1] == 3
     assert rd.detect_subsystem(g, scaled, sub.parent) == sub
 
 
