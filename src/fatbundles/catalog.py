@@ -91,7 +91,7 @@ ENTRY = {
         "rank": ("an integer in 1..8", lambda v: type(v) is int and 1 <= v <= 8),
         "member_roots": ("a list of integer lists", _all(_all(lambda x: type(x) is int))),
         "vertices": (f"a list of rational lists ({RATIONAL_STRINGS})", _all(_rationals)),
-        "expect_shift": ("true or false", lambda v: type(v) is bool),
+        "expect_shift": ("true", lambda v: v is True),
     },
     "dual": {"samples": SAMPLES},
 }
@@ -218,7 +218,7 @@ def make_dual(emb: SubalgebraEmbedding, sub: SubSystem) -> tuple:
     with h and its sub-root-systems in both algebras; only the side that is
     not emb's algebra (keeping emb and its make_subsystem sub) is built."""
     pair = du.dualize(emb.ambient, du.standard_involution(emb.ambient))
-    embs = du.pair_embeddings(pair, emb.h_basis, emb.torus_basis, emb)
+    embs = du.pair_embeddings(pair, emb.h_sparse, emb.torus_sparse, emb)
     return pair, *embs, du.dual_subsystems(pair, *embs, sub.parent,
                                            [sub if e is emb else None for e in embs])
 
@@ -377,7 +377,7 @@ def _run_shift(spec, payload) -> bool:
         "evaluations": {",".join(map(str, root)): [sz.frac_str(Fraction(x, den)) for x in vals]
                         for root, vals in values.items()},
     }
-    return verified and params.get("expect_shift", True)
+    return verified
 
 
 # -- builtin catalogs --------------------------------------------------------

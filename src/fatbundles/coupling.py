@@ -19,13 +19,13 @@ import numpy as np
 
 from .errors import DegenerateRestriction, OddDimension
 from .exact import (
+    CoordinateSolver,
     Mat,
     Vec,
     dense_vec,
     det,
     frac,
     int_combination,
-    inverse,
     mat,
     nullspace,
     rank,
@@ -118,9 +118,8 @@ def bundle_instance(g: LieAlgebra, emb: SubalgebraEmbedding, x_u) -> Homogeneous
     # ker ad_{X_u} = (ker cap h) + (ker cap m), as ad_{X_u} keeps h and m;
     # it stays in h (X_u is fat) exactly when ad_{X_u}|_m is invertible.
     in_h = fat_by_centralizer(emb, x_u).status == FAT
-    v_rows = g.centralizer_in(x_u, emb.h_basis)
-    if v_rows:
-        vs = [sparse_vec(r) for r in v_rows]
+    vs = g.centralizer_in(sparse_vec(x_u), emb.h_sparse)
+    if vs:
         if rank(sparse_congruence(vs, g._killing_rows)) != len(vs):
             raise DegenerateRestriction("Killing form singular on v")
         # h cap n: elements of h Killing-orthogonal to v, B(v, h_j) = (K v) . h_j.
@@ -131,8 +130,8 @@ def bundle_instance(g: LieAlgebra, emb: SubalgebraEmbedding, x_u) -> Homogeneous
     else:
         fiber_rows = emb.h_basis
     return HomogeneousBundleInstance(
-        g=g, emb=emb, x_u=x_u, v_basis=v_rows, fiber_basis=fiber_rows,
-        m_basis=emb.m_basis, isotropy_in_h=in_h)
+        g=g, emb=emb, x_u=x_u, v_basis=tuple(dense_vec(v, g.dim) for v in vs),
+        fiber_basis=fiber_rows, m_basis=emb.m_basis, isotropy_in_h=in_h)
 
 
 def instance_form(inst: HomogeneousBundleInstance) -> InvariantTwoForm:
@@ -207,17 +206,20 @@ def ce_closedness(g: LieAlgebra, form: InvariantTwoForm) -> Fraction:
 
     For the orbit form B(X_u, [., .]) this cancels exactly by the Jacobi
     identity; corrupted normalizations show up as a nonzero residual.
+    Raises ValueError unless v + n are dim g independent rows of length dim g.
     """
-    try:
-        inv = inverse([*form.v_basis, *form.n_basis])
-    except ValueError:
-        inv = ()
-    if len(inv) != g.dim:
+    rows = [*form.v_basis, *form.n_basis]
+    if len(rows) != g.dim or any(len(row) != g.dim for row in rows):
         raise ValueError("v + n does not span g")
-    # Row a of the inverse holds the (v, n) coordinates of e_a; the form
-    # sees only the n part, row a of C.  sigma = C G C^T, in ints over den.
+    try:
+        solver = CoordinateSolver([sparse_vec(row) for row in rows])
+    except ValueError:
+        raise ValueError("v + n does not span g") from None
+    # The (v, n) coordinates of e_a; the form sees only the n part, row a
+    # of C.  sigma = C G C^T, in ints over den.
     nv = len(form.v_basis)
-    c, c_den = sparse_ints([sparse_vec(row[nv:]) for row in inv])
+    c, c_den = sparse_ints([{j - nv: x for j, x in solver.sparse_coords({a: 1}).items()
+                             if j >= nv} for a in range(g.dim)])
     gram, g_den = sparse_ints([sparse_vec(row) for row in form.gram])
     residual = g.triple_residual([{(b, 0): s for b, s in row.items()}
                                   for row in sparse_congruence(c, gram)])

@@ -47,14 +47,6 @@ def mat(rows) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def unit_vec(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def identity(n: int) -> Mat:
-    return tuple(unit_vec(n, i) for i in range(n))
-
-
 def rational(x) -> int | Fraction:
     """frac(x) as an int when it is integral."""
     if type(x) is int:
@@ -136,24 +128,6 @@ def sparse_ints(rows) -> tuple[list[dict], int]:
     den = lcm(*[x.denominator for row in rows for x in row.values() if type(x) is not int])
     return [{i: x * den if type(x) is int else x.numerator * (den // x.denominator)
              for i, x in row.items()} for row in rows], den
-
-
-def vec_mat(x, a) -> Vec:
-    """Row vector times matrix: sum_i x_i * a[i]."""
-    n = len(a[0]) if a else 0
-    out = [ZERO] * n
-    for xi, row in zip(x, a):
-        if xi:
-            for j, r in enumerate(row):
-                if r:
-                    out[j] += xi * r
-    return tuple(out)
-
-
-def primitive(x) -> Vec:
-    """Scale a rational vector to coprime integers, first nonzero positive."""
-    x = vec(x)
-    return dense_vec(sparse_primitive(sparse_vec(x)), len(x))
 
 
 def sparse_primitive(x: dict) -> dict:
@@ -289,17 +263,6 @@ def nullspace(rows, ncols: int) -> list[dict]:
             if f != p:
                 basis[f][p] = Fraction(-x, row[p])
     return [sparse_primitive({**x, f: 1}) for f, x in basis.items()]
-
-
-def inverse(a) -> Mat:
-    """Row i of the inverse: the coordinates of e_i in the rows of a."""
-    if any(len(row) != len(a) for row in a):
-        raise ValueError("inverse needs a square matrix")
-    try:
-        solver = CoordinateSolver([sparse_vec(row) for row in a])
-    except ValueError:
-        raise ValueError("matrix is singular") from None
-    return tuple(solver.coords({i: 1}) for i in range(len(a)))
 
 
 def det(rows, ncols: int) -> Fraction:

@@ -29,12 +29,12 @@ from .exact import (
     dense_mat,
     dense_vec,
     entry_rows,
-    identity,
     int_combination,
     nullspace,
     pfaffian4,
     rank,
     sparse_columns,
+    sparse_vec,
     vec,
 )
 from .liealg import LieAlgebra, SubalgebraEmbedding
@@ -135,8 +135,11 @@ def fat_by_oracle(emb: SubalgebraEmbedding, x_u, tol: float = 1e-9) -> Verdict:
 
 
 def isotropy_algebra(g: LieAlgebra, x_u) -> tuple[Vec, ...]:
-    """Basis of ker(ad_{X_u}) = {X : [X, X_u] = 0} in g-coordinates."""
-    return g.centralizer_in(x_u, identity(g.dim))
+    """Basis of ker(ad_{X_u}) = {X : [X, X_u] = 0} in g-coordinates: the
+    centralizer of X_u in the unit rows of g."""
+    units = [{i: 1} for i in range(g.dim)]
+    return tuple(dense_vec(r, g.dim)
+                 for r in g.centralizer_in(sparse_vec(g.check_vector(x_u)), units))
 
 
 def fat_by_centralizer(emb: SubalgebraEmbedding, x_u) -> Verdict:

@@ -29,19 +29,17 @@ from .exact import (
     dense_vec,
     inertia,
     int_combination,
-    mat,
     nullspace,
-    primitive,
     rational,
     sparse_columns,
     sparse_combination,
     sparse_congruence,
     sparse_dot,
     sparse_ints,
+    sparse_primitive,
     sparse_vec,
     split_table,
     vec,
-    vec_mat,
 )
 
 class LieAlgebra:
@@ -170,14 +168,14 @@ class LieAlgebra:
         x, y = ([sparse_vec(self.check_vector(v))] for v in (x, y))
         return dense_vec(next((b for _, b in self.sparse_brackets(x, y)), {}), self.dim)
 
-    def centralizer_in(self, x, rows) -> Mat:
-        """Basis of the elements of span(rows) that commute with x: the
-        kernel of ad_x on the rows, whose column j is [x, rows_j]."""
-        rows = [sparse_vec(r) for r in rows]
-        cols = dict(self.sparse_brackets([sparse_vec(self.check_vector(x))], rows))
+    def centralizer_in(self, x: dict, rows) -> list[dict]:
+        """Basis of the elements of span(rows) that commute with x, for x and
+        the rows sparse {index: value} vectors of g: the kernel of ad_x on
+        the rows, whose column j is [x, rows_j], each kernel vector combined
+        over the rows into a sparse row (ints on int rows)."""
+        cols = dict(self.sparse_brackets([x], rows))
         ad = sparse_columns([cols.get((0, j), {}) for j in range(len(rows))])
-        return tuple(dense_vec(int_combination(c, rows), self.dim)
-                     for c in nullspace(list(ad.values()), len(rows)))
+        return [sparse_combination(c, rows) for c in nullspace(list(ad.values()), len(rows))]
 
     def sparse_covector(self, x: dict) -> dict:
         """K x for a sparse {index: value} x, nonzero entries only; K is
@@ -218,9 +216,10 @@ class LieAlgebra:
         return max(map(abs, totals.values()), default=0)
 
     def realize(self, x) -> Mat:
-        """The matrix sum_i x_i b_i."""
-        x = self.check_vector(x)
-        return tuple(vec_mat(x, [b[r] for b in self.basis]) for r in range(self.n))
+        """The matrix sum_i x_i b_i, one combination of the flat rows."""
+        x = sparse_vec(self.check_vector(x))
+        f = dense_vec(sparse_combination(x, self._flat_solver.sparse_rows), self.n ** 2)
+        return tuple(f[r:r + self.n] for r in range(0, len(f), self.n))
 
     def __repr__(self):
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
@@ -548,8 +547,9 @@ def maximal_torus(emb: SubalgebraEmbedding) -> Mat:
     """A maximal abelian subalgebra of h (the stored one when present).
 
     For a compact h the centralizer in h of a generic element is such a
-    torus; generic elements are searched deterministically.  Raises
-    NotCompact when B restricted to h is not negative definite.
+    torus; generic elements, int combinations of the sparse h rows, are
+    searched deterministically, and the torus rows are primitive ints.
+    Raises NotCompact when B restricted to h is not negative definite.
     """
     if emb.torus_basis is not None:
         return emb.torus_basis
@@ -557,12 +557,10 @@ def maximal_torus(emb: SubalgebraEmbedding) -> Mat:
         raise NotCompact(f"{emb.name}: Killing form not negative definite on h")
     g = emb.ambient
     for base in (1, 2, 3, 5, 7, 11, 13):
-        coeffs = [Fraction(base ** i % 1009) for i in range(emb.dim_h)]
-        xi = vec_mat(coeffs, emb.h_basis)
-        t_rows = [primitive(t) for t in g.centralizer_in(xi, emb.h_basis)]
-        abelian = not next(g.sparse_brackets(list(map(sparse_vec, t_rows))), None)
-        if abelian and t_rows:
-            return mat(t_rows)
+        xi = int_combination({i: base ** i % 1009 for i in range(emb.dim_h)}, emb.h_sparse)
+        t_rows = [sparse_primitive(t) for t in g.centralizer_in(xi, emb.h_sparse)]
+        if t_rows and not next(g.sparse_brackets(t_rows), None):  # abelian
+            return tuple(dense_vec(t, g.dim) for t in t_rows)
     raise NotCompact(f"{emb.name}: no generic element found for a torus")
 
 

@@ -20,7 +20,8 @@ from math import gcd, isqrt
 from operator import mul
 
 from .errors import DimensionMismatch, NotCompact, TorusMismatch
-from .exact import ZERO, Vec, entry_rows, int_combination, inverse, pfaffian4, rank, sparse_ints, vec
+from .exact import (ZERO, CoordinateSolver, Vec, dense_vec, entry_rows, int_combination,
+                    pfaffian4, rank, sparse_ints, sparse_vec, vec)
 from .liealg import LieAlgebra, SubalgebraEmbedding
 from .verdicts import FAT_VERDICT, NOT_FAT, Verdict
 
@@ -236,10 +237,13 @@ def fat_by_roots(x, sub: SubSystem) -> Verdict:
 
 def fundamental_coweights(rs: RootSystem) -> tuple[Vec, ...]:
     """Vectors w_i with alpha_j(w_i) = delta_ij; for type A the trace-zero
-    representative is returned.  They are the first rows of the inverse of
-    the transposed simple roots (with the all-ones row for type A)."""
+    representative is returned.  w_i is the coordinates of e_i in one
+    ``CoordinateSolver`` over the transposed simple roots (with the
+    all-ones row for type A): sum_k w_ik alpha_j[k] = delta_ij."""
     rows = [*rs.simple_roots] + ([(1,) * rs.coord_dim] if rs.type_label == "A" else [])
-    return inverse([*zip(*rows)])[:len(rs.simple_roots)]
+    solver = CoordinateSolver([sparse_vec(col) for col in zip(*rows)])
+    return tuple(dense_vec(solver.sparse_coords({i: 1}), rs.coord_dim)
+                 for i in range(len(rs.simple_roots)))
 
 
 def span_subsystem(rs: RootSystem, subset) -> tuple[Root, ...]:

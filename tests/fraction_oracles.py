@@ -2,12 +2,14 @@
 checks that share no code path with it: plain Gauss-Jordan on ``Fraction``
 entries, with rank, null space, solve, inverse, determinant and span
 coordinates read off it; symmetric Gaussian elimination for the inertia;
-dense matrix products and congruences; the triple residual summed over
-every basis triple; structure constants and the Killing Gram from dense
-matrix commutators; the [rows | I] span solver (``Solver``), which
-eliminates whatever the rows' supports are, the structure constants of
-every basis pair through it (``structure_all_pairs``) and the Killing
-rows from them by one dense contraction (``killing_rows``).  ``ad_m`` is no
+dense matrix products and congruences; the dense inputs the tests build
+(``unit_vec``, ``identity``, ``vec_mat`` and ``primitive``); the triple
+residual summed over every basis triple; structure constants and the
+Killing Gram from dense matrix commutators; the [rows | I] span solver
+(``Solver``), which eliminates whatever the rows' supports are, the
+structure constants of every basis pair through it
+(``structure_all_pairs``) and the Killing rows from them by one dense
+contraction (``killing_rows``).  ``ad_m`` is no
 reference: it reads the kernel's integer ad_m entries as ``Fraction``s, for
 the tests that compare it with dense brackets; nor are ``coords_of_matrix``,
 which reads a matrix through the kernel's flat solver, or ``killing``, the
@@ -84,6 +86,33 @@ def _primitive(x) -> tuple[Fraction, ...]:
     if next(v for v in ints if v) < 0:
         g = -g
     return tuple(Fraction(v // g) for v in ints)
+
+
+def primitive(x) -> tuple[Fraction, ...]:
+    """x scaled to coprime integers, its first nonzero entry positive; the
+    zero vector as it is."""
+    x = [Fraction(a) for a in x]
+    return _primitive(x) if any(x) else tuple(x)
+
+
+def unit_vec(n: int, i: int) -> tuple[Fraction, ...]:
+    """The i-th unit vector of length n, as Fractions."""
+    return tuple(Fraction(int(j == i)) for j in range(n))
+
+
+def identity(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(unit_vec(n, i) for i in range(n))
+
+
+def vec_mat(x, a) -> tuple[Fraction, ...]:
+    """The row vector x times the matrix a: sum_i x_i a[i], as Fractions."""
+    out = [ZERO] * (len(a[0]) if a else 0)
+    for xi, row in zip(x, a):
+        if xi:
+            for j, r in enumerate(row):
+                if r:
+                    out[j] += xi * r
+    return tuple(out)
 
 
 def solve(a_rows, b):

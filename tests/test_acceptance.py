@@ -12,6 +12,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 from float_oracles import coupling_nondegenerate_float
+from fraction_oracles import unit_vec
 
 from fatbundles import coupling as cp
 from fatbundles import curvature as cv
@@ -21,7 +22,6 @@ from fatbundles import liealg as la
 from fatbundles import rootdata as rd
 from fatbundles.catalog import make_pair, make_subsystem
 from fatbundles.cli import main as cli_main
-from fatbundles.exact import unit_vec
 
 
 def report(ok: bool, label: str) -> None:

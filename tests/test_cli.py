@@ -703,7 +703,10 @@ PINCH = {"run": ["pinch"], "pinch": {"n": 2, "epsilon": 0.54, "frames": 5}}
     ({"id": "s", "run": ["shift"], "shift": {**SHIFT, "rank": 2.7}},
      "shift.rank must be an integer in 1..8, got 2.7"),
     ({"id": "s", "run": ["shift"], "shift": {**SHIFT, "expect_shift": "no"}},
-     "shift.expect_shift must be true or false, got 'no'"),
+     "shift.expect_shift must be true, got 'no'"),
+    # A shift always exists, so false could only fail the entry.
+    ({"id": "s", "run": ["shift"], "shift": {**SHIFT, "expect_shift": False}},
+     "shift.expect_shift must be true, got False"),
     ({k: v for k, v in GOOD.items() if k != "id"}, "id is required"),
     ({**GOOD, "run": []}, "run must give expect a verdict, got []"),
     ({"id": "s", "run": ["shift"], "shift": SHIFT, "expect": "not_fat"},
@@ -720,9 +723,9 @@ PINCH = {"run": ["pinch"], "pinch": {"n": 2, "epsilon": 0.54, "frames": 5}}
     ({"id": "s", "run": ["shift"], "shift": {**SHIFT, "rank": 10**6}},
      "shift.rank must be an integer in 1..8, got 1000000"),
     ({**GOOD, "samples": 10**5}, "samples must be an integer in 0..10000, got 100000"),
-], ids=["sampels", "g_parms", "rank_float", "expect_shift_string", "no_id",
-        "expect_no_run", "expect_shift_run", "family_int", "tol_past_float",
-        "Xu_zero_denominator", "params_400",
+], ids=["sampels", "g_parms", "rank_float", "expect_shift_string",
+        "expect_shift_false", "no_id", "expect_no_run", "expect_shift_run",
+        "family_int", "tol_past_float", "Xu_zero_denominator", "params_400",
         "rank_million", "samples_1e5"])
 def test_entries_outside_the_contract_raise(entry, message):
     with pytest.raises(ValueError) as exc:
@@ -893,15 +896,15 @@ def test_runs_missing_their_inputs_name_the_cause(entry, error):
     assert not passed and payload["error"] == error
 
 
-def test_a_shift_that_exists_but_is_not_expected_fails(tmp_path, capsys):
+def test_a_shift_entry_writes_the_values_of_its_shifted_vertices(tmp_path, capsys):
     # Every forbidden root keeps one strict sign on the shifted vertices, as
-    # the certificate's evaluations show; expect_shift false fails the entry.
-    entry = {"id": "s", "run": ["shift"], "shift": {**SHIFT, "expect_shift": False}}
+    # the certificate's evaluations show, and the entry passes.
+    entry = {"id": "s", "run": ["shift"], "shift": SHIFT}
     out = tmp_path / "certs"
-    assert run_cli(["run", _write_catalog(tmp_path, [entry]), "--out", str(out)]) == 1
-    assert "0/1 instances passed" in capsys.readouterr().out
+    assert run_cli(["run", _write_catalog(tmp_path, [entry]), "--out", str(out)]) == 0
+    assert "1/1 instances passed" in capsys.readouterr().out
     cert = json.loads((out / "s.json").read_text())
-    assert cert["passed"] is False and "error" not in cert
+    assert cert["passed"] is True and "error" not in cert
     search = cert["shift_search"]
     assert search["verified"] is True
     shift = parse_vec(search["shift"])
@@ -944,7 +947,7 @@ def test_a_shift_instance_evaluates_its_vertices_once():
     assert count.call_count == 1
 
 
-B3_NO_SHIFT = {"type": "B", "rank": 3, "member_roots": [], "expect_shift": False}
+B3_NO_SHIFT = {"type": "B", "rank": 3, "member_roots": []}
 
 
 @pytest.mark.parametrize("vertices, error", [

@@ -6,16 +6,18 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 from float_oracles import coupling_nondegenerate_float
-from fraction_oracles import dot
+from fraction_oracles import ad_on, dot, identity, unit_vec, vec_mat
+from fraction_oracles import nullspace as reference_nullspace
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_rootdata import BENCH
 
 from fatbundles import coupling as cp
 from fatbundles import fatness as ft
 from fatbundles import liealg as la
 from fatbundles.catalog import make_pair, make_subsystem
 from fatbundles.errors import DimensionMismatch, OddDimension
-from fatbundles.exact import CoordinateSolver, mat, sparse_vec, unit_vec, vec
+from fatbundles.exact import CoordinateSolver, mat, sparse_vec, vec
 
 
 def cp3_instance():
@@ -142,7 +144,10 @@ def test_ce_closedness_needs_v_and_n_to_be_a_basis_of_g():
     dependent = cp.InvariantTwoForm(g, j, form.v_basis,
                                     form.v_basis[:1] + form.n_basis[1:],
                                     form.gram)
-    for bad in (short, dependent):
+    # Each row one zero longer: the same sparse rows, but not vectors of g.
+    long = cp.InvariantTwoForm(g, j, tuple(r + (0,) for r in form.v_basis),
+                               tuple(r + (0,) for r in form.n_basis), form.gram)
+    for bad in (short, dependent, long):
         with pytest.raises(ValueError, match="v \\+ n does not span g"):
             cp.ce_closedness(g, bad)
 
@@ -367,3 +372,38 @@ def test_ce_closedness_of_one_moved_entry_matches_dense_reference(name, data):
                               mat(gram))
     assert cp.ce_closedness(g, bad) == dense_ce_closedness(g, bad)
 
+
+# Every pair the coupling and bench runs reach, and so(12) > u(6).
+KERNEL_PAIRS = sorted({*(pair for pair, _ in COUPLING_CASES.values()),
+                       *(("so", g, t, h) for g, t, h in BENCH.PAIRS.values()),
+                       ("so", (12,), "u", (6,))})
+
+
+@pytest.mark.parametrize("pair", KERNEL_PAIRS, ids=lambda p: "so{}_{}{}".format(
+    "_".join(map(str, p[1])), p[2], p[3][0]))
+@pytest.mark.parametrize("on_wall", [False, True], ids=["off_walls", "on_wall"])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_isotropy_and_fiber_bases_match_fraction_kernels(pair, on_wall, data):
+    # X_u off every wall (nonzero tau_i of distinct |tau_i|), or moved onto
+    # a forbidden wall, where v leaves h.  Each basis is a Fraction kernel
+    # combined over its rows, compared value by value and in order.
+    g, emb = make_pair(*pair)
+    r = len(emb.torus_basis)
+    tau = data.draw(st.lists(RATIONALS.filter(bool), min_size=r, max_size=r, unique_by=abs))
+    if on_wall:
+        root = data.draw(st.sampled_from(make_subsystem(*pair).forbidden))
+        i = next(i for i, a in enumerate(root) if a)
+        tau[i] -= sum(a * t for a, t in zip(root, tau)) / root[i]
+    x = emb.torus_vector(tau)
+
+    def kernel(m, rows):
+        return tuple(vec_mat(c, rows) for c in reference_nullspace(m))
+    assert ft.isotropy_algebra(g, x) == kernel(ad_on(g, x, identity(g.dim)), identity(g.dim))
+    inst = cp.bundle_instance(g, emb, x)
+    v = kernel(ad_on(g, x, emb.h_basis), emb.h_basis)
+    assert inst.v_basis == v
+    # h cap n: the elements of h Killing-orthogonal to v.
+    kh = [g.covector(b) for b in emb.h_basis]
+    pairing = [[dot(a, k) for k in kh] for a in v]
+    assert inst.fiber_basis == (kernel(pairing, emb.h_basis) if v else emb.h_basis)

@@ -10,7 +10,7 @@ from fatbundles import duality as du
 from fatbundles import liealg as la
 from fatbundles import rootdata as rd
 from fatbundles.errors import InvolutionInvalid
-from fatbundles.exact import dense_vec, inertia, mat, sparse_vec, unit_vec
+from fatbundles.exact import dense_vec, inertia, mat, sparse_vec
 
 
 def test_dualize_so41_gives_compact_so5():
@@ -34,7 +34,7 @@ def test_dual_constants_match_builtin_so5():
     perm += [(a, 4) for a in range(4)]
     index_of = {p: k for k, p in enumerate(
         [(i, j) for i in range(5) for j in range(i + 1, 5)])}
-    units = [unit_vec(g.dim, i) for i in range(g.dim)]
+    units = [ref.unit_vec(g.dim, i) for i in range(g.dim)]
     for i in range(g.dim):
         for j in range(g.dim):
             lhs = pair.compact_dual.bracket(units[i], units[j])
@@ -130,7 +130,7 @@ def test_standard_involution_requires_so_pq():
 def test_compare_fat_sets_agreement():
     g = la.build_algebra("so", (4, 1))
     pair = du.dualize(g, du.standard_involution(g))
-    h_rows = [unit_vec(g.dim, i) for i in range(6)]
+    h_rows = [ref.unit_vec(g.dim, i) for i in range(6)]
     torus = la.torus_embedding(g, 2).torus_basis
     emb_nc, emb_c = du.pair_embeddings(pair, h_rows, torus)
     subs = du.dual_subsystems(pair, emb_nc, emb_c, rd.root_system_for(g))
@@ -150,7 +150,7 @@ def test_dual_gram_matrices_differ_only_by_m_sign_data():
     from fatbundles import fatness as ft
     g = la.build_algebra("so", (4, 1))
     pair = du.dualize(g, du.standard_involution(g))
-    h_rows = [unit_vec(g.dim, i) for i in range(6)]
+    h_rows = [ref.unit_vec(g.dim, i) for i in range(6)]
     torus = la.torus_embedding(g, 2).torus_basis
     emb_nc, emb_c = du.pair_embeddings(pair, h_rows, torus)
     for tau in ft.sample_rational_vectors(2, 25, seed=6):

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from float_oracles import fatness_gram_float
-from fraction_oracles import ad_m, ad_on, coords, dot
+from fraction_oracles import ad_m, ad_on, coords, dot, unit_vec, vec_mat
 from fraction_oracles import nullspace as reference_nullspace
 from fraction_oracles import rank as reference_rank
 from hypothesis import assume, given, settings
@@ -33,9 +33,7 @@ from fatbundles.exact import (
     pfaffian4,
     rank,
     sparse_vec,
-    unit_vec,
     vec,
-    vec_mat,
 )
 from fatbundles.serialize import certificate_to_json, dumps_canonical
 from fatbundles.verdicts import FAT, NOT_APPLICABLE, NOT_FAT

@@ -12,7 +12,7 @@ from fractions import Fraction as Q
 import fraction_oracles as ref
 import numpy as np
 import pytest
-from fraction_oracles import ad_m, dot, killing
+from fraction_oracles import ad_m, dot, killing, unit_vec, vec_mat
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,9 +29,7 @@ from fatbundles.exact import (
     rank,
     sparse_dot,
     sparse_vec,
-    unit_vec,
     vec,
-    vec_mat,
 )
 from fatbundles.fatness import certify
 
@@ -264,8 +262,10 @@ def test_ad_kernel_and_killing_pairing_helpers():
     for j, r in enumerate(rows):
         column = [float(row[j]) for row in ad]
         assert np.allclose(column, commutator_oracle(g, x, r))
-    # Its centralizer is so(2) + so(3): dimension 1 + 3.
-    cen = g.centralizer_in(x, rows)
+    # Its centralizer is so(2) + so(3): dimension 1 + 3, as sparse int rows.
+    cen = g.centralizer_in(sparse_vec(x), [sparse_vec(r) for r in rows])
+    assert all(type(v) is int for c in cen for v in c.values())
+    cen = [dense_vec(c, g.dim) for c in cen]
     assert len(cen) == 4 == g.dim - rank([sparse_vec(r) for r in ad])
     assert all(not any(g.bracket(x, c)) for c in cen)
     # Its Killing complement is the m of the split along it; h = 0 leaves all of g.

@@ -84,9 +84,8 @@ def test_detect_so5_u2():
 
 def test_detect_h_equals_g_has_no_forbidden_roots():
     g = la.so(5)
-    from fatbundles.exact import unit_vec
     emb = la.reductive_split(
-        g, [unit_vec(g.dim, i) for i in range(g.dim)],
+        g, [ref.unit_vec(g.dim, i) for i in range(g.dim)],
         torus_basis=la.torus_embedding(g, 2).torus_basis)
     sub = rd.detect_subsystem(g, emb, rd.root_system_for(g))
     assert sub.forbidden == ()
@@ -288,9 +287,12 @@ def test_fundamental_coweights_duality():
     for label, n in (("A", 2), ("B", 2), ("C", 3), ("D", 3)):
         rs = rd.build_root_system(label, n)
         ws = rd.fundamental_coweights(rs)
+        assert len(ws) == n and all(len(w) == rs.coord_dim for w in ws)
         for i, w in enumerate(ws):
             for j, s in enumerate(rs.simple_roots):
                 assert rd.root_eval(s, w) == (1 if i == j else 0)
+            if label == "A":  # the trace-zero representative
+                assert sum(w) == 0
 
 
 def test_centralizing_vector_a2():
