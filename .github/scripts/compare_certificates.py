@@ -38,6 +38,18 @@ BUMPS = {
             "dual.fraction", "dual.pairs[].min_sv",
         },
     },
+    (2, 3): {
+        "added": set(),
+        # The pinch draws moved from numpy's Generator to random.Random:
+        # the pinch floats are new, its seed, bound and verdicts are not.
+        "rewritten": {
+            "schema_version",
+            "pinch.tensor.achieved_epsilon", "pinch.tensor.berger_max",
+            "pinch.report.min_diag_margin", "pinch.report.min_sv",
+            "pinch.report.frames",
+        },
+        "rounded": set(),
+    },
 }
 
 

@@ -559,7 +559,7 @@ def maximal_torus(emb: SubalgebraEmbedding) -> Mat:
     for base in (1, 2, 3, 5, 7, 11, 13):
         xi = int_combination({i: base ** i % 1009 for i in range(emb.dim_h)}, emb.h_sparse)
         t_rows = [sparse_primitive(t) for t in g.centralizer_in(xi, emb.h_sparse)]
-        if t_rows and not next(g.sparse_brackets(t_rows), None):  # abelian
+        if not next(g.sparse_brackets(t_rows), None):  # abelian (empty at h = 0)
             return tuple(dense_vec(t, g.dim) for t in t_rows)
     raise NotCompact(f"{emb.name}: no generic element found for a torus")
 

@@ -18,7 +18,7 @@ from .duality import AgreementReport
 from .exact import frac, vec
 from .fatness import FatnessCertificate
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def json_float(x):

@@ -7,8 +7,12 @@ four-operand twistor einsum and the per-plane pinching loop."""
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 from scipy.linalg import null_space
+
+from fatbundles.curvature import _standard_normal
 
 
 def structure_array(g) -> np.ndarray:
@@ -67,11 +71,12 @@ def coupling_nondegenerate_float(g, emb, x_u, tol: float = 1e-9
 
 
 def random_frames_reference(n: int, count: int, seed: int) -> np.ndarray:
-    """Haar frames drawn and QR-factored one at a time, signs fixed."""
-    rng = np.random.default_rng(seed)
+    """Haar frames drawn from one ``random.Random(seed)`` stream and
+    QR-factored one at a time, signs fixed."""
+    rng = random.Random(seed)
     out = []
     for _ in range(count):
-        q, r = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))
+        q, r = np.linalg.qr(_standard_normal(rng, (2 * n, 2 * n)))
         out.append(q * np.sign(np.diag(r)))
     return np.array(out).reshape(count, 2 * n, 2 * n)
 
@@ -94,17 +99,18 @@ def sectional_curvature_reference(r: np.ndarray, x: np.ndarray,
 def pinching_estimate_reference(r: np.ndarray, num_samples: int, seed: int
                                 ) -> tuple[float, float, float, float]:
     """(K_min_abs, K_max_abs, eps_est) over the coordinate planes and
-    num_samples random planes drawn one at a time, degenerate ones
-    redrawn; last, the worst conditioning |x|^2 |y|^2 / denominator of a
-    kept plane, by which a thin plane magnifies the rounding of K."""
+    num_samples random planes drawn one at a time from one
+    ``random.Random(seed)`` stream, degenerate ones redrawn; last, the
+    worst conditioning |x|^2 |y|^2 / denominator of a kept plane, by which
+    a thin plane magnifies the rounding of K."""
     N = r.shape[0]
     eye = np.eye(N)
     values = [abs(sectional_curvature_reference(r, eye[i], eye[j]))
               for i in range(N) for j in range(i + 1, N)]
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 1.0
     while len(values) < N * (N - 1) // 2 + num_samples:
-        x, y = rng.standard_normal(N), rng.standard_normal(N)
+        x, y = _standard_normal(rng, (N,)), _standard_normal(rng, (N,))
         k = sectional_curvature_reference(r, x, y)
         if k is not None:
             values.append(abs(k))

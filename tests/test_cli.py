@@ -253,20 +253,30 @@ def test_coupling_payload_is_strict_json(tmp_path):
 
 def test_pinch_certificate_records_the_sign_of_the_built_tensor(tmp_path):
     # random_pinched reads "sign": 1 as positive; the certificate must say
-    # so, and agree with the "+" spelling of the same instance.
-    catalog = [{"id": f"pinch_{tag}", "run": ["pinch"], "seed": 1,
+    # so, and agree with the "+" spelling of the same instance.  Seed -1
+    # draws the tensor and the frames of seed 1 (its sampled planes are
+    # those of seed 0, the seed + 1 of the estimate), and passes.
+    cases = (("int", 1, 1), ("plus", "+", 1), ("minus", "-", 1),
+             ("negative_seed", "+", -1))
+    catalog = [{"id": f"pinch_{tag}", "run": ["pinch"], "seed": seed,
                 "pinch": {"n": 2, "epsilon": 0.54, "sign": sign,
                           "frames": 20}}
-               for tag, sign in (("int", 1), ("plus", "+"), ("minus", "-"))]
+               for tag, sign, seed in cases]
     path = tmp_path / "pinch.json"
     path.write_text(json.dumps(catalog))
     out = tmp_path / "certs"
-    run_cli(["run", str(path), "--out", str(out), "--jobs", "1"])
-    tensors = {tag: json.loads((out / f"pinch_{tag}.json").read_text())
-               ["pinch"]["tensor"] for tag in ("int", "plus", "minus")}
+    assert run_cli(["run", str(path), "--out", str(out), "--jobs", "1"]) == 0
+    certs = {tag: json.loads((out / f"pinch_{tag}.json").read_text())
+             for tag, _, _ in cases}
+    tensors = {tag: cert["pinch"]["tensor"] for tag, cert in certs.items()}
     assert tensors["int"]["sign"] == 1
     assert tensors["int"] == tensors["plus"]
     assert tensors["minus"]["sign"] == -1
+    negative = certs["negative_seed"]
+    assert negative["passed"] and "error" not in negative
+    assert {**negative["pinch"]["report"], "seed": 1} \
+        == certs["plus"]["pinch"]["report"]
+    assert tensors["negative_seed"]["berger_max"] == tensors["plus"]["berger_max"]
 
 
 GOOD = {"id": "good", "g": {"family": "so", "params": [5]},
@@ -511,6 +521,24 @@ def test_importing_the_cli_loads_no_thread_pool():
     assert done.stdout.strip() == "False"
 
 
+def test_a_run_with_pinch_entries_never_imports_numpy_random(tmp_path):
+    # The pinch draws come from random.Random: no run pays numpy.random's
+    # import, the first pinch instance included.
+    catalog = tmp_path / "pinch.json"
+    catalog.write_text(json.dumps([{**PINCH, "id": "p", "seed": 3}]))
+    code = ("import sys; from fatbundles.cli import main; "
+            "code = main(sys.argv[1:]); "
+            "print(code, 'numpy.random' in sys.modules, file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(fatbundles.__file__)))
+    for source in ("paper_examples", str(catalog)):
+        done = subprocess.run(
+            [sys.executable, "-c", code, "run", source,
+             "--out", str(tmp_path / "certs")],
+            env=env, capture_output=True, text=True, check=True)
+        assert done.stderr.splitlines()[-1] == "0 False"
+
+
 def test_out_naming_a_file_gives_exit_two(tmp_path, capsys):
     not_a_dir = tmp_path / "README.md"
     not_a_dir.write_text("a file\n")
@@ -675,7 +703,7 @@ def test_oracle_past_the_float_range_and_ill_conditioned_gram_pass(
     assert run_cli(["run", _write_catalog(tmp_path, catalog),
                     "--out", str(out)]) == 0
     huge = json.loads((out / "huge.json").read_text())
-    assert huge["schema_version"] == 2
+    assert huge["schema_version"] == 3
     assert huge["version"] == fatbundles.__version__
     cert = huge["certificate"]
     assert cert["verdicts"]["oracle"] == "fat" and cert["agreed"]
@@ -688,7 +716,7 @@ def test_oracle_past_the_float_range_and_ill_conditioned_gram_pass(
     for iid in ("huge", "thin"):
         assert run_cli(["explain", iid, "--out", str(out)]) == 0
         text = capsys.readouterr().out
-        assert "tol 1e-09, well conditioned False (schema 2)" in text
+        assert "tol 1e-09, well conditioned False (schema 3)" in text
         assert "the exact rank of the Gram decided" in text
 
 

@@ -1,5 +1,7 @@
 """Curvature tensors, pinching, Berger bound and the twistor form."""
 
+import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -248,6 +250,18 @@ def test_stacked_pinching_estimate_matches_the_plane_loop(n, seed, samples):
     assert np.abs(np.subtract(got, ref)).max() <= 1e-14 * max(100.0, worst)
 
 
+def _uniform_bytes(normals) -> bytes:
+    """The bytes from which cv._standard_normal reads ``normals``, pair by
+    pair, up to the rounding of its 53-bit uniforms: Box-Muller inverted."""
+    out = b""
+    for a, b in zip(normals[0::2], normals[1::2]):
+        u = -math.expm1(-(a * a + b * b) / 2)
+        v = math.atan2(b, a) / (2 * math.pi) % 1.0
+        for x in (u, v):
+            out += (min(round(x * 2 ** 53), 2 ** 53 - 1) << 11).to_bytes(8, "little")
+    return out
+
+
 def test_pinching_estimate_redraws_only_the_degenerate_planes(monkeypatch):
     # Planes (x, y) in R^4 from a fixed normal stream: parallel, then three
     # good ones.  Two samples take the first two good planes, one after the
@@ -256,22 +270,43 @@ def test_pinching_estimate_redraws_only_the_degenerate_planes(monkeypatch):
               1, 2, 3, 1, 0, 1, 0, 2, 2, 1, 1, 3, 1, 0, 2, 1, 9, 9]
     left = []
 
-    class Fixed:
+    class Fixed(random.Random):
         def __init__(self, seed):
-            self.values = list(stream)
+            super().__init__(seed)
+            self.values = _uniform_bytes(stream)
             left.append(self)
 
-        def standard_normal(self, shape):
-            size = int(np.prod(shape))
-            out, self.values = self.values[:size], self.values[size:]
-            return np.array(out, dtype=float).reshape(shape)
+        def randbytes(self, n):
+            out, self.values = self.values[:n], self.values[n:]
+            return out
 
     r = unit_tensor(2, 3)
-    monkeypatch.setattr(np.random, "default_rng", Fixed)
+    monkeypatch.setattr(random, "Random", Fixed)
     got = cv.pinching_estimate(r, 2, 0)
     assert np.abs(np.subtract(got, pinching_estimate_reference(r, 2, 0)[:3])
                   ).max() <= 1e-12
-    assert [f.values for f in left[-2:]] == [[2, 1, 1, 3, 1, 0, 2, 1, 9, 9]] * 2
+    assert [f.values for f in left[-2:]] == [
+        _uniform_bytes([2, 1, 1, 3, 1, 0, 2, 1, 9, 9])] * 2
+
+
+def test_the_normal_stream_is_pinned():
+    # A change in the draws fails here before it moves a certificate.
+    assert [float(f"{x:.12g}") for x in cv.random_frames(1, 2, 0).ravel()] == [
+        0.938193269358, -0.346111816227, 0.346111816227, 0.938193269358,
+        0.478496666944, -0.878089368871, 0.878089368871, 0.478496666944]
+    r = cv.random_pinched(1, 0.5, "+", 0).R
+    assert [float(f"{r[i]:.12g}") for i in ((0, 1, 1, 0), (0, 1, 0, 1))] == [
+        0.884615384615, -0.884615384615]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(-2 ** 32, 2 ** 32), k=st.integers(1, 40),
+       more=st.integers(1, 9))
+def test_normals_of_a_longer_draw_extend_a_shorter_one(seed, k, more):
+    # Odd lengths too; a negative seed draws the stream of its absolute value.
+    short = cv._standard_normal(random.Random(seed), (k,))
+    longer = cv._standard_normal(random.Random(abs(seed)), (k + more,))
+    assert np.array_equal(short, longer[:k]) and np.isfinite(longer).all()
 
 
 @pytest.mark.parametrize("kappa", [0.7, -1.0, 1e-3])

@@ -404,6 +404,8 @@ def test_maximal_torus_block_and_generic():
     g3 = la.so(3)
     emb2 = la.reductive_split(g3, [unit_vec(3, 0)])
     assert len(la.maximal_torus(emb2)) == 1
+    # h = 0 is compact, and its maximal torus is the empty basis.
+    assert la.maximal_torus(la.reductive_split(g3, [])) == ()
 
 
 def test_maximal_torus_not_compact_raises():
