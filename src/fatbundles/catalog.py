@@ -305,8 +305,8 @@ def _run_coupling(spec, inst, payload) -> bool:
         raise FatBundleError(f"{spec.id}: coupling needs an Xu, g and h")
     bi = cp.bundle_instance(inst.g, inst.emb, inst.x_u)
     form = cp.instance_form(bi)
-    rep = cp.verify_block_structure(bi, form)
-    residual = cp.ce_closedness(inst.g, form)
+    rep = cp.verify_block_structure(form)
+    residual = cp.ce_closedness(form)
     half = form.dim // 2
     info: dict = {
         "form": sz.form_to_json(form),

@@ -20,13 +20,10 @@ import numpy as np
 from .errors import DegenerateRestriction, OddDimension
 from .exact import (
     CoordinateSolver,
-    Mat,
     Vec,
-    dense_vec,
     det,
     frac,
     int_combination,
-    mat,
     nullspace,
     rank,
     sparse_columns,
@@ -35,76 +32,72 @@ from .exact import (
     sparse_ints,
     sparse_vec,
 )
-from .fatness import fat_by_centralizer, fatness_gram
+from .fatness import _gram_entries, fat_by_centralizer
 from .liealg import LieAlgebra, SubalgebraEmbedding
 from .verdicts import FAT
 
 
 @dataclass(frozen=True)
-class InvariantTwoForm:
-    """Gram matrix of an invariant two-form over a basis of the
-    complement n of the isotropy algebra v (the form is extended by zero
-    on v)."""
+class HomogeneousBundleInstance:
+    """Splitting data for H/V -> G/V -> G/H at a covector X_u: the
+    isotropy v inside h, its complement n, and n = (h cap n) + m, as sparse
+    rows of g (ints on int h rows); m is the embedding's ``m_sparse``."""
 
-    algebra: LieAlgebra
+    g: LieAlgebra
+    emb: SubalgebraEmbedding
     x_u: Vec
-    v_basis: Mat
-    n_basis: Mat
-    gram: Mat
+    v_sparse: list[dict]
+    fiber_sparse: list[dict]   # h cap n
+    isotropy_in_h: bool
+
+    @property
+    def n_sparse(self) -> list[dict]:
+        return [*self.fiber_sparse, *self.emb.m_sparse]
+
+
+@dataclass(frozen=True)
+class InvariantTwoForm:
+    """Gram matrix of an invariant two-form over the instance's n rows (the
+    form is extended by zero on v): ``gram`` / ``den``, its rows sparse
+    {column: int} with no zero entries."""
+
+    instance: HomogeneousBundleInstance
+    gram: list[dict]
+    den: int
     scale: Fraction = Fraction(1)
 
     @property
     def dim(self) -> int:
-        return len(self.n_basis)
+        return len(self.gram)
 
     def scaled(self, r) -> "InvariantTwoForm":
-        r = frac(r)
-        return InvariantTwoForm(
-            self.algebra, self.x_u, self.v_basis, self.n_basis,
-            mat([[r * x for x in row] for row in self.gram]),
-            self.scale * r)
+        p, q = (r := frac(r)).numerator, r.denominator
+        # With r = 0 every row is empty: a stored zero would read as an entry.
+        return InvariantTwoForm(self.instance,
+                                [{j: x * p for j, x in row.items() if p} for row in self.gram],
+                                self.den * q, self.scale * r)
 
     def gram_float(self) -> np.ndarray | None:
         """The Gram in floats; None when an entry is past the float range."""
-        try:
-            rows = [[float(x) for x in row] for row in self.gram]
+        try:  # int / int is correctly rounded
+            rows = [[row.get(j, 0) / self.den for j in range(self.dim)] for row in self.gram]
         except OverflowError:
             return None
         return np.array(rows, dtype=float).reshape(self.dim, self.dim)
 
     @functools.cached_property
     def gram_det(self) -> Fraction:  # computed once per form
-        if any(len(row) != len(self.gram) for row in self.gram):
-            raise ValueError("det needs a square matrix")
-        return det([sparse_vec(row) for row in self.gram], len(self.gram))
+        return det(self.gram, self.dim) / self.den ** self.dim
 
 
-@dataclass(frozen=True)
-class HomogeneousBundleInstance:
-    """Splitting data for H/V -> G/V -> G/H at a covector X_u: the
-    isotropy v inside h, its complement n, and n = (h cap n) + m."""
-
-    g: LieAlgebra
-    emb: SubalgebraEmbedding
-    x_u: Vec
-    v_basis: Mat
-    fiber_basis: Mat   # h cap n
-    m_basis: Mat
-    isotropy_in_h: bool
-
-    @property
-    def n_basis(self) -> Mat:
-        return self.fiber_basis + self.m_basis
-
-
-def _orbit_gram(g: LieAlgebra, x_u: Vec, rows: Mat) -> Mat:
-    """Gram of B(x_u, [., .]) over the given rows: R S R^T with the
-    pairing matrix S_ab = B(x_u, [e_a, e_b]), in ints over one denominator."""
+def _orbit_gram(g: LieAlgebra, x_u: Vec, rows) -> tuple[list[dict], int]:
+    """(G, den): the Gram G / den of B(x_u, [., .]) over the sparse rows,
+    R S R^T with the pairing matrix S_ab = B(x_u, [e_a, e_b]), its rows
+    sparse {column: int}."""
     s_rows, s_den = g.orbit_pairing(x_u)
-    r, r_den = sparse_ints([sparse_vec(row) for row in rows])
-    den = s_den * r_den * r_den
-    return tuple(tuple(Fraction(row.get(j, 0), den) for j in range(len(r)))
-                 for row in sparse_congruence(r, s_rows))
+    r, r_den = sparse_ints(rows)
+    gram, den = sparse_ints(sparse_congruence(r, s_rows))
+    return gram, den * s_den * r_den * r_den
 
 
 def bundle_instance(g: LieAlgebra, emb: SubalgebraEmbedding, x_u) -> HomogeneousBundleInstance:
@@ -119,27 +112,24 @@ def bundle_instance(g: LieAlgebra, emb: SubalgebraEmbedding, x_u) -> Homogeneous
     # it stays in h (X_u is fat) exactly when ad_{X_u}|_m is invertible.
     in_h = fat_by_centralizer(emb, x_u).status == FAT
     vs = g.centralizer_in(sparse_vec(x_u), emb.h_sparse)
+    fiber = emb.h_sparse
     if vs:
         if rank(sparse_congruence(vs, g._killing_rows)) != len(vs):
             raise DegenerateRestriction("Killing form singular on v")
         # h cap n: elements of h Killing-orthogonal to v, B(v, h_j) = (K v) . h_j.
         h_cols = sparse_columns(emb.h_sparse)
-        fiber_rows = tuple(dense_vec(int_combination(c, emb.h_sparse), g.dim) for c in
-                           nullspace([sparse_combination(g.sparse_covector(v), h_cols)
-                                      for v in vs], emb.dim_h))
-    else:
-        fiber_rows = emb.h_basis
-    return HomogeneousBundleInstance(
-        g=g, emb=emb, x_u=x_u, v_basis=tuple(dense_vec(v, g.dim) for v in vs),
-        fiber_basis=fiber_rows, m_basis=emb.m_basis, isotropy_in_h=in_h)
+        fiber = [int_combination(c, emb.h_sparse) for c in
+                 nullspace([sparse_combination(g.sparse_covector(v), h_cols)
+                            for v in vs], emb.dim_h)]
+    return HomogeneousBundleInstance(g=g, emb=emb, x_u=x_u, v_sparse=vs,
+                                     fiber_sparse=fiber, isotropy_in_h=in_h)
 
 
 def instance_form(inst: HomogeneousBundleInstance) -> InvariantTwoForm:
-    """The coupling form over the instance's ordered (fiber, m) basis.
+    """The coupling form over the instance's ordered (fiber, m) rows.
     When X_u is not fat, v is only part of ker(ad_{X_u}) and the form
     picks up a null direction on m."""
-    return InvariantTwoForm(inst.g, inst.x_u, inst.v_basis, inst.n_basis,
-                            _orbit_gram(inst.g, inst.x_u, inst.n_basis))
+    return InvariantTwoForm(inst, *_orbit_gram(inst.g, inst.x_u, inst.n_sparse))
 
 
 @dataclass(frozen=True)
@@ -157,20 +147,21 @@ class BlockReport:
     fiber_to_horizontal_norm_ratio: float | None
 
 
-def verify_block_structure(inst: HomogeneousBundleInstance,
-                           form: InvariantTwoForm) -> BlockReport:
+def verify_block_structure(form: InvariantTwoForm) -> BlockReport:
     """Check the fiber/horizontal block structure of a coupling form:
     zero cross block, nondegenerate fiber block (the orbit form of the
-    fiber H/V), and horizontal block equal to the fatness Gram."""
-    if form.n_basis != inst.n_basis:
-        raise ValueError("form is not expressed over the instance basis")
-    f = len(inst.fiber_basis)
-    k = form.dim
-    cross_zero = all(
-        form.gram[i][j] == 0 for i in range(f) for j in range(f, k))
-    fat_gram = fatness_gram(inst.emb, inst.x_u)
-    equals = all(form.gram[f + i][f + j] == form.scale * x
-                 for i, row in enumerate(fat_gram) for j, x in enumerate(row))
+    fiber H/V), and horizontal block equal to the fatness Gram, read off
+    the embedding's ``linear`` parts of it."""
+    inst, k = form.instance, form.dim
+    f = len(inst.fiber_sparse)
+    cross_zero = not any(j >= f for row in form.gram[:f] for j in row)
+    # G / den == scale * F / fden on m, compared in ints with scale = p / q.
+    parts, fden = inst.emb.linear(_gram_entries, inst.x_u)
+    p, q = form.scale.numerator, form.scale.denominator
+    fat_gram = {(f + idx[i], f + idx[j]): v * p * form.den
+                for idx, _, e in parts for (i, j), v in e.items() if p}
+    equals = fat_gram == {(a, j): x * q * fden for a in range(f, k)
+                          for j, x in form.gram[a].items() if j >= f}
     gf = form.gram_float()
     if gf is None:  # past the float range: only the exact checks report
         cross_max = fiber_sv = horiz_sv = ratio = None
@@ -198,7 +189,7 @@ def verify_block_structure(inst: HomogeneousBundleInstance,
     )
 
 
-def ce_closedness(g: LieAlgebra, form: InvariantTwoForm) -> Fraction:
+def ce_closedness(form: InvariantTwoForm) -> Fraction:
     """Max residual of d sigma over all basis triples of g, with the form
     extended by zero on v:
 
@@ -206,24 +197,23 @@ def ce_closedness(g: LieAlgebra, form: InvariantTwoForm) -> Fraction:
 
     For the orbit form B(X_u, [., .]) this cancels exactly by the Jacobi
     identity; corrupted normalizations show up as a nonzero residual.
-    Raises ValueError unless v + n are dim g independent rows of length dim g.
+    Raises ValueError unless v + n are dim g independent rows of g.
     """
-    rows = [*form.v_basis, *form.n_basis]
-    if len(rows) != g.dim or any(len(row) != g.dim for row in rows):
+    inst = form.instance
+    g, rows, nv = inst.g, [*inst.v_sparse, *inst.n_sparse], len(inst.v_sparse)
+    if len(rows) != g.dim or any(i >= g.dim for row in rows for i in row):
         raise ValueError("v + n does not span g")
     try:
-        solver = CoordinateSolver([sparse_vec(row) for row in rows])
+        solver = CoordinateSolver(rows)
     except ValueError:
         raise ValueError("v + n does not span g") from None
     # The (v, n) coordinates of e_a; the form sees only the n part, row a
     # of C.  sigma = C G C^T, in ints over den.
-    nv = len(form.v_basis)
     c, c_den = sparse_ints([{j - nv: x for j, x in solver.sparse_coords({a: 1}).items()
                              if j >= nv} for a in range(g.dim)])
-    gram, g_den = sparse_ints([sparse_vec(row) for row in form.gram])
     residual = g.triple_residual([{(b, 0): s for b, s in row.items()}
-                                  for row in sparse_congruence(c, gram)])
-    return Fraction(residual, c_den * c_den * g_den)
+                                  for row in sparse_congruence(c, form.gram)])
+    return Fraction(residual, c_den * c_den * form.den)
 
 
 def nondegenerate_and_top_power(form: InvariantTwoForm, half_dim: int

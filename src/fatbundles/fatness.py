@@ -147,13 +147,13 @@ def fat_by_centralizer(emb: SubalgebraEmbedding, x_u) -> Verdict:
     i.e. the isotropy algebra of the covector stays inside h, decided per
     component (``_decide``); the witness is its first kernel vector in g."""
     parts, _ = emb.linear(SubalgebraEmbedding._ad_entries, x_u)
-    if not emb.m_basis:
+    if not emb.dim_m:
         return Verdict(FAT, note="trivial horizontal space")
     _, kernel = _decide(parts)
     if kernel is None:
         return FAT_VERDICT
-    return Verdict(NOT_FAT, witness_vector=emb.m_basis[min(kernel)] if len(kernel) == 1 else
-                   dense_vec(int_combination(kernel, emb.m_sparse), emb.ambient.dim))
+    return Verdict(NOT_FAT, witness_vector=dense_vec(int_combination(kernel, emb.m_sparse),
+                                                     emb.ambient.dim))
 
 
 @dataclass(frozen=True, slots=True)

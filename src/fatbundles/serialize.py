@@ -45,10 +45,6 @@ def parse_vec(items):
     return vec(Fraction(str(x)) for x in items)
 
 
-def mat_to_json(m) -> list[list[str]]:
-    return [vec_to_json(row) for row in m]
-
-
 def certificate_to_json(cert: FatnessCertificate) -> dict:
     out: dict = {
         "instance": cert.instance,
@@ -81,7 +77,8 @@ def form_to_json(form: InvariantTwoForm) -> dict:
     return {
         "dim": form.dim,
         "scale": frac_str(form.scale),
-        "gram": mat_to_json(form.gram),
+        "gram": [[frac_str(Fraction(row.get(j, 0), form.den)) for j in range(form.dim)]
+                 for row in form.gram],
     }
 
 

@@ -154,7 +154,7 @@ def test_criterion_5_coupling_nondegeneracy_iff_fat():
         rank = len(emb.torus_basis)
         form = cp.instance_form(
             cp.bundle_instance(g, emb, emb.torus_vector((1,) * rank)))
-        residuals.append(cp.ce_closedness(g, form))
+        residuals.append(cp.ce_closedness(form))
     ok &= all(r == 0 for r in residuals)
     report(ok, f"criterion 5: coupling nondegeneracy == fatness verdict on "
                f"{checked} samples; closedness residuals exactly 0")

@@ -1,6 +1,7 @@
 """Coupling forms: block structure, closedness, Pfaffians, shifts."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import numpy as np
@@ -17,7 +18,23 @@ from fatbundles import fatness as ft
 from fatbundles import liealg as la
 from fatbundles.catalog import make_pair, make_subsystem
 from fatbundles.errors import DimensionMismatch, OddDimension
-from fatbundles.exact import CoordinateSolver, mat, sparse_vec, vec
+from fatbundles.exact import CoordinateSolver, dense_vec, sparse_ints, sparse_vec, vec
+
+
+def dense(rows, n):
+    """Sparse rows as Fraction vectors of length n."""
+    return tuple(dense_vec(r, n) for r in rows)
+
+
+def dense_gram(form):
+    """A form's Gram as Fraction rows."""
+    return tuple(tuple(Q(row.get(j, 0), form.den) for j in range(form.dim))
+                 for row in form.gram)
+
+
+def form_over(inst, gram):
+    """The form over inst's n rows whose Gram is the given Fraction rows."""
+    return cp.InvariantTwoForm(inst, *sparse_ints([sparse_vec(row) for row in gram]))
 
 
 def cp3_instance():
@@ -30,9 +47,9 @@ def cp3_instance():
 
 def test_bundle_instance_splitting_dimensions():
     g, emb, j, inst = cp3_instance()
-    assert len(inst.v_basis) == 4          # u(2)
-    assert len(inst.fiber_basis) == 2      # so(4)/u(2) = S^2 directions
-    assert len(inst.m_basis) == 4
+    assert len(inst.v_sparse) == 4         # u(2)
+    assert len(inst.fiber_sparse) == 2     # so(4)/u(2) = S^2 directions
+    assert inst.n_sparse[2:] == emb.m_sparse and len(emb.m_sparse) == 4
     assert inst.isotropy_in_h
 
 
@@ -50,22 +67,23 @@ def test_x_u_outside_h_is_rejected():
 
 def test_coupling_form_full_rank_and_isotropy_check():
     g, emb, j, inst = cp3_instance()
-    assert len(ft.isotropy_algebra(g, j)) == len(inst.v_basis)
+    assert len(ft.isotropy_algebra(g, j)) == len(inst.v_sparse)
     form = cp.instance_form(inst)
     assert form.dim == 6
     gf = form.gram_float()
     assert np.linalg.matrix_rank(gf, tol=1e-9) == 6
-    # Antisymmetric, zero on the diagonal.
-    assert all(form.gram[i][i] == 0 for i in range(6))
-    assert all(form.gram[i][k] == -form.gram[k][i]
-               for i in range(6) for k in range(6))
+    # Antisymmetric, zero on the diagonal, and no zero stored.
+    gram = dense_gram(form)
+    assert all(gram[i][i] == 0 for i in range(6))
+    assert all(gram[i][k] == -gram[k][i] for i in range(6) for k in range(6))
+    assert all(all(row.values()) for row in form.gram)
 
 
 def test_form_vanishes_against_isotropy_directions():
     # sigma(v, y) = B(X_u, [v, y]) = 0 for v in the isotropy algebra.
     g, emb, j, inst = cp3_instance()
     rng = random.Random(31)
-    for v in inst.v_basis:
+    for v in dense(inst.v_sparse, g.dim):
         for _ in range(5):
             y = vec(rng.randint(-4, 4) for _ in range(g.dim))
             assert dot(j, g.covector(g.bracket(v, y))) == 0
@@ -74,24 +92,56 @@ def test_form_vanishes_against_isotropy_directions():
 def test_block_structure_report():
     g, emb, j, inst = cp3_instance()
     form = cp.instance_form(inst)
-    rep = cp.verify_block_structure(inst, form)
+    rep = cp.verify_block_structure(form)
     assert rep.cross_block_zero and rep.cross_max_abs == 0.0
     assert rep.fiber_dim == 2 and rep.horizontal_dim == 4
     assert rep.fiber_min_sv > 0 and rep.horizontal_min_sv > 0
     assert rep.horizontal_equals_fatness_gram
     assert rep.fiber_to_horizontal_norm_ratio is not None
-    # The fiber block is a nonzero antisymmetric 2x2 (area form of S^2).
-    fiber = [[form.gram[0][0], form.gram[0][1]],
-             [form.gram[1][0], form.gram[1][1]]]
-    assert fiber[0][1] == -fiber[1][0] != 0
+    # The fiber block is a nonzero antisymmetric 2x2 (area form of S^2),
+    # and the horizontal block is the fatness Gram.
+    gram = dense_gram(form)
+    assert gram[0][0] == gram[1][1] == 0 and gram[0][1] == -gram[1][0] != 0
+    assert tuple(row[2:] for row in gram[2:]) == ft.fatness_gram(emb, j)
+
+
+def test_block_report_sees_a_moved_entry():
+    # A cross entry, or an m entry off the fatness Gram, is a failed check.
+    g, emb, j, inst = cp3_instance()
+    gram = [list(row) for row in dense_gram(cp.instance_form(inst))]
+    for (i, k), ok in (((0, 2), (False, True)), ((2, 3), (True, False)),
+                       ((2, 4), (True, False))):
+        moved = [list(row) for row in gram]
+        moved[i][k] += 1
+        rep = cp.verify_block_structure(form_over(inst, moved))
+        assert (rep.cross_block_zero, rep.horizontal_equals_fatness_gram) == ok
 
 
 def test_block_structure_of_scaled_form():
     g, emb, j, inst = cp3_instance()
     form = cp.instance_form(inst).scaled(Q(5, 2))
-    rep = cp.verify_block_structure(inst, form)
+    rep = cp.verify_block_structure(form)
     assert rep.cross_block_zero
     assert rep.horizontal_equals_fatness_gram
+
+
+@pytest.mark.parametrize("r", [0, Q(-5, 2)])
+def test_scaling_by_zero_or_a_negative_keeps_the_block_structure(r):
+    # The scaled rows store no zero, so the cross block is read off their
+    # keys and the horizontal block compared entry by entry.
+    g, emb, j, inst = cp3_instance()
+    form = cp.instance_form(inst)
+    scaled = form.scaled(r)
+    assert scaled.scale == r and all(all(row.values()) for row in scaled.gram)
+    assert dense_gram(scaled) == tuple(tuple(r * x for x in row) for row in dense_gram(form))
+    assert scaled.gram_det == r ** 6 * form.gram_det
+    rep = cp.verify_block_structure(scaled)
+    assert rep.cross_block_zero and rep.cross_max_abs == 0.0
+    assert rep.horizontal_equals_fatness_gram
+    assert cp.ce_closedness(scaled) == 0
+    # The same Gram at scale 1 is not the fatness Gram unless r is 1.
+    assert not cp.verify_block_structure(cp.InvariantTwoForm(
+        inst, scaled.gram, scaled.den)).horizontal_equals_fatness_gram
 
 
 def test_trivial_fiber_when_v_equals_h():
@@ -100,10 +150,10 @@ def test_trivial_fiber_when_v_equals_h():
     j = emb.torus_vector((1, 1))
     inst = cp.bundle_instance(g, emb, j)
     # For u(2) the isotropy of J is all of u(2): zero-dimensional fiber.
-    assert len(inst.v_basis) == 4
-    assert len(inst.fiber_basis) == 0
+    assert len(inst.v_sparse) == 4
+    assert len(inst.fiber_sparse) == 0
     form = cp.instance_form(inst)
-    rep = cp.verify_block_structure(inst, form)
+    rep = cp.verify_block_structure(form)
     assert rep.fiber_dim == 0 and rep.horizontal_dim == 6
     assert rep.horizontal_equals_fatness_gram
 
@@ -111,45 +161,43 @@ def test_trivial_fiber_when_v_equals_h():
 def test_ce_closedness_exact_zero():
     g, emb, j, inst = cp3_instance()
     form = cp.instance_form(inst)
-    assert cp.ce_closedness(g, form) == 0
-    zero = cp.InvariantTwoForm(
-        g, j, inst.v_basis, inst.n_basis,
-        mat([[0] * form.dim for _ in range(form.dim)]))
-    assert cp.ce_closedness(g, zero) == 0
+    assert cp.ce_closedness(form) == 0
+    zero = cp.InvariantTwoForm(inst, [{} for _ in range(form.dim)], 1)
+    assert cp.ce_closedness(zero) == 0
 
 
 def test_ce_closedness_detects_corrupted_normalization():
     g, emb, j, inst = cp3_instance()
     form = cp.instance_form(inst)
-    f = len(inst.fiber_basis)
+    f = len(inst.fiber_sparse)
     k = form.dim
-    bad = [[form.gram[i][j2] * (Q(-1, 2) if i >= f and j2 >= f else 1)
+    gram = dense_gram(form)
+    bad = [[gram[i][j2] * (Q(-1, 2) if i >= f and j2 >= f else 1)
             for j2 in range(k)] for i in range(k)]
-    bad_form = cp.InvariantTwoForm(g, j, form.v_basis, form.n_basis, mat(bad))
-    assert cp.ce_closedness(g, bad_form) > 0
+    assert cp.ce_closedness(form_over(inst, bad)) > 0
     # One entry moved by 1, which also breaks antisymmetry.
-    moved = [list(row) for row in form.gram]
+    moved = [list(row) for row in gram]
     moved[0][1] += 1
-    moved_form = cp.InvariantTwoForm(g, j, form.v_basis, form.n_basis,
-                                     mat(moved))
-    assert cp.ce_closedness(g, moved_form) == dense_ce_closedness(
-        g, moved_form) > 0
+    assert cp.ce_closedness(form_over(inst, moved)) == dense_ce_closedness(inst, moved) > 0
 
 
 def test_ce_closedness_needs_v_and_n_to_be_a_basis_of_g():
     g, emb, j, inst = cp3_instance()
     form = cp.instance_form(inst)
-    short = cp.InvariantTwoForm(g, j, form.v_basis, form.n_basis[1:],
-                                mat([row[1:] for row in form.gram[1:]]))
-    dependent = cp.InvariantTwoForm(g, j, form.v_basis,
-                                    form.v_basis[:1] + form.n_basis[1:],
-                                    form.gram)
-    # Each row one zero longer: the same sparse rows, but not vectors of g.
-    long = cp.InvariantTwoForm(g, j, tuple(r + (0,) for r in form.v_basis),
-                               tuple(r + (0,) for r in form.n_basis), form.gram)
+    gram = dense_gram(form)
+    short = form_over(replace(inst, fiber_sparse=inst.fiber_sparse[1:]),
+                      [row[1:] for row in gram[1:]])
+    dependent = cp.InvariantTwoForm(
+        replace(inst, fiber_sparse=inst.v_sparse[:1] + inst.fiber_sparse[1:]),
+        form.gram, form.den)
+    # v + n rows in number dim g, independent, but one with an index past
+    # dim g: not vectors of g.
+    long = cp.InvariantTwoForm(
+        replace(inst, v_sparse=[{**inst.v_sparse[0], g.dim: 1}, *inst.v_sparse[1:]]),
+        form.gram, form.den)
     for bad in (short, dependent, long):
         with pytest.raises(ValueError, match="v \\+ n does not span g"):
-            cp.ce_closedness(g, bad)
+            cp.ce_closedness(bad)
 
 
 def test_nondegenerate_and_top_power():
@@ -159,21 +207,17 @@ def test_nondegenerate_and_top_power():
     assert min_sv > 0 and pf > 0
     with pytest.raises(OddDimension):
         cp.nondegenerate_and_top_power(form, 2)
-    zero = cp.InvariantTwoForm(
-        g, j, inst.v_basis, inst.n_basis,
-        mat([[0] * form.dim for _ in range(form.dim)]))
+    zero = cp.InvariantTwoForm(inst, [{} for _ in range(form.dim)], 7)
     assert cp.nondegenerate_and_top_power(zero, 3) == (0.0, 0.0)
 
 
 def test_gram_det_rejects_non_square_gram():
     g, emb, j, inst = cp3_instance()
     form = cp.instance_form(inst)
-    tall = [row[:-1] for row in form.gram]
-    wide = [row[:-1] + (0,) for row in form.gram[:-1]]  # a zero last column
-    for gram in (tall, wide):
-        bad = cp.InvariantTwoForm(g, j, form.v_basis, form.n_basis, mat(gram))
-        with pytest.raises(ValueError, match="square"):
-            bad.gram_det
+    # A key at k = dim: a column past the k rows.
+    bad = cp.InvariantTwoForm(inst, [*form.gram[:-1], {form.dim: 1}], form.den)
+    with pytest.raises(ValueError, match="square"):
+        bad.gram_det
 
 
 def test_pfaffian_scales_with_half_dim_power():
@@ -196,8 +240,8 @@ def test_shifted_coupling_zero_shift_matches():
     g, emb = make_pair("so", (5,), "so", (4,))
     base = cp.instance_form(cp.bundle_instance(g, emb, emb.torus_vector((1, 1))))
     shifted = shifted_coupling(g, emb, (1, 1), (0, 0))
-    assert shifted.gram == base.gram
-    assert shifted.n_basis == base.n_basis
+    assert (shifted.gram, shifted.den) == (base.gram, base.den)
+    assert shifted.instance.n_sparse == base.instance.n_sparse
 
 
 def test_shifted_coupling_restores_nondegeneracy():
@@ -234,11 +278,10 @@ def test_nondegeneracy_equals_fatness_on_samples():
 
 def test_instance_brackets_preserve_n():
     # [v, n] stays inside n: ad-invariance of the isotropy splitting.
-    from fatbundles.exact import CoordinateSolver
     g, emb, j, inst = cp3_instance()
-    solver = CoordinateSolver(map(sparse_vec, inst.n_basis))
-    for v in inst.v_basis:
-        for nrow in inst.n_basis:
+    solver = CoordinateSolver(inst.n_sparse)
+    for v in dense(inst.v_sparse, g.dim):
+        for nrow in dense(inst.n_sparse, g.dim):
             assert solver.coords(g.bracket(v, nrow)) is not None
 
 
@@ -260,6 +303,23 @@ def test_torus_subalgebra_instance():
     assert pf > 0 and min_sv > 0
 
 
+def test_rational_structure_constants_give_an_int_gram():
+    # so(5) on the basis e_i / (i + 2): its structure constants and orbit
+    # pairing are Fractions, and the Gram is still int rows over one den.
+    so5, emb = make_pair("so", (5,), "so", (4,))
+    g = la.matrix_algebra("so5_scaled", [[[x / (i + 2) for x in row] for row in b]
+                                         for i, b in enumerate(so5.basis)])
+    inst = cp.bundle_instance(g, la.reductive_split(g, emb.h_sparse), emb.torus_vector((1, 1)))
+    form = cp.instance_form(inst)
+    assert all(type(x) is int and x for row in form.gram for x in row.values())
+    n = dense(inst.n_sparse, g.dim)
+    assert dense_gram(form) == tuple(
+        tuple(dot(inst.x_u, g.covector(g.bracket(a, b))) for b in n) for a in n)
+    rep = cp.verify_block_structure(form)
+    assert rep.cross_block_zero and rep.horizontal_equals_fatness_gram
+    assert cp.ce_closedness(form) == 0
+
+
 # -- the structure-constant coupling path against dense references --------
 
 COUPLING_CASES = {
@@ -278,18 +338,21 @@ def coupling_case(name):
     return g, cp.bundle_instance(g, emb, emb.torus_vector(tau))
 
 
-def dense_ce_closedness(g, form):
-    """max |d sigma| over basis triples the direct way: coordinates of every
-    unit vector from a CoordinateSolver, and brackets of unit vectors, one
-    per pair."""
-    solver = CoordinateSolver(map(sparse_vec, form.v_basis + form.n_basis))
-    nv = len(form.v_basis)
+def dense_ce_closedness(inst, gram):
+    """max |d sigma| over basis triples the direct way, for a Gram of
+    Fraction rows over inst's n rows: coordinates of every unit vector from
+    a CoordinateSolver over inst's v + n rows as Fraction vectors, and
+    brackets of unit vectors, one per pair."""
+    g = inst.g
     d = g.dim
+    rows = dense(inst.v_sparse, d) + dense(inst.n_sparse, d)
+    solver = CoordinateSolver(map(sparse_vec, rows))
+    nv = len(inst.v_sparse)
     units = [unit_vec(d, a) for a in range(d)]
     coords = [solver.coords(u)[nv:] for u in units]
-    k = form.dim
+    k = len(gram)
     # sig = C G C^T for the rows C of coordinates, in two products.
-    cg = [[sum((ca[i] * form.gram[i][j] for i in range(k) if ca[i]), Q(0))
+    cg = [[sum((ca[i] * gram[i][j] for i in range(k) if ca[i]), Q(0))
            for j in range(k)] for ca in coords]
     sig = [[sum((x * cb[j] for j, x in enumerate(row) if x), Q(0))
             for cb in coords] for row in cg]
@@ -320,7 +383,7 @@ def test_not_fat_case_has_isotropy_outside_h():
 @given(data=st.data())
 def test_ce_closedness_matches_dense_reference(name, data):
     g, inst = coupling_case(name)
-    k = len(inst.n_basis)
+    k = len(inst.n_sparse)
     upper = data.draw(st.lists(RATIONALS, min_size=k * (k - 1) // 2,
                                max_size=k * (k - 1) // 2))
     entries = iter(upper)
@@ -329,16 +392,14 @@ def test_ce_closedness_matches_dense_reference(name, data):
         for j in range(i + 1, k):
             gram[i][j] = next(entries)
             gram[j][i] = -gram[i][j]
-    form = cp.InvariantTwoForm(g, inst.x_u, inst.v_basis, inst.n_basis,
-                               mat(gram))
-    assert cp.ce_closedness(g, form) == dense_ce_closedness(g, form)
+    assert cp.ce_closedness(form_over(inst, gram)) == dense_ce_closedness(inst, gram)
 
 
 @pytest.mark.parametrize("name", sorted(COUPLING_CASES))
 def test_instance_form_is_closed_and_matches_dense_reference(name):
     g, inst = coupling_case(name)
     form = cp.instance_form(inst)
-    assert cp.ce_closedness(g, form) == dense_ce_closedness(g, form) == 0
+    assert cp.ce_closedness(form) == dense_ce_closedness(inst, dense_gram(form)) == 0
 
 
 @pytest.mark.parametrize("name", sorted(COUPLING_CASES))
@@ -349,11 +410,11 @@ def test_orbit_gram_is_the_killing_pairing_of_brackets(name, data):
     extra = data.draw(st.lists(st.lists(RATIONALS, min_size=g.dim,
                                         max_size=g.dim).map(vec),
                                max_size=3))
-    rows = inst.n_basis + tuple(extra)
-    gram = cp._orbit_gram(g, inst.x_u, rows)
-    assert gram == tuple(
-        tuple(dot(inst.x_u, g.covector(g.bracket(a, b))) for b in rows)
-        for a in rows)
+    rows = dense(inst.n_sparse, g.dim) + tuple(extra)
+    gram, den = cp._orbit_gram(g, inst.x_u, [sparse_vec(r) for r in rows])
+    assert all(type(x) is int and x for row in gram for x in row.values())
+    assert [[Q(row.get(j, 0), den) for j in range(len(rows))] for row in gram] == [
+        [dot(inst.x_u, g.covector(g.bracket(a, b))) for b in rows] for a in rows]
 
 
 @pytest.mark.parametrize("name", sorted(COUPLING_CASES))
@@ -366,11 +427,9 @@ def test_ce_closedness_of_one_moved_entry_matches_dense_reference(name, data):
     form = cp.instance_form(inst)
     k = form.dim
     i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
-    gram = [list(row) for row in form.gram]
+    gram = [list(row) for row in dense_gram(form)]
     gram[i][j] += data.draw(st.sampled_from([-1, 1]))
-    bad = cp.InvariantTwoForm(g, inst.x_u, inst.v_basis, inst.n_basis,
-                              mat(gram))
-    assert cp.ce_closedness(g, bad) == dense_ce_closedness(g, bad)
+    assert cp.ce_closedness(form_over(inst, gram)) == dense_ce_closedness(inst, gram)
 
 
 # Every pair the coupling and bench runs reach, and so(12) > u(6).
@@ -402,8 +461,8 @@ def test_isotropy_and_fiber_bases_match_fraction_kernels(pair, on_wall, data):
     assert ft.isotropy_algebra(g, x) == kernel(ad_on(g, x, identity(g.dim)), identity(g.dim))
     inst = cp.bundle_instance(g, emb, x)
     v = kernel(ad_on(g, x, emb.h_basis), emb.h_basis)
-    assert inst.v_basis == v
+    assert dense(inst.v_sparse, g.dim) == v
     # h cap n: the elements of h Killing-orthogonal to v.
     kh = [g.covector(b) for b in emb.h_basis]
     pairing = [[dot(a, k) for k in kh] for a in v]
-    assert inst.fiber_basis == (kernel(pairing, emb.h_basis) if v else emb.h_basis)
+    assert dense(inst.fiber_sparse, g.dim) == (kernel(pairing, emb.h_basis) if v else emb.h_basis)

@@ -402,7 +402,7 @@ def test_centralizer_and_bundle_isotropy_match_full_kernels(name, data):
     v = ft.fat_by_centralizer(emb, x)
     assert (v.status, v.witness_vector) == centralizer_reference(g, emb, x)
     inst = cp.bundle_instance(g, emb, x)
-    full = len(ft.isotropy_algebra(g, x)) == len(inst.v_basis)
+    full = len(ft.isotropy_algebra(g, x)) == len(inst.v_sparse)
     assert inst.isotropy_in_h == full == (v.status == FAT)
 
 
