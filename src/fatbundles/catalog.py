@@ -307,7 +307,6 @@ def _run_coupling(spec, inst, payload) -> bool:
     form = cp.instance_form(bi)
     rep = cp.verify_block_structure(form)
     residual = cp.ce_closedness(form)
-    half = form.dim // 2
     info: dict = {
         "form": sz.form_to_json(form),
         "blocks": sz.block_report_to_json(rep),
@@ -317,7 +316,7 @@ def _run_coupling(spec, inst, payload) -> bool:
     ok = rep.cross_block_zero and rep.horizontal_equals_fatness_gram
     ok = ok and residual == 0
     if form.dim % 2 == 0:
-        min_sv, pf = cp.nondegenerate_and_top_power(form, half)
+        min_sv, pf = cp.nondegenerate_and_top_power(form)
         info["min_sv"] = sz.json_float(min_sv)
         info["pfaffian_abs"] = sz.json_float(pf)
         if spec.expect in ("fat", "not_fat"):

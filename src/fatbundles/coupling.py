@@ -13,9 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
-
-import numpy as np
+from math import inf, sqrt
 
 from .errors import DegenerateRestriction, OddDimension
 from .exact import (
@@ -31,8 +29,9 @@ from .exact import (
     sparse_congruence,
     sparse_ints,
     sparse_vec,
+    split_table,
 )
-from .fatness import _gram_entries, fat_by_centralizer
+from .fatness import _decide, _gram_entries, fat_by_centralizer
 from .liealg import LieAlgebra, SubalgebraEmbedding
 from .verdicts import FAT
 
@@ -76,14 +75,6 @@ class InvariantTwoForm:
         return InvariantTwoForm(self.instance,
                                 [{j: x * p for j, x in row.items() if p} for row in self.gram],
                                 self.den * q, self.scale * r)
-
-    def gram_float(self) -> np.ndarray | None:
-        """The Gram in floats; None when an entry is past the float range."""
-        try:  # int / int is correctly rounded
-            rows = [[row.get(j, 0) / self.den for j in range(self.dim)] for row in self.gram]
-        except OverflowError:
-            return None
-        return np.array(rows, dtype=float).reshape(self.dim, self.dim)
 
     @functools.cached_property
     def gram_det(self) -> Fraction:  # computed once per form
@@ -147,40 +138,48 @@ class BlockReport:
     fiber_to_horizontal_norm_ratio: float | None
 
 
+def _min_sv(entries: dict, k: int):
+    """Smallest singular value of a k x k int matrix read off per component,
+    as the fatness Gram's (``_decide``): 0 below full rank, inf at k = 0."""
+    sv: list = []
+    r, _ = _decide([(idx, mono, t) for idx, mono, (t,) in split_table([entries], k)], sv)
+    return min(sv, default=inf) if r == k else 0
+
+
+def _floats(form: InvariantTwoForm, *values) -> list[float]:
+    """Each value / den as a float, correctly rounded; OverflowError once a
+    Gram entry is past the float range, where every report float is None."""
+    top = max((abs(x) for row in form.gram for x in row.values()), default=0)
+    return [float(v / form.den) for v in (top, *values)][1:]
+
+
 def verify_block_structure(form: InvariantTwoForm) -> BlockReport:
     """Check the fiber/horizontal block structure of a coupling form:
     zero cross block, nondegenerate fiber block (the orbit form of the
-    fiber H/V), and horizontal block equal to the fatness Gram, read off
-    the embedding's ``linear`` parts of it."""
-    inst, k = form.instance, form.dim
+    fiber H/V), and horizontal block equal to the fatness Gram's ``linear``
+    parts; the floats are read off the ints, as ``_min_sv`` and int / int."""
+    inst, k, gram = form.instance, form.dim, form.gram
     f = len(inst.fiber_sparse)
-    cross_zero = not any(j >= f for row in form.gram[:f] for j in row)
+    fiber = {(a, j): x for a, row in enumerate(gram[:f]) for j, x in row.items() if j < f}
+    horiz = {(a, j - f): x for a, row in enumerate(gram[f:]) for j, x in row.items() if j >= f}
+    cross = [abs(x) for row in gram[:f] for j, x in row.items() if j >= f]
     # G / den == scale * F / fden on m, compared in ints with scale = p / q.
     parts, fden = inst.emb.linear(_gram_entries, inst.x_u)
     p, q = form.scale.numerator, form.scale.denominator
-    fat_gram = {(f + idx[i], f + idx[j]): v * p * form.den
+    fat_gram = {(idx[i], idx[j]): v * p * form.den
                 for idx, _, e in parts for (i, j), v in e.items() if p}
-    equals = fat_gram == {(a, j): x * q * fden for a in range(f, k)
-                          for j, x in form.gram[a].items() if j >= f}
-    gf = form.gram_float()
-    if gf is None:  # past the float range: only the exact checks report
+    equals = fat_gram == {key: x * q * fden for key, x in horiz.items()}
+    fiber_sq, horiz_sq = (sum(x * x for x in b.values()) for b in (fiber, horiz))
+    try:
+        cross_max, fiber_sv, horiz_sv = _floats(
+            form, max(cross, default=0), _min_sv(fiber, f), _min_sv(horiz, k - f))
+        ratio = sqrt(fiber_sq / horiz_sq) if horiz_sq else None
+    except OverflowError:  # past the float range: only the exact checks report
         cross_max = fiber_sv = horiz_sv = ratio = None
-    else:
-        cross = gf[:f, f:]
-        cross_max = float(np.abs(cross).max()) if cross.size else 0.0
-        fiber_block = gf[:f, :f]
-        horiz_block = gf[f:, f:]
-        fiber_sv = (float(np.linalg.svd(fiber_block, compute_uv=False)[-1])
-                    if f else float("inf"))
-        horiz_sv = (float(np.linalg.svd(horiz_block, compute_uv=False)[-1])
-                    if k > f else float("inf"))
-        fiber_norm = float(np.linalg.norm(fiber_block))
-        horiz_norm = float(np.linalg.norm(horiz_block))
-        ratio = (fiber_norm / horiz_norm) if horiz_norm else None
     return BlockReport(
         fiber_dim=f,
         horizontal_dim=k - f,
-        cross_block_zero=cross_zero,
+        cross_block_zero=not cross,
         cross_max_abs=cross_max,
         fiber_min_sv=fiber_sv,
         horizontal_min_sv=horiz_sv,
@@ -216,18 +215,18 @@ def ce_closedness(form: InvariantTwoForm) -> Fraction:
     return Fraction(residual, c_den * c_den * form.den)
 
 
-def nondegenerate_and_top_power(form: InvariantTwoForm, half_dim: int
+def nondegenerate_and_top_power(form: InvariantTwoForm
                                 ) -> tuple[float | None, float | None]:
-    """(min singular value, |Pfaffian|) of the Gram; a nonzero Pfaffian
-    certifies that the top power of the form does not vanish pointwise.
-    Either is None when it is past the float range."""
-    if form.dim != 2 * half_dim:
-        raise OddDimension(
-            f"form dimension {form.dim} is not twice {half_dim}")
-    if form.dim == 0:
-        return float("inf"), 1.0
-    gf = form.gram_float()
-    min_sv = None if gf is None else float(np.linalg.svd(gf, compute_uv=False)[-1])
+    """(min singular value (``_min_sv``), |Pfaffian|) of the Gram of an even
+    dimension form; a nonzero Pfaffian certifies that its top power does not
+    vanish pointwise.  Either is None when it is past the float range."""
+    if form.dim % 2:
+        raise OddDimension(f"form dimension {form.dim} is odd")
+    entries = {(a, j): x for a, row in enumerate(form.gram) for j, x in row.items()}
+    try:
+        (min_sv,) = _floats(form, _min_sv(entries, form.dim))
+    except OverflowError:
+        min_sv = None
     d = form.gram_det
     if d < 0:
         raise ValueError("antisymmetric Gram has negative determinant")

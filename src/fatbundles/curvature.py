@@ -172,20 +172,18 @@ def random_pinched(n: int, epsilon: float, sign, seed: int) -> CurvatureTensor:
     norm = float(np.linalg.norm(pert))
     if norm > 0:
         pert = pert / norm
-    mask = _mixed_mask(N)
-    bound = 2.0 / 3.0 * epsilon
     scale = 0.45 * epsilon
     cand = (base + scale * pert) / (kappa0 + scale)
     kmin, kmax, eps_est = pinching_estimate(cand, 200, seed=seed + 1)
-    mixed = float(np.abs(cand[mask]).max()) if mask.any() else 0.0
+    berger = berger_check(cand, epsilon)
     global_kmin = (kappa0 - scale) / (kappa0 + scale)
-    if not (eps_est <= epsilon + 1e-12 and mixed <= bound + 1e-12
+    if not (eps_est <= epsilon + 1e-12 and berger.passed
             and kmax <= 1.0 + 1e-12 and global_kmin >= 1.0 - epsilon - 1e-12):
         raise ScaleFailure(
             f"could not fit the perturbation into the bracket for epsilon={epsilon}")
     return CurvatureTensor(
         n=n, R=sign * cand, epsilon=float(epsilon), sign=sign,
-        seed=seed, achieved_epsilon=float(eps_est), berger_max=mixed)
+        seed=seed, achieved_epsilon=float(eps_est), berger_max=berger.max_mixed_abs)
 
 
 @dataclass(frozen=True)

@@ -340,6 +340,7 @@ class CoordinateSolver:
                 raise ValueError("spanning set is linearly dependent")
             for row, p in zip(red, pivots):
                 inv[p] = sorted((j - n, Fraction(x, row[p])) for j, x in row.items() if j >= n)
+        self._spans = n if len(rows) == n else 0
         # Nonzero (j, den * E_pj) of each row of E, keyed by pivot p.
         self._den = lcm(*[x.denominator for r in inv.values() for _, x in r])
         self._inv_rows = {p: [(j, int(x * self._den)) for j, x in r] for p, r in inv.items()}
@@ -373,9 +374,11 @@ class CoordinateSolver:
             for j, x in inv.get(p, ()):
                 s[j] = s[j] + vp * x if j in s else vp * x
         s = {j: x for j, x in s.items() if x}
-        # v is in the span iff den * v == s R; then c = s * row_den / den.
-        num, den = self._row_den, self._den
-        if int_combination(s, self._int_rows) != {i: den * x for i, x in v.items()}:
+        # v is in the span iff den * v == s R, or iff its keys are below n when
+        # n rows span every index below n; then c = s * row_den / den.
+        num, den, n = self._row_den, self._den, self._spans
+        if (any(i >= n for i in v) if n else
+                int_combination(s, self._int_rows) != {i: den * x for i, x in v.items()}):
             return None
         return {j: Fraction(x * num, den) if r else q
                 for j, x in s.items() for q, r in (divmod(x * num, den),)}

@@ -77,8 +77,8 @@ def form_to_json(form: InvariantTwoForm) -> dict:
     return {
         "dim": form.dim,
         "scale": frac_str(form.scale),
-        "gram": [[frac_str(Fraction(row.get(j, 0), form.den)) for j in range(form.dim)]
-                 for row in form.gram],
+        "gram": [[frac_str(Fraction(row[j], form.den)) if j in row else "0"
+                  for j in range(form.dim)] for row in form.gram],
     }
 
 

@@ -1,9 +1,10 @@
 """Float reference pipelines, kept beside the tests as checks that share
 no code path with the exact kernel: dense float64 structure constants and
-Killing form, the fatness Gram, an end-to-end numeric coupling-form
-nondegeneracy verdict built on scipy null spaces, and one-at-a-time
-references for the stacked curvature kernels: per-frame QR draws, the
-four-operand twistor einsum and the per-plane pinching loop."""
+Killing form, the fatness Gram, the coupling report by dense SVDs, an
+end-to-end numeric coupling-form nondegeneracy verdict built on scipy
+null spaces, and one-at-a-time references for the stacked curvature
+kernels: per-frame QR draws, the four-operand twistor einsum and the
+per-plane pinching loop."""
 
 from __future__ import annotations
 
@@ -41,6 +42,28 @@ def fatness_gram_float(emb, x_float) -> np.ndarray:
     kx = kf @ np.asarray(x_float, dtype=float)
     s = np.einsum("ijk,k->ij", c, kx)
     return m_arr @ s @ m_arr.T
+
+
+def gram_float(form) -> np.ndarray:
+    """A coupling form's Gram in floats (int / int is correctly rounded)."""
+    k = form.dim
+    return np.array([[row.get(j, 0) / form.den for j in range(k)]
+                     for row in form.gram], dtype=float).reshape(k, k)
+
+
+def min_sv_float(a: np.ndarray) -> float:
+    """Smallest singular value of a square array by numpy's SVD, inf when empty."""
+    return float(np.linalg.svd(a, compute_uv=False)[-1]) if a.size else float("inf")
+
+
+def block_report_float(form) -> tuple[float, float, float, float | None]:
+    """(cross_max_abs, fiber_min_sv, horizontal_min_sv, fiber / horizontal
+    Frobenius norm ratio) of a coupling form by dense numpy SVDs and norms."""
+    gf, f = gram_float(form), len(form.instance.fiber_sparse)
+    cross, fiber, horiz = gf[:f, f:], gf[:f, :f], gf[f:, f:]
+    horiz_norm = float(np.linalg.norm(horiz))
+    return (float(np.abs(cross).max()) if cross.size else 0.0, min_sv_float(fiber),
+            min_sv_float(horiz), float(np.linalg.norm(fiber)) / horiz_norm if horiz_norm else None)
 
 
 def coupling_nondegenerate_float(g, emb, x_u, tol: float = 1e-9

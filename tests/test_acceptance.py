@@ -168,7 +168,7 @@ def test_criterion_6_scaling_family_pfaffian():
     ok = True
     for r in (Q(1, 10), Q(1), Q(10)):
         scaled = form.scaled(r)
-        min_sv, pf = cp.nondegenerate_and_top_power(scaled, 3)
+        min_sv, pf = cp.nondegenerate_and_top_power(scaled)
         verdicts.append(pf > 0 and min_sv > 1e-9)
         ok &= pf > 0
     ok &= verdicts == [True, True, True]

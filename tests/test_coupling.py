@@ -6,8 +6,8 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
-from float_oracles import coupling_nondegenerate_float
-from fraction_oracles import ad_on, dot, identity, unit_vec, vec_mat
+from float_oracles import block_report_float, coupling_nondegenerate_float, gram_float, min_sv_float
+from fraction_oracles import ad_on, coords, dot, identity, unit_vec, vec_mat
 from fraction_oracles import nullspace as reference_nullspace
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +18,14 @@ from fatbundles import fatness as ft
 from fatbundles import liealg as la
 from fatbundles.catalog import make_pair, make_subsystem
 from fatbundles.errors import DimensionMismatch, OddDimension
-from fatbundles.exact import CoordinateSolver, dense_vec, sparse_ints, sparse_vec, vec
+from fatbundles.exact import (
+    CoordinateSolver,
+    dense_vec,
+    sparse_combination,
+    sparse_ints,
+    sparse_vec,
+    vec,
+)
 
 
 def dense(rows, n):
@@ -70,7 +77,7 @@ def test_coupling_form_full_rank_and_isotropy_check():
     assert len(ft.isotropy_algebra(g, j)) == len(inst.v_sparse)
     form = cp.instance_form(inst)
     assert form.dim == 6
-    gf = form.gram_float()
+    gf = gram_float(form)
     assert np.linalg.matrix_rank(gf, tol=1e-9) == 6
     # Antisymmetric, zero on the diagonal, and no zero stored.
     gram = dense_gram(form)
@@ -203,12 +210,17 @@ def test_ce_closedness_needs_v_and_n_to_be_a_basis_of_g():
 def test_nondegenerate_and_top_power():
     g, emb, j, inst = cp3_instance()
     form = cp.instance_form(inst)
-    min_sv, pf = cp.nondegenerate_and_top_power(form, 3)
+    min_sv, pf = cp.nondegenerate_and_top_power(form)
     assert min_sv > 0 and pf > 0
-    with pytest.raises(OddDimension):
-        cp.nondegenerate_and_top_power(form, 2)
+    # The form on the first five of its six rows has odd dimension.
+    odd = cp.InvariantTwoForm(inst, [{j: x for j, x in row.items() if j < 5}
+                                     for row in form.gram[:5]], form.den)
+    with pytest.raises(OddDimension, match="form dimension 5 is odd"):
+        cp.nondegenerate_and_top_power(odd)
     zero = cp.InvariantTwoForm(inst, [{} for _ in range(form.dim)], 7)
-    assert cp.nondegenerate_and_top_power(zero, 3) == (0.0, 0.0)
+    assert cp.nondegenerate_and_top_power(zero) == (0.0, 0.0)
+    empty = cp.InvariantTwoForm(inst, [], 1)
+    assert cp.nondegenerate_and_top_power(empty) == (float("inf"), 1.0)
 
 
 def test_gram_det_rejects_non_square_gram():
@@ -223,9 +235,9 @@ def test_gram_det_rejects_non_square_gram():
 def test_pfaffian_scales_with_half_dim_power():
     g, emb, j, inst = cp3_instance()
     form = cp.instance_form(inst)
-    _, pf = cp.nondegenerate_and_top_power(form, 3)
+    _, pf = cp.nondegenerate_and_top_power(form)
     for r in (Q(1, 10), Q(1), Q(10)):
-        _, pfr = cp.nondegenerate_and_top_power(form.scaled(r), 3)
+        _, pfr = cp.nondegenerate_and_top_power(form.scaled(r))
         assert pfr == pytest.approx(float(r) ** 3 * pf)
         assert pfr > 0
 
@@ -248,7 +260,7 @@ def test_shifted_coupling_restores_nondegeneracy():
     g, emb = make_pair("so", (5,), "so", (4,))
     # (1, 0) is on a forbidden wall; the (0, 1) shift moves it to (1, 1).
     form = shifted_coupling(g, emb, (1, 0), (0, 1))
-    min_sv, pf = cp.nondegenerate_and_top_power(form, form.dim // 2)
+    min_sv, pf = cp.nondegenerate_and_top_power(form)
     assert pf > 0 and min_sv > 1e-9
     cert = ft.certify(g, emb, emb.torus_vector((1, 1)),
                       subsystem=make_subsystem("so", (5,), "so", (4,)))
@@ -258,7 +270,7 @@ def test_shifted_coupling_restores_nondegeneracy():
 def test_shifted_coupling_wall_shift_degenerates():
     g, emb = make_pair("so", (5,), "so", (4,))
     form = shifted_coupling(g, emb, (1, 0), (0, 0))
-    gf = form.gram_float()
+    gf = gram_float(form)
     sv = np.linalg.svd(gf, compute_uv=False)
     assert sv[-1] < 1e-12
     cert = ft.certify(g, emb, emb.torus_vector((1, 0)),
@@ -299,7 +311,7 @@ def test_torus_subalgebra_instance():
     assert not cert2.fat and cert2.witness_root in ((1, -1), (-1, 1))
     form = cp.instance_form(cp.bundle_instance(g, emb, emb.torus_vector((2, 1))))
     assert form.dim == 8
-    min_sv, pf = cp.nondegenerate_and_top_power(form, 4)
+    min_sv, pf = cp.nondegenerate_and_top_power(form)
     assert pf > 0 and min_sv > 0
 
 
@@ -466,3 +478,99 @@ def test_isotropy_and_fiber_bases_match_fraction_kernels(pair, on_wall, data):
     kh = [g.covector(b) for b in emb.h_basis]
     pairing = [[dot(a, k) for k in kh] for a in v]
     assert dense(inst.fiber_sparse, g.dim) == (kernel(pairing, emb.h_basis) if v else emb.h_basis)
+
+
+# -- the report read off per component against dense numpy SVDs ----------
+
+def report_form(name):
+    """A coupling form by name: a COUPLING_CASES pair at its tau; so(8) > t4
+    and so(12) > u(6) at a regular tau; a generic X_u in h (not in the
+    torus) of so(5) > so(4) or so(9) > so(8); or so(5) > so(4)'s form at J
+    with a cross entry and its mirror set."""
+    if name in COUPLING_CASES:
+        return cp.instance_form(coupling_case(name)[1])
+    if name == "cross":
+        inst = cp3_instance()[3]
+        gram = [list(row) for row in dense_gram(cp.instance_form(inst))]
+        gram[0][3], gram[3][0] = Q(3, 2), Q(-3, 2)
+        return form_over(inst, gram)
+    pair, tau = {"so8_t4": (("so", (8,), "torus", (4,)), (Q(1, 3), 3, Q(5, 7), 7)),
+                 "so12_u6": (("so", (12,), "u", (6,)), (1, 1, 1, 3, 3, 5)),
+                 "generic_so5_so4": (("so", (5,), "so", (4,)), None),
+                 "generic_so9_so8": (("so", (9,), "so", (8,)), None)}[name]
+    g, emb = make_pair(*pair)
+    x = emb.torus_vector(tau) if tau else dense_vec(sparse_combination(
+        {i: Q(3 * i - 7, i % 4 + 1) for i in range(emb.dim_h)}, emb.h_sparse), g.dim)
+    return cp.instance_form(cp.bundle_instance(g, emb, x))
+
+
+REPORT_FORMS = [*sorted(COUPLING_CASES), "so8_t4", "so12_u6", "generic_so5_so4",
+                "generic_so9_so8", "cross"]
+
+
+@pytest.mark.parametrize("name", REPORT_FORMS)
+def test_report_matches_dense_svd_reference(name):
+    # Each singular value to 1e-9 relative, or to 1e-12 of its block's
+    # largest entry where the block is singular and the SVD leaves noise.
+    form = report_form(name)
+    rep = cp.verify_block_structure(form)
+    gf, f = gram_float(form), rep.fiber_dim
+    assert (f, rep.horizontal_dim) == (len(form.instance.fiber_sparse), form.dim - f)
+    assert rep.cross_block_zero == (name != "cross")
+    got = (rep.cross_max_abs, rep.fiber_min_sv, rep.horizontal_min_sv,
+           rep.fiber_to_horizontal_norm_ratio, cp.nondegenerate_and_top_power(form)[0])
+    want = (*block_report_float(form), min_sv_float(gf))
+    tops = [np.abs(b).max(initial=0) for b in (gf[:f, f:], gf[:f, :f], gf[f:, f:])]
+    for a, b, top in zip(got, want, (*tops, 0, np.abs(gf).max(initial=0))):
+        assert a == pytest.approx(b, rel=1e-9, abs=1e-12 * top)
+
+
+def test_wall_form_reads_an_exact_zero():
+    # tau_1 = tau_2 is a wall of so(8) > t4: the horizontal block and the
+    # Gram are singular, and the read-off says 0.0 where numpy's SVD of the
+    # dense Gram says about 1e-15.
+    g, emb = make_pair("so", (8,), "torus", (4,))
+    form = cp.instance_form(cp.bundle_instance(g, emb, emb.torus_vector((1, 1, 5, 7))))
+    rep = cp.verify_block_structure(form)
+    assert form.gram_det == 0 and rep.horizontal_equals_fatness_gram
+    assert rep.horizontal_min_sv == 0.0
+    assert cp.nondegenerate_and_top_power(form) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("name", [*sorted(COUPLING_CASES), "so8_t4", "so12_u6"])
+@pytest.mark.parametrize("r", [1, Q(5, 2), Q(-1, 3)])
+def test_horizontal_min_sv_is_the_oracle_margin(name, r):
+    # The horizontal block is the fatness Gram times scale, read off the
+    # same way: the oracle's min_sv at scale 1, times |scale| to one rounding.
+    form = report_form(name)
+    inst = form.instance
+    rep = cp.verify_block_structure(form.scaled(r))
+    assert rep.horizontal_equals_fatness_gram
+    oracle = ft.fat_by_oracle(inst.emb, inst.x_u).min_singular_value
+    if r == 1:
+        assert rep.horizontal_min_sv == oracle
+    assert rep.horizontal_min_sv == pytest.approx(oracle * abs(float(r)), rel=1e-15)
+
+
+def test_spanning_solvers_check_membership_by_keys():
+    # The u-block h + m rows and a coupling instance's v + n rows are dim g
+    # independent rows of g: a vector is in their span iff its keys are
+    # below dim g.  Without their last row they no longer span, and the
+    # solve checks the recombination.
+    g, emb = make_pair("so", (7,), "u", (3,))
+    inst = coupling_case("so5_so4_fat")[1]
+    rng = random.Random(32)
+    for rows in ([*emb.h_sparse, *emb.m_sparse], [*inst.v_sparse, *inst.n_sparse]):
+        d = len(rows)
+        dense_rows = dense(rows, d)
+        for sub in (rows, rows[:-1]):
+            solver = CoordinateSolver(sub)
+            assert not solver._disjoint and (sub is not rows or solver._spans == d)
+            for _ in range(20):
+                v = vec(Q(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+                        for _ in range(d))
+                want = coords(dense_rows[:len(sub)], v)
+                assert solver.coords(v) == want
+                assert (want is None) == (len(sub) < d)
+            assert solver.sparse_coords({0: 1, d: 1}) is None
+            assert solver.sparse_coords({d + 3: 2}) is None

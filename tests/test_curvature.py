@@ -64,6 +64,16 @@ def test_random_pinched_contracts():
             assert sectional_curvature_reference(t.R, x, y) < 0
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_random_pinched_records_the_berger_check_max(n):
+    # At 0.9 of the twistor bound with both signs, as the pinch catalogs
+    # run it: the tensor's berger_max is berger_check's max mixed entry.
+    eps = 0.9 * 3 / (2 * n + 1)
+    for sign in "+-":
+        t = cv.random_pinched(n, eps, sign, n)
+        assert t.berger_max == cv.berger_check(t, eps).max_mixed_abs
+
+
 def test_random_pinched_zero_epsilon_is_constant():
     t = cv.random_pinched(2, 0.0, "+", 5)
     assert np.abs(t.R - cv.constant_curvature(2, 1.0).R).max() < 1e-12

@@ -4,7 +4,9 @@ import json
 from fractions import Fraction as Q
 
 import pytest
+from test_coupling import COUPLING_CASES, coupling_case
 
+from fatbundles import coupling as cp
 from fatbundles import serialize as sz
 from fatbundles.catalog import make_pair, make_subsystem
 from fatbundles.fatness import certify
@@ -77,3 +79,20 @@ def test_not_fat_certificate_writes_an_exact_null_vector():
     assert d["null_vector"] == ["0", "0", "1", "0"]
     assert (d["min_sv"], d["max_sv"], d["well_conditioned"]) == (0.0, 6.0,
                                                                  False)
+
+
+@pytest.mark.parametrize("name", [*sorted(COUPLING_CASES), "huge"])
+def test_form_gram_strings_match_a_fraction_per_entry(name):
+    # "0" for an absent entry and a Fraction for each nonzero one write the
+    # strings of a Fraction for every entry, on every coupling case and
+    # past the float range (X_u = (1e400, 2)).
+    if name == "huge":
+        g, emb = make_pair("so", (5,), "so", (4,))
+        inst = cp.bundle_instance(g, emb, emb.torus_vector((Q(10) ** 400, 2)))
+    else:
+        inst = coupling_case(name)[1]
+    form = cp.instance_form(inst)
+    out = sz.form_to_json(form)
+    assert out["gram"] == [[sz.frac_str(Q(row.get(j, 0), form.den)) for j in range(form.dim)]
+                           for row in form.gram]
+    assert "0" in out["gram"][0] and out["dim"] == form.dim
